@@ -2,15 +2,20 @@
 //! (client-side encoding + accumulator counting), the k-way merge of
 //! sharded accumulators that precedes every mid-stream snapshot, and the
 //! `bench_batch` group pinning the columnar batch pipeline against the
-//! scalar per-record reference (encode, ingest, and end-to-end sharded).
+//! scalar per-record reference (encode, ingest, and end-to-end sharded),
+//! and the `crc64` group timing the checksum that guards every wire frame
+//! and snapshot.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mdrr_data::{adult_schema, AdultSynthesizer, Dataset};
+use mdrr_data::{adult_schema, AdultSynthesizer, Attribute, Dataset, Schema};
 use mdrr_protocols::{Clustering, Protocol, ProtocolSpec, RandomizationLevel};
+use mdrr_store::{crc64, Snapshot};
+use mdrr_stream::wire::{encode_batch_frame_into, WIRE_TRAILER_LEN};
 use mdrr_stream::{Accumulator, Report, ReportBatch, ShardedCollector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn protocols() -> Vec<(&'static str, Arc<dyn Protocol>)> {
     let schema = adult_schema();
@@ -274,6 +279,49 @@ fn bench_batch_sharded_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two buffers `crc64` guards on the collection path: the body of a
+/// 4096-report RR-Independent batch frame (131,112 bytes, checksummed
+/// once by the client and once by the server) and the 222-byte snapshot
+/// of docs/FORMAT.md's worked example.
+fn crc64_inputs() -> Vec<(&'static str, Vec<u8>)> {
+    let (_, protocol) = protocols().remove(0);
+    let dataset = Dataset::from_records(protocol.schema().clone(), &records(4096)).unwrap();
+    let mut batch = ReportBatch::for_protocol(&*protocol);
+    batch
+        .encode_records(&*protocol, &dataset.view(), &mut StdRng::seed_from_u64(9))
+        .unwrap();
+    let mut frame = Vec::new();
+    encode_batch_frame_into(&mut frame, 0, 0, &batch).unwrap();
+    frame.truncate(frame.len() - WIRE_TRAILER_LEN);
+
+    let schema = Schema::new(vec![Attribute::indexed("A", 3).unwrap()]).unwrap();
+    let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
+    let snapshot = Snapshot::new(schema, spec, vec![vec![5, 3, 2]], 10)
+        .unwrap()
+        .to_bytes()
+        .unwrap();
+    vec![("batch_frame_body", frame), ("snapshot", snapshot)]
+}
+
+/// CRC-64/XZ throughput.  The criterion shim reports time per iteration
+/// only, so each input is followed by its own ns/byte line.
+fn bench_crc64(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc64");
+    for (name, bytes) in crc64_inputs() {
+        group.bench_with_input(BenchmarkId::new(name, bytes.len()), &bytes, |b, bytes| {
+            b.iter(|| crc64(black_box(bytes)))
+        });
+        let reps = (64 << 20) / bytes.len();
+        let start = Instant::now();
+        for _ in 0..reps {
+            black_box(crc64(black_box(&bytes)));
+        }
+        let ns_per_byte = start.elapsed().as_nanos() as f64 / (reps * bytes.len()) as f64;
+        println!("  crc64/{name}: {ns_per_byte:.3} ns/byte");
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_single_shard_ingest,
@@ -282,6 +330,7 @@ criterion_group!(
     bench_snapshot,
     bench_batch_encode,
     bench_batch_ingest,
-    bench_batch_sharded_end_to_end
+    bench_batch_sharded_end_to_end,
+    bench_crc64
 );
 criterion_main!(benches);

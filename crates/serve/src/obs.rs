@@ -25,10 +25,31 @@
 
 use mdrr_obs::{Clock, Counter, EventKind, Gauge, Histogram, Journal, Registry};
 use mdrr_stream::{FrameType, WireError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default bound on the daemon's event journal.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
+
+/// Every [`WireError::label`] in variant order (pinned by a test), one
+/// cached reject counter each.  A reason missing here would still be
+/// counted, through a registry lookup per reject.
+const REJECT_REASONS: [&str; 15] = [
+    "io",
+    "bad_magic",
+    "unsupported_version",
+    "unknown_frame_type",
+    "reserved_nonzero",
+    "oversized",
+    "truncated",
+    "checksum_mismatch",
+    "malformed",
+    "spec_mismatch",
+    "unexpected_frame",
+    "protocol",
+    "timeout",
+    "closed",
+    "remote",
+];
 
 /// The daemon's metric bundle.  Cheap to share (`Arc` everywhere),
 /// lock-free on the hot path (relaxed atomic counters, fixed-bucket
@@ -45,6 +66,11 @@ pub struct ServeObs {
     reports_total: Arc<Counter>,
     decode_nanos: Arc<Histogram>,
     ingest_nanos: Arc<Histogram>,
+    /// `serve_frames_total{type}` per [`FrameType::ALL`] entry, so the
+    /// per-frame path takes no registry lock.
+    frames_total: [OnceLock<Arc<Counter>>; FrameType::ALL.len()],
+    /// `serve_rejects_total{reason}` per [`REJECT_REASONS`] entry.
+    rejects_total: [OnceLock<Arc<Counter>>; REJECT_REASONS.len()],
 }
 
 impl ServeObs {
@@ -60,6 +86,8 @@ impl ServeObs {
             reports_total: registry.counter("serve_reports_total"),
             decode_nanos: registry.histogram("serve_decode_nanos"),
             ingest_nanos: registry.histogram("serve_ingest_nanos"),
+            frames_total: Default::default(),
+            rejects_total: Default::default(),
             clock,
             registry,
             journal,
@@ -107,9 +135,11 @@ impl ServeObs {
     }
 
     pub(crate) fn frame_read(&self, frame_type: FrameType, bytes: u64) {
-        self.registry
-            .counter_with("serve_frames_total", &[("type", frame_type.name())])
-            .inc();
+        let slot = FrameType::ALL
+            .iter()
+            .position(|&t| t == frame_type)
+            .and_then(|i| self.frames_total.get(i));
+        self.bump(slot, "serve_frames_total", ("type", frame_type.name()));
         self.bytes_read_total.add(bytes);
     }
 
@@ -118,9 +148,23 @@ impl ServeObs {
     }
 
     pub(crate) fn reject(&self, error: &WireError) {
-        self.registry
-            .counter_with("serve_rejects_total", &[("reason", error.label())])
-            .inc();
+        let reason = error.label();
+        let slot = REJECT_REASONS
+            .iter()
+            .position(|&r| r == reason)
+            .and_then(|i| self.rejects_total.get(i));
+        self.bump(slot, "serve_rejects_total", ("reason", reason));
+    }
+
+    /// Increments the counter `name{label}` through its cached `slot`.
+    /// The slot registers the series on first use, so a series still
+    /// appears only once it has been hit.
+    fn bump(&self, slot: Option<&OnceLock<Arc<Counter>>>, name: &str, label: (&str, &str)) {
+        let register = || self.registry.counter_with(name, &[label]);
+        match slot {
+            Some(slot) => slot.get_or_init(register).inc(),
+            None => register().inc(),
+        }
     }
 
     pub(crate) fn batch_ingested(&self, reports: u64, decode_nanos: u64, ingest_nanos: u64) {
@@ -176,5 +220,81 @@ mod tests {
             kinds,
             vec!["connection_opened", "connection_closed", "server_drained"]
         );
+    }
+
+    #[test]
+    fn cached_frame_counters_register_on_first_hit_and_add_up_across_threads() {
+        let obs = ServeObs::new(Arc::new(ManualClock::new()));
+        let frames = |ty: &str| {
+            obs.registry()
+                .snapshot()
+                .counter_value("serve_frames_total", &[("type", ty)])
+        };
+        obs.frame_read(FrameType::Hello, 10);
+        // A frame type never read has no series at all.
+        assert_eq!(frames("batch"), None);
+        assert_eq!(frames("hello"), Some(1));
+
+        // Both threads start together, so they also race to fill the
+        // never-hit `batch` slot.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..10_000 {
+                        obs.frame_read(FrameType::Batch, 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(frames("batch"), Some(20_000));
+        assert_eq!(frames("goodbye"), None);
+        let snap = obs.registry().snapshot();
+        assert_eq!(
+            snap.counter_value("serve_bytes_read_total", &[]),
+            Some(20_010)
+        );
+    }
+
+    #[test]
+    fn every_wire_error_label_has_a_cached_reject_slot() {
+        let every_variant = [
+            WireError::io("read", std::io::Error::other("x")),
+            WireError::BadMagic { found: [0; 8] },
+            WireError::UnsupportedVersion {
+                found: 2,
+                supported: 1,
+            },
+            WireError::UnknownFrameType { found: 0xFF },
+            WireError::ReservedNonZero { found: [1, 0, 0] },
+            WireError::Oversized {
+                declared: 1 << 40,
+                max: 1,
+            },
+            WireError::Truncated {
+                offset: 0,
+                needed: 1,
+                available: 0,
+            },
+            WireError::ChecksumMismatch {
+                stored: 0,
+                computed: 1,
+            },
+            WireError::malformed("x"),
+            WireError::spec_mismatch("x"),
+            WireError::unexpected("x", FrameType::Hello),
+            WireError::Protocol(mdrr_stream::MdrrError::InvalidConfiguration {
+                message: "x".into(),
+            }),
+            WireError::timeout("x"),
+            WireError::closed("x"),
+            WireError::Remote {
+                code: 1,
+                message: "x".into(),
+            },
+        ];
+        let labels: Vec<&str> = every_variant.iter().map(WireError::label).collect();
+        assert_eq!(labels, REJECT_REASONS);
     }
 }

@@ -97,6 +97,38 @@ fn tally(spec: &ProtocolSpec, schema: &Schema, records: &[Vec<u32>], seed: u64) 
     counts
 }
 
+/// CRC-64/XZ one bit at a time, straight from the definition (reflected
+/// polynomial `0xC96C5795D7870F42`, init and xorout `!0`) with no table:
+/// the oracle the slice-by-16 [`crc64`] must reproduce exactly.
+fn crc64_bitwise(bytes: &[u8]) -> u64 {
+    const POLY: u64 = 0xC96C_5795_D787_0F42;
+    let mut crc = !0u64;
+    for &b in bytes {
+        crc ^= u64::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// `n` pseudo-random bytes from `seed` (an LCG; only variety matters).
+fn noise(n: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 56) as u8
+        })
+        .collect()
+}
+
 fn scratch_path(tag: &str, case: u64) -> PathBuf {
     std::env::temp_dir().join(format!(
         "mdrr-store-prop-{tag}-{}-{case}.mdrrsnap",
@@ -229,6 +261,46 @@ proptest! {
             prop_assert!(Snapshot::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Slice-by-16 equals the bit-at-a-time definition at every length
+    /// 0..=64 (empty, tail-only, one block plus every tail, several
+    /// blocks) and at random lengths up to 8 KiB.
+    #[test]
+    fn crc64_equals_the_bitwise_definition(
+        seed in any::<u64>(),
+        bytes in prop::collection::vec(any::<u8>(), 0..8192),
+    ) {
+        let short = noise(64, seed);
+        for len in 0..=short.len() {
+            prop_assert_eq!(crc64(&short[..len]), crc64_bitwise(&short[..len]), "len {}", len);
+        }
+        prop_assert_eq!(crc64(&bytes), crc64_bitwise(&bytes));
+    }
+
+    /// The same at every start offset 0..16 into a larger buffer, so each
+    /// alignment of the 16-byte blocks and every tail length is hit.
+    #[test]
+    fn crc64_equals_the_bitwise_definition_at_every_offset(
+        bytes in prop::collection::vec(any::<u8>(), 16..600),
+    ) {
+        for start in 0..16 {
+            let slice = &bytes[start..];
+            prop_assert_eq!(crc64(slice), crc64_bitwise(slice), "start {}", start);
+        }
+    }
+}
+
+/// One buffer the size of a full 4096-report batch frame body (131,112
+/// bytes: 8,194 blocks of 16 plus an 8-byte tail).
+#[test]
+fn crc64_equals_the_bitwise_definition_on_a_batch_frame_sized_buffer() {
+    let mut frame = noise(131_112, 0x5EED);
+    frame[..8].copy_from_slice(b"MDRRWIRE");
+    assert_eq!(crc64(&frame), crc64_bitwise(&frame));
 }
 
 #[test]

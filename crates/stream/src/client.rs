@@ -83,6 +83,8 @@ pub struct WireClient {
     server_total: u64,
     ack_latency: Option<Arc<Histogram>>,
     buf: Vec<u8>,
+    /// The outgoing batch frame, reused for every send.
+    frame: Vec<u8>,
 }
 
 fn store_to_wire(e: StoreError) -> WireError {
@@ -153,6 +155,7 @@ impl WireClient {
             server_total: 0,
             ack_latency: None,
             buf: Vec::new(),
+            frame: Vec::new(),
         };
         client.handshake()?;
         Ok(client)
@@ -260,9 +263,9 @@ impl WireClient {
     /// draining acknowledgements until the window has room.  Returns the
     /// batch's sequence number.
     pub fn send_batch(&mut self, shard: u32, batch: &ReportBatch) -> Result<u64, WireError> {
-        let payload = wire::encode_batch_payload(self.next_seq, shard, batch)?;
+        wire::encode_batch_frame_into(&mut self.frame, self.next_seq, shard, batch)?;
         self.await_window()?;
-        wire::write_frame(&mut self.stream, FrameType::Batch, &payload)?;
+        wire::write_raw_frame(&mut self.stream, &self.frame)?;
         self.note_sent(batch.n_reports() as u64)
     }
 

@@ -501,15 +501,25 @@ pub fn encode_frame(frame_type: FrameType, payload: &[u8]) -> Result<Vec<u8>, Wi
         });
     }
     let mut out = Vec::with_capacity(frame_len(payload.len()));
+    push_header(&mut out, frame_type, payload.len() as u32);
+    out.extend_from_slice(payload);
+    push_crc(&mut out);
+    Ok(out)
+}
+
+/// Appends a frame header declaring `payload_len` payload bytes.
+fn push_header(out: &mut Vec<u8>, frame_type: FrameType, payload_len: u32) {
     out.extend_from_slice(&WIRE_MAGIC);
     out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
     out.push(frame_type.as_byte());
     out.extend_from_slice(&[0u8; 3]);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc64(&out);
+    out.extend_from_slice(&payload_len.to_le_bytes());
+}
+
+/// Appends the trailing CRC over everything already in `out`.
+fn push_crc(out: &mut Vec<u8>) {
+    let crc = crc64(out);
     out.extend_from_slice(&crc.to_le_bytes());
-    Ok(out)
 }
 
 /// Decodes one complete frame from `bytes` (which must hold exactly one
@@ -646,9 +656,37 @@ pub fn encode_batch_payload(
     shard: u32,
     batch: &ReportBatch,
 ) -> Result<Vec<u8>, WireError> {
-    let n_channels = batch.n_channels();
-    let n_reports = batch.n_reports();
-    let code_bytes = (n_channels as u64) * (n_reports as u64) * 4;
+    let mut out = Vec::with_capacity(batch_payload_len(batch)? as usize);
+    push_batch_payload(&mut out, seq, shard, batch)?;
+    Ok(out)
+}
+
+/// Encodes a whole [`FrameType::Batch`] frame into `out`, replacing its
+/// contents: the same bytes as [`encode_frame`] over
+/// [`encode_batch_payload`], built in place so a sender can reuse one
+/// buffer for every batch it sends.
+///
+/// # Errors
+/// As [`encode_batch_payload`].
+pub fn encode_batch_frame_into(
+    out: &mut Vec<u8>,
+    seq: u64,
+    shard: u32,
+    batch: &ReportBatch,
+) -> Result<(), WireError> {
+    let payload_len = batch_payload_len(batch)?;
+    out.clear();
+    out.reserve(frame_len(payload_len as usize));
+    push_header(out, FrameType::Batch, payload_len);
+    push_batch_payload(out, seq, shard, batch)?;
+    push_crc(out);
+    Ok(())
+}
+
+/// The byte length of `batch`'s payload, checked against
+/// [`MAX_WIRE_PAYLOAD`] before anything is sized from it.
+fn batch_payload_len(batch: &ReportBatch) -> Result<u32, WireError> {
+    let code_bytes = (batch.n_channels() as u64) * (batch.n_reports() as u64) * 4;
     let total = BATCH_PAYLOAD_HEADER_LEN as u64 + code_bytes;
     if total > MAX_WIRE_PAYLOAD as u64 {
         return Err(WireError::Oversized {
@@ -656,7 +694,18 @@ pub fn encode_batch_payload(
             max: MAX_WIRE_PAYLOAD as u64,
         });
     }
-    let mut out = Vec::with_capacity(total as usize);
+    Ok(total as u32)
+}
+
+/// Appends the batch payload of [`encode_batch_payload`] to `out`.
+fn push_batch_payload(
+    out: &mut Vec<u8>,
+    seq: u64,
+    shard: u32,
+    batch: &ReportBatch,
+) -> Result<(), WireError> {
+    let n_channels = batch.n_channels();
+    let n_reports = batch.n_reports();
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(&(n_channels as u32).to_le_bytes());
@@ -672,7 +721,7 @@ pub fn encode_batch_payload(
             out.extend_from_slice(&code.to_le_bytes());
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decodes a batch payload into a reusable [`ReportBatch`] shaped for the
@@ -936,6 +985,22 @@ mod tests {
             let (decoded_type, decoded_payload) = decode_frame(&frame).unwrap();
             assert_eq!(decoded_type, frame_type);
             assert_eq!(decoded_payload, &payload[..]);
+        }
+    }
+
+    #[test]
+    fn in_place_batch_frames_equal_encode_frame_over_the_payload() {
+        let mut frame = vec![0xAA; 7];
+        let mut big = ReportBatch::new(3).unwrap();
+        for i in 0..50 {
+            big.push(&Report::new(vec![i % 2, i % 3, i % 4])).unwrap();
+        }
+        // Reusing one buffer for batches of different sizes leaves no
+        // stale bytes behind.
+        for (seq, batch) in [(9, big), (10, sample_batch())] {
+            encode_batch_frame_into(&mut frame, seq, 1, &batch).unwrap();
+            let payload = encode_batch_payload(seq, 1, &batch).unwrap();
+            assert_eq!(frame, encode_frame(FrameType::Batch, &payload).unwrap());
         }
     }
 
