@@ -453,7 +453,7 @@ mod tests {
         let mut b = StdRng::seed_from_u64(9);
         let ds = synth.generate(&mut a);
         let streamed: Vec<Vec<u32>> = (0..10).map(|_| synth.sample_record(&mut b)).collect();
-        let direct: Vec<Vec<u32>> = ds.records().collect();
+        let direct: Vec<Vec<u32>> = (0..ds.n_records()).map(|i| ds.record(i).unwrap()).collect();
         assert_eq!(streamed, direct);
     }
 
@@ -566,7 +566,10 @@ mod tests {
     fn generated_codes_are_always_valid() {
         let mut rng = StdRng::seed_from_u64(19);
         let ds = AdultSynthesizer::new(2_000).unwrap().generate(&mut rng);
-        for record in ds.records() {
+        let view = ds.view();
+        let mut record = Vec::new();
+        for i in 0..view.n_records() {
+            view.read_record(i, &mut record).unwrap();
             ds.schema().validate_record(&record).unwrap();
         }
     }

@@ -147,18 +147,6 @@ impl Dataset {
         Ok(self.columns.iter().map(|c| c[i]).collect())
     }
 
-    /// Iterator over records as rows of codes.
-    ///
-    /// **Note:** every item is a freshly allocated `Vec<u32>`, which makes
-    /// this iterator unsuitable for bulk work — prefer the zero-copy
-    /// columnar [`Dataset::view`] / [`Dataset::column_chunks`] (or
-    /// [`RecordsView::read_record`] into a reused row buffer when a
-    /// row-major record is unavoidable).  Kept for small result sets and
-    /// tests.
-    pub fn records(&self) -> impl Iterator<Item = Vec<u32>> + '_ {
-        (0..self.n_records()).map(move |i| self.columns.iter().map(|c| c[i]).collect())
-    }
-
     /// The whole dataset as a borrowed columnar [`RecordsView`] — the
     /// zero-copy input of the batched protocol encoders.
     pub fn view(&self) -> RecordsView<'_> {
@@ -166,11 +154,10 @@ impl Dataset {
         RecordsView::new(columns).expect("dataset columns are equal-length by construction")
     }
 
-    /// Iterator over columnar chunk views of at most `chunk_size` records —
-    /// the bulk sibling of [`Dataset::record_chunks`] that never
-    /// materializes row-major records (each chunk is a set of column
-    /// sub-slices; no copying at all).  The last chunk may be shorter; an
-    /// empty dataset yields no chunks.
+    /// Iterator over columnar chunk views of at most `chunk_size` records,
+    /// never materializing row-major records (each chunk is a set of
+    /// column sub-slices; no copying at all).  The last chunk may be
+    /// shorter; an empty dataset yields no chunks.
     ///
     /// # Errors
     /// Returns [`DataError::InvalidParameter`] if `chunk_size == 0`.
@@ -187,33 +174,6 @@ impl Dataset {
             let end = (start + chunk_size).min(n);
             view.slice(start..end)
                 .expect("chunk ranges are in bounds by construction")
-        }))
-    }
-
-    /// Iterator over row-major chunks of at most `chunk_size` records.
-    /// The last chunk may be shorter; an empty dataset yields no chunks.
-    ///
-    /// **Note:** every chunk allocates one `Vec<u32>` per record, which
-    /// is why the streaming pipeline no longer uses this — its shard
-    /// workers consume zero-copy columnar [`Dataset::column_chunks`] /
-    /// [`RecordsView`] slices instead.  Kept for row-oriented consumers
-    /// and tests.
-    ///
-    /// # Errors
-    /// Returns [`DataError::InvalidParameter`] if `chunk_size == 0`.
-    pub fn record_chunks(
-        &self,
-        chunk_size: usize,
-    ) -> Result<impl Iterator<Item = Vec<Vec<u32>>> + '_, DataError> {
-        if chunk_size == 0 {
-            return Err(DataError::invalid("chunk_size", "must be positive"));
-        }
-        let n = self.n_records();
-        Ok((0..n).step_by(chunk_size).map(move |start| {
-            let end = (start + chunk_size).min(n);
-            (start..end)
-                .map(|i| self.columns.iter().map(|c| c[i]).collect())
-                .collect()
         }))
     }
 
@@ -496,9 +456,7 @@ mod tests {
         assert!(ds.record(5).is_err());
         assert_eq!(ds.column(0).unwrap(), &[0, 0, 1, 1, 0]);
         assert!(ds.column(2).is_err());
-        let rows: Vec<Vec<u32>> = ds.records().collect();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[4], vec![0, 2]);
+        assert_eq!(ds.record(4).unwrap(), vec![0, 2]);
     }
 
     #[test]
@@ -564,26 +522,6 @@ mod tests {
         // Record 2 is (A=1, B=2): code 1*3+2=5 under [A,B], 2*2+1=5 under [B,A].
         assert_eq!(codes_ab[2], 5);
         assert_eq!(codes_ba[2], 5);
-    }
-
-    #[test]
-    fn record_chunks_cover_all_records_in_order() {
-        let ds = sample();
-        assert!(ds.record_chunks(0).is_err());
-
-        let chunks: Vec<Vec<Vec<u32>>> = ds.record_chunks(2).unwrap().collect();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len(), 2);
-        assert_eq!(chunks[2].len(), 1);
-        let flattened: Vec<Vec<u32>> = chunks.into_iter().flatten().collect();
-        let direct: Vec<Vec<u32>> = ds.records().collect();
-        assert_eq!(flattened, direct);
-
-        // A chunk size beyond the record count yields a single chunk.
-        assert_eq!(ds.record_chunks(100).unwrap().count(), 1);
-        // An empty dataset yields no chunks at all.
-        let empty = Dataset::empty(schema());
-        assert_eq!(empty.record_chunks(4).unwrap().count(), 0);
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub mod crate_hygiene;
 pub mod determinism;
 pub mod no_alloc_in_hot_loop;
 pub mod no_ambient_clock;
-pub mod no_deprecated_ingest;
 pub mod no_float_in_kernel;
 pub mod no_panic_paths;
 pub mod panic_reachability;
@@ -44,7 +43,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(spec_sync::SpecSync),
         Box::new(safety_comments::SafetyComments),
         Box::new(crate_hygiene::CrateHygiene),
-        Box::new(no_deprecated_ingest::NoDeprecatedIngest),
         Box::new(privacy_taint::PrivacyTaint),
         Box::new(panic_reachability::PanicReachability),
         Box::new(determinism::Determinism),

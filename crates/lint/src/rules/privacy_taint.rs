@@ -39,7 +39,6 @@ const RAW_ACCESSORS: &[&str] = &[
     "columns",
     "read_record",
     "slice",
-    "record_chunks",
     "column_chunks",
     "iter",
     "clone",

@@ -1,7 +1,7 @@
 //! The sharded streaming collector.
 //!
 //! A [`ShardedCollector`] owns `N` independent [`Accumulator`]s and fans
-//! ingestion out over `std::thread::scope` workers — one worker per shard,
+//! ingestion out over scoped worker threads — one worker per shard,
 //! each with its own deterministic RNG, each writing only to its own
 //! shard's accumulator, so ingestion is embarrassingly parallel and never
 //! locks.  At any point mid-stream the shards can be merged (exactly —
@@ -249,18 +249,6 @@ impl ShardedCollector {
         Ok(())
     }
 
-    /// The number of healthy shards, as a typed error when every shard is
-    /// quarantined (a fully degraded collector cannot ingest).
-    fn healthy_count(&self) -> Result<usize, MdrrError> {
-        let count = self.quarantined.iter().filter(|&&q| !q).count();
-        if count == 0 {
-            return Err(MdrrError::config(
-                "every shard is quarantined; rehabilitate at least one before ingesting",
-            ));
-        }
-        Ok(count)
-    }
-
     /// Quarantines every shard whose worker died, records the failures
     /// (health gauge to 0, `stream_shard_failures_total`, a
     /// `shard_failed` journal event each), and surfaces the first one as
@@ -294,23 +282,10 @@ impl ShardedCollector {
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] for a bad shard index
-    /// or a report that does not match the protocol's channels.
+    /// or a report that does not match the protocol's channels, and
+    /// [`MdrrError::ShardFailed`] for a quarantined shard.
     pub fn ingest_report(&mut self, shard: usize, report: &Report) -> Result<(), MdrrError> {
-        let n_shards = self.shards.len();
-        if self.is_quarantined(shard) {
-            return Err(MdrrError::shard_failed(
-                shard,
-                "shard is quarantined; rehabilitate it before routing reports to it".to_string(),
-            ));
-        }
-        self.shards
-            .get_mut(shard)
-            .ok_or_else(|| {
-                MdrrError::config(format!(
-                    "shard index {shard} out of range ({n_shards} shards)"
-                ))
-            })?
-            .ingest(report)?;
+        routable(&mut self.shards, &self.quarantined, shard)?.ingest(report)?;
         if let Some(obs) = self.obs.as_ref() {
             if let Some(shard_obs) = obs.shards.get(shard) {
                 shard_obs.reports.inc();
@@ -325,40 +300,87 @@ impl ShardedCollector {
     /// of reports ingested.
     ///
     /// # Errors
-    /// Returns [`MdrrError::InvalidConfiguration`] for a bad shard index
-    /// or a batch that does not match the protocol's channels.
+    /// Same contract as [`ShardedCollector::ingest_report`].
     pub fn ingest_batch(&mut self, shard: usize, batch: &ReportBatch) -> Result<u64, MdrrError> {
-        let n_shards = self.shards.len();
-        if self.is_quarantined(shard) {
-            return Err(MdrrError::shard_failed(
-                shard,
-                "shard is quarantined; rehabilitate it before routing batches to it".to_string(),
-            ));
-        }
         let worker = WorkerObs::for_shard(self.obs.as_deref(), shard);
         let start = worker.chunk_start();
-        self.shards
-            .get_mut(shard)
-            .ok_or_else(|| {
-                MdrrError::config(format!(
-                    "shard index {shard} out of range ({n_shards} shards)"
-                ))
-            })?
-            .ingest_batch(batch)?;
+        routable(&mut self.shards, &self.quarantined, shard)?.ingest_batch(batch)?;
         let n = batch.n_reports() as u64;
         worker.chunk_done(start);
         worker.run_done(n);
         Ok(n)
     }
 
+    /// The one bulk fan-out behind every `ingest_*` path over many
+    /// records.  It partitions `n` records with
+    /// [`ShardedCollector::shard_ranges`] — the only definition of the
+    /// partition — and runs one scoped worker thread per range.
+    /// Worker `k` calls `body` with the protocol, its record range, its
+    /// own deterministic RNG (derived from `base_seed` and `k`; the shard
+    /// → RNG mapping is independent of how many shards end up with
+    /// records), shard `k`'s accumulator and the shard's observer.  After
+    /// the join it quarantines every shard whose worker panicked, surfaces
+    /// the first error and refreshes the imbalance gauge.  Returns `n`.
+    fn fan_out<F>(&mut self, n: usize, base_seed: u64, body: F) -> Result<u64, MdrrError>
+    where
+        F: Fn(
+                &dyn Protocol,
+                Range<usize>,
+                &mut StdRng,
+                &mut Accumulator,
+                &WorkerObs<'_>,
+            ) -> Result<(), MdrrError>
+            + Sync,
+    {
+        if n == 0 {
+            return Ok(0);
+        }
+        let mut ranges = self.shard_ranges(n).into_iter().peekable();
+        if ranges.peek().is_none() {
+            return Err(MdrrError::config(
+                "every shard is quarantined; rehabilitate at least one before ingesting",
+            ));
+        }
+        let protocol: &dyn Protocol = &*self.protocol;
+        let obs = self.obs.as_deref();
+        let body = &body;
+        let (results, panicked) = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .shards
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(k, shard)| {
+                    let (_, range) = ranges.next_if(|(owner, _)| *owner == k)?;
+                    Some((k, shard, range))
+                })
+                .map(|(k, shard, range)| {
+                    let handle = scope.spawn(move || {
+                        let worker = WorkerObs::for_shard(obs, k);
+                        let mut rng = shard_rng(base_seed, k);
+                        let reports = range.len() as u64;
+                        body(protocol, range, &mut rng, shard, &worker)?;
+                        worker.run_done(reports);
+                        Ok(())
+                    });
+                    (k, handle)
+                })
+                .collect();
+            join_workers(handles)
+        });
+        self.quarantine_failures(panicked)?;
+        for result in results {
+            result?;
+        }
+        self.update_imbalance();
+        Ok(n as u64)
+    }
+
     /// Simulates `records.n_records()` clients from a zero-copy columnar
-    /// view — the fastest bulk path: splits the view into one contiguous
-    /// range per shard and runs one `std::thread::scope` worker per
-    /// non-empty range.  Worker `k` encodes its range in
-    /// [`ENCODE_BATCH`]-sized chunks through the protocol's batched
-    /// encoder with its own deterministic RNG (derived from `base_seed`
-    /// and `k`; the shard → RNG mapping is independent of how many shards
-    /// end up with records) and bulk-counts each chunk into shard `k` —
+    /// view — the fastest bulk path.  Worker `k` of the
+    /// [`ShardedCollector::shard_ranges`] partition encodes its contiguous
+    /// range in [`ENCODE_BATCH`]-sized chunks through the protocol's
+    /// batched encoder with its own deterministic RNG (derived from
+    /// `base_seed` and `k`) and bulk-counts each chunk into shard `k` —
     /// no locks, no cross-shard traffic, zero allocations per record.
     ///
     /// The result is fully deterministic for a given
@@ -383,144 +405,50 @@ impl ShardedCollector {
         base_seed: u64,
     ) -> Result<u64, MdrrError> {
         let n = records.n_records();
-        if n == 0 {
-            return Ok(0);
-        }
-        let chunk_size = n.div_ceil(self.healthy_count()?);
-        let channel_sizes = self.protocol.channel_sizes();
-        let channel_sizes = &channel_sizes;
-        let protocol: &dyn Protocol = &*self.protocol;
-        let obs = self.obs.as_deref();
-        let quarantined = &self.quarantined;
-        let (results, panicked) = std::thread::scope(|scope| {
-            let mut ordinal = 0usize;
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, shard)| {
-                    if quarantined.get(k).copied().unwrap_or(false) {
-                        return None;
-                    }
-                    let j = ordinal;
-                    ordinal += 1;
-                    let start = j * chunk_size;
-                    if start >= n {
-                        return None;
-                    }
-                    Some((k, shard, start..((j + 1) * chunk_size).min(n)))
-                })
-                .map(|(k, shard, range)| {
-                    let handle = scope.spawn(move || {
-                        let worker = WorkerObs::for_shard(obs, k);
-                        let range = records.slice(range)?;
-                        let mut rng = shard_rng(base_seed, k);
-                        let mut tallies: Vec<Vec<u64>> =
-                            channel_sizes.iter().map(|&s| vec![0u64; s]).collect();
-                        let mut start = 0;
-                        while start < range.n_records() {
-                            let end = (start + ENCODE_BATCH).min(range.n_records());
-                            let chunk = range.slice(start..end)?;
-                            let t0 = worker.chunk_start();
-                            protocol.encode_tally(&chunk, &mut rng, &mut tallies)?;
-                            worker.chunk_done(t0);
-                            start = end;
-                        }
-                        shard.absorb_counts(&tallies, range.n_records() as u64)?;
-                        worker.run_done(range.n_records() as u64);
-                        Ok(())
-                    });
-                    (k, handle)
-                })
+        self.fan_out(n, base_seed, |protocol, range, rng, shard, worker| {
+            let range = records.slice(range)?;
+            let mut tallies: Vec<Vec<u64>> = shard
+                .counts()
+                .iter()
+                .map(|channel| vec![0u64; channel.len()])
                 .collect();
-            join_workers(handles)
-        });
-        self.quarantine_failures(panicked)?;
-        for result in results {
-            result?;
-        }
-        self.update_imbalance();
-        Ok(n as u64)
+            for start in (0..range.n_records()).step_by(ENCODE_BATCH) {
+                let chunk = range.slice(start..(start + ENCODE_BATCH).min(range.n_records()))?;
+                let t0 = worker.chunk_start();
+                protocol.encode_tally(&chunk, rng, &mut tallies)?;
+                worker.chunk_done(t0);
+            }
+            shard.absorb_counts(&tallies, range.n_records() as u64)
+        })
     }
 
-    /// Simulates `records.len()` clients from row-major records: the same
-    /// sharding, chunking and RNG schedule as
-    /// [`ShardedCollector::ingest_view`], with each worker transposing its
-    /// chunks into a reused columnar buffer before the batched encode — so
-    /// bulk callers that only have rows still get the zero-allocation
-    /// encode/count loops (the transpose itself reuses one buffer per
-    /// worker).
+    /// Simulates `records.len()` clients from row-major records: transposes
+    /// the whole input into one columnar [`RecordsBuffer`] (so it holds a
+    /// second copy of the records for the duration of the call), then runs
+    /// [`ShardedCollector::ingest_view`] over it — same partition, chunking
+    /// and RNG schedule, same counts.  A row of the wrong arity is rejected
+    /// during the transpose, before any shard counts anything.
     ///
     /// Returns the number of reports ingested.
     ///
     /// # Errors
-    /// Same contract as [`ShardedCollector::ingest_view`].
+    /// Returns [`MdrrError::Data`] for a row of the wrong arity (nothing
+    /// is ingested); otherwise the same contract as
+    /// [`ShardedCollector::ingest_view`].
     pub fn ingest_records(
         &mut self,
         records: &[Vec<u32>],
         base_seed: u64,
     ) -> Result<u64, MdrrError> {
-        if records.is_empty() {
-            return Ok(0);
+        let mut buffer = RecordsBuffer::new(self.protocol.schema().len())?;
+        for record in records {
+            buffer.push_record(record)?;
         }
-        let chunk_size = records.len().div_ceil(self.healthy_count()?);
-        let arity = self.protocol.schema().len();
-        let channel_sizes = self.protocol.channel_sizes();
-        let channel_sizes = &channel_sizes;
-        let protocol: &dyn Protocol = &*self.protocol;
-        let obs = self.obs.as_deref();
-        let quarantined = &self.quarantined;
-        let (results, panicked) = std::thread::scope(|scope| {
-            let mut ordinal = 0usize;
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, shard)| {
-                    if quarantined.get(k).copied().unwrap_or(false) {
-                        return None;
-                    }
-                    let j = ordinal;
-                    ordinal += 1;
-                    let start = j * chunk_size;
-                    let chunk = records.get(start..((j + 1) * chunk_size).min(records.len()))?;
-                    (!chunk.is_empty()).then_some((k, shard, chunk))
-                })
-                .map(|(k, shard, chunk)| {
-                    let handle = scope.spawn(move || {
-                        let worker = WorkerObs::for_shard(obs, k);
-                        let mut rng = shard_rng(base_seed, k);
-                        let mut buffer = RecordsBuffer::new(arity)?;
-                        let mut tallies: Vec<Vec<u64>> =
-                            channel_sizes.iter().map(|&s| vec![0u64; s]).collect();
-                        for sub in chunk.chunks(ENCODE_BATCH) {
-                            buffer.clear();
-                            for record in sub {
-                                buffer.push_record(record)?;
-                            }
-                            let t0 = worker.chunk_start();
-                            protocol.encode_tally(&buffer.view(), &mut rng, &mut tallies)?;
-                            worker.chunk_done(t0);
-                        }
-                        shard.absorb_counts(&tallies, chunk.len() as u64)?;
-                        worker.run_done(chunk.len() as u64);
-                        Ok(())
-                    });
-                    (k, handle)
-                })
-                .collect();
-            join_workers(handles)
-        });
-        self.quarantine_failures(panicked)?;
-        for result in results {
-            result?;
-        }
-        self.update_imbalance();
-        Ok(records.len() as u64)
+        self.ingest_view(&buffer.view(), base_seed)
     }
 
-    /// The scalar reference sibling of [`ShardedCollector::ingest_records`]:
-    /// identical sharding and RNG schedule, but every record is encoded
+    /// The scalar reference sibling of [`ShardedCollector::ingest_view`]:
+    /// identical partition and RNG schedule, but every record is encoded
     /// into its own [`Report`] and ingested one at a time — two heap
     /// allocations, a dyn-dispatched encode and a full validation per
     /// record.  Kept public as the ground truth the batch path is
@@ -536,150 +464,19 @@ impl ShardedCollector {
         records: &[Vec<u32>],
         base_seed: u64,
     ) -> Result<u64, MdrrError> {
-        if records.is_empty() {
-            return Ok(0);
-        }
-        let chunk_size = records.len().div_ceil(self.healthy_count()?);
-        let protocol: &dyn Protocol = &*self.protocol;
-        let obs = self.obs.as_deref();
-        let quarantined = &self.quarantined;
-        let (results, panicked) = std::thread::scope(|scope| {
-            let mut ordinal = 0usize;
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, shard)| {
-                    if quarantined.get(k).copied().unwrap_or(false) {
-                        return None;
-                    }
-                    let j = ordinal;
-                    ordinal += 1;
-                    let start = j * chunk_size;
-                    let chunk = records.get(start..((j + 1) * chunk_size).min(records.len()))?;
-                    (!chunk.is_empty()).then_some((k, shard, chunk))
-                })
-                .map(|(k, shard, chunk)| {
-                    let handle = scope.spawn(move || {
-                        // The scalar path is timed per worker run (one
-                        // "chunk"), not per report — per-report clock
-                        // reads would distort the baseline it exists to
-                        // provide.
-                        let worker = WorkerObs::for_shard(obs, k);
-                        let t0 = worker.chunk_start();
-                        let mut rng = shard_rng(base_seed, k);
-                        for record in chunk {
-                            let report = Report::encode(protocol, record, &mut rng)?;
-                            shard.ingest(&report)?;
-                        }
-                        worker.chunk_done(t0);
-                        worker.run_done(chunk.len() as u64);
-                        Ok(())
-                    });
-                    (k, handle)
-                })
-                .collect();
-            join_workers(handles)
-        });
-        self.quarantine_failures(panicked)?;
-        for result in results {
-            result?;
-        }
-        self.update_imbalance();
-        Ok(records.len() as u64)
-    }
-
-    /// Simulates generated clients without materializing their records:
-    /// worker `k` draws `clients_per_shard[k]` records from `generator`
-    /// with its own deterministic RNG into a reused columnar buffer,
-    /// batch-encodes and bulk-counts them in [`ENCODE_BATCH`]-sized
-    /// chunks.  This is the million-client path of the `stream_sim`
-    /// driver.  Workers are only spawned for shards with a non-zero client
-    /// count; the shard → RNG mapping is unaffected.
-    ///
-    /// Within a chunk the generator draws run before the encoding draws
-    /// (generate the chunk, then encode it), both on the shard's RNG.
-    ///
-    /// Returns the number of reports ingested.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedCollector::ingest_view`]; additionally
-    /// rejects a `clients_per_shard` whose length differs from the shard
-    /// count.
-    pub fn ingest_generated<G>(
-        &mut self,
-        clients_per_shard: &[usize],
-        base_seed: u64,
-        generator: G,
-    ) -> Result<u64, MdrrError>
-    where
-        G: Fn(&mut StdRng) -> Vec<u32> + Sync,
-    {
-        if clients_per_shard.len() != self.shards.len() {
-            return Err(MdrrError::config(format!(
-                "{} per-shard client counts for {} shards",
-                clients_per_shard.len(),
-                self.shards.len()
-            )));
-        }
-        if let Some(k) = clients_per_shard
-            .iter()
-            .enumerate()
-            .find_map(|(k, &clients)| (clients > 0 && self.is_quarantined(k)).then_some(k))
-        {
-            return Err(MdrrError::shard_failed(
-                k,
-                "shard is quarantined; rehabilitate it before assigning clients to it".to_string(),
-            ));
-        }
-        let arity = self.protocol.schema().len();
-        let channel_sizes = self.protocol.channel_sizes();
-        let channel_sizes = &channel_sizes;
-        let protocol: &dyn Protocol = &*self.protocol;
-        let generator = &generator;
-        let obs = self.obs.as_deref();
-        let (results, panicked) = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(clients_per_shard.iter())
-                .enumerate()
-                .filter(|(_, (_, &clients))| clients > 0)
-                .map(|(k, (shard, &clients))| {
-                    let handle = scope.spawn(move || {
-                        let worker = WorkerObs::for_shard(obs, k);
-                        let mut rng = shard_rng(base_seed, k);
-                        let mut buffer = RecordsBuffer::new(arity)?;
-                        let mut tallies: Vec<Vec<u64>> =
-                            channel_sizes.iter().map(|&s| vec![0u64; s]).collect();
-                        let mut remaining = clients;
-                        while remaining > 0 {
-                            let take = remaining.min(ENCODE_BATCH);
-                            buffer.clear();
-                            for _ in 0..take {
-                                let record = generator(&mut rng);
-                                buffer.push_record(&record)?;
-                            }
-                            let t0 = worker.chunk_start();
-                            protocol.encode_tally(&buffer.view(), &mut rng, &mut tallies)?;
-                            worker.chunk_done(t0);
-                            remaining -= take;
-                        }
-                        shard.absorb_counts(&tallies, clients as u64)?;
-                        worker.run_done(clients as u64);
-                        Ok(())
-                    });
-                    (k, handle)
-                })
-                .collect();
-            join_workers(handles)
-        });
-        self.quarantine_failures(panicked)?;
-        for result in results {
-            result?;
-        }
-        self.update_imbalance();
-        Ok(clients_per_shard.iter().map(|&c| c as u64).sum())
+        let n = records.len();
+        self.fan_out(n, base_seed, |protocol, range, rng, shard, worker| {
+            // Timed per worker run (one "chunk"), not per report —
+            // per-report clock reads would distort the baseline this path
+            // exists to provide.
+            let t0 = worker.chunk_start();
+            for record in records.iter().take(range.end).skip(range.start) {
+                let report = Report::encode(protocol, record, rng)?;
+                shard.ingest(&report)?;
+            }
+            worker.chunk_done(t0);
+            Ok(())
+        })
     }
 
     /// The k-way merge of all shards (exact: counts are sums).
@@ -740,6 +537,27 @@ impl ShardedCollector {
             obs.update_imbalance(&self.shards);
         }
     }
+}
+
+/// Shard `shard`'s accumulator, if a routed report or batch may land in
+/// it: the index must be in range and the shard must not be quarantined.
+fn routable<'a>(
+    shards: &'a mut [Accumulator],
+    quarantined: &[bool],
+    shard: usize,
+) -> Result<&'a mut Accumulator, MdrrError> {
+    if quarantined.get(shard).copied().unwrap_or(false) {
+        return Err(MdrrError::shard_failed(
+            shard,
+            "shard is quarantined; rehabilitate it before routing to it".to_string(),
+        ));
+    }
+    let n_shards = shards.len();
+    shards.get_mut(shard).ok_or_else(|| {
+        MdrrError::config(format!(
+            "shard index {shard} out of range ({n_shards} shards)"
+        ))
+    })
 }
 
 /// Worker panics collected at join time: `(shard ordinal, panic text)`.
@@ -816,7 +634,6 @@ mod tests {
     use super::*;
     use mdrr_data::{Attribute, Schema};
     use mdrr_protocols::{FrequencyEstimator, ProtocolSpec, RandomizationLevel};
-    use rand::RngCore;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -889,17 +706,15 @@ mod tests {
     }
 
     #[test]
-    fn generated_ingestion_validates_and_counts() {
-        let mut c = ShardedCollector::new(protocol(), 3).unwrap();
-        assert!(c.ingest_generated(&[10, 10], 1, |_| vec![0, 0]).is_err());
-        let n = c
-            .ingest_generated(&[100, 50, 0], 1, |rng| {
-                vec![rng.next_u64() as u32 % 3, rng.next_u64() as u32 % 2]
-            })
-            .unwrap();
-        assert_eq!(n, 150);
-        assert_eq!(c.total_reports(), 150);
-        assert_eq!(c.shards()[2].n_reports(), 0);
+    fn a_bad_arity_row_is_rejected_before_any_shard_counts() {
+        // The rows are transposed before the fan-out, so a wrong-length
+        // row anywhere fails the call with every shard untouched.
+        let mut c = ShardedCollector::new(protocol(), 4).unwrap();
+        let mut rs = records(100);
+        rs.push(vec![0]);
+        assert!(c.ingest_records(&rs, 1).is_err());
+        assert_eq!(c.total_reports(), 0);
+        assert!(c.quarantined_shards().is_empty());
     }
 
     #[test]

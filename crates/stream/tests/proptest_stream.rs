@@ -268,10 +268,11 @@ proptest! {
         }
     }
 
-    /// The sharded bulk paths — row-major, columnar view, and generated —
-    /// are byte-identical to the scalar reference ingestion for any shard
-    /// count and seed (same chunk → shard assignment, same shard → RNG
-    /// mapping, same draws).
+    /// The sharded bulk paths — scalar reference, row-major and columnar
+    /// view — are byte-identical to each other for any shard count and
+    /// seed (same chunk → shard assignment, same shard → RNG mapping, same
+    /// draws), and every one of them fills exactly the partition
+    /// `shard_ranges` announced before the call.
     #[test]
     fn sharded_batch_ingestion_is_bit_identical(ds in dataset_strategy(),
                                                 n_shards in 1usize..6,
@@ -279,14 +280,31 @@ proptest! {
         let records: Vec<Vec<u32>> = all_records(&ds);
         for protocol in all_four_protocols(ds.schema()) {
             let mut scalar = ShardedCollector::new(Arc::clone(&protocol), n_shards).unwrap();
+            let ranges = scalar.shard_ranges(records.len());
+            let expected: Vec<u64> = (0..n_shards)
+                .map(|k| {
+                    ranges
+                        .iter()
+                        .find(|(owner, _)| *owner == k)
+                        .map_or(0, |(_, range)| range.len() as u64)
+                })
+                .collect();
+            let per_shard =
+                |c: &ShardedCollector| c.shards().iter().map(|s| s.n_reports()).collect::<Vec<_>>();
             scalar.ingest_records_per_record(&records, seed).unwrap();
+            prop_assert_eq!(per_shard(&scalar), expected.clone(),
+                            "scalar partition on {}", protocol.name());
 
             let mut rows = ShardedCollector::new(Arc::clone(&protocol), n_shards).unwrap();
             rows.ingest_records(&records, seed).unwrap();
+            prop_assert_eq!(per_shard(&rows), expected.clone(),
+                            "rows partition on {}", protocol.name());
             prop_assert_eq!(rows.shards(), scalar.shards(), "rows path on {}", protocol.name());
 
             let mut view = ShardedCollector::new(Arc::clone(&protocol), n_shards).unwrap();
             view.ingest_view(&ds.view(), seed).unwrap();
+            prop_assert_eq!(per_shard(&view), expected,
+                            "view partition on {}", protocol.name());
             prop_assert_eq!(view.shards(), scalar.shards(), "view path on {}", protocol.name());
         }
     }
