@@ -5,13 +5,12 @@
 //! each client locally randomizes her record into a compact report, the
 //! sharded collector ingests the reports across `--shards` scoped-thread
 //! workers, and after every round the collector is snapshotted mid-stream
-//! to report ingestion throughput and estimation error over time.
+//! to report estimation error over time.
 //!
 //! ```text
 //! cargo run -p mdrr-bench --release --bin stream_sim
 //! cargo run -p mdrr-bench --release --bin stream_sim -- --clients 2000000 --shards 16
 //! cargo run -p mdrr-bench --release --bin stream_sim -- --quick --out /tmp/stream.json
-//! cargo run -p mdrr-bench --release --bin stream_sim -- --path per-record
 //! # durability: checkpoint every round, die, resume the exact stream
 //! cargo run -p mdrr-bench --release --bin stream_sim -- --quick --checkpoint-dir /tmp/ckpt
 //! cargo run -p mdrr-bench --release --bin stream_sim -- --resume /tmp/ckpt
@@ -19,18 +18,14 @@
 //! cargo run -p mdrr-bench --release --bin stream_sim -- --merge /tmp/ckptA --merge /tmp/ckptB
 //! # chaos soak: scripted shard panics + faulted checkpoints, zero loss
 //! cargo run -p mdrr-bench --release --bin stream_sim -- --chaos --quick --out BENCH_chaos.json
-//! # remote: simulated clients stream over real loopback TCP to mdrr-serve
-//! cargo run -p mdrr-bench --release --bin stream_sim -- --remote --out BENCH_serve.json
-//! cargo run -p mdrr-bench --release --bin stream_sim -- --remote --quick --conns 2
 //! ```
 //!
 //! Flags: `--clients N` (default 1 000 000), `--shards K` (default 8),
 //! `--rounds R` (default 10), `--protocol independent|joint|clusters`
 //! (default independent), `--spec PATH` (a serde `ProtocolSpec` JSON file,
-//! overriding `--protocol`), `--path batch|per-record` (default batch: the
-//! columnar zero-allocation pipeline; `per-record` is the scalar reference
-//! path, kept to quantify the gap), `--seed N`, `--quick` (50 000 clients,
-//! 4 shards, 5 rounds), `--out PATH`.
+//! overriding `--protocol`), `--seed N`, `--quick` (50 000 clients, 4
+//! shards, 5 rounds), `--out PATH`.  Every round ingests through the
+//! columnar batch path ([`ShardedCollector::ingest_view`]).
 //!
 //! Durability flags: `--checkpoint-dir DIR` persists every shard's count
 //! vectors (plus the simulator's exact RNG position and ground-truth
@@ -51,95 +46,47 @@
 //! a seeded `FaultyBackend` with a random fault plan (transients are
 //! retried away; torn writes crash the checkpoint, after which the
 //! directory is salvaged and re-committed from the live collector).  The
-//! run records every recovery's latency and ends with a zero-report-loss
-//! assertion: live, restored-from-disk and expected report counts must
-//! agree exactly, and the restored shards must equal the live shards
-//! bit-for-bit.  `--out BENCH_chaos.json` persists the evidence (the CI
-//! chaos job asserts `report_loss == 0` from it).
-//!
-//! Remote flags: `--remote` turns the run into a network benchmark — an
-//! in-process `mdrr-serve` collector daemon is bound on an ephemeral
-//! loopback port and `--conns` (default 4) `WireClient` connections
-//! stream pre-randomized reports at it as length-framed batch frames
-//! (seq patched in place, zero re-encode in the timed section), each
-//! pipelining up to the server-advertised backpressure window.  Every
-//! connection makes `--rounds` passes over its pre-encoded frames, so
-//! `clients × rounds` reports cross the socket in total.  The run drains
-//! the server at the end and dies unless the drained collector holds
-//! exactly every acknowledged report (zero accepted-report loss), then
-//! writes throughput, wire volume and per-batch ack-latency percentiles
-//! (`--out BENCH_serve.json` in CI; the serve job asserts a throughput
-//! floor from it).
+//! soak checkpoints into a per-process scratch directory that it deletes
+//! at exit, so it rejects `--checkpoint-dir`.  The run records every
+//! recovery's latency and ends with a zero-report-loss assertion: live,
+//! restored-from-disk and expected report counts must agree exactly, and
+//! the restored shards must equal the live shards bit-for-bit.  `--out
+//! BENCH_chaos.json` persists the evidence (the CI chaos job asserts
+//! `report_loss == 0` from it).
 //!
 //! Observability: `--metrics-out PATH` attaches the `mdrr-obs`
 //! instrumentation (per-shard report/batch counters, ingest latency
 //! histograms, checkpoint/restore durations and byte counts, an imbalance
 //! gauge and a bounded event journal) and writes the full metrics + event
 //! JSON at exit; each round then also prints ingest latency percentiles.
-//! Without the flag the collector runs uninstrumented — the exact code
-//! path the overhead numbers in BENCH_stream.json compare against.  All
-//! wall-clock reads go through one injected monotonic clock.
+//! Without the flag the collector runs uninstrumented.  All wall-clock
+//! reads go through one injected monotonic clock.  Performance numbers
+//! come from `collectbench`, not from this binary.
 //!
-//! The binary counts heap allocations through a wrapping global allocator
-//! and reports allocations **per ingested report** for the timed ingestion
-//! section — the headline number of the zero-allocation batch pipeline
-//! (expect ~0.00x for `batch`, ~2 for `per-record`).  The snapshot
-//! estimates are numerically identical to the batch-path estimates on the
-//! same randomized codes; that equivalence is pinned by
+//! The snapshot estimates are numerically identical to the batch-path
+//! estimates on the same randomized codes; that equivalence is pinned by
 //! `crates/stream/tests/proptest_stream.rs` and the `mdrr-eval`
 //! streamed-vs-batch experiment.
 
 use mdrr_bench::maybe_write_json;
 use mdrr_data::{adult_schema, AdultSynthesizer, RecordsBuffer, RecordsView, Schema};
-use mdrr_obs::{Clock, Histogram, HistogramSnapshot, MonotonicClock};
+use mdrr_obs::{Clock, HistogramSnapshot, MonotonicClock};
 use mdrr_protocols::{
     Clustering, FrequencyEstimator, MdrrError, Protocol, ProtocolSpec, RandomizationLevel, Release,
 };
-use mdrr_serve::{CollectorServer, ServeConfig, ServeObs};
 use mdrr_store::{
     merge_snapshots, salvage_checkpoint, FaultPlan, FaultyBackend, RetryPolicy, Snapshot,
     SnapshotReader, SnapshotWriter, Storage, StorageBackend,
 };
 use mdrr_stream::{
-    offset_base_seed, wire, CheckpointManifest, ClientConfig, FrameType, Report, ReportBatch,
-    ShardedCollector, StreamObs, WireClient, MANIFEST_FILE,
+    offset_base_seed, CheckpointManifest, ShardedCollector, StreamObs, MANIFEST_FILE,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-
-/// Counts every heap allocation (alloc + realloc) made by the process, so
-/// the simulator can report allocations per ingested report for the timed
-/// ingestion sections.
-struct CountingAllocator;
-
-/// Number of allocations since process start.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the only addition is
-// a relaxed atomic counter bump, which allocates nothing itself.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Keep probability used for every protocol variant.
 const KEEP_PROBABILITY: f64 = 0.7;
@@ -148,35 +95,6 @@ const KEEP_PROBABILITY: f64 = 0.7;
 /// domain exceeds the protocol's cap).
 const JOINT_ATTRIBUTES: [usize; 3] = [0, 1, 2];
 
-#[derive(Debug, Clone, PartialEq)]
-enum IngestPath {
-    /// The columnar zero-allocation pipeline
-    /// ([`ShardedCollector::ingest_view`]).
-    Batch,
-    /// The scalar reference pipeline
-    /// ([`ShardedCollector::ingest_records_per_record`]).
-    PerRecord,
-}
-
-impl IngestPath {
-    fn name(&self) -> &'static str {
-        match self {
-            IngestPath::Batch => "batch",
-            IngestPath::PerRecord => "per-record",
-        }
-    }
-
-    fn parse(raw: &str) -> Result<Self, String> {
-        match raw {
-            "batch" => Ok(IngestPath::Batch),
-            "per-record" => Ok(IngestPath::PerRecord),
-            other => Err(format!(
-                "unknown path `{other}` (expected batch or per-record)"
-            )),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Options {
     clients: usize,
@@ -184,7 +102,6 @@ struct Options {
     rounds: usize,
     protocol: String,
     spec: Option<PathBuf>,
-    path: IngestPath,
     seed: u64,
     output: Option<PathBuf>,
     checkpoint_dir: Option<PathBuf>,
@@ -194,8 +111,6 @@ struct Options {
     merged_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     chaos: bool,
-    remote: bool,
-    conns: usize,
 }
 
 impl Options {
@@ -206,7 +121,6 @@ impl Options {
             rounds: 10,
             protocol: "independent".to_string(),
             spec: None,
-            path: IngestPath::Batch,
             seed: 42,
             output: None,
             checkpoint_dir: None,
@@ -216,8 +130,6 @@ impl Options {
             merged_out: None,
             metrics_out: None,
             chaos: false,
-            remote: false,
-            conns: 4,
         };
         let mut quick = false;
         let mut iter = args.into_iter();
@@ -233,7 +145,6 @@ impl Options {
                 "--seed" => options.seed = parse(&flag, value(&flag)?)?,
                 "--protocol" => options.protocol = value(&flag)?,
                 "--spec" => options.spec = Some(PathBuf::from(value(&flag)?)),
-                "--path" => options.path = IngestPath::parse(&value(&flag)?)?,
                 "--out" => options.output = Some(PathBuf::from(value(&flag)?)),
                 "--checkpoint-dir" => options.checkpoint_dir = Some(PathBuf::from(value(&flag)?)),
                 "--resume" => options.resume = Some(PathBuf::from(value(&flag)?)),
@@ -242,8 +153,6 @@ impl Options {
                 "--merged-out" => options.merged_out = Some(PathBuf::from(value(&flag)?)),
                 "--metrics-out" => options.metrics_out = Some(PathBuf::from(value(&flag)?)),
                 "--chaos" => options.chaos = true,
-                "--remote" => options.remote = true,
-                "--conns" => options.conns = parse(&flag, value(&flag)?)?,
                 "--quick" => quick = true,
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -252,41 +161,26 @@ impl Options {
             options.clients = options.clients.min(50_000);
             options.shards = options.shards.min(4);
             options.rounds = options.rounds.min(5);
-            options.conns = options.conns.min(2);
         }
         if !options.merge.is_empty() {
             if options.resume.is_some() || options.checkpoint_dir.is_some() {
                 return Err("--merge is a standalone mode; drop --resume/--checkpoint-dir".into());
             }
-            if options.chaos || options.remote {
-                return Err("--chaos/--remote are standalone modes; drop --merge".into());
+            if options.chaos {
+                return Err("--chaos is a standalone mode; drop --merge".into());
             }
             return Ok(options);
         }
-        if options.remote {
-            if options.chaos
-                || options.resume.is_some()
-                || options.checkpoint_dir.is_some()
-                || options.kill_after.is_some()
-            {
-                return Err(
-                    "--remote is a standalone mode; drop --chaos/--resume/--checkpoint-dir/\
-                     --kill-after"
-                        .into(),
-                );
-            }
-            if options.path == IngestPath::PerRecord {
-                return Err("--remote always streams the columnar batch path; drop --path".into());
-            }
-            if options.conns == 0 {
-                return Err("--conns must be positive".into());
-            }
-        }
         if options.chaos
-            && (options.resume.is_some() || options.kill_after.is_some() || options.spec.is_some())
+            && (options.resume.is_some()
+                || options.kill_after.is_some()
+                || options.spec.is_some()
+                || options.checkpoint_dir.is_some())
         {
             return Err(
-                "--chaos injects its own failures; drop --resume/--kill-after/--spec".into(),
+                "--chaos injects its own failures into a scratch directory; drop \
+                 --resume/--kill-after/--spec/--checkpoint-dir"
+                    .into(),
             );
         }
         if options.clients == 0 || options.shards == 0 || options.rounds == 0 {
@@ -325,12 +219,6 @@ fn die(message: impl std::fmt::Display) -> ! {
 struct RoundReport {
     round: usize,
     total_reports: u64,
-    round_secs: f64,
-    reports_per_sec: f64,
-    /// Heap allocations performed during the timed ingestion section.
-    ingest_allocations: u64,
-    /// `ingest_allocations / clients` — ~0 for the batch path.
-    allocations_per_report: f64,
     /// Max absolute deviation of the snapshot's attribute marginals from
     /// the true empirical marginals of the generated clients so far.
     max_marginal_abs_error: f64,
@@ -340,21 +228,12 @@ struct RoundReport {
 #[derive(Debug, Clone, Serialize)]
 struct SimulationResult {
     protocol: String,
-    /// `batch` or `per-record`.
-    path: String,
     clients: usize,
     shards: usize,
     /// First round this process ran (`> 1` when resumed from a
     /// checkpoint; earlier rounds ran in the killed process).
     first_round: usize,
     rounds: Vec<RoundReport>,
-    total_secs: f64,
-    overall_reports_per_sec: f64,
-    /// Mean ingestion throughput over the rounds (the headline number: the
-    /// collector's encode+count rate, generation and snapshots excluded).
-    mean_ingest_reports_per_sec: f64,
-    /// Mean allocations per report during ingestion.
-    mean_allocations_per_report: f64,
     /// Reports held by each shard at the end of the run — the ground truth
     /// the `--metrics-out` per-shard counters must equal exactly (the CI
     /// smoke test asserts it).
@@ -366,7 +245,10 @@ struct SimulationResult {
 /// generator RNG's exact position and the ground-truth counters.  With
 /// this plus the per-shard count vectors, `--resume` continues the exact
 /// draw stream — a killed-and-resumed run is byte-identical to an
-/// uninterrupted one.
+/// uninterrupted one.  Older checkpoints also carry a `path` key naming
+/// the ingestion path; deserialization ignores it, and every run resumes
+/// on the batch path, whose shard counts equal the per-record path's for
+/// the same seed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ResumeState {
     seed: u64,
@@ -374,7 +256,6 @@ struct ResumeState {
     shards: usize,
     rounds: usize,
     protocol: String,
-    path: String,
     rounds_done: usize,
     clients_done: usize,
     /// Raw xoshiro256++ state of the client-record generator RNG.
@@ -767,14 +648,9 @@ fn run_chaos(options: &Options) {
             .unwrap_or_else(|e| die(format!("cannot instrument collector: {e}")));
         obs
     });
-    // The soak's durability target: the given directory, or a scratch one.
-    let (dir, scratch) = match &options.checkpoint_dir {
-        Some(dir) => (dir.clone(), false),
-        None => (
-            std::env::temp_dir().join(format!("mdrr-chaos-{}", std::process::id())),
-            true,
-        ),
-    };
+    // The soak's durability target: a per-process scratch directory, so
+    // clearing it at start can never erase a real checkpoint.
+    let dir = std::env::temp_dir().join(format!("mdrr-chaos-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
     let synthesizer = AdultSynthesizer::paper_sized();
@@ -1003,313 +879,7 @@ fn run_chaos(options: &Options) {
     if let (Some(path), Some(obs)) = (&options.metrics_out, &obs) {
         write_metrics(path, obs);
     }
-    if scratch {
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    let cli = mdrr_bench::CliOptions {
-        output: options.output.clone(),
-        ..Default::default()
-    };
-    maybe_write_json(&cli, &report);
-}
-
-/// Reports per pre-encoded batch frame in `--remote` mode: large enough
-/// that framing overhead (28 bytes) vanishes against the payload, small
-/// enough that the window (frames in flight) still bounds buffering to a
-/// few megabytes.
-const REMOTE_BATCH_REPORTS: usize = 4096;
-
-/// Order statistics of the remote run's per-batch ack latency (send →
-/// acknowledgement, pooled across every connection's histogram).
-#[derive(Debug, Clone, Serialize)]
-struct AckLatency {
-    batches: u64,
-    mean_nanos: f64,
-    p50_nanos: u64,
-    p99_nanos: u64,
-    p999_nanos: u64,
-}
-
-/// The remote-mode result written by `--out` (`BENCH_serve.json` in CI).
-#[derive(Debug, Clone, Serialize)]
-struct RemoteReport {
-    protocol: String,
-    conns: usize,
-    shards: usize,
-    /// Passes each connection made over its pre-encoded frames.
-    passes: usize,
-    /// Reports per batch frame ([`REMOTE_BATCH_REPORTS`], short last frames aside).
-    batch_reports: usize,
-    /// Reports every connection together promised to deliver.
-    expected_reports: u64,
-    /// Reports the clients hold acknowledgements for.
-    acked_reports: u64,
-    /// Reports in the drained collector — the run dies unless all three
-    /// report counts agree exactly (zero accepted-report loss).
-    server_reports: u64,
-    /// Wall-clock of the timed section: first byte sent → every
-    /// connection flushed and closed.
-    total_secs: f64,
-    /// `expected_reports / total_secs` — the headline number (the CI
-    /// serve job asserts a floor on it).
-    reports_per_sec: f64,
-    frames_sent: u64,
-    bytes_sent: u64,
-    wire_bytes_per_report: f64,
-    ack_latency: AckLatency,
-    /// Max absolute deviation of the drained snapshot's marginals from
-    /// the generated ground truth (sanity: the socket must not distort
-    /// estimates).
-    final_max_marginal_abs_error: f64,
-}
-
-/// `--remote` mode: bind an in-process `mdrr-serve` daemon on loopback,
-/// pre-randomize and pre-encode every batch frame, then stream them from
-/// `--conns` concurrent `WireClient`s for `--rounds` passes — the timed
-/// section moves bytes and patches sequence numbers, nothing else.  Ends
-/// with a drain and a zero-accepted-loss verdict.
-fn run_remote(options: &Options) {
-    let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-    let (spec, schema) = build_spec(options).unwrap_or_else(|e| die(e));
-    let protocol = spec.build_arc(&schema).unwrap_or_else(|e| die(e));
-    let sizes = protocol.channel_sizes();
-
-    let serve_config = ServeConfig {
-        n_shards: options.shards,
-        ..ServeConfig::default()
-    };
-    let obs = ServeObs::new(Arc::clone(&clock));
-    let server = CollectorServer::bind(
-        "127.0.0.1:0",
-        &schema,
-        &spec,
-        serve_config,
-        Arc::clone(&clock),
-        Some(Arc::clone(&obs)),
-    )
-    .unwrap_or_else(|e| die(format!("cannot bind collector daemon: {e}")));
-    let addr = server.local_addr();
-
-    println!("{}", "=".repeat(72));
-    println!(
-        "stream_sim --remote — {} clients × {} passes over loopback TCP to {addr} \
-         ({} connections, {} shards, {})",
-        options.clients,
-        options.rounds,
-        options.conns,
-        options.shards,
-        protocol.name()
-    );
-    println!("{}", "=".repeat(72));
-
-    // Pre-generate and pre-encode outside the timed section: each
-    // connection gets its share of the population, locally randomized
-    // (exactly what a real client device would send) and framed into
-    // ready-to-write batch frames.  Ground-truth counts of the generated
-    // records feed the final marginal-error sanity check.
-    let synthesizer = AdultSynthesizer::paper_sized();
-    let record_arity = schema.len();
-    let mut true_counts: Vec<Vec<u64>> = schema
-        .cardinalities()
-        .iter()
-        .map(|&c| vec![0u64; c])
-        .collect();
-    let mut conn_frames: Vec<Vec<(Vec<u8>, u64)>> = Vec::with_capacity(options.conns);
-    let per_conn = options.clients / options.conns;
-    for c in 0..options.conns {
-        let conn_clients = if c == options.conns - 1 {
-            options.clients - per_conn * (options.conns - 1)
-        } else {
-            per_conn
-        };
-        let mut rng = StdRng::seed_from_u64(offset_base_seed(options.seed, c));
-        let mut frames = Vec::new();
-        let mut done = 0usize;
-        while done < conn_clients {
-            let n = REMOTE_BATCH_REPORTS.min(conn_clients - done);
-            let mut batch = ReportBatch::new(sizes.len())
-                .unwrap_or_else(|e| die(format!("cannot build a batch: {e}")));
-            for _ in 0..n {
-                let mut record = synthesizer.sample_record(&mut rng);
-                record.truncate(record_arity);
-                for (j, &v) in record.iter().enumerate() {
-                    true_counts[j][v as usize] += 1;
-                }
-                let codes = protocol
-                    .encode_record(&record, &mut rng)
-                    .unwrap_or_else(|e| die(format!("client-side randomization failed: {e}")));
-                batch
-                    .push(&Report::new(codes))
-                    .unwrap_or_else(|e| die(format!("cannot buffer a report: {e}")));
-            }
-            // The shard hint spreads frames round-robin; the sequence
-            // number is patched per send.
-            let payload = wire::encode_batch_payload(0, frames.len() as u32, &batch)
-                .unwrap_or_else(|e| die(format!("cannot encode a batch payload: {e}")));
-            let frame = wire::encode_frame(FrameType::Batch, &payload)
-                .unwrap_or_else(|e| die(format!("cannot encode a batch frame: {e}")));
-            frames.push((frame, n as u64));
-            done += n;
-        }
-        conn_frames.push(frames);
-    }
-    let expected: u64 = options.clients as u64 * options.rounds as u64;
-    println!(
-        "pre-encoded {} frames ({} reports) per pass across {} connections",
-        conn_frames.iter().map(Vec::len).sum::<usize>(),
-        options.clients,
-        options.conns
-    );
-
-    // The timed section: every connection dials and handshakes first,
-    // then all start streaming together off a barrier.
-    let barrier = Arc::new(std::sync::Barrier::new(options.conns + 1));
-    let passes = options.rounds;
-    let workers: Vec<_> = conn_frames
-        .into_iter()
-        .enumerate()
-        .map(|(c, mut frames)| {
-            let schema = schema.clone();
-            let spec = spec.clone();
-            let clock = Arc::clone(&clock);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut client = WireClient::connect(
-                    addr,
-                    schema,
-                    spec,
-                    ClientConfig::default(),
-                    Arc::clone(&clock),
-                )
-                .unwrap_or_else(|e| die(format!("connection {c} cannot dial: {e}")));
-                let latency = Arc::new(Histogram::new());
-                client.set_ack_latency(Arc::clone(&latency));
-                let mut frames_sent = 0u64;
-                let mut bytes_sent = 0u64;
-                barrier.wait();
-                for _ in 0..passes {
-                    for (frame, reports) in &mut frames {
-                        client
-                            .send_raw_batch(frame, *reports)
-                            .unwrap_or_else(|e| die(format!("connection {c} send failed: {e}")));
-                        frames_sent += 1;
-                        bytes_sent += frame.len() as u64;
-                    }
-                }
-                client
-                    .flush()
-                    .unwrap_or_else(|e| die(format!("connection {c} flush failed: {e}")));
-                let acked = client.acked_reports();
-                client
-                    .close()
-                    .unwrap_or_else(|e| die(format!("connection {c} close failed: {e}")));
-                (acked, frames_sent, bytes_sent, latency.snapshot())
-            })
-        })
-        .collect();
-    barrier.wait();
-    let started = clock.now_nanos();
-    let mut acked = 0u64;
-    let mut frames_sent = 0u64;
-    let mut bytes_sent = 0u64;
-    let mut latency = HistogramSnapshot::default();
-    for worker in workers {
-        let (a, f, b, h) = worker
-            .join()
-            .unwrap_or_else(|_| die("a connection thread panicked"));
-        acked += a;
-        frames_sent += f;
-        bytes_sent += b;
-        latency.merge(&h);
-    }
-    let total_secs = clock.now_nanos().saturating_sub(started) as f64 / 1e9;
-
-    // The zero-accepted-loss verdict: what the clients hold acks for,
-    // what the server metered, and what the drained collector actually
-    // contains must agree exactly.
-    let drained = server
-        .drain()
-        .unwrap_or_else(|e| die(format!("drain failed: {e}")));
-    let server_reports = drained.collector.total_reports();
-    if acked != expected || server_reports != expected || drained.acked_reports != expected {
-        die(format!(
-            "remote run lost reports: expected {expected}, clients hold acks for {acked}, \
-             server acked {}, drained collector holds {server_reports}",
-            drained.acked_reports
-        ));
-    }
-
-    // Sanity: estimates from socket-ingested counts still track the
-    // generated ground truth (every record was sent `passes` times, so
-    // the truth frequencies are unchanged).
-    let snapshot = drained
-        .collector
-        .snapshot()
-        .unwrap_or_else(|e| die(format!("snapshot failed: {e}")));
-    let mut max_error = 0.0f64;
-    for (j, channel) in true_counts.iter().enumerate() {
-        for (code, &count) in channel.iter().enumerate() {
-            let truth = (count * passes as u64) as f64 / expected as f64;
-            let estimated = snapshot
-                .frequency(&[(j, code as u32)])
-                .unwrap_or_else(|e| die(format!("marginal query failed: {e}")));
-            max_error = max_error.max((estimated - truth).abs());
-        }
-    }
-
-    let report = RemoteReport {
-        protocol: protocol.name(),
-        conns: options.conns,
-        shards: options.shards,
-        passes,
-        batch_reports: REMOTE_BATCH_REPORTS,
-        expected_reports: expected,
-        acked_reports: acked,
-        server_reports,
-        total_secs,
-        reports_per_sec: expected as f64 / total_secs,
-        frames_sent,
-        bytes_sent,
-        wire_bytes_per_report: bytes_sent as f64 / expected as f64,
-        ack_latency: AckLatency {
-            batches: latency.count,
-            mean_nanos: latency.mean(),
-            p50_nanos: latency.p50(),
-            p99_nanos: latency.p99(),
-            p999_nanos: latency.p999(),
-        },
-        final_max_marginal_abs_error: max_error,
-    };
-    println!("{}", "-".repeat(72));
-    println!(
-        "{} reports over the wire in {:.2}s — {:.0} reports/s ({} frames, {:.1} MiB, \
-         {:.1} bytes/report)",
-        report.expected_reports,
-        report.total_secs,
-        report.reports_per_sec,
-        report.frames_sent,
-        report.bytes_sent as f64 / (1024.0 * 1024.0),
-        report.wire_bytes_per_report
-    );
-    println!(
-        "ack latency: p50 {} | p99 {} | p999 {} over {} batches; zero accepted-report loss \
-         ({} reports drained)",
-        fmt_nanos(report.ack_latency.p50_nanos),
-        fmt_nanos(report.ack_latency.p99_nanos),
-        fmt_nanos(report.ack_latency.p999_nanos),
-        report.ack_latency.batches,
-        report.server_reports
-    );
-    println!(
-        "final max marginal error: {:.5} (socket-drained snapshot vs generated ground truth)",
-        report.final_max_marginal_abs_error
-    );
-    if let Some(path) = &options.metrics_out {
-        let json = mdrr_obs::to_json(&obs.registry().snapshot(), &obs.journal().events());
-        std::fs::write(path, json)
-            .unwrap_or_else(|e| die(format!("cannot write {}: {e}", path.display())));
-        println!("serve metrics written to {}", path.display());
-    }
+    std::fs::remove_dir_all(&dir).ok();
     let cli = mdrr_bench::CliOptions {
         output: options.output.clone(),
         ..Default::default()
@@ -1322,10 +892,9 @@ fn main() {
         eprintln!("{message}");
         eprintln!(
             "usage: [--clients N] [--shards K] [--rounds R] \
-             [--protocol independent|joint|clusters] [--spec PATH] [--path batch|per-record] \
-             [--seed N] [--quick] [--out PATH] [--checkpoint-dir DIR] [--resume DIR] \
-             [--kill-after N] [--merge PATH]... [--merged-out PATH] [--metrics-out PATH] \
-             [--chaos] [--remote] [--conns N]"
+             [--protocol independent|joint|clusters] [--spec PATH] [--seed N] [--quick] \
+             [--out PATH] [--checkpoint-dir DIR] [--resume DIR] [--kill-after N] \
+             [--merge PATH]... [--merged-out PATH] [--metrics-out PATH] [--chaos]"
         );
         std::process::exit(2);
     });
@@ -1337,19 +906,15 @@ fn main() {
         run_chaos(&options);
         return;
     }
-    if options.remote {
-        run_remote(&options);
-        return;
-    }
 
-    // The one clock of the whole run: every wall-clock read below — round
-    // timing, totals and (when `--metrics-out` is given) the collector's
-    // own instrumentation — goes through this injected monotonic source.
+    // The one clock of the whole run: the collector's `--metrics-out`
+    // instrumentation reads wall-clock time through this injected
+    // monotonic source.
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
 
     // Assemble the run: fresh, or restored from a checkpoint directory.
-    // On resume, the run's targets (clients, rounds, seed, protocol,
-    // ingestion path) come from the persisted state — the original
+    // On resume, the run's targets (clients, rounds, seed, protocol)
+    // come from the persisted state — the original
     // invocation's contract — not from this invocation's flags.
     let (spec, protocol, mut collector, obs, mut state): (
         ProtocolSpec,
@@ -1382,7 +947,6 @@ fn main() {
             options.rounds = state.rounds;
             options.seed = state.seed;
             options.protocol = state.protocol.clone();
-            options.path = IngestPath::parse(&state.path).unwrap_or_else(|e| die(e));
             // Resumed runs keep checkpointing into the same directory
             // unless redirected.
             if options.checkpoint_dir.is_none() {
@@ -1417,7 +981,6 @@ fn main() {
                 shards: options.shards,
                 rounds: options.rounds,
                 protocol: options.protocol.clone(),
-                path: options.path.name().to_string(),
                 rounds_done: 0,
                 clients_done: 0,
                 generator_rng: StdRng::seed_from_u64(options.seed).state(),
@@ -1442,13 +1005,11 @@ fn main() {
     let synthesizer = AdultSynthesizer::paper_sized();
     let record_arity = schema.len();
     let protocol_name = protocol.name();
-    let path_name = options.path.name();
     let first_round = state.rounds_done + 1;
 
     println!("{}", "=".repeat(72));
     println!(
-        "stream_sim — {} clients through {} shards ({} rounds, {}, {path_name} path, \
-         total ε = {:.3})",
+        "stream_sim — {} clients through {} shards ({} rounds, {}, total ε = {:.3})",
         options.clients,
         options.shards,
         options.rounds,
@@ -1462,15 +1023,7 @@ fn main() {
     let mut generator_rng = StdRng::from_state(state.generator_rng)
         .unwrap_or_else(|| die("resume state carries an impossible (all-zero) RNG position"));
     let mut rounds = Vec::with_capacity(options.rounds - state.rounds_done);
-    // Clients ingested by *this* process — the denominator of the overall
-    // throughput (a resumed run only worked the remaining rounds; the
-    // killed process's clients are not this process's wall-clock work).
-    let clients_this_process = options.clients - state.clients_done;
-    // Clients arrive columnar on the batch path (zero per-record
-    // allocation in the timed section) and row-major on the reference
-    // path.
     let mut columnar = RecordsBuffer::new(record_arity).expect("schema is non-empty");
-    let started = clock.now_nanos();
 
     for round in first_round..=options.rounds {
         // Clients of this round (the last round absorbs the remainder).
@@ -1480,32 +1033,20 @@ fn main() {
             options.clients / options.rounds
         };
         columnar.clear();
-        let mut rows: Vec<Vec<u32>> = Vec::new();
         for _ in 0..clients {
             let mut record = synthesizer.sample_record(&mut generator_rng);
             record.truncate(record_arity);
             for (j, &v) in record.iter().enumerate() {
                 state.true_counts[j][v as usize] += 1;
             }
-            match options.path {
-                IngestPath::Batch => columnar
-                    .push_record(&record)
-                    .expect("generated records fit the schema arity"),
-                IngestPath::PerRecord => rows.push(record),
-            }
+            columnar
+                .push_record(&record)
+                .expect("generated records fit the schema arity");
         }
-        // Time only the collector's work (encoding + sharded ingestion),
-        // not the simulator's record generation above.
         let seed = options.seed.wrapping_add(round as u64);
-        let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let round_start = clock.now_nanos();
-        match options.path {
-            IngestPath::Batch => collector.ingest_view(&columnar.view(), seed),
-            IngestPath::PerRecord => collector.ingest_records_per_record(&rows, seed),
-        }
-        .expect("ingestion failed");
-        let round_secs = clock.now_nanos().saturating_sub(round_start) as f64 / 1e9;
-        let ingest_allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
+        collector
+            .ingest_view(&columnar.view(), seed)
+            .expect("ingestion failed");
 
         let snapshot = collector.snapshot().expect("snapshot failed");
         let total = collector.total_reports();
@@ -1519,26 +1060,13 @@ fn main() {
                 max_error = max_error.max((estimated - truth).abs());
             }
         }
-        let reports_per_sec = if round_secs > 0.0 {
-            clients as f64 / round_secs
-        } else {
-            f64::INFINITY
-        };
-        let allocations_per_report = ingest_allocations as f64 / clients as f64;
-        println!(
-            "round {round:>3}: {total:>9} reports total | {reports_per_sec:>12.0} reports/s \
-             | {allocations_per_report:>7.4} allocs/report | max marginal error {max_error:.5}"
-        );
+        println!("round {round:>3}: {total:>9} reports total | max marginal error {max_error:.5}");
         if let Some(obs) = &obs {
             print_progress(obs);
         }
         rounds.push(RoundReport {
             round,
             total_reports: total,
-            round_secs,
-            reports_per_sec,
-            ingest_allocations,
-            allocations_per_report,
             max_marginal_abs_error: max_error,
         });
 
@@ -1569,34 +1097,15 @@ fn main() {
         }
     }
 
-    let total_secs = clock.now_nanos().saturating_sub(started) as f64 / 1e9;
-    let mean = |f: fn(&RoundReport) -> f64| -> f64 {
-        rounds.iter().map(f).sum::<f64>() / rounds.len() as f64
-    };
     let result = SimulationResult {
         protocol: protocol_name,
-        path: path_name.to_string(),
         clients: options.clients,
         shards: options.shards,
         first_round,
-        total_secs,
-        overall_reports_per_sec: clients_this_process as f64 / total_secs,
-        mean_ingest_reports_per_sec: mean(|r| r.reports_per_sec),
-        mean_allocations_per_report: mean(|r| r.allocations_per_report),
         shard_reports: collector.shards().iter().map(|s| s.n_reports()).collect(),
         rounds,
     };
     println!("{}", "-".repeat(72));
-    println!(
-        "{} reports in {:.2}s — {:.0} reports/s end to end (generation + ingestion + {} \
-         snapshots); mean ingest {:.0} reports/s at {:.4} allocs/report",
-        clients_this_process,
-        total_secs,
-        result.overall_reports_per_sec,
-        result.rounds.len(),
-        result.mean_ingest_reports_per_sec,
-        result.mean_allocations_per_report
-    );
     println!(
         "final max marginal error: {:.5} (streamed snapshot vs generated ground truth)",
         result
@@ -1666,5 +1175,35 @@ fn fmt_nanos(nanos: u64) -> String {
         format!("{:.2}µs", nanos as f64 / 1e3)
     } else {
         format!("{nanos}ns")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Options, String> {
+        Options::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn chaos_rejects_a_checkpoint_dir() {
+        // The soak clears its directory at start, so a user-supplied one
+        // would have its checkpoint erased.
+        let err = parse_args(&["--chaos", "--checkpoint-dir", "ckpt"]).unwrap_err();
+        assert!(err.contains("--checkpoint-dir"), "{err}");
+        assert!(parse_args(&["--chaos", "--quick"]).is_ok());
+    }
+
+    #[test]
+    fn legacy_resume_state_with_a_path_key_still_parses() {
+        let legacy = r#"{"seed":7,"clients":50000,"shards":4,"rounds":5,
+            "protocol":"independent","path":"per-record","rounds_done":2,
+            "clients_done":20000,"generator_rng":[1,2,3,4],"true_counts":[[3,4],[5,2]]}"#;
+        let state: ResumeState = serde_json::from_str(legacy).expect("legacy app_state parses");
+        assert_eq!(state.seed, 7);
+        assert_eq!((state.rounds_done, state.clients_done), (2, 20_000));
+        assert_eq!(state.generator_rng, [1, 2, 3, 4]);
+        assert_eq!(state.true_counts, vec![vec![3, 4], vec![5, 2]]);
     }
 }

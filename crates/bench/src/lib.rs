@@ -13,7 +13,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mdrr_eval::ExperimentConfig;

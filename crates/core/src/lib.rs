@@ -41,7 +41,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bounds;

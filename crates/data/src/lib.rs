@@ -45,7 +45,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adult;

@@ -30,7 +30,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod diag;
 pub mod engine;

@@ -2,7 +2,6 @@
 //! catalog.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 use mdrr_lint::diag::{report_json, Severity};
 use mdrr_lint::rules::all_rules;

@@ -18,7 +18,6 @@ pub mod no_float_in_kernel;
 pub mod no_panic_paths;
 pub mod panic_reachability;
 pub mod privacy_taint;
-pub mod safety_comments;
 pub mod seeded_rng_only;
 pub mod spec_sync;
 
@@ -41,7 +40,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(seeded_rng_only::SeededRngOnly),
         Box::new(no_ambient_clock::NoAmbientClockInLib),
         Box::new(spec_sync::SpecSync),
-        Box::new(safety_comments::SafetyComments),
         Box::new(crate_hygiene::CrateHygiene),
         Box::new(privacy_taint::PrivacyTaint),
         Box::new(panic_reachability::PanicReachability),

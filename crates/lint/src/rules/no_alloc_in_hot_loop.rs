@@ -1,6 +1,5 @@
-//! **no-alloc-in-hot-loop** — BENCH_stream.json's 0.0012
-//! allocations/report is a measured contract: the batch pipeline's inner
-//! loops (strided randomize/tally in `mdrr-core`, the counting loop of
+//! **no-alloc-in-hot-loop** — the batch pipeline's inner loops (strided
+//! randomize/tally in `mdrr-core`, the counting loop of
 //! `Accumulator::ingest_batch` in `mdrr-stream`) must not allocate per
 //! value.  This rule forbids the allocating vocabulary — `Vec::new`,
 //! `String::new`, `Box::new`, `.to_vec()`, `.to_string()`, `.to_owned()`,
@@ -68,8 +67,7 @@ impl Rule for NoAllocInHotLoop {
                 if let Some(message) = message {
                     out.push(file.diag_at(self.id(), tok, message).with_help(
                         "hoist the allocation out of the region (reuse a buffer sized once \
-                         per batch) — the 0.0012 allocs/report budget in BENCH_stream.json \
-                         is a measured contract",
+                         per batch)",
                     ));
                 }
             }

@@ -44,7 +44,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chi2;

@@ -50,7 +50,6 @@
 //! assert!(json.contains("shard_reports_total"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod clock;

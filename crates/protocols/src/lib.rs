@@ -64,7 +64,6 @@
 //! # Ok::<(), mdrr_protocols::MdrrError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod adjustment;

@@ -269,18 +269,6 @@ impl WireClient {
         self.note_sent(batch.n_reports() as u64)
     }
 
-    /// Sends a pre-encoded batch *frame* (from [`wire::encode_frame`]
-    /// over [`wire::encode_batch_payload`]), patching its sequence
-    /// number in place — the zero-re-encode hot path of the remote
-    /// benchmark.  `reports` must be the batch's report count (it is
-    /// only used for the [`WireClient::acked_reports`] ledger).
-    pub fn send_raw_batch(&mut self, frame: &mut [u8], reports: u64) -> Result<u64, WireError> {
-        wire::set_batch_seq(frame, self.next_seq)?;
-        self.await_window()?;
-        wire::write_raw_frame(&mut self.stream, frame)?;
-        self.note_sent(reports)
-    }
-
     fn note_sent(&mut self, reports: u64) -> Result<u64, WireError> {
         let seq = self.next_seq;
         self.inflight.push_back(InFlight {

@@ -770,41 +770,6 @@ pub fn decode_batch_payload(
     Ok(BatchHeader { seq, shard })
 }
 
-/// Rewrites the sequence number inside a pre-encoded *batch frame*
-/// (header + payload + CRC, as produced by [`encode_frame`] over
-/// [`encode_batch_payload`]) and recomputes the trailing CRC.  This lets
-/// a sender reuse one encoded frame across many sends — the remote
-/// benchmark's hot path.
-pub fn set_batch_seq(frame: &mut [u8], seq: u64) -> Result<(), WireError> {
-    let available = frame.len().saturating_sub(WIRE_HEADER_LEN);
-    let seq_slot =
-        frame
-            .get_mut(WIRE_HEADER_LEN..WIRE_HEADER_LEN + 8)
-            .ok_or(WireError::Truncated {
-                offset: WIRE_HEADER_LEN,
-                needed: 8,
-                available,
-            })?;
-    for (dst, src) in seq_slot.iter_mut().zip(seq.to_le_bytes().iter()) {
-        *dst = *src;
-    }
-    let body_len = frame
-        .len()
-        .checked_sub(WIRE_TRAILER_LEN)
-        .ok_or(WireError::Truncated {
-            offset: 0,
-            needed: WIRE_TRAILER_LEN,
-            available: frame.len(),
-        })?;
-    let crc = crc64(frame.get(..body_len).unwrap_or(frame));
-    if let Some(trailer) = frame.get_mut(body_len..) {
-        for (dst, src) in trailer.iter_mut().zip(crc.to_le_bytes().iter()) {
-            *dst = *src;
-        }
-    }
-    Ok(())
-}
-
 /// Encodes a [`FrameType::BatchAck`] payload: `seq`, then the server's
 /// running acknowledged-report total.
 pub fn encode_batch_ack(seq: u64, total_reports: u64) -> Vec<u8> {
@@ -1060,20 +1025,6 @@ mod tests {
             decode_batch_payload(&hostile, &mut out),
             Err(WireError::Malformed { .. })
         ));
-    }
-
-    #[test]
-    fn set_batch_seq_keeps_the_frame_valid() {
-        let batch = sample_batch();
-        let payload = encode_batch_payload(0, 5, &batch).unwrap();
-        let mut frame = encode_frame(FrameType::Batch, &payload).unwrap();
-        set_batch_seq(&mut frame, 99).unwrap();
-        let (frame_type, decoded) = decode_frame(&frame).unwrap();
-        assert_eq!(frame_type, FrameType::Batch);
-        let mut out = ReportBatch::new(3).unwrap();
-        let header = decode_batch_payload(decoded, &mut out).unwrap();
-        assert_eq!(header, BatchHeader { seq: 99, shard: 5 });
-        assert_eq!(out, batch);
     }
 
     #[test]

@@ -66,7 +66,6 @@
 //! [`protocols::RRClusters`] and the runnable programs in `examples/`.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use mdrr_core as core;
