@@ -17,7 +17,7 @@
 //! # pool the persisted shards of any number of runs/machines
 //! cargo run -p mdrr-bench --release --bin stream_sim -- --merge /tmp/ckptA --merge /tmp/ckptB
 //! # chaos soak: scripted shard panics + faulted checkpoints, zero loss
-//! cargo run -p mdrr-bench --release --bin stream_sim -- --chaos --quick --out BENCH_chaos.json
+//! cargo run -p mdrr-bench --release --bin stream_sim -- --chaos --quick --out chaos_soak.json
 //! ```
 //!
 //! Flags: `--clients N` (default 1 000 000), `--shards K` (default 8),
@@ -51,7 +51,7 @@
 //! recovery's latency and ends with a zero-report-loss assertion: live,
 //! restored-from-disk and expected report counts must agree exactly, and
 //! the restored shards must equal the live shards bit-for-bit.  `--out
-//! BENCH_chaos.json` persists the evidence (the CI chaos job asserts
+//! chaos_soak.json` persists the evidence (the CI chaos job asserts
 //! `report_loss == 0` from it).
 //!
 //! Observability: `--metrics-out PATH` attaches the `mdrr-obs`
@@ -597,7 +597,7 @@ impl LatencySummary {
     }
 }
 
-/// The chaos-mode result written by `--out` (`BENCH_chaos.json` in CI).
+/// The chaos-mode result written by `--out` (`chaos_soak.json` in CI).
 #[derive(Debug, Clone, Serialize)]
 struct ChaosReport {
     protocol: String,

@@ -13,7 +13,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 use mdrr_eval::ExperimentConfig;
 use serde::Serialize;

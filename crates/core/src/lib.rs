@@ -41,7 +41,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod bounds;
 pub mod error;

@@ -45,7 +45,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod adult;
 pub mod csv;

@@ -54,9 +54,6 @@ pub struct ProtocolEquivalence {
     /// Maximum absolute deviation between the streamed snapshot and the
     /// batch release over the workload (expected ≪ 1e-12).
     pub max_abs_deviation: f64,
-    /// Ingestion throughput of the streaming path, in reports per second
-    /// (wall clock, encoding included).
-    pub reports_per_sec: f64,
     /// Queries answered by the streamed snapshot, as counted by the
     /// query-path instrumentation (must equal `queries`; a mismatch means
     /// the observability wrapper dropped or double-counted calls).
@@ -143,17 +140,12 @@ fn run_protocol(
     let n_reports: usize = batches.iter().map(ReportBatch::n_reports).sum();
 
     // Streaming path: route the pre-encoded report batches across the
-    // shards (bulk counting, no per-report work).  All wall-clock reads go
-    // through the injected monotonic clock — the one ambient clock of the
-    // workspace lives in `mdrr_obs`, never here.
-    let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-    let start = clock.now_nanos();
+    // shards (bulk counting, no per-report work).
     let mut collector = ShardedCollector::new(Arc::clone(protocol), STREAM_SHARDS)?;
     for (i, batch) in batches.iter().enumerate() {
         collector.ingest_batch(i % STREAM_SHARDS, batch)?;
     }
     let snapshot = collector.snapshot()?;
-    let elapsed = clock.now_nanos().saturating_sub(start) as f64 / 1e9;
 
     // Batch path: the same reports decoded into the pooled randomized
     // data set and estimated through the batch constructor.
@@ -173,8 +165,11 @@ fn run_protocol(
     // Compare over every single- and pair-marginal assignment.  The
     // streamed side is queried through the observed estimator, so the
     // query-path instrumentation counts exactly one estimate per query.
+    // Its wall-clock reads go through the injected monotonic clock — the
+    // one ambient clock of the workspace lives in `mdrr_obs`, never here.
+    let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let registry = Registry::new();
-    let query_obs = QueryObs::new(Arc::clone(&clock), &registry);
+    let query_obs = QueryObs::new(clock, &registry);
     let snapshot = ObservedEstimator::new(snapshot, query_obs.clone());
     let cards = protocol.schema().cardinalities();
     let mut max_abs_deviation = 0.0f64;
@@ -203,11 +198,6 @@ fn run_protocol(
         shards: STREAM_SHARDS,
         queries,
         max_abs_deviation,
-        reports_per_sec: if elapsed > 0.0 {
-            n_reports as f64 / elapsed
-        } else {
-            f64::INFINITY
-        },
         estimates_served: query_obs.estimates_served(),
     })
 }

@@ -40,7 +40,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod experiments;
 pub mod metrics;

@@ -1,10 +1,10 @@
 //! **crate-hygiene** — two structural conventions every library crate in
 //! the workspace follows: (1) `src/lib.rs` opens with
-//! `#![deny(missing_docs)]` so public API grows documented-by-default,
-//! and (2) every public error enum (a `pub enum` whose name ends in
-//! `Error`) implements both `Display` and `std::error::Error`, so
-//! callers can `?`-propagate and `eprintln!("{e}")` any failure without
-//! matching on variants.
+//! `#![deny(missing_docs)]`, and no later crate-level attribute lowers it,
+//! so public API grows documented-by-default, and (2) every public error
+//! enum (a `pub enum` whose name ends in `Error`) implements both
+//! `Display` and `std::error::Error`, so callers can `?`-propagate and
+//! `eprintln!("{e}")` any failure without matching on variants.
 
 use super::Rule;
 use crate::diag::Diagnostic;
@@ -37,7 +37,8 @@ impl Rule for CrateHygiene {
                             self.id(),
                             &lib_rel,
                             format!(
-                                "crate `{}` does not open with `#![deny(missing_docs)]`",
+                                "crate `{}` does not open with `#![deny(missing_docs)]`, \
+                                 or a later crate-level attribute overrides it",
                                 krate.name
                             ),
                         )
@@ -111,18 +112,42 @@ impl Rule for CrateHygiene {
     }
 }
 
-/// True if the file carries a `#![deny(missing_docs)]` inner attribute.
+/// True if the `missing_docs` level in force for the crate is `deny` or
+/// `forbid`.  That is the level of the *last* `deny`/`forbid`/`warn`/
+/// `allow` attribute naming `missing_docs` in the `#![…]` run that opens
+/// the file: a later `#![warn(missing_docs)]` overrides an earlier deny.
 fn denies_missing_docs(file: &SourceFile) -> bool {
-    for i in 0..file.sig.len() {
-        if file.sig_text(i) == "#"
-            && file.sig_text(i + 1) == "!"
-            && file.sig_text(i + 2) == "["
-            && file.sig_text(i + 3) == "deny"
-            && file.sig_text(i + 4) == "("
-            && file.sig_text(i + 5) == "missing_docs"
-        {
-            return true;
+    let mut level = None;
+    let mut i = 0;
+    while file.sig_text(i) == "#" && file.sig_text(i + 1) == "!" && file.sig_text(i + 2) == "[" {
+        // Walk to the attribute's closing `]`, noting whether it names
+        // the lint anywhere inside.
+        let mut depth = 0usize;
+        let mut names_lint = false;
+        let mut j = i + 2;
+        loop {
+            match file.sig_text(j) {
+                "[" | "(" => depth += 1,
+                "]" | ")" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                "missing_docs" => names_lint = true,
+                "" => return false,
+                _ => {}
+            }
+            j += 1;
         }
+        let attr = file.sig_text(i + 3);
+        if names_lint
+            && file.sig_text(i + 4) == "("
+            && matches!(attr, "deny" | "forbid" | "warn" | "allow")
+        {
+            level = Some(attr);
+        }
+        i = j + 1;
     }
-    false
+    matches!(level, Some("deny" | "forbid"))
 }

@@ -16,7 +16,7 @@ pub enum FileKind {
     BinSrc,
     /// Integration test under `tests/`.
     Test,
-    /// Criterion bench under `benches/`.
+    /// Bench target under `benches/`.
     Bench,
     /// Example under `examples/`.
     Example,

@@ -202,6 +202,15 @@ fn crate_hygiene_fires_on_missing_attribute_and_bare_error_enum() {
     assert!(diags.iter().any(|d| d.message.contains("FixtureError")
         && d.message.contains("`Display`")
         && d.message.contains("`std::error::Error`")));
+
+    // A later crate-level attribute overrides the deny: rustc only warns.
+    let (diags, _) = lint_one(
+        "crate-hygiene",
+        "crates/hygiene/src/lib.rs",
+        include_str!("fixtures/crate_hygiene/overridden.rs"),
+    );
+    assert_eq!(diags.len(), 1, "unexpected: {diags:#?}");
+    assert!(diags[0].message.contains("deny(missing_docs)"));
 }
 
 #[test]
@@ -212,6 +221,15 @@ fn crate_hygiene_accepts_wired_crates() {
         include_str!("fixtures/crate_hygiene/conforming.rs"),
     );
     assert!(diags.is_empty(), "unexpected: {diags:#?}");
+
+    // The last level wins, so a deny or forbid after a warn is in force.
+    for text in [
+        "//! Fixture.\n#![warn(missing_docs)]\n#![deny(missing_docs)]\n",
+        "//! Fixture.\n#![allow(missing_docs)]\n#![forbid(unused, missing_docs)]\n",
+    ] {
+        let (diags, _) = lint_one("crate-hygiene", "crates/hygiene/src/lib.rs", text);
+        assert!(diags.is_empty(), "{text:?}: {diags:#?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod chi2;
 pub mod contingency;

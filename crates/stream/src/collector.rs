@@ -452,8 +452,7 @@ impl ShardedCollector {
     /// into its own [`Report`] and ingested one at a time — two heap
     /// allocations, a dyn-dispatched encode and a full validation per
     /// record.  Kept public as the ground truth the batch path is
-    /// proptest-pinned against, and as the baseline of the
-    /// `bench_batch` criterion group.
+    /// proptest-pinned against.
     ///
     /// Returns the number of reports ingested.
     ///

@@ -66,7 +66,6 @@
 //! [`protocols::RRClusters`] and the runnable programs in `examples/`.
 
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub use mdrr_core as core;
 pub use mdrr_data as data;
