@@ -4,8 +4,7 @@
 //! [`StorageBackend`] is the seam between the store's durability logic
 //! (atomic temp-file-and-rename writes, checkpoint commits, salvage) and
 //! the filesystem that executes it.  [`OsBackend`] is the production
-//! implementation — byte-for-byte the operations the store has always
-//! performed — and [`FaultyBackend`] executes the same operations against
+//! implementation, and [`FaultyBackend`] executes the same operations against
 //! the real filesystem while injecting a scripted [`FaultPlan`]: fail
 //! operation *N* transiently or permanently, tear a write after *K*
 //! bytes, acknowledge a sync without honouring it, or cut the power
@@ -45,8 +44,12 @@ pub trait StorageBackend: Debug + Send + Sync {
     /// Creates `path` and every missing ancestor directory.
     fn create_dir_all(&self, path: &Path) -> Result<(), StoreError>;
 
-    /// Creates (or truncates) the file at `path` and writes `bytes` to it.
-    /// The data is *not* durable until [`StorageBackend::sync`] succeeds.
+    /// Makes the file at `path` hold exactly `bytes`, creating it if it
+    /// is missing.  An existing file is overwritten in place and then cut
+    /// to `bytes.len()`, so its blocks are reused rather than freed first
+    /// (freeing synced blocks can stall for tens of milliseconds on a
+    /// filesystem mounted with `discard`).  The data is *not* durable
+    /// until [`StorageBackend::sync`] succeeds.
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError>;
 
     /// Flushes the file at `path` to stable storage (fsync).
@@ -56,8 +59,9 @@ pub trait StorageBackend: Debug + Send + Sync {
     fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError>;
 
     /// Flushes the directory entry table at `dir` so a preceding rename
-    /// survives a power cut.  Best-effort on filesystems that cannot
-    /// fsync a directory handle — implementations swallow that case.
+    /// survives a power cut.  Platforms and filesystems that cannot fsync
+    /// a directory handle at all count as success; any other failure is
+    /// an error, because the rename may not survive.
     fn sync_dir(&self, dir: &Path) -> Result<(), StoreError>;
 
     /// Reads the full contents of the file at `path`.
@@ -74,9 +78,9 @@ pub trait StorageBackend: Debug + Send + Sync {
     fn exists(&self, path: &Path) -> bool;
 }
 
-/// The production backend: plain `std::fs`, preserving exactly the
-/// operations (and the best-effort directory-fsync behavior) the store
-/// performed before the backend seam existed.
+/// The production backend: plain `std::fs`.  Writes overwrite in place
+/// (see [`StorageBackend::write`]), and a directory fsync fails only on
+/// a real I/O error, not on a filesystem that cannot fsync directories.
 ///
 /// ```
 /// use mdrr_store::{OsBackend, StorageBackend};
@@ -100,9 +104,14 @@ impl StorageBackend for OsBackend {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        let mut file = File::create(path)
-            .map_err(|e| StoreError::io(format!("create file {}", path.display()), e))?;
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .map_err(|e| StoreError::io(format!("open for write {}", path.display()), e))?;
         file.write_all(bytes)
+            .and_then(|()| file.set_len(bytes.len() as u64))
             .map_err(|e| StoreError::io(format!("write file {}", path.display()), e))
     }
 
@@ -123,12 +132,17 @@ impl StorageBackend for OsBackend {
     }
 
     fn sync_dir(&self, dir: &Path) -> Result<(), StoreError> {
-        // Not all filesystems support fsync on a directory handle; this
-        // has always been best-effort, so unsupported is not an error.
-        if let Ok(handle) = File::open(dir) {
-            let _ = handle.sync_all();
+        // A platform that cannot open a directory handle cannot fsync one.
+        let Ok(handle) = File::open(dir) else {
+            return Ok(());
+        };
+        match handle.sync_all() {
+            Err(e) if !dir_sync_unsupported(&e) => Err(StoreError::io(
+                format!("sync directory {}", dir.display()),
+                e,
+            )),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     fn read(&self, path: &Path) -> Result<Vec<u8>, StoreError> {
@@ -166,6 +180,16 @@ impl StorageBackend for OsBackend {
     fn exists(&self, path: &Path) -> bool {
         path.exists()
     }
+}
+
+/// Whether a failed directory fsync means the filesystem cannot fsync
+/// a directory at all (EINVAL and the like), as opposed to a real I/O
+/// failure such as EIO that the caller must hear about.
+fn dir_sync_unsupported(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::InvalidInput | io::ErrorKind::Unsupported
+    )
 }
 
 /// What a scripted fault does to the operation it fires on.
@@ -580,6 +604,30 @@ mod tests {
         // A missing directory lists as empty, not as an error.
         assert!(backend.list_dir(&dir.join("absent")).unwrap().is_empty());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn os_backend_write_overwrites_in_place_to_the_exact_bytes() {
+        let dir = scratch_dir("inplace");
+        let path = dir.join("w.bin");
+        let backend = OsBackend;
+        backend.write(&path, b"a longer first payload").unwrap();
+        backend.write(&path, b"short").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"short");
+        backend.write(&path, b"grown past the short one").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"grown past the short one");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn only_unsupported_directory_fsyncs_are_swallowed() {
+        // EINVAL: the filesystem cannot fsync a directory handle.
+        assert!(dir_sync_unsupported(&io::Error::from_raw_os_error(22)));
+        assert!(dir_sync_unsupported(&io::Error::from(
+            io::ErrorKind::Unsupported
+        )));
+        // EIO: the rename may be lost, so the caller must see it.
+        assert!(!dir_sync_unsupported(&io::Error::from_raw_os_error(5)));
     }
 
     #[test]

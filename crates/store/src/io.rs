@@ -2,8 +2,8 @@
 //!
 //! [`SnapshotWriter`] never leaves a half-written snapshot at its target
 //! path: it serializes to a sibling temp file, fsyncs it, and atomically
-//! renames it over the target (then best-effort fsyncs the directory so
-//! the rename itself survives a power cut).  A reader therefore sees
+//! renames it over the target (then fsyncs the directory so the rename
+//! itself survives a power cut).  A reader therefore sees
 //! either the previous complete snapshot or the new complete snapshot,
 //! never a torn one — and [`SnapshotReader`] verifies the checksum anyway,
 //! so even out-of-band corruption surfaces as a typed error.
@@ -43,7 +43,7 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 }
 
 /// Atomically replaces `path` with `bytes`: write to a sibling `*.tmp`
-/// file, fsync, rename over the target, best-effort fsync the directory.
+/// file, fsync, rename over the target, fsync the directory.
 /// Parent directories are created as needed.  This is the write
 /// discipline of every durable artifact in the store (snapshots and the
 /// checkpoint manifests built on top of them); a crash at any point
@@ -65,7 +65,7 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 ///
 /// # Errors
 /// Returns [`StoreError::Io`] naming the failing step (create, write,
-/// sync or rename).
+/// sync, rename or directory sync).
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     Storage::os().atomic_write(path, bytes)
 }
@@ -188,12 +188,39 @@ impl Storage {
         self.attempt(|| self.backend.write(&tmp, bytes))?;
         self.attempt(|| self.backend.sync(&tmp))?;
         self.attempt(|| self.backend.rename(&tmp, path))?;
-        // Persist the rename itself; the backend treats unsupported
-        // directory fsyncs as success, so this stays best-effort.
+        // Persist the rename itself; the backend treats filesystems that
+        // cannot fsync a directory as success.
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             self.attempt(|| self.backend.sync_dir(parent))?;
         }
         Ok(())
+    }
+
+    /// Moves `spare`, a file whose contents are no longer needed, onto
+    /// the `*.tmp` sibling that the next [`Storage::atomic_write`] of
+    /// `path` writes through.  That write then overwrites the spare's
+    /// blocks in place instead of creating a new file, and no block is
+    /// freed.  The rename retries transient failures under the policy.
+    ///
+    /// ```
+    /// use mdrr_store::Storage;
+    /// let dir = std::env::temp_dir().join(format!("mdrr-doc-recycle-{}", std::process::id()));
+    /// let storage = Storage::os();
+    /// storage.atomic_write(&dir.join("old.bin"), b"superseded")?;
+    /// storage.recycle(&dir.join("old.bin"), &dir.join("new.bin"))?;
+    /// storage.atomic_write(&dir.join("new.bin"), b"fresh")?;
+    /// assert_eq!(storage.list_dir(&dir)?, vec!["new.bin".to_string()]);
+    /// assert_eq!(storage.read(&dir.join("new.bin"))?, b"fresh");
+    /// # std::fs::remove_dir_all(&dir).ok();
+    /// # Ok::<(), mdrr_store::StoreError>(())
+    /// ```
+    ///
+    /// # Errors
+    /// Returns [`StoreError::Io`] when the rename fails; `spare` then
+    /// stays where it was, and the atomic write creates a fresh file.
+    pub fn recycle(&self, spare: &Path, path: &Path) -> Result<(), StoreError> {
+        let tmp = tmp_sibling(path);
+        self.attempt(|| self.backend.rename(spare, &tmp))
     }
 
     /// Reads the full contents of `path` (with transient-failure
@@ -352,7 +379,7 @@ impl SnapshotWriter {
 
     /// Atomically replaces the target path with `snapshot`: serialize,
     /// write to a sibling `*.tmp` file, fsync, rename over the target,
-    /// best-effort fsync the directory.  A crash at any point leaves
+    /// fsync the directory.  A crash at any point leaves
     /// either the old complete file or the new complete file.
     ///
     /// ```

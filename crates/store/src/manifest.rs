@@ -5,11 +5,14 @@
 //! commit point.  Shard files are *generation-named*
 //! (`shard-00003.g00000007.mdrrsnap` is shard 3 of checkpoint generation
 //! 7): a new checkpoint writes a complete new generation of shard files
-//! *beside* the committed one, commits the manifest naming the new files,
-//! and only then deletes the old generation.  A crash at any single
-//! operation therefore leaves either the old complete checkpoint (old
-//! manifest, old files untouched) or the new complete one — never a
-//! manifest pointing at half-replaced shard files.  Legacy un-suffixed
+//! *beside* the committed one, then commits the manifest naming the new
+//! files.  A crash at any single operation therefore leaves either the
+//! old complete checkpoint (old manifest, old files untouched) or the new
+//! complete one — never a manifest pointing at half-replaced shard files.
+//! The superseded generation is not deleted: its files stay as spares,
+//! which the next checkpoint renames and overwrites in place instead of
+//! creating fresh files.  A spare is any shard file the committed
+//! manifest does not list.  Legacy un-suffixed
 //! names (`shard-00003.mdrrsnap`) parse as generation 0, so pre-existing
 //! checkpoint directories restore and upgrade in place.
 //!

@@ -4,12 +4,16 @@
 //! snapshot file per shard (`shard-00000.g00000003.mdrrsnap` is shard 0
 //! of checkpoint generation 3) plus a `MANIFEST.json` written *last* and
 //! atomically — the manifest is the commit point.  Each checkpoint writes
-//! a complete new generation of shard files *beside* the committed one,
-//! commits the manifest naming the new files, and only then deletes the
-//! old generation — so a crash at any single file operation leaves either
-//! the old complete checkpoint or the new complete one, never a manifest
-//! pointing at half-replaced shard files (the crash-consistency torture
-//! suite sweeps every crash point to prove it).  Each shard file is
+//! a complete new generation of shard files *beside* the committed one
+//! and then commits the manifest naming the new files — so a crash at
+//! any single file operation leaves either the old complete checkpoint
+//! or the new complete one, never a manifest pointing at half-replaced
+//! shard files (the crash-consistency torture suite sweeps every crash
+//! point to prove it).  The generation the new manifest supersedes stays
+//! on disk as *spares*: the next checkpoint renames each spare onto its
+//! new file's temp path and overwrites it in place, so in steady state
+//! the shard files cycle through two sets of inodes and no checkpoint
+//! frees a block.  Each shard file is
 //! self-describing (it embeds the schema and the declarative
 //! [`ProtocolSpec`]), so [`ShardedCollector::restore`] rebuilds the
 //! protocol and the accumulators from the directory alone, and shard
@@ -65,10 +69,14 @@ impl ShardedCollector {
     /// atomic (temp + rename), the new generation of shard files is
     /// written *beside* the old one, and the manifest is written last —
     /// so an interrupted checkpoint leaves the previous manifest pointing
-    /// at the previous, still-intact shard files.  The old generation is
-    /// deleted (best-effort) only after the new manifest has committed,
-    /// and stale `*.tmp` debris from earlier faulted attempts is swept on
-    /// entry.
+    /// at the previous, still-intact shard files.  Shard files that the
+    /// committed manifest does not list are spares: each new shard file
+    /// is written over its shard's spare (renamed onto the temp path)
+    /// rather than into a fresh file.  After the new manifest commits,
+    /// the generation it supersedes is kept as the next checkpoint's
+    /// spares, and only shard files that neither manifest lists are
+    /// deleted (best-effort).  Stale `*.tmp` debris from earlier faulted
+    /// attempts is swept on entry.
     ///
     /// ```
     /// use mdrr_data::{Attribute, Schema};
@@ -111,9 +119,9 @@ impl ShardedCollector {
     /// and the `stream_sim --chaos` harness drive fault plans through
     /// (production callers use [`ShardedCollector::checkpoint`], which
     /// runs on [`Storage::os`]).  Identical on-disk layout and commit
-    /// protocol; every file operation (tmp sweep, shard writes, manifest
-    /// commit, old-generation cleanup) executes against `storage`'s
-    /// backend under its retry policy and clock.
+    /// protocol; every file operation (tmp sweep, manifest read, spare
+    /// recycling, shard writes, manifest commit, cleanup) executes
+    /// against `storage`'s backend under its retry policy and clock.
     ///
     /// # Errors
     /// Same contract as [`ShardedCollector::checkpoint`].
@@ -152,22 +160,52 @@ impl ShardedCollector {
         }
         storage.create_dir_all(dir)?;
         storage.sweep_tmp(dir);
-        // The committed files before this checkpoint: their highest
-        // generation decides ours, and after our manifest commits they
-        // are the old generation to clean up.
+        // The files before this checkpoint: their highest generation
+        // decides ours.
         let existing = storage.list_dir(dir)?;
         let generation = next_generation(existing.iter().cloned());
+        // The committed manifest names the files a crash must leave
+        // intact; every other shard file is a spare.  Spares are chosen
+        // by name, never by generation number: a salvaged manifest mixes
+        // generations.  Without a readable manifest nothing is provably
+        // superseded, and salvage may need every file, so nothing is
+        // recycled.
+        let committed: Option<Vec<String>> = storage
+            .read(&dir.join(MANIFEST_FILE))
+            .ok()
+            .and_then(|bytes| String::from_utf8(bytes).ok())
+            .and_then(|json| CheckpointManifest::from_json(&json).ok())
+            .map(|m| m.shard_files);
+        let mut spares: Vec<(usize, &String)> = match &committed {
+            Some(listed) => existing
+                .iter()
+                .filter(|name| !listed.contains(name))
+                .filter_map(|name| parse_shard_file_name(name).map(|(k, _)| (k, name)))
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut recycled = Vec::new();
         let mut shard_files = Vec::with_capacity(self.n_shards());
         let mut bytes_written = 0u64;
         for (k, shard) in self.shards().iter().enumerate() {
             let name = shard_file_name(k, generation);
+            let path = dir.join(&name);
+            // A spare is only reused for its own shard, so a disk that
+            // drops the overwrite leaves that shard's older counts under
+            // the new name, never another shard's.  Best-effort: if the
+            // rename fails, the write below creates a fresh file.
+            if let Some(i) = spares.iter().position(|&(shard, _)| shard == k) {
+                let (_, spare) = spares.swap_remove(i);
+                if storage.recycle(&dir.join(spare), &path).is_ok() {
+                    recycled.push(spare);
+                }
+            }
             let snapshot = Snapshot::new(
                 schema.clone(),
                 spec.clone(),
                 shard.counts().to_vec(),
                 shard.n_reports(),
             )?;
-            let path = dir.join(&name);
             let written = match obs {
                 Some(o) => storage.write_snapshot_observed(&path, &snapshot, o.store())?,
                 None => storage.write_snapshot(&path, &snapshot)?,
@@ -184,11 +222,18 @@ impl ShardedCollector {
         };
         let json = manifest.to_json().map_err(MdrrError::from)?;
         storage.atomic_write(&dir.join(MANIFEST_FILE), json.as_bytes())?;
-        // The manifest has committed: retire the superseded shard files.
-        // Best-effort — a failed delete leaves harmless extra files that
-        // restore never reads and the next checkpoint retries.
+        // The manifest has committed.  The files it superseded stay as
+        // the next checkpoint's spares; retire only shard files that
+        // neither manifest lists (the new one lists only the new
+        // generation, which `existing` predates).  Best-effort — a failed
+        // delete leaves harmless extra files that restore never reads and
+        // the next checkpoint retries.
+        let listed = committed.unwrap_or_default();
         for name in &existing {
-            if parse_shard_file_name(name).is_some_and(|(_, g)| g < generation) {
+            if parse_shard_file_name(name).is_some()
+                && !listed.contains(name)
+                && !recycled.contains(&name)
+            {
                 let _ = storage.remove_file(&dir.join(name));
             }
         }
@@ -408,8 +453,9 @@ mod tests {
     use super::*;
     use mdrr_data::{Attribute, Schema};
     use mdrr_protocols::RandomizationLevel;
-    use mdrr_store::SnapshotWriter;
+    use mdrr_store::{OsBackend, RetryPolicy, SnapshotWriter, StorageBackend, StoreError};
     use std::fs;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -459,6 +505,91 @@ mod tests {
         resumed.ingest_records(&[vec![0, 0]], 8).unwrap();
         assert_eq!(resumed.total_reports(), 501);
         assert!(resumed.snapshot().is_ok());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Delegates to [`OsBackend`], counting `remove_file` calls.
+    #[derive(Debug, Default)]
+    struct CountingRemovals {
+        removals: AtomicUsize,
+    }
+
+    impl StorageBackend for CountingRemovals {
+        fn create_dir_all(&self, path: &Path) -> Result<(), StoreError> {
+            OsBackend.create_dir_all(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+            OsBackend.write(path, bytes)
+        }
+        fn sync(&self, path: &Path) -> Result<(), StoreError> {
+            OsBackend.sync(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError> {
+            OsBackend.rename(from, to)
+        }
+        fn sync_dir(&self, dir: &Path) -> Result<(), StoreError> {
+            OsBackend.sync_dir(dir)
+        }
+        fn read(&self, path: &Path) -> Result<Vec<u8>, StoreError> {
+            OsBackend.read(path)
+        }
+        fn list_dir(&self, dir: &Path) -> Result<Vec<String>, StoreError> {
+            OsBackend.list_dir(dir)
+        }
+        fn remove_file(&self, path: &Path) -> Result<(), StoreError> {
+            self.removals.fetch_add(1, Ordering::Relaxed);
+            OsBackend.remove_file(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            OsBackend.exists(path)
+        }
+    }
+
+    #[test]
+    fn steady_state_checkpoints_recycle_two_generations_and_unlink_nothing() {
+        let dir = scratch_dir("steady");
+        let n_shards = 3;
+        let mut collector = loaded_collector(n_shards);
+        collector.checkpoint(&spec(), &dir, None).unwrap();
+        collector.ingest_records(&vec![vec![1, 0]; 40], 11).unwrap();
+        collector.checkpoint(&spec(), &dir, None).unwrap();
+
+        let backend = Arc::new(CountingRemovals::default());
+        let storage = Storage::new(
+            Arc::clone(&backend) as Arc<dyn StorageBackend>,
+            RetryPolicy::default(),
+            Arc::new(mdrr_obs::NullClock),
+        );
+        for generation in 3..=6u64 {
+            collector
+                .ingest_records(&vec![vec![2, 1]; 25], 100 + generation)
+                .unwrap();
+            collector
+                .checkpoint_with(&spec(), &dir, None, &storage)
+                .unwrap();
+            let mut expected: Vec<String> = (0..n_shards)
+                .flat_map(|k| {
+                    [
+                        shard_file_name(k, generation - 1),
+                        shard_file_name(k, generation),
+                    ]
+                })
+                .collect();
+            expected.push(MANIFEST_FILE.to_string());
+            expected.sort();
+            assert_eq!(
+                storage.list_dir(&dir).unwrap(),
+                expected,
+                "layout after checkpoint {generation}"
+            );
+            let restored = ShardedCollector::restore(&dir).unwrap();
+            assert_eq!(restored.collector.shards(), collector.shards());
+        }
+        assert_eq!(
+            backend.removals.load(Ordering::Relaxed),
+            0,
+            "steady-state checkpoints must not unlink"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

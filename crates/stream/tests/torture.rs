@@ -7,7 +7,11 @@
 //!    simulated power cut at *every single* backend operation index —
 //!    not a sample — leaves a directory that restores to exactly the
 //!    previous committed collector state or exactly the new one: never a
-//!    torn mixture, never a wrong report count.
+//!    torn mixture, never a wrong report count.  This holds for a
+//!    checkpoint that recycles the spares of the generation before, and
+//!    for one over a salvaged manifest that mixes generations.  Into a
+//!    directory without a manifest, a checkpoint never overwrites a
+//!    pre-existing shard file, so salvage still finds them all.
 //! 2. **Transients are absorbed.**  Scripted transient faults anywhere
 //!    in the checkpoint are retried away invisibly, and a faulted
 //!    attempt followed by a successful one leaves no `*.tmp` debris.
@@ -178,6 +182,186 @@ fn checkpoint_torn_write_at_every_operation_restores_old_or_new() {
     sweep_checkpoint_faults(|at_op| FaultKind::TornWrite {
         keep_bytes: (at_op as usize % 3) * 7,
     });
+}
+
+/// Runs `new`'s checkpoint into a fresh copy of `template` once per
+/// backend operation index, with `make_fault(at_op)` scripted at that
+/// index, and hands `check` each case's op index, directory and whether
+/// the checkpoint reported success.  A fault-free probe run first counts
+/// the operations and checks that the checkpoint restores to `new`.
+fn for_each_fault_point(
+    template: &Path,
+    new: &ShardedCollector,
+    make_fault: fn(u64) -> FaultKind,
+    mut check: impl FnMut(u64, &Path, bool),
+) {
+    let probe = scratch_dir("points-probe");
+    copy_dir(template, &probe);
+    let (storage, backend) = faulty_storage(FaultPlan::none(), RetryPolicy::none());
+    new.checkpoint_with(&spec(), &probe, Some("new"), &storage)
+        .unwrap();
+    let total_ops = backend.ops_executed();
+    assert!(total_ops > 10, "expected a multi-operation checkpoint");
+    let restored = ShardedCollector::restore(&probe).unwrap();
+    assert_eq!(restored.collector.shards(), new.shards());
+    std::fs::remove_dir_all(&probe).ok();
+
+    for at_op in 0..total_ops {
+        let dir = scratch_dir("points-case");
+        copy_dir(template, &dir);
+        let (storage, _backend) = faulty_storage(
+            FaultPlan::fail_at(at_op, make_fault(at_op)),
+            RetryPolicy::none(),
+        );
+        let result = new.checkpoint_with(&spec(), &dir, Some("new"), &storage);
+        check(at_op, &dir, result.is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Demands that `dir` restores to exactly `old` (with app state
+/// `old_app`) or exactly `new`, and to `new` if the checkpoint said so.
+fn assert_old_or_new(
+    at_op: u64,
+    dir: &Path,
+    committed: bool,
+    old: &ShardedCollector,
+    old_app: Option<&str>,
+    new: &ShardedCollector,
+) {
+    let restored = ShardedCollector::restore(dir)
+        .unwrap_or_else(|e| panic!("restore after fault at op {at_op} failed: {e}"));
+    let is_new = restored.collector.shards() == new.shards();
+    let is_old = restored.collector.shards() == old.shards();
+    assert!(
+        is_old || is_new,
+        "fault at op {at_op}: restored state is neither old nor new"
+    );
+    let (total, app) = if is_new {
+        (new.total_reports(), Some("new"))
+    } else {
+        (old.total_reports(), old_app)
+    };
+    assert_eq!(restored.collector.total_reports(), total, "op {at_op}");
+    assert_eq!(restored.app_state.as_deref(), app, "op {at_op}");
+    if committed {
+        assert!(is_new, "fault at op {at_op}: Ok(_) but old state restored");
+    }
+}
+
+fn crash(_at_op: u64) -> FaultKind {
+    FaultKind::Crash
+}
+
+/// A torn write whose tear point varies with the op index, so short and
+/// long prefixes are both exercised across a sweep.
+fn tear(at_op: u64) -> FaultKind {
+    FaultKind::TornWrite {
+        keep_bytes: (at_op as usize % 3) * 7,
+    }
+}
+
+/// The fault kinds the recycling sweeps run at every op index.
+const CRASH_AND_TEAR: [fn(u64) -> FaultKind; 2] = [crash, tear];
+
+/// Two clean checkpoints into `dir` (generations 1 and 2), so the next
+/// one has a spare per shard to recycle.  Returns the committed
+/// generation-2 collector and its pending successor.
+fn two_generations_and_pending_new(dir: &Path) -> (ShardedCollector, ShardedCollector) {
+    let mut old = ShardedCollector::new(protocol(), N_SHARDS).unwrap();
+    old.ingest_records(&records(200, 0), SEED_1).unwrap();
+    old.checkpoint(&spec(), dir, Some("first")).unwrap();
+    old.ingest_records(&records(100, 2), SEED_2).unwrap();
+    old.checkpoint(&spec(), dir, Some("old")).unwrap();
+    let mut new = old.clone();
+    new.ingest_records(&records(140, 5), 303).unwrap();
+    (old, new)
+}
+
+#[test]
+fn recycling_checkpoint_fault_at_every_operation_restores_old_or_new() {
+    let template = scratch_dir("recycle-template");
+    let (old, new) = two_generations_and_pending_new(&template);
+    for make_fault in CRASH_AND_TEAR {
+        for_each_fault_point(&template, &new, make_fault, |at_op, dir, ok| {
+            assert_old_or_new(at_op, dir, ok, &old, Some("old"), &new);
+        });
+    }
+    std::fs::remove_dir_all(&template).ok();
+}
+
+#[test]
+fn checkpoint_over_a_mixed_generation_salvaged_manifest_restores_old_or_new() {
+    let template = scratch_dir("mixed-template");
+    two_generations_and_pending_new(&template);
+    // Damage shard 1's generation-2 file, so salvage commits a manifest
+    // that takes shard 1 from generation 1 and the others from 2.
+    let damaged = template.join(mdrr_store::shard_file_name(1, 2));
+    let mut bytes = std::fs::read(&damaged).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&damaged, &bytes).unwrap();
+    let report = salvage_checkpoint(&template, &Storage::os()).unwrap();
+    assert_eq!(report.generations, vec![2, 1, 2]);
+    assert!(!report.consistent_generation);
+
+    let old = ShardedCollector::restore(&template).unwrap().collector;
+    let mut new = old.clone();
+    new.ingest_records(&records(90, 7), 404).unwrap();
+    for make_fault in CRASH_AND_TEAR {
+        for_each_fault_point(&template, &new, make_fault, |at_op, dir, ok| {
+            assert_old_or_new(at_op, dir, ok, &old, None, &new);
+        });
+    }
+    std::fs::remove_dir_all(&template).ok();
+}
+
+#[test]
+fn checkpoint_without_a_manifest_leaves_the_salvageable_files_intact() {
+    let template = scratch_dir("nomanifest-template");
+    let (old, new) = two_generations_and_pending_new(&template);
+    std::fs::remove_file(template.join(mdrr_stream::MANIFEST_FILE)).unwrap();
+    let before: Vec<(String, Vec<u8>)> = Storage::os()
+        .list_dir(&template)
+        .unwrap()
+        .into_iter()
+        .map(|name| {
+            let bytes = std::fs::read(template.join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect();
+    assert_eq!(before.len(), 2 * N_SHARDS);
+
+    for make_fault in CRASH_AND_TEAR {
+        for_each_fault_point(&template, &new, make_fault, |at_op, dir, ok| {
+            // No pre-existing shard file is ever overwritten.
+            for (name, bytes) in &before {
+                if let Ok(now) = std::fs::read(dir.join(name)) {
+                    assert_eq!(&now, bytes, "fault at op {at_op}: {name} was modified");
+                }
+            }
+            if let Ok(restored) = ShardedCollector::restore(dir) {
+                assert_eq!(restored.collector.shards(), new.shards(), "op {at_op}");
+                return;
+            }
+            assert!(!ok, "fault at op {at_op}: Ok(_) but nothing restores");
+            // Uncommitted: every pre-existing file is still there, and
+            // salvage recovers each shard as its old or its new state.
+            for (name, _) in &before {
+                assert!(dir.join(name).exists(), "fault at op {at_op}: {name} lost");
+            }
+            let report = salvage_checkpoint(dir, &Storage::os()).unwrap();
+            assert_eq!(report.recovered, (0..N_SHARDS).collect::<Vec<_>>());
+            let salvaged = ShardedCollector::restore(dir).unwrap().collector;
+            for (k, shard) in salvaged.shards().iter().enumerate() {
+                assert!(
+                    *shard == old.shards()[k] || *shard == new.shards()[k],
+                    "fault at op {at_op}: salvaged shard {k} is neither old nor new"
+                );
+            }
+        });
+    }
+    std::fs::remove_dir_all(&template).ok();
 }
 
 #[test]
