@@ -75,12 +75,10 @@ use mdrr_protocols::{
     Clustering, FrequencyEstimator, MdrrError, Protocol, ProtocolSpec, RandomizationLevel, Release,
 };
 use mdrr_store::{
-    merge_snapshots, salvage_checkpoint, FaultPlan, FaultyBackend, RetryPolicy, Snapshot,
-    SnapshotReader, SnapshotWriter, Storage, StorageBackend,
+    merge_snapshots, read_checkpoint, salvage_checkpoint, FaultPlan, FaultyBackend, RetryPolicy,
+    Snapshot, Storage, StorageBackend,
 };
-use mdrr_stream::{
-    offset_base_seed, CheckpointManifest, ShardedCollector, StreamObs, MANIFEST_FILE,
-};
+use mdrr_stream::{offset_base_seed, ShardedCollector, StreamObs};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -332,47 +330,20 @@ fn build_spec(options: &Options) -> Result<(ProtocolSpec, Schema), String> {
 }
 
 /// Expands a `--merge` operand into snapshots: a checkpoint directory
-/// contributes the shard files its manifest committed — re-verifying the
-/// manifest's report total, so a torn checkpoint (shard files newer than
-/// the manifest) is rejected here exactly as `restore` would reject it —
-/// and a plain file contributes itself.
-fn merge_operand_snapshots(
-    path: &Path,
-    obs: Option<&mdrr_store::StoreObs>,
-) -> Result<Vec<Snapshot>, String> {
-    let read = |p: &Path| {
-        match obs {
-            Some(o) => SnapshotReader::read_observed(p, o),
-            None => SnapshotReader::read(p),
-        }
-        .map_err(|e| format!("cannot read snapshot {}: {e}", p.display()))
-    };
+/// contributes the shard files its manifest committed, checked by
+/// [`read_checkpoint`] exactly as `restore` checks them (so a torn
+/// checkpoint, with shard files newer than the manifest, is rejected
+/// here too), and a plain file contributes itself.
+fn merge_operand_snapshots(path: &Path, storage: &Storage) -> Result<Vec<Snapshot>, String> {
     if path.is_dir() {
-        let manifest_path = path.join(MANIFEST_FILE);
-        let json = std::fs::read_to_string(&manifest_path)
-            .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-        let manifest: CheckpointManifest = serde_json::from_str(&json)
-            .map_err(|e| format!("malformed manifest {}: {e}", manifest_path.display()))?;
-        let snapshots = manifest
-            .shard_files
-            .iter()
-            .map(|f| read(&path.join(f)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let total = snapshots
-            .iter()
-            .try_fold(0u64, |acc, s| acc.checked_add(s.n_reports()))
-            .ok_or_else(|| format!("{}: shard report counts overflow u64", path.display()))?;
-        if total != manifest.total_reports {
-            return Err(format!(
-                "torn checkpoint {}: shard files cover {total} reports but the manifest \
-                 committed {} — merge a consistent checkpoint",
-                path.display(),
-                manifest.total_reports
-            ));
-        }
-        Ok(snapshots)
+        read_checkpoint(path, storage)
+            .map(|(_, snapshots)| snapshots)
+            .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))
     } else {
-        Ok(vec![read(path)?])
+        storage
+            .read_snapshot(path)
+            .map(|snapshot| vec![snapshot])
+            .map_err(|e| format!("cannot read snapshot {}: {e}", path.display()))
     }
 }
 
@@ -402,9 +373,13 @@ fn run_merge(options: &Options) {
         (registry, store)
     });
     let store_obs = obs.as_ref().map(|(_, store)| store);
+    let storage = match store_obs {
+        Some(o) => Storage::os().with_obs(o.clone()),
+        None => Storage::os(),
+    };
     let mut snapshots = Vec::new();
     for operand in &options.merge {
-        snapshots.extend(merge_operand_snapshots(operand, store_obs).unwrap_or_else(|e| die(e)));
+        snapshots.extend(merge_operand_snapshots(operand, &storage).unwrap_or_else(|e| die(e)));
     }
     let merged = match store_obs {
         Some(o) => mdrr_store::merge_snapshots_observed(&snapshots, o),
@@ -426,8 +401,8 @@ fn run_merge(options: &Options) {
         merged.n_reports()
     );
     if let Some(out) = &options.merged_out {
-        SnapshotWriter::new(out)
-            .write(&merged)
+        Storage::os()
+            .write_snapshot(out, &merged)
             .unwrap_or_else(|e| die(format!("writing merged snapshot: {e}")));
         println!("merged snapshot written to {}", out.display());
     }
@@ -1193,6 +1168,32 @@ mod tests {
         let err = parse_args(&["--chaos", "--checkpoint-dir", "ckpt"]).unwrap_err();
         assert!(err.contains("--checkpoint-dir"), "{err}");
         assert!(parse_args(&["--chaos", "--quick"]).is_ok());
+    }
+
+    #[test]
+    fn merge_rejects_checkpoints_that_restore_rejects() {
+        let dir = std::env::temp_dir().join(format!("mdrr-sim-merge-{}", std::process::id()));
+        let schema = adult_schema().project(&JOINT_ATTRIBUTES).unwrap();
+        let spec = preset_spec("independent").unwrap();
+        let mut collector = ShardedCollector::new(spec.build_arc(&schema).unwrap(), 2).unwrap();
+        collector
+            .ingest_records(&[vec![0, 0, 0], vec![1, 1, 1]], 3)
+            .unwrap();
+        let manifest = collector.checkpoint(&spec, &dir, None).unwrap();
+        let storage = Storage::os();
+        assert_eq!(merge_operand_snapshots(&dir, &storage).unwrap().len(), 2);
+        let mut version_2 = manifest.clone();
+        version_2.manifest_version = 2;
+        let mut three_shards = manifest;
+        three_shards.n_shards = 3;
+        for bad in [version_2, three_shards] {
+            let json = bad.to_json().unwrap();
+            storage
+                .atomic_write(&dir.join(mdrr_store::MANIFEST_FILE), json.as_bytes())
+                .unwrap();
+            assert!(merge_operand_snapshots(&dir, &storage).is_err(), "{json}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -38,8 +38,8 @@ fn is_root(def: &FnDef) -> bool {
         ("mdrr-store", Some("Snapshot"), "to_bytes" | "release")
             | (
                 "mdrr-store",
-                Some("SnapshotWriter"),
-                "write" | "write_observed"
+                Some("Storage"),
+                "atomic_write" | "write_snapshot"
             )
             | ("mdrr-obs", None, "to_json" | "to_prometheus")
             | ("mdrr-obs", Some("Registry"), "snapshot")

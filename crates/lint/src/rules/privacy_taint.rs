@@ -75,10 +75,9 @@ fn is_sink(def: &FnDef) -> bool {
             "new" | "set_app_state" | "to_bytes"
         ) | (
             "mdrr-store",
-            Some("SnapshotWriter"),
-            "write" | "write_observed"
-        ) | ("mdrr-store", None, "atomic_write")
-            | ("mdrr-obs", None, "to_json" | "to_prometheus")
+            Some("Storage"),
+            "atomic_write" | "write_snapshot"
+        ) | ("mdrr-obs", None, "to_json" | "to_prometheus")
             | ("mdrr-obs", Some("Journal"), "record")
     )
 }

@@ -54,7 +54,7 @@ pub struct FnDef {
 
 impl FnDef {
     /// The human-readable qualified name used in diagnostics:
-    /// `mdrr_store::io::SnapshotWriter::write`.
+    /// `mdrr_store::io::Storage::write_snapshot`.
     pub fn qualified(&self) -> String {
         let mut out = self.crate_ident.clone();
         for m in &self.module {

@@ -1,7 +1,7 @@
 // Mini mdrr-store stub (loaded in-memory as crates/store/src/lib.rs).
-// `Snapshot::new`, `Snapshot::to_bytes` and `SnapshotWriter::write` are
-// privacy-taint sinks by catalog; the stub gives the resolver real
-// definitions to land on.
+// `Snapshot::new`, `Snapshot::to_bytes`, `Storage::atomic_write` and
+// `Storage::write_snapshot` are privacy-taint sinks by catalog; the stub
+// gives the resolver real definitions to land on.
 pub struct Snapshot;
 
 impl Snapshot {
@@ -14,10 +14,13 @@ impl Snapshot {
     }
 }
 
-pub struct SnapshotWriter;
+pub struct Storage;
 
-impl SnapshotWriter {
-    pub fn write(&self, snap: &Snapshot) {
+impl Storage {
+    pub fn atomic_write(&self, bytes: &[u8]) {
+        let _ = bytes;
+    }
+    pub fn write_snapshot(&self, snap: &Snapshot) {
         let _ = snap;
     }
 }

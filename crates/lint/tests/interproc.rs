@@ -15,6 +15,12 @@ fn lint(rule: &str, files: Vec<(&str, &str)>) -> Vec<Diagnostic> {
     run_filtered(&ws, &all_rules(), Some(&[rule.to_string()])).diagnostics
 }
 
+/// The real workspace this crate sits in, two levels down.
+fn real_workspace() -> Workspace {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    Workspace::discover(root.expect("workspace root")).expect("discover real workspace")
+}
+
 const DATA_STUB: &str = include_str!("fixtures/interproc/data_stub.rs");
 const STORE_STUB: &str = include_str!("fixtures/interproc/store_stub.rs");
 const PROTOCOLS_STUB: &str = include_str!("fixtures/interproc/protocols_stub.rs");
@@ -226,12 +232,7 @@ fn unreachable_hashmap_is_not_a_determinism_finding() {
 /// "revert" is structural.
 #[test]
 fn real_tree_is_clean_and_a_seeded_leak_is_caught() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("lint crate sits two levels under the workspace root")
-        .to_path_buf();
-    let mut ws = Workspace::discover(&root).expect("discover real workspace");
+    let mut ws = real_workspace();
     let rules = all_rules();
     let only = ["privacy-taint".to_string()];
     let clean = run_filtered(&ws, &rules, Some(&only));
@@ -267,19 +268,46 @@ fn real_tree_is_clean_and_a_seeded_leak_is_caught() {
     );
 }
 
+/// Checkpoints write through `Storage`, so its write methods are sinks:
+/// raw records handed to `storage.atomic_write(..)` on a `&Storage`
+/// parameter are the one finding in the real tree.
+#[test]
+fn real_tree_seeded_leak_through_storage_atomic_write_is_caught() {
+    let mut ws = real_workspace();
+    ws.push_file(
+        "crates/stream/src/debug_persist.rs",
+        "use mdrr_data::Dataset;\n\
+         use mdrr_store::Storage;\n\
+         use std::path::Path;\n\
+         pub fn debug_persist(ds: &Dataset, storage: &Storage, path: &Path) {\n\
+             let _ = storage.atomic_write(path, ds.view().as_slice());\n\
+         }\n",
+    );
+    let only = ["privacy-taint".to_string()];
+    let out = run_filtered(&ws, &all_rules(), Some(&only));
+    assert_eq!(
+        out.diagnostics.len(),
+        1,
+        "the seeded raw-record→Storage::atomic_write chain must be the one finding: {:?}",
+        out.diagnostics
+    );
+    let d = &out.diagnostics[0];
+    assert_eq!(d.file, "crates/stream/src/debug_persist.rs");
+    assert!(
+        d.message.contains("Storage::atomic_write"),
+        "finding names the sink: {}",
+        d.message
+    );
+}
+
 /// The other two analyses are also live against the real tree: seeding
 /// a panic chain behind a store pub API and a HashMap behind a release
 /// root both produce findings.
 #[test]
 fn real_tree_seeded_panic_and_hashmap_chains_are_caught() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
     let rules = all_rules();
 
-    let mut ws = Workspace::discover(&root).expect("discover real workspace");
+    let mut ws = real_workspace();
     ws.push_file(
         "crates/math/src/debug_unwrap.rs",
         "pub fn halve(n: u64) -> u64 { n.checked_div(2).unwrap() }\n",
@@ -299,7 +327,7 @@ fn real_tree_seeded_panic_and_hashmap_chains_are_caught() {
     );
     assert_eq!(out.diagnostics[0].file, "crates/math/src/debug_unwrap.rs");
 
-    let mut ws = Workspace::discover(&root).expect("discover real workspace");
+    let mut ws = real_workspace();
     ws.push_file(
         "crates/core/src/debug_order.rs",
         "use std::collections::HashMap;\n\

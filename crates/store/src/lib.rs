@@ -11,29 +11,32 @@
 //!   byte-level contract is specified in `docs/FORMAT.md` so external
 //!   writers and readers can implement it independently; [`crc64`],
 //!   [`MAGIC`] and [`FORMAT_VERSION`] are public for exactly that reason.
-//! * [`SnapshotWriter`] / [`SnapshotReader`] — atomic temp-file-and-rename
-//!   persistence and fully validated reads: a crash mid-write can never
-//!   leave a torn snapshot, and any corruption (truncation, flipped
-//!   bytes, foreign files) surfaces as a typed [`StoreError`], never a
-//!   panic.
-//! * [`StoreObs`] — optional instrumentation: `write_observed` /
-//!   `read_observed` / [`merge_snapshots_observed`] siblings that record
-//!   durations, byte counts and CRC verification time into an injected
-//!   `mdrr_obs` registry, timed by an injected clock (never an ambient
-//!   one), with the unobserved paths left untouched.
+//! * [`Storage`] — the one I/O handle: atomic temp-file-and-rename
+//!   writes ([`Storage::write_snapshot`], [`Storage::atomic_write`]) and
+//!   fully validated reads ([`Storage::read_snapshot`]): a crash
+//!   mid-write can never leave a torn snapshot, and any corruption
+//!   (truncation, flipped bytes, foreign files) surfaces as a typed
+//!   [`StoreError`], never a panic.
+//! * [`StoreObs`] — optional instrumentation: attached to a handle with
+//!   [`Storage::with_obs`] (and passed to [`merge_snapshots_observed`]),
+//!   it records durations, byte counts and CRC verification time into an
+//!   injected `mdrr_obs` registry, timed by an injected clock (never an
+//!   ambient one); a handle without it does no metric work.
 //! * [`merge_snapshots`] / [`merge_snapshot_files`] — exact pooling of the
 //!   shards of any number of collector processes: spec compatibility is
 //!   verified, counts are summed with overflow checks, and the merged
 //!   release is numerically identical to a single process having ingested
 //!   every report itself.
-//! * [`StorageBackend`] / [`Storage`] — every file operation goes through
-//!   an injectable backend seam: [`OsBackend`] is the real filesystem,
+//! * [`StorageBackend`] — every file operation of a [`Storage`] goes
+//!   through an injectable backend seam: [`OsBackend`] is the real filesystem,
 //!   [`FaultyBackend`] executes scripted fault plans (torn writes, lying
 //!   fsyncs, transient errors) for the crash-consistency torture tests.
 //!   Transient failures ([`IoClass`]) are retried under a bounded
 //!   exponential-backoff [`RetryPolicy`] timed by an injected clock.
 //! * [`CheckpointManifest`] and the generation-named shard-file grammar
 //!   ([`shard_file_name`]) — the commit record of a checkpoint directory;
+//!   [`read_checkpoint`] is the one reader of such a directory (version,
+//!   shard count, CRCs, cross-shard spec agreement, committed total), and
 //!   [`salvage_checkpoint`] rebuilds a usable manifest from whatever
 //!   shard snapshots survive out-of-band damage.
 //!
@@ -48,7 +51,7 @@
 //! ```
 //! use mdrr_data::{Attribute, Schema};
 //! use mdrr_protocols::{FrequencyEstimator, ProtocolSpec, RandomizationLevel};
-//! use mdrr_store::{merge_snapshot_files, Snapshot, SnapshotWriter};
+//! use mdrr_store::{merge_snapshot_files, Snapshot, Storage};
 //!
 //! let dir = std::env::temp_dir().join(format!("mdrr-store-doc-{}", std::process::id()));
 //! let schema = Schema::new(vec![Attribute::indexed("A", 2)?])?;
@@ -56,10 +59,9 @@
 //!
 //! // Two machines each persist their shard's sufficient statistics…
 //! let paths = [dir.join("machine-a.mdrrsnap"), dir.join("machine-b.mdrrsnap")];
-//! SnapshotWriter::new(&paths[0])
-//!     .write(&Snapshot::new(schema.clone(), spec.clone(), vec![vec![350, 150]], 500)?)?;
-//! SnapshotWriter::new(&paths[1])
-//!     .write(&Snapshot::new(schema, spec, vec![vec![360, 140]], 500)?)?;
+//! let storage = Storage::os();
+//! storage.write_snapshot(&paths[0], &Snapshot::new(schema.clone(), spec.clone(), vec![vec![350, 150]], 500)?)?;
+//! storage.write_snapshot(&paths[1], &Snapshot::new(schema, spec, vec![vec![360, 140]], 500)?)?;
 //!
 //! // …and any process can pool them and estimate, no coordination needed.
 //! let pooled = merge_snapshot_files(&paths)?;
@@ -86,10 +88,10 @@ pub mod snapshot;
 pub use backend::{Fault, FaultKind, FaultPlan, FaultyBackend, OsBackend, StorageBackend};
 pub use error::{IoClass, StoreError};
 pub use format::{crc64, FORMAT_VERSION, MAGIC};
-pub use io::{atomic_write, SnapshotReader, SnapshotWriter, Storage};
+pub use io::Storage;
 pub use manifest::{
-    next_generation, parse_shard_file_name, shard_file_name, CheckpointManifest, MANIFEST_FILE,
-    MANIFEST_VERSION,
+    next_generation, parse_shard_file_name, read_checkpoint, read_manifest, shard_file_name,
+    CheckpointManifest, MANIFEST_FILE, MANIFEST_VERSION,
 };
 pub use merge::{merge_snapshot_files, merge_snapshots, merge_snapshots_observed};
 pub use obs::StoreObs;

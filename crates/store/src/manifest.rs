@@ -16,13 +16,17 @@
 //! names (`shard-00003.mdrrsnap`) parse as generation 0, so pre-existing
 //! checkpoint directories restore and upgrade in place.
 //!
-//! This module owns the manifest schema and the file-name grammar; the
+//! This module owns the manifest schema, the file-name grammar and the
+//! one reader of a checkpoint directory ([`read_checkpoint`]); the
 //! checkpoint/restore choreography lives in `mdrr-stream`, and
 //! [`crate::salvage_checkpoint`] rebuilds manifests from surviving shard
 //! files after out-of-band damage.
 
 use crate::error::StoreError;
+use crate::io::Storage;
+use crate::snapshot::Snapshot;
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 /// File name of the checkpoint manifest inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
@@ -71,6 +75,81 @@ impl CheckpointManifest {
         serde_json::from_str(json)
             .map_err(|e| StoreError::header(format!("malformed checkpoint manifest: {e}")))
     }
+}
+
+/// Reads the manifest of the checkpoint directory `dir` through
+/// `storage` and checks its structure: the layout version, and a
+/// non-empty shard file list whose length is `n_shards`.
+///
+/// # Errors
+/// Returns [`StoreError::Io`] when the manifest cannot be read,
+/// [`StoreError::InvalidHeader`] for malformed JSON or an unsupported
+/// version, and [`StoreError::InvalidLayout`] for a shard count that
+/// disagrees with the file list.
+pub fn read_manifest(dir: &Path, storage: &Storage) -> Result<CheckpointManifest, StoreError> {
+    let bytes = storage.read(&dir.join(MANIFEST_FILE))?;
+    let json = String::from_utf8(bytes)
+        .map_err(|_| StoreError::header("checkpoint manifest is not UTF-8"))?;
+    let manifest = CheckpointManifest::from_json(&json)?;
+    if manifest.manifest_version != MANIFEST_VERSION {
+        return Err(StoreError::header(format!(
+            "unsupported checkpoint manifest version {} (this reader implements {MANIFEST_VERSION})",
+            manifest.manifest_version
+        )));
+    }
+    if manifest.shard_files.is_empty() || manifest.shard_files.len() != manifest.n_shards {
+        return Err(StoreError::layout(format!(
+            "manifest declares {} shards but lists {} shard files",
+            manifest.n_shards,
+            manifest.shard_files.len()
+        )));
+    }
+    Ok(manifest)
+}
+
+/// Reads a whole checkpoint directory through `storage`: the manifest
+/// ([`read_manifest`]), then every shard snapshot it lists, in shard
+/// order.  The shards must agree on schema, spec and channel layout, and
+/// their report counts must sum to the manifest's committed total.
+///
+/// # Errors
+/// The errors of [`read_manifest`] and [`Storage::read_snapshot`],
+/// [`StoreError::SpecMismatch`] when shards disagree,
+/// [`StoreError::CountOverflow`], and [`StoreError::InvalidLayout`]
+/// ("torn checkpoint: …") when the shard totals miss the manifest's.
+pub fn read_checkpoint(
+    dir: &Path,
+    storage: &Storage,
+) -> Result<(CheckpointManifest, Vec<Snapshot>), StoreError> {
+    let manifest = read_manifest(dir, storage)?;
+    let snapshots = manifest
+        .shard_files
+        .iter()
+        .map(|name| storage.read_snapshot(&dir.join(name)))
+        .collect::<Result<Vec<_>, _>>()?;
+    if let Some(first) = snapshots.first() {
+        for (snapshot, name) in snapshots.iter().zip(&manifest.shard_files).skip(1) {
+            if snapshot.schema() != first.schema()
+                || snapshot.spec() != first.spec()
+                || snapshot.channel_sizes() != first.channel_sizes()
+            {
+                return Err(StoreError::spec_mismatch(format!(
+                    "shard file {name} disagrees with shard 0 on spec, schema or channel layout"
+                )));
+            }
+        }
+    }
+    let total = snapshots
+        .iter()
+        .try_fold(0u64, |acc, s| acc.checked_add(s.n_reports()))
+        .ok_or(StoreError::CountOverflow { channel: None })?;
+    if total != manifest.total_reports {
+        return Err(StoreError::layout(format!(
+            "torn checkpoint: shard files cover {total} reports but the manifest committed {}",
+            manifest.total_reports
+        )));
+    }
+    Ok((manifest, snapshots))
 }
 
 /// The snapshot file name of shard `shard` in checkpoint generation
@@ -139,6 +218,79 @@ pub fn next_generation(names: impl Iterator<Item = String>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrr_data::{Attribute, Schema};
+    use mdrr_protocols::{ProtocolSpec, RandomizationLevel};
+    use std::fs;
+
+    /// Writes shard `k` of generation 1 into `dir`.
+    fn write_shard(dir: &Path, k: usize, keep: f64, counts: Vec<u64>) {
+        let schema = Schema::new(vec![Attribute::indexed("A", 2).unwrap()]).unwrap();
+        let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(keep));
+        let n = counts.iter().sum();
+        let snapshot = Snapshot::new(schema, spec, vec![counts], n).unwrap();
+        let path = dir.join(shard_file_name(k, 1));
+        Storage::os().write_snapshot(&path, &snapshot).unwrap();
+    }
+
+    fn edit_manifest(dir: &Path, edit: fn(&mut CheckpointManifest)) {
+        let path = dir.join(MANIFEST_FILE);
+        let mut manifest = read_manifest(dir, &Storage::os()).unwrap();
+        edit(&mut manifest);
+        fs::write(path, manifest.to_json().unwrap()).unwrap();
+    }
+
+    fn corrupt_shard_1(dir: &Path) {
+        let path = dir.join(shard_file_name(1, 1));
+        let mut bytes = fs::read(&path).unwrap();
+        let last_count_byte = bytes.len() - 9;
+        bytes[last_count_byte] ^= 0x01;
+        fs::write(&path, bytes).unwrap();
+    }
+
+    #[test]
+    fn read_checkpoint_accepts_exactly_the_consistent_directories() {
+        // (damage done to a valid two-shard checkpoint, expected outcome
+        // as a fragment of its Debug form)
+        let cases = [
+            ("none", "Ok((CheckpointManifest"),
+            ("missing manifest", "Err(Io"),
+            ("malformed JSON", "InvalidHeader"),
+            ("version 2", "InvalidHeader"),
+            ("n_shards mismatch", "InvalidLayout"),
+            ("empty file list", "InvalidLayout"),
+            ("CRC-corrupt shard", "ChecksumMismatch"),
+            ("mixed specs", "SpecMismatch"),
+            ("torn total", "torn checkpoint"),
+        ];
+        for (case, (damage, expected)) in cases.into_iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!("mdrr-ckpt-{case}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            write_shard(&dir, 0, 0.7, vec![3, 1]);
+            write_shard(&dir, 1, 0.7, vec![1, 2]);
+            let manifest = CheckpointManifest {
+                manifest_version: MANIFEST_VERSION,
+                n_shards: 2,
+                total_reports: 7,
+                shard_files: vec![shard_file_name(0, 1), shard_file_name(1, 1)],
+                app_state: None,
+            };
+            fs::write(dir.join(MANIFEST_FILE), manifest.to_json().unwrap()).unwrap();
+            match damage {
+                "none" => {}
+                "missing manifest" => fs::remove_file(dir.join(MANIFEST_FILE)).unwrap(),
+                "malformed JSON" => fs::write(dir.join(MANIFEST_FILE), "{").unwrap(),
+                "version 2" => edit_manifest(&dir, |m| m.manifest_version = 2),
+                "n_shards mismatch" => edit_manifest(&dir, |m| m.n_shards = 3),
+                "empty file list" => edit_manifest(&dir, |m| m.shard_files.clear()),
+                "CRC-corrupt shard" => corrupt_shard_1(&dir),
+                "mixed specs" => write_shard(&dir, 1, 0.5, vec![1, 2]),
+                _ => edit_manifest(&dir, |m| m.total_reports = 8),
+            }
+            let outcome = format!("{:?}", read_checkpoint(&dir, &Storage::os()));
+            assert!(outcome.contains(expected), "{damage}: {outcome}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 
     #[test]
     fn manifest_json_round_trips() {

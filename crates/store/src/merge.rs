@@ -11,7 +11,7 @@
 //! every report itself.
 
 use crate::error::StoreError;
-use crate::io::SnapshotReader;
+use crate::io::Storage;
 use crate::snapshot::Snapshot;
 use std::path::Path;
 
@@ -101,16 +101,15 @@ where
 /// ```
 /// use mdrr_data::{Attribute, Schema};
 /// use mdrr_protocols::{ProtocolSpec, RandomizationLevel};
-/// use mdrr_store::{merge_snapshot_files, Snapshot, SnapshotWriter};
+/// use mdrr_store::{merge_snapshot_files, Snapshot, Storage};
 ///
 /// let dir = std::env::temp_dir().join(format!("mdrr-doc-m-{}", std::process::id()));
 /// let schema = Schema::new(vec![Attribute::indexed("A", 2)?])?;
 /// let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
 /// let paths = [dir.join("a.mdrrsnap"), dir.join("b.mdrrsnap")];
-/// SnapshotWriter::new(&paths[0])
-///     .write(&Snapshot::new(schema.clone(), spec.clone(), vec![vec![3, 1]], 4)?)?;
-/// SnapshotWriter::new(&paths[1])
-///     .write(&Snapshot::new(schema, spec, vec![vec![0, 6]], 6)?)?;
+/// let storage = Storage::os();
+/// storage.write_snapshot(&paths[0], &Snapshot::new(schema.clone(), spec.clone(), vec![vec![3, 1]], 4)?)?;
+/// storage.write_snapshot(&paths[1], &Snapshot::new(schema, spec, vec![vec![0, 6]], 6)?)?;
 ///
 /// let pooled = merge_snapshot_files(&paths)?;
 /// assert_eq!(pooled.counts(), &[vec![3, 7]]);
@@ -119,12 +118,14 @@ where
 /// ```
 ///
 /// # Errors
-/// Propagates [`SnapshotReader::read`] errors for each file plus the
-/// compatibility errors of [`merge_snapshots`].
+/// Propagates [`Storage::read_snapshot`] errors for each file (read
+/// through [`Storage::os`]) plus the compatibility errors of
+/// [`merge_snapshots`].
 pub fn merge_snapshot_files<P: AsRef<Path>>(paths: &[P]) -> Result<Snapshot, StoreError> {
+    let storage = Storage::os();
     let snapshots = paths
         .iter()
-        .map(SnapshotReader::read)
+        .map(|path| storage.read_snapshot(path.as_ref()))
         .collect::<Result<Vec<_>, _>>()?;
     merge_snapshots(&snapshots)
 }

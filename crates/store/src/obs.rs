@@ -4,9 +4,10 @@
 //! [`StoreObs`] bundles the injected [`Clock`] with the store's
 //! instruments, registered into a caller-supplied
 //! [`Registry`] so one registry can hold the whole
-//! pipeline's metrics.  Every observed entry point is a sibling of an
-//! unobserved one (`write` / `write_observed`, …): the unobserved paths
-//! are untouched, and an observed path under a
+//! pipeline's metrics.  Snapshot I/O is observed by attaching the
+//! instruments to a storage handle ([`crate::Storage::with_obs`]);
+//! merging by [`crate::merge_snapshots_observed`].  A handle without
+//! instruments does no metric work, and an observed path under a
 //! [`NullClock`](mdrr_obs::NullClock) skips all timing work.
 //!
 //! Metric catalog (all registered on construction, so exports always show
@@ -77,5 +78,19 @@ impl StoreObs {
     /// The clock the observed store paths read.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
+    }
+
+    /// The start time of a timed operation, or `None` under a disabled
+    /// clock.
+    pub(crate) fn start(&self) -> Option<u64> {
+        self.clock.enabled().then(|| self.clock.now_nanos())
+    }
+
+    /// Records the wall time since `start` in `histogram`; a no-op
+    /// without a start time.
+    pub(crate) fn elapsed(&self, histogram: &Histogram, start: Option<u64>) {
+        if let Some(start) = start {
+            histogram.record(self.clock.now_nanos().saturating_sub(start));
+        }
     }
 }

@@ -220,10 +220,7 @@ mod tests {
         assert_eq!(report.total_reports, 8);
         assert_eq!(report.swept_tmp, 1);
         // The committed manifest names exactly the survivors.
-        let manifest = CheckpointManifest::from_json(
-            &String::from_utf8(storage.read(&dir.join(MANIFEST_FILE)).unwrap()).unwrap(),
-        )
-        .unwrap();
+        let manifest = crate::read_manifest(&dir, &storage).unwrap();
         assert_eq!(manifest, report.manifest);
         assert_eq!(manifest.n_shards, 2);
         assert_eq!(manifest.total_reports, 8);

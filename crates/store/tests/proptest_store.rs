@@ -10,8 +10,8 @@
 use mdrr_data::{Attribute, AttributeKind, Schema};
 use mdrr_protocols::{AdjustmentConfig, Clustering, ProtocolSpec, RandomizationLevel};
 use mdrr_store::{
-    crc64, merge_snapshot_files, merge_snapshots, Snapshot, SnapshotReader, SnapshotWriter,
-    StoreError, FORMAT_VERSION, MAGIC,
+    crc64, merge_snapshot_files, merge_snapshots, Snapshot, Storage, StoreError, FORMAT_VERSION,
+    MAGIC,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -161,8 +161,8 @@ proptest! {
 
             // Through the filesystem, with the atomic writer.
             let path = scratch_path("rt", seed.wrapping_add(i as u64));
-            SnapshotWriter::new(&path).write(&snapshot).unwrap();
-            let restored = SnapshotReader::read(&path).unwrap();
+            Storage::os().write_snapshot(&path, &snapshot).unwrap();
+            let restored = Storage::os().read_snapshot(&path).unwrap();
             std::fs::remove_file(&path).ok();
             prop_assert_eq!(restored.counts(), &counts[..]);
             prop_assert_eq!(restored.n_reports(), n as u64);
@@ -216,7 +216,7 @@ proptest! {
                 )
                 .unwrap();
                 let path = scratch_path("kw", seed.wrapping_add((i * 10 + c) as u64));
-                SnapshotWriter::new(&path).write(&part).unwrap();
+                Storage::os().write_snapshot(&path, &part).unwrap();
                 paths.push(path);
             }
             let merged = merge_snapshot_files(&paths).unwrap();
@@ -338,8 +338,8 @@ fn spec_mismatch_and_overflow_are_typed_on_files() {
     let b = Snapshot::new(schema, spec_b, vec![vec![1, 1]], 2).unwrap();
     let dir = std::env::temp_dir().join(format!("mdrr-store-mismatch-{}", std::process::id()));
     let paths = [dir.join("a.mdrrsnap"), dir.join("b.mdrrsnap")];
-    SnapshotWriter::new(&paths[0]).write(&a).unwrap();
-    SnapshotWriter::new(&paths[1]).write(&b).unwrap();
+    Storage::os().write_snapshot(&paths[0], &a).unwrap();
+    Storage::os().write_snapshot(&paths[1], &b).unwrap();
     assert!(matches!(
         merge_snapshot_files(&paths),
         Err(StoreError::SpecMismatch { .. })

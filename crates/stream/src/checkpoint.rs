@@ -22,12 +22,14 @@
 //! held the original collector.
 //!
 //! All file operations flow through an [`mdrr_store::Storage`] handle:
-//! [`ShardedCollector::checkpoint`] runs on the production OS backend,
-//! [`ShardedCollector::checkpoint_with`] accepts an injected storage
-//! (fault backends, retry clocks) for torture tests and the chaos
-//! harness.  If a torn directory ever does arise — out-of-band damage, a
-//! lying disk — [`mdrr_store::salvage_checkpoint`] rebuilds a manifest
-//! from the surviving shard files.
+//! [`ShardedCollector::checkpoint`] and [`ShardedCollector::restore`] run
+//! on the production OS backend, [`ShardedCollector::checkpoint_with`]
+//! accepts an injected storage (fault backends, retry clocks) for
+//! torture tests and the chaos harness, and restore reads the directory
+//! with [`mdrr_store::read_checkpoint`].  If a torn directory ever does
+//! arise — out-of-band damage, a lying disk —
+//! [`mdrr_store::salvage_checkpoint`] rebuilds a manifest from the
+//! surviving shard files.
 
 use crate::accumulator::Accumulator;
 use crate::collector::ShardedCollector;
@@ -36,10 +38,10 @@ use crate::instrument::StreamObs;
 use mdrr_obs::{Clock, EventKind};
 use mdrr_protocols::{Protocol, ProtocolSpec};
 use mdrr_store::{
-    next_generation, parse_shard_file_name, shard_file_name, Snapshot, SnapshotReader, Storage,
-    MANIFEST_VERSION,
+    next_generation, parse_shard_file_name, read_checkpoint, read_manifest, shard_file_name,
+    Snapshot, Storage, MANIFEST_VERSION,
 };
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 pub use mdrr_store::{CheckpointManifest, MANIFEST_FILE};
@@ -150,6 +152,10 @@ impl ShardedCollector {
             )));
         }
         let obs = self.instrumentation().map(Arc::as_ref);
+        // An instrumented collector records its shard writes through its
+        // own copy of the handle.
+        let observed = obs.map(|o| storage.clone().with_obs(o.store().clone()));
+        let storage = observed.as_ref().unwrap_or(storage);
         let start = obs
             .filter(|o| o.clock().enabled())
             .map(|o| o.clock().now_nanos());
@@ -170,12 +176,8 @@ impl ShardedCollector {
         // generations.  Without a readable manifest nothing is provably
         // superseded, and salvage may need every file, so nothing is
         // recycled.
-        let committed: Option<Vec<String>> = storage
-            .read(&dir.join(MANIFEST_FILE))
-            .ok()
-            .and_then(|bytes| String::from_utf8(bytes).ok())
-            .and_then(|json| CheckpointManifest::from_json(&json).ok())
-            .map(|m| m.shard_files);
+        let committed: Option<Vec<String>> =
+            read_manifest(dir, storage).ok().map(|m| m.shard_files);
         let mut spares: Vec<(usize, &String)> = match &committed {
             Some(listed) => existing
                 .iter()
@@ -206,11 +208,7 @@ impl ShardedCollector {
                 shard.counts().to_vec(),
                 shard.n_reports(),
             )?;
-            let written = match obs {
-                Some(o) => storage.write_snapshot_observed(&path, &snapshot, o.store())?,
-                None => storage.write_snapshot(&path, &snapshot)?,
-            };
-            bytes_written = bytes_written.saturating_add(written);
+            bytes_written = bytes_written.saturating_add(storage.write_snapshot(&path, &snapshot)?);
             shard_files.push(name);
         }
         let manifest = CheckpointManifest {
@@ -292,16 +290,16 @@ impl ShardedCollector {
     /// and wrapped [`mdrr_store::StoreError`]s for unreadable or corrupt
     /// shard files.
     pub fn restore(dir: &Path) -> Result<RestoredCheckpoint, MdrrError> {
-        let manifest = Self::read_manifest(dir)?;
-        Self::restore_from_manifest(dir, manifest, None)
+        Self::restore_with(dir, &Storage::os())
     }
 
     /// [`ShardedCollector::restore`], instrumented: builds a
     /// [`StreamObs`] sized for the checkpoint's shard count on `clock`,
-    /// reads every shard file through the observed store path (so read
-    /// durations, byte counts and CRC time are recorded), attaches the
-    /// instrumentation to the restored collector, and journals a
-    /// `Restore` event with the total restore wall time.
+    /// reads every shard file through a storage handle carrying its
+    /// store instruments (so read durations, byte counts and CRC time
+    /// are recorded), attaches the instrumentation to the restored
+    /// collector, and journals a `Restore` event with the total restore
+    /// wall time.
     ///
     /// ```
     /// use mdrr_data::{Attribute, Schema};
@@ -334,9 +332,12 @@ impl ShardedCollector {
         clock: Arc<dyn Clock>,
     ) -> Result<(RestoredCheckpoint, Arc<StreamObs>), MdrrError> {
         let start = clock.enabled().then(|| clock.now_nanos());
-        let manifest = Self::read_manifest(dir)?;
-        let obs = StreamObs::new(Arc::clone(&clock), manifest.n_shards);
-        let mut restored = Self::restore_from_manifest(dir, manifest, Some(&obs))?;
+        // The manifest sizes the instruments, which then observe the
+        // checkpoint's own read.
+        let n_shards = read_manifest(dir, &Storage::os())?.n_shards;
+        let obs = StreamObs::new(Arc::clone(&clock), n_shards);
+        let storage = Storage::os().with_obs(obs.store().clone());
+        let mut restored = Self::restore_with(dir, &storage)?;
         restored.collector.instrument(Arc::clone(&obs))?;
         let nanos = start
             .map(|s| clock.now_nanos().saturating_sub(s))
@@ -353,82 +354,15 @@ impl ShardedCollector {
         Ok((restored, obs))
     }
 
-    /// Reads and structurally validates the manifest of a checkpoint
-    /// directory.
-    fn read_manifest(dir: &Path) -> Result<CheckpointManifest, MdrrError> {
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let json = std::fs::read_to_string(&manifest_path).map_err(|e| {
-            MdrrError::config(format!(
-                "cannot read checkpoint manifest {}: {e}",
-                manifest_path.display()
-            ))
-        })?;
-        let manifest = CheckpointManifest::from_json(&json).map_err(|e| {
-            MdrrError::config(format!(
-                "malformed checkpoint manifest {}: {e}",
-                manifest_path.display()
-            ))
-        })?;
-        Ok(manifest)
-    }
-
     /// The shared body of [`ShardedCollector::restore`] and
-    /// [`ShardedCollector::restore_observed`]: validates the manifest,
-    /// reads the shard files (through the observed store path when `obs`
-    /// is given) and reassembles the collector.
-    fn restore_from_manifest(
-        dir: &Path,
-        manifest: CheckpointManifest,
-        obs: Option<&StreamObs>,
-    ) -> Result<RestoredCheckpoint, MdrrError> {
-        if manifest.manifest_version != MANIFEST_VERSION {
-            return Err(MdrrError::config(format!(
-                "unsupported checkpoint manifest version {} (this reader implements {})",
-                manifest.manifest_version, MANIFEST_VERSION
-            )));
-        }
-        if manifest.shard_files.is_empty() || manifest.shard_files.len() != manifest.n_shards {
-            return Err(MdrrError::config(format!(
-                "manifest declares {} shards but lists {} shard files",
-                manifest.n_shards,
-                manifest.shard_files.len()
-            )));
-        }
-        let paths: Vec<PathBuf> = manifest.shard_files.iter().map(|f| dir.join(f)).collect();
-        let snapshots = paths
-            .iter()
-            .map(|path| match obs {
-                Some(o) => SnapshotReader::read_observed(path, o.store()),
-                None => SnapshotReader::read(path),
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(MdrrError::from)?;
+    /// [`ShardedCollector::restore_observed`]: reads and validates the
+    /// checkpoint through `storage` ([`read_checkpoint`]) and reassembles
+    /// the collector.
+    fn restore_with(dir: &Path, storage: &Storage) -> Result<RestoredCheckpoint, MdrrError> {
+        let (manifest, snapshots) = read_checkpoint(dir, storage)?;
         let first = snapshots.first().ok_or_else(|| {
             MdrrError::config("manifest lists no shard files; the checkpoint is empty")
         })?;
-        for (snapshot, name) in snapshots.iter().zip(&manifest.shard_files).skip(1) {
-            if snapshot.schema() != first.schema()
-                || snapshot.spec() != first.spec()
-                || snapshot.channel_sizes() != first.channel_sizes()
-            {
-                return Err(MdrrError::config(format!(
-                    "shard file {name} disagrees with shard 0 on spec, schema or channel layout"
-                )));
-            }
-        }
-        let total = snapshots
-            .iter()
-            .try_fold(0u64, |acc, s| acc.checked_add(s.n_reports()))
-            .ok_or_else(|| {
-                MdrrError::config("shard report counts overflow u64; the checkpoint is corrupt")
-            })?;
-        if total != manifest.total_reports {
-            return Err(MdrrError::config(format!(
-                "torn checkpoint: shard files cover {total} reports but the manifest \
-                 committed {} — restore from the previous checkpoint",
-                manifest.total_reports
-            )));
-        }
         // Builds the protocol and verifies counts-vs-spec channel
         // topology in one step.
         let protocol: Arc<dyn Protocol> = Arc::from(first.build_protocol()?);
@@ -453,8 +387,9 @@ mod tests {
     use super::*;
     use mdrr_data::{Attribute, Schema};
     use mdrr_protocols::RandomizationLevel;
-    use mdrr_store::{OsBackend, RetryPolicy, SnapshotWriter, StorageBackend, StoreError};
+    use mdrr_store::{OsBackend, RetryPolicy, StorageBackend, StoreError};
     use std::fs;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn schema() -> Schema {
@@ -627,8 +562,8 @@ mod tests {
             advanced.shards()[0].n_reports(),
         )
         .unwrap();
-        SnapshotWriter::new(dir.join(&manifest.shard_files[0]))
-            .write(&snapshot)
+        Storage::os()
+            .write_snapshot(&dir.join(&manifest.shard_files[0]), &snapshot)
             .unwrap();
         let err = ShardedCollector::restore(&dir).unwrap_err();
         assert!(err.to_string().contains("torn checkpoint"), "{err}");

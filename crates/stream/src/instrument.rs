@@ -147,8 +147,8 @@ impl StreamObs {
         &self.journal
     }
 
-    /// The store-layer instruments sharing this registry (pass to the
-    /// `*_observed` entry points of `mdrr-store`).
+    /// The store-layer instruments sharing this registry (attach them to
+    /// a handle with `mdrr_store::Storage::with_obs`).
     pub fn store(&self) -> &StoreObs {
         &self.store
     }

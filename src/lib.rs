@@ -95,9 +95,7 @@ pub mod prelude {
         RandomizationLevel, Release,
     };
     pub use mdrr_serve::{CollectorServer, DrainedCollector, ServeConfig};
-    pub use mdrr_store::{
-        merge_snapshot_files, merge_snapshots, Snapshot, SnapshotReader, SnapshotWriter, StoreError,
-    };
+    pub use mdrr_store::{merge_snapshot_files, merge_snapshots, Snapshot, Storage, StoreError};
     pub use mdrr_stream::{
         Accumulator, CheckpointManifest, ClientConfig, Report, ReportBatch, RestoredCheckpoint,
         ShardedCollector, StreamSnapshot, WireClient, WireError,
