@@ -40,15 +40,6 @@ pub fn write_csv<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), Data
     Ok(())
 }
 
-/// Writes a dataset as CSV to a file path.
-///
-/// # Errors
-/// Same conditions as [`write_csv`].
-pub fn write_csv_path(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), DataError> {
-    let mut file = std::fs::File::create(path).map_err(DataError::from)?;
-    write_csv(dataset, &mut file)
-}
-
 /// Reads a CSV with a header row into a dataset over a *known* schema.
 /// Column order must match the schema; values are matched against category
 /// labels.
@@ -300,7 +291,7 @@ mod tests {
         let ds = Dataset::from_records(schema(), &[vec![0, 1], vec![1, 0]]).unwrap();
         let dir = std::env::temp_dir();
         let path = dir.join("mdrr_csv_roundtrip_test.csv");
-        write_csv_path(&ds, &path).unwrap();
+        write_csv(&ds, &mut std::fs::File::create(&path).unwrap()).unwrap();
         let back = read_csv_path(schema(), &path).unwrap();
         assert_eq!(back, ds);
         let _ = std::fs::remove_file(&path);

@@ -176,19 +176,19 @@ mod tests {
     #[test]
     fn render_matches_the_rustc_shape() {
         let d = Diagnostic {
-            rule: "no-panic-paths".into(),
+            rule: "no-alloc-in-hot-loop".into(),
             severity: Severity::Warning,
-            file: "crates/store/src/format.rs".into(),
+            file: "crates/core/src/matrix.rs".into(),
             line: 12,
             col: 9,
-            message: "`.unwrap()` on the decode path".into(),
-            snippet: Some("        x.unwrap();".into()),
+            message: "`.to_vec()` allocates inside a no-alloc hot loop".into(),
+            snippet: Some("        x.to_vec();".into()),
             span_chars: 6,
-            help: Some("propagate a typed error".into()),
+            help: Some("hoist the allocation out of the region".into()),
         };
         let text = d.render();
-        assert!(text.starts_with("warning[no-panic-paths]:"));
-        assert!(text.contains("--> crates/store/src/format.rs:12:9"));
+        assert!(text.starts_with("warning[no-alloc-in-hot-loop]:"));
+        assert!(text.contains("--> crates/core/src/matrix.rs:12:9"));
         assert!(text.contains("^^^^^^"));
         assert!(text.contains("= help:"));
     }

@@ -53,8 +53,8 @@ pub fn run_filtered(ws: &Workspace, rules: &[Box<dyn Rule>], only: Option<&[Stri
 
 /// [`run_filtered`] with a caller-supplied monotonic-nanos clock, so the
 /// report can carry per-rule wall-times.  The clock is injected (only
-/// `main.rs` constructs one from `Instant`) to honour the
-/// `no-ambient-clock-in-lib` contract this crate itself enforces.
+/// `main.rs` constructs one from `Instant`, under a reasoned `#[expect]`)
+/// because the root `clippy.toml` disallows `std::time::Instant`.
 pub fn run_timed(
     ws: &Workspace,
     rules: &[Box<dyn Rule>],
@@ -172,13 +172,19 @@ mod tests {
     fn allow_with_reason_suppresses_and_is_counted() {
         let ws = Workspace::in_memory(
             vec![(
-                "crates/store/src/x.rs",
-                "/// Doc.\npub fn f(v: &[u8]) -> u8 {\n    \
-                 v[0] // lint:allow(no-panic-paths, reason = \"caller checks len\")\n}\n",
+                "crates/core/src/x.rs",
+                "/// Doc.\npub fn f(v: &[u8]) -> Vec<u8> {\n    \
+                 // lint:region(no_alloc)\n    \
+                 v.to_vec() // lint:allow(no-alloc-in-hot-loop, reason = \"one copy per batch\")\n    \
+                 // lint:endregion(no_alloc)\n}\n",
             )],
             vec![],
         );
-        let out = run_filtered(&ws, &all_rules(), Some(&["no-panic-paths".to_string()]));
+        let out = run_filtered(
+            &ws,
+            &all_rules(),
+            Some(&["no-alloc-in-hot-loop".to_string()]),
+        );
         assert_eq!(out.suppressed, 1);
         assert!(
             out.diagnostics.is_empty(),
@@ -191,13 +197,19 @@ mod tests {
     fn stale_allows_are_reported() {
         let ws = Workspace::in_memory(
             vec![(
-                "crates/store/src/x.rs",
-                "// lint:allow(no-panic-paths, reason = \"nothing here panics\")\n\
-                 pub fn f() -> u8 { 0 }\n",
+                "crates/core/src/x.rs",
+                "// lint:region(no_alloc)\n\
+                 // lint:allow(no-alloc-in-hot-loop, reason = \"nothing here allocates\")\n\
+                 pub fn f() -> u8 { 0 }\n\
+                 // lint:endregion(no_alloc)\n",
             )],
             vec![],
         );
-        let out = run_filtered(&ws, &all_rules(), Some(&["no-panic-paths".to_string()]));
+        let out = run_filtered(
+            &ws,
+            &all_rules(),
+            Some(&["no-alloc-in-hot-loop".to_string()]),
+        );
         assert_eq!(out.suppressed, 0);
         assert_eq!(out.diagnostics.len(), 1);
         assert!(out.diagnostics[0].message.contains("stale"));

@@ -116,9 +116,10 @@ fn main() -> ExitCode {
     } else {
         Some(opts.rules.as_slice())
     };
-    // The ambient clock lives here, in the binary — library code takes
-    // an injected nanos closure (`no-ambient-clock-in-lib` applies to
-    // the linter too).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the linter's own timer: the engine takes an injected nanos closure"
+    )]
     let epoch = std::time::Instant::now();
     let now = move || epoch.elapsed().as_nanos() as u64;
     let outcome = engine::run_timed(&ws, &rules, only, &now);

@@ -13,12 +13,9 @@ use crate::workspace::Workspace;
 pub mod crate_hygiene;
 pub mod determinism;
 pub mod no_alloc_in_hot_loop;
-pub mod no_ambient_clock;
 pub mod no_float_in_kernel;
-pub mod no_panic_paths;
 pub mod panic_reachability;
 pub mod privacy_taint;
-pub mod seeded_rng_only;
 pub mod spec_sync;
 
 /// One static-analysis rule.
@@ -34,11 +31,8 @@ pub trait Rule {
 /// Every rule, in catalog order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(no_panic_paths::NoPanicPaths),
         Box::new(no_float_in_kernel::NoFloatInKernel),
         Box::new(no_alloc_in_hot_loop::NoAllocInHotLoop),
-        Box::new(seeded_rng_only::SeededRngOnly),
-        Box::new(no_ambient_clock::NoAmbientClockInLib),
         Box::new(spec_sync::SpecSync),
         Box::new(crate_hygiene::CrateHygiene),
         Box::new(privacy_taint::PrivacyTaint),
@@ -70,44 +64,6 @@ pub(crate) fn is_path_call(file: &SourceFile, i: usize, head: &str, tail: &str) 
         && file.sig_text(i + 2) == ":"
         && file.sig_text(i + 3) == tail
         && file.sig_text(i + 4) == "("
-}
-
-/// Whether significant-token `i` is an *index expression* opener: a `[`
-/// whose preceding token is an expression tail (identifier, `]`, `)` or
-/// `?`), which distinguishes `xs[i]` / `&xs[a..b]` from array literals
-/// (`[0u8; 4]`), slice types (`&[u8]`), attributes (`#[…]`) and macro
-/// bracket calls (`vec![…]`).
-pub(crate) fn is_index_expr(file: &SourceFile, i: usize) -> bool {
-    if file.sig_text(i) != "[" || i == 0 {
-        return false;
-    }
-    let prev = file.sig_token(i - 1);
-    let prev_text = file.sig_text(i - 1);
-    matches!(prev_text, "]" | ")" | "?")
-        || (prev.is_some_and(|t| {
-            matches!(
-                t.kind,
-                crate::lexer::TokenKind::Ident | crate::lexer::TokenKind::RawIdent
-            )
-        }) && !matches!(
-            prev_text,
-            "as" | "in"
-                | "return"
-                | "for"
-                | "if"
-                | "else"
-                | "match"
-                | "let"
-                | "mut"
-                | "dyn"
-                | "impl"
-                | "ref"
-                | "move"
-                | "break"
-                | "while"
-                | "loop"
-                | "unsafe"
-        ))
 }
 
 /// The standard help trailer telling the reader how to suppress a rule.

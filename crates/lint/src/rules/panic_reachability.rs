@@ -1,8 +1,9 @@
 //! **Contract:** `mdrr-store` promises "no panic on any malformed
 //! input" and the `ShardedCollector` checkpoint/restore path inherits
-//! it.  The file-scoped `no-panic-paths` rule polices the promising
-//! crates' own bodies; this rule extends the promise *transitively* —
-//! no public API of `mdrr-store`, and nothing in
+//! it.  Clippy's panic deny list (`unwrap_used`, `panic`,
+//! `indexing_slicing`, … denied at the crate or module root) polices the
+//! promising files' own bodies; this rule extends the promise
+//! *transitively* — no public API of `mdrr-store`, and nothing in
 //! `crates/stream/src/checkpoint.rs`, may reach an explicit panic
 //! anywhere in the workspace through any call chain.
 //!
@@ -11,9 +12,9 @@
 //! slice indexing and `assert!` are deliberately *not* propagated across
 //! calls — the validated numeric kernels index slices pervasively under
 //! proven bounds, and flagging them transitively would drown the signal
-//! (inside the promising files themselves, `no-panic-paths` still flags
-//! indexing).  Panic sites inside the file-scoped rule's own
-//! jurisdiction are skipped here so one defect is one finding.
+//! (inside the promising files themselves, clippy's `indexing_slicing`
+//! still flags indexing).  Panic sites inside clippy's jurisdiction are
+//! skipped here so one defect is one finding.
 
 use super::Rule;
 use crate::diag::Diagnostic;
@@ -37,8 +38,8 @@ fn is_root(def: &FnDef) -> bool {
         || def.rel == "crates/stream/src/checkpoint.rs"
 }
 
-/// Whether `def`'s panic sites belong to the file-scoped
-/// `no-panic-paths` rule instead of this one.
+/// Whether `def`'s panic sites belong to clippy's panic deny list
+/// instead of this one.
 fn in_file_rule_scope(def: &FnDef) -> bool {
     (def.crate_name == "mdrr-store" && def.kind == FileKind::LibSrc)
         || def.rel == "crates/stream/src/checkpoint.rs"

@@ -438,21 +438,24 @@ mod tests {
 
     #[test]
     fn allow_requires_a_reason() {
-        let f = file("// lint:allow(no-panic-paths)\nx.unwrap();\n");
+        let f = file("// lint:allow(no-alloc-in-hot-loop)\nx.to_vec();\n");
         assert_eq!(f.suppressions.len(), 0);
         assert!(f.directive_errors[0].message.contains("carries no reason"));
 
-        let g =
-            file("// lint:allow(no-panic-paths, reason = \"bounds checked above\")\nx.unwrap();\n");
+        let g = file(
+            "// lint:allow(no-alloc-in-hot-loop, reason = \"one copy per batch\")\nx.to_vec();\n",
+        );
         assert!(g.directive_errors.is_empty());
         assert_eq!(g.suppressions.len(), 1);
-        assert_eq!(g.suppressions[0].rule, "no-panic-paths");
+        assert_eq!(g.suppressions[0].rule, "no-alloc-in-hot-loop");
         assert_eq!(g.suppressions[0].covers_line, 2);
     }
 
     #[test]
     fn trailing_allow_covers_its_own_line() {
-        let g = file("x.unwrap(); // lint:allow(no-panic-paths, reason = \"test fixture only\")\n");
+        let g = file(
+            "x.to_vec(); // lint:allow(no-alloc-in-hot-loop, reason = \"test fixture only\")\n",
+        );
         assert_eq!(g.suppressions[0].covers_line, 1);
     }
 

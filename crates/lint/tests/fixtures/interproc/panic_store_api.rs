@@ -1,6 +1,6 @@
 // A public mdrr-store API (loaded as crates/store/src/api.rs): the
-// reachability root.  Its own `.unwrap()` belongs to the file-scoped
-// `no-panic-paths` rule, NOT to panic-reachability — asserting the
+// reachability root.  Its own `.unwrap()` belongs to clippy's
+// `unwrap_used` deny, NOT to panic-reachability — asserting the
 // interprocedural rule skips it pins the no-double-reporting contract.
 use mdrr_math::checked_div;
 

@@ -176,11 +176,7 @@ pub fn invert_uniform_perturbation(a: f64, b: f64, r: usize) -> Result<Matrix, M
 ///
 /// # Errors
 /// Same conditions as [`invert_uniform_perturbation`].
-pub fn uniform_perturbation_inverse_entries(
-    a: f64,
-    b: f64,
-    r: usize,
-) -> Result<(f64, f64), MathError> {
+fn uniform_perturbation_inverse_entries(a: f64, b: f64, r: usize) -> Result<(f64, f64), MathError> {
     if r == 0 {
         return Err(MathError::invalid("r", "dimension must be positive"));
     }

@@ -99,16 +99,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a square diagonal matrix from the given diagonal entries.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m.set(i, i, d);
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -162,7 +152,7 @@ impl Matrix {
 
     /// Returns the row as a mutable slice.
     #[inline]
-    pub fn row_mut(&mut self, row: usize) -> &mut [f64] {
+    fn row_mut(&mut self, row: usize) -> &mut [f64] {
         assert!(row < self.rows, "row index out of bounds");
         &mut self.data[row * self.cols..(row + 1) * self.cols]
     }
@@ -410,16 +400,6 @@ mod tests {
 
         let empty = Matrix::from_rows(&[]);
         assert!(matches!(empty, Err(MathError::InvalidParameter { .. })));
-    }
-
-    #[test]
-    fn from_diagonal_places_entries() {
-        let d = Matrix::from_diagonal(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.get(0, 0), 1.0);
-        assert_eq!(d.get(1, 1), 2.0);
-        assert_eq!(d.get(2, 2), 3.0);
-        assert_eq!(d.get(0, 1), 0.0);
-        assert_eq!(d.diagonal(), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

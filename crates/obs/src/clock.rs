@@ -1,16 +1,17 @@
 //! The injectable monotonic clock boundary.
 //!
 //! Library crates on the deterministic-resume path must never read
-//! ambient time themselves (the `no-ambient-clock-in-lib` lint forbids
-//! `Instant`/`SystemTime` there): they accept a `&dyn Clock` /
-//! `Arc<dyn Clock>` from the caller instead.  This module is the single
-//! reasoned place in the workspace where `std::time::Instant` is read —
-//! behind [`MonotonicClock`] — so a grep for clock sources has exactly
-//! one hit, and swapping the time source (tests, simulation, `NullClock`
-//! production-off mode) is a constructor argument, not a code change.
+//! ambient time themselves (the root `clippy.toml` lists
+//! `Instant`/`SystemTime` under `disallowed-types`): they accept a
+//! `&dyn Clock` / `Arc<dyn Clock>` from the caller instead.  This module
+//! is the single reasoned place in the workspace where
+//! `std::time::Instant` is read — behind [`MonotonicClock`], under
+//! `#[expect(clippy::disallowed_types)]` — so a grep for clock sources has
+//! exactly one hit, and swapping the time source (tests, simulation,
+//! `NullClock` production-off mode) is a constructor argument, not a code
+//! change.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A monotonic nanosecond source.
 ///
@@ -68,15 +69,23 @@ pub trait Clock: std::fmt::Debug + Send + Sync {
 /// assert!(clock.enabled());
 /// ```
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the workspace's one ambient clock read"
+)]
 pub struct MonotonicClock {
-    origin: Instant,
+    origin: std::time::Instant,
 }
 
 impl MonotonicClock {
     /// A clock whose epoch is now.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the workspace's one ambient clock read"
+    )]
     pub fn new() -> Self {
         MonotonicClock {
-            origin: Instant::now(),
+            origin: std::time::Instant::now(),
         }
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`clock`] — the injectable monotonic [`Clock`] boundary.  The
 //!   deterministic crates (`mdrr-core`, `mdrr-store`, `mdrr-stream`,
-//!   `mdrr-eval`, …) never touch `std::time` directly — the
-//!   `no-ambient-clock-in-lib` lint enforces it — so byte-identical
+//!   `mdrr-eval`, …) never touch `std::time` directly — the root
+//!   `clippy.toml` disallows `Instant` and `SystemTime` — so byte-identical
 //!   crash-resume keeps holding; this crate is the single reasoned
 //!   boundary where `std::time::Instant` is read.  A [`NullClock`] makes
 //!   instrumented library code cost-free and output-identical when

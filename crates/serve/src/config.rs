@@ -5,8 +5,9 @@ use mdrr_stream::MAX_WIRE_PAYLOAD;
 /// Configuration of a [`crate::CollectorServer`].
 ///
 /// All durations are injected-clock nanoseconds: the daemon never reads
-/// ambient time (the `no-ambient-clock-in-lib` lint forbids it here), so
-/// a test can drive every timeout with a manual clock.
+/// ambient time (the root `clippy.toml` disallows `std::time::Instant`
+/// and `SystemTime`), so a test can drive every timeout with a manual
+/// clock.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// How many shards the collector fans batches into.
@@ -17,7 +18,7 @@ pub struct ServeConfig {
     /// frame at a time into one reusable capped buffer — but the window
     /// bounds how far a client may run ahead of its acks.
     pub window: u32,
-    /// Per-frame payload cap, at most [`MAX_WIRE_PAYLOAD`].
+    /// Per-frame payload cap: positive, and at most [`MAX_WIRE_PAYLOAD`].
     pub max_payload: u32,
     /// Socket poll granularity: how long a blocking accept/read waits
     /// before shutdown flags and deadlines are re-checked.
@@ -50,6 +51,9 @@ impl ServeConfig {
         }
         if self.window == 0 {
             return Err(crate::ServeError::config("window must be positive"));
+        }
+        if self.max_payload == 0 {
+            return Err(crate::ServeError::config("max_payload must be positive"));
         }
         if self.poll_interval_nanos == 0 {
             return Err(crate::ServeError::config(
@@ -88,6 +92,10 @@ mod tests {
             },
             ServeConfig {
                 frame_budget_nanos: 0,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                max_payload: 0,
                 ..ServeConfig::default()
             },
         ] {

@@ -52,6 +52,18 @@
 //! ```
 
 #![deny(missing_docs)]
+// No panic on hostile input: every malformed frame is a typed error.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod config;
 pub mod error;

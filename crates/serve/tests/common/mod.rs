@@ -1,5 +1,5 @@
 //! Shared fixtures for the serve integration suites.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each suite uses its own subset of these fixtures")]
 
 use mdrr_data::{Attribute, Schema};
 use mdrr_obs::MonotonicClock;

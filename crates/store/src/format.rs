@@ -130,8 +130,11 @@ const fn crc64_tables() -> [[u64; 256]; 16] {
 /// One table lookup.  Every slice-by-16 lookup goes through here so the
 /// proof that it cannot panic is made once.
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a u8 index is below 256, the table's length"
+)]
 fn lookup(table: &[u64; 256], byte: u8) -> u64 {
-    // lint:allow(no-panic-paths, reason = "a u8 index is below 256, the table's length")
     table[byte as usize]
 }
 

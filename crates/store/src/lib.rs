@@ -73,6 +73,18 @@
 //! ```
 
 #![deny(missing_docs)]
+// No panic on any malformed input: every failure is a typed `StoreError`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod backend;
 pub mod error;

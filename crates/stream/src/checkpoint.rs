@@ -31,6 +31,20 @@
 //! [`mdrr_store::salvage_checkpoint`] rebuilds a manifest from the
 //! surviving shard files.
 
+// Restore inherits the store's promise: a corrupt checkpoint is a typed
+// error, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::accumulator::Accumulator;
 use crate::collector::ShardedCollector;
 use crate::error::MdrrError;

@@ -17,6 +17,19 @@
 //! drain checkpoint); [`WireClient::acked_reports`] is the client-side
 //! ledger the fault tests audit against restored checkpoints.
 
+// No panic on a misbehaving server: every failure is a typed error.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::batch::ReportBatch;
 use crate::wire::{self, FrameType, Hello, HelloAck, StatsReply, WireError};
 use mdrr_data::Schema;

@@ -14,6 +14,20 @@
 //! [`mdrr_protocols::Protocol`] — the paper's three mechanisms today, any
 //! future backend unchanged.
 
+// A shard worker's panic is contained and typed, and the containment
+// code itself must not panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::accumulator::Accumulator;
 use crate::batch::ReportBatch;
 use crate::error::MdrrError;

@@ -181,12 +181,6 @@ impl StreamObs {
         self.imbalance_permille.set(permille);
     }
 
-    /// Per-shard report totals as recorded by the instrumentation, in
-    /// shard order — the exact counters the run report cross-checks.
-    pub fn shard_report_totals(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.reports.get()).collect()
-    }
-
     /// Flips shard `k`'s health gauge (1 = serving, 0 = quarantined).
     /// Out-of-range shards are ignored.
     pub(crate) fn set_shard_health(&self, k: usize, healthy: bool) {

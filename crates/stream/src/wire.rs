@@ -29,6 +29,19 @@
 //! buffer; handshake and query payloads are serde JSON, like the snapshot
 //! header.
 
+// No panic on hostile input: every malformed frame is a typed `WireError`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::batch::ReportBatch;
 use crate::error::MdrrError;
 use mdrr_data::Schema;
