@@ -314,20 +314,104 @@ const RACE: [f64; 5] = [0.854, 0.096, 0.031, 0.010, 0.009];
 /// married × work-class class (see [`income_case`]).
 const INCOME_CASES: usize = 16 * 15 * 2 * 2 * 3;
 
-/// A weight vector with its sum, computed once.
+/// Bits of the draw behind `rng.gen::<f64>()`, which is `k · 2⁻⁵³` for the
+/// top 53 bits `k` of one `next_u64()`.
+const DRAW_BITS: u32 = 53;
+
+/// Bits of the draw that index a [`Weighted`] guide table.
+const GUIDE_BITS: u32 = 8;
+
+/// Shift from a draw to its guide bucket.
+const GUIDE_SHIFT: u32 = DRAW_BITS - GUIDE_BITS;
+
+/// One categorical distribution: its weights and their sum, and the exact
+/// integer table the generator samples it through.
+///
+/// A draw `k` (the top 53 bits of one `next_u64()`) picks category
+/// `i = guide[k >> GUIDE_SHIFT]`, then steps `i` forward while
+/// `k >= cuts[i]`.  This is the category [`sample_weighted`] walks to for
+/// the same `k`, for every one of the 2⁵³ draws (see [`Weighted::new`]),
+/// so the record stream is the one the walk gave.
 struct Weighted<const N: usize> {
     weights: [f64; N],
     total: f64,
+    /// `cuts[i]` is the smallest draw for which the walk returns a
+    /// category above `i`, or 2⁵³ if no draw does; the last slot holds the
+    /// sentinel `u64::MAX`, which ends every search.
+    cuts: [u64; N],
+    /// `guide[b]` is the category of the draw `b << GUIDE_SHIFT`, the first
+    /// draw of bucket `b`.
+    guide: [u8; 1 << GUIDE_BITS],
 }
 
 impl<const N: usize> Weighted<N> {
+    /// Sums the weights and derives the cuts and the guide from the walk.
+    ///
+    /// The walk is a non-decreasing step function of the draw `k`: `k · 2⁻⁵³`
+    /// is exact, IEEE rounding is monotone, so `draw = k · 2⁻⁵³ · total` and
+    /// every partial difference `draw − w₀ − … − wⱼ` are non-decreasing in
+    /// `k`.  The walk returns a category above `i` exactly when the partial
+    /// differences `0..=i` are all positive, which holds from some draw on.
+    /// A binary search with the walk itself therefore finds each cut, and
+    /// the category of any draw is the number of cuts at or below it.  The
+    /// walk is the only judge: the bracket a search starts from may be off
+    /// by any amount without changing the cut, only the search's length.
+    /// Zero weights and the last-category fallback need no special case:
+    /// the walk decides them.
     fn new(weights: [f64; N]) -> Self {
         let total = weights.iter().sum();
-        Weighted { weights, total }
+        let mut row = Weighted {
+            weights,
+            total,
+            cuts: [u64::MAX; N],
+            guide: [0; 1 << GUIDE_BITS],
+        };
+        let end = 1u64 << DRAW_BITS;
+        let mut cum = 0.0;
+        for i in 0..N - 1 {
+            let above = |k: u64| sample_weighted(k, &row.weights, row.total) as usize > i;
+            // The cut lies within rounding error of the exact boundary
+            // `⌈cumᵢ / total · 2⁵³⌉`, so widen a bracket around that guess
+            // until the step is inside it (`hi == end` stands for "no draw"),
+            // then bisect.
+            cum += row.weights[i];
+            let guess = ((cum / row.total) * end as f64).ceil().min(end as f64) as u64;
+            let mut radius = 64;
+            let (mut lo, mut hi) = loop {
+                let (lo, hi) = (guess.saturating_sub(radius), (guess + radius).min(end));
+                if (lo == 0 || !above(lo - 1)) && (hi == end || above(hi)) {
+                    break (lo, hi);
+                }
+                radius *= 2;
+            };
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if above(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            row.cuts[i] = lo;
+        }
+        for (b, slot) in row.guide.iter_mut().enumerate() {
+            let first = (b as u64) << GUIDE_SHIFT;
+            *slot = row.cuts.iter().take_while(|&&c| c <= first).count() as u8;
+        }
+        row
+    }
+
+    /// The category of the draw `k < 2⁵³`.
+    fn category(&self, k: u64) -> u32 {
+        let mut i = usize::from(self.guide[(k >> GUIDE_SHIFT) as usize]);
+        while k >= self.cuts[i] {
+            i += 1;
+        }
+        i as u32
     }
 
     fn sample(&self, rng: &mut impl Rng) -> u32 {
-        sample_weighted(rng, &self.weights, self.total)
+        self.category(rng.next_u64() >> (64 - DRAW_BITS))
     }
 }
 
@@ -387,8 +471,10 @@ impl Tables {
 
     /// Samples one record as `[work_class, education, marital, occupation,
     /// relationship, race, sex, income]` codes.  Each attribute consumes
-    /// exactly one `f64` draw, in the order sex, education, marital,
-    /// relationship, occupation, work-class, race, income.
+    /// exactly one raw `u64` draw, in the order sex, education, marital,
+    /// relationship, occupation, work-class, race, income.  The categorical
+    /// attributes read its top 53 bits as an integer and income reads them
+    /// as `gen::<f64>()`: the same bits the `f64` walk took.
     fn sample_record(&self, rng: &mut impl Rng) -> [u32; 8] {
         let sex = self.sex.sample(rng);
         let education = self.education.sample(rng);
@@ -507,11 +593,14 @@ fn income_probability(
     1.0 / (1.0 + (-score).exp())
 }
 
-/// Samples an index proportionally to the given non-negative weights,
-/// whose sum is `total`.
-fn sample_weighted(rng: &mut impl Rng, weights: &[f64], total: f64) -> u32 {
+/// The category a subtraction walk over the non-negative `weights`, whose
+/// sum is `total`, picks for the draw `k < 2⁵³`: the first whose running
+/// difference from `k · 2⁻⁵³ · total` is at most zero, else the last.
+/// The walk defines the pinned record stream; [`Weighted::new`] derives
+/// each row's cuts from it.
+fn sample_weighted(k: u64, weights: &[f64], total: f64) -> u32 {
     debug_assert!(total > 0.0, "weights must not all be zero");
-    let mut draw = rng.gen::<f64>() * total;
+    let mut draw = rand::unit_f64_from_u64(k << (64 - DRAW_BITS)) * total;
     for (i, &w) in weights.iter().enumerate() {
         draw -= w;
         if draw <= 0.0 {
@@ -959,5 +1048,128 @@ mod tests {
     fn generator_stream_is_pinned() {
         assert_eq!(stream_hash(1, 1_000_000), 0xb48b_971e_2938_c36b);
         assert_eq!(stream_hash(42, 1_000_000), 0xcd7d_3e43_d6a7_315a);
+    }
+
+    /// An RNG whose every draw is `raw`.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The reference walk's category for the draw `k < 2⁵³`.
+    fn reference_category(weights: &[f64], k: u64) -> u32 {
+        reference_sample_weighted(&mut Fixed(k << (64 - DRAW_BITS)), weights)
+    }
+
+    /// Applies `check` to every row of the tables, with a label.
+    fn for_each_row(mut check: impl FnMut(&str, &dyn Fn(u64) -> u32, &[f64], &[u64], &[u8])) {
+        fn visit<const N: usize>(
+            check: &mut impl FnMut(&str, &dyn Fn(u64) -> u32, &[f64], &[u64], &[u8]),
+            label: String,
+            row: &Weighted<N>,
+        ) {
+            check(
+                &label,
+                &|k| row.category(k),
+                &row.weights,
+                &row.cuts,
+                &row.guide,
+            );
+        }
+        let tables = tables();
+        visit(&mut check, "sex".into(), &tables.sex);
+        visit(&mut check, "education".into(), &tables.education);
+        for (i, row) in tables.marital.iter().enumerate() {
+            visit(&mut check, format!("marital[{i}]"), row);
+        }
+        for (i, row) in tables.relationship.iter().enumerate() {
+            visit(&mut check, format!("relationship[{i}]"), row);
+        }
+        for (i, row) in tables.occupation.iter().enumerate() {
+            visit(&mut check, format!("occupation[{i}]"), row);
+        }
+        for (i, row) in tables.work_class.iter().enumerate() {
+            visit(&mut check, format!("work_class[{i}]"), row);
+        }
+        visit(&mut check, "race".into(), &tables.race);
+    }
+
+    /// The guide-table sampler agrees with the reference walk on all 2⁵³
+    /// draws.  Both are non-decreasing step functions of the draw (see
+    /// [`Weighted::new`]), so they agree everywhere once they agree at both
+    /// ends and on both sides of every step of the table sampler: the walk
+    /// cannot step between two draws the sampler maps to the same category.
+    #[test]
+    fn table_sampler_is_exact_at_every_cut() {
+        let last = (1u64 << DRAW_BITS) - 1;
+        let mut rows = 0;
+        for_each_row(|label, category, weights, cuts, guide| {
+            rows += 1;
+            let n = weights.len();
+            assert_eq!(cuts[n - 1], u64::MAX, "{label}: sentinel");
+            assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{label}: {cuts:?}");
+            for (b, &g) in guide.iter().enumerate() {
+                let first = (b as u64) << GUIDE_SHIFT;
+                let expected = cuts.iter().filter(|&&c| c <= first).count();
+                assert_eq!(usize::from(g), expected, "{label}: guide[{b}]");
+            }
+            let mut draws = vec![0, last];
+            for &c in &cuts[..n - 1] {
+                assert!(c <= 1 << DRAW_BITS, "{label}: cut {c}");
+                draws.extend(c.checked_sub(1));
+                draws.extend(Some(c).filter(|&c| c <= last));
+            }
+            for k in draws {
+                assert_eq!(
+                    category(k),
+                    reference_category(weights, k),
+                    "{label}, draw {k}"
+                );
+            }
+        });
+        assert_eq!(rows, 2 + 6 + 4 + 16 + 5 + 1);
+    }
+
+    /// FNV-1a-64 over the codes of `n` records the reference generator
+    /// draws from `seed`; equals [`stream_hash`] when the streams agree.
+    fn reference_stream_hash(seed: u64, n: usize) -> u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..n {
+            for v in reference_sample_record(&mut rng) {
+                h ^= u64::from(v);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Heavy sweep (`cargo test --release -p mdrr-data -- --ignored`):
+    /// 2²⁴ random draws per row against the reference walk, and ten
+    /// million records per seed against the untabulated generator.
+    #[test]
+    #[ignore = "heavy: about half a minute in release"]
+    fn table_sampler_matches_reference_on_random_draws_and_long_streams() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for_each_row(|label, category, weights, _, _| {
+            for _ in 0..1u32 << 24 {
+                let k = rng.next_u64() >> (64 - DRAW_BITS);
+                assert_eq!(
+                    category(k),
+                    reference_category(weights, k),
+                    "{label}, draw {k}"
+                );
+            }
+        });
+        for seed in [1u64, 7, 42] {
+            assert_eq!(
+                stream_hash(seed, 10_000_000),
+                reference_stream_hash(seed, 10_000_000),
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -87,12 +87,19 @@ pub fn synthesize_sampling(
 ) -> Result<Dataset, ProtocolError> {
     let (projected, domain) = prepare(schema, attributes, distribution, n)?;
     let mut dataset = Dataset::empty(projected);
+    // Only cells with positive mass are ever chosen.  `prepare` accepts a
+    // sum a little below one, so a draw can run past every cell; it then
+    // lands on the last cell with mass, not on the last cell.
+    let fallback = distribution
+        .iter()
+        .rposition(|&p| p > 0.0)
+        .unwrap_or(distribution.len() - 1);
     for _ in 0..n {
         let mut draw: f64 = rng.gen();
-        let mut chosen = distribution.len() - 1;
+        let mut chosen = fallback;
         for (cell, &p) in distribution.iter().enumerate() {
             draw -= p;
-            if draw <= 0.0 {
+            if draw <= 0.0 && p > 0.0 {
                 chosen = cell;
                 break;
             }
@@ -220,6 +227,29 @@ mod tests {
         let f5 = ds.count_matching(&[(0, 1), (1, 2)]).unwrap() as f64 / 20_000.0;
         assert!((f0 - 0.7).abs() < 0.02);
         assert!((f5 - 0.3).abs() < 0.02);
+    }
+
+    /// An RNG whose every draw is `raw`.
+    struct Fixed(u64);
+
+    impl rand::RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn sampling_synthesis_never_emits_a_zero_mass_cell() {
+        let s = schema();
+        // The largest draw runs past a sum just under one: it must land on
+        // the last cell with mass, not on the empty last cell.
+        let short = [0.5, 0.4999995, 0.0];
+        let ds = synthesize_sampling(&s, &[1], &short, 4, &mut Fixed(u64::MAX)).unwrap();
+        assert_eq!(ds.marginal_counts(0).unwrap(), vec![0, 4, 0]);
+        // The zero draw must skip an empty first cell.
+        let leading = [0.0, 0.5, 0.5];
+        let ds = synthesize_sampling(&s, &[1], &leading, 4, &mut Fixed(0)).unwrap();
+        assert_eq!(ds.marginal_counts(0).unwrap(), vec![0, 4, 0]);
     }
 
     #[test]
