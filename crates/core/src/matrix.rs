@@ -657,65 +657,44 @@ impl RRMatrix {
         }
     }
 
-    /// Randomizes a whole column of category codes, appending the results
-    /// to `out` — the batched, allocation-free sibling of
-    /// [`RRMatrix::randomize`].
+    /// Randomizes a whole column of category codes — the batched sibling
+    /// of [`RRMatrix::randomize`].
     ///
     /// The column is validated in one pass up front (a single range check
     /// per batch rather than one per value), then the hot loop runs with
     /// the matrix constants hoisted.  The draws consumed are exactly the
     /// draws [`RRMatrix::randomize`] would consume on the same values in
     /// the same order, so the output is bit-identical to the per-value
-    /// path under a shared RNG.  On error `out` is unchanged.
+    /// path under a shared RNG.
     ///
     /// # Errors
-    /// Returns [`CoreError::DimensionMismatch`] if any code is out of range.
-    pub fn randomize_into(
-        &self,
-        column: &[u32],
-        rng: &mut impl Rng,
-        out: &mut Vec<u32>,
-    ) -> Result<(), CoreError> {
-        if let Some(&bad) = column.iter().find(|&&v| v as usize >= self.r) {
-            return Err(CoreError::DimensionMismatch {
-                context: "randomize_into".to_string(),
-                expected: self.r,
-                got: bad as usize,
-            });
-        }
-        out.reserve(column.len());
-        match &self.form {
-            Form::Uniform { diag, .. } => {
-                let (threshold, redraw_scale) = uniform_row_constants(self.r, *diag);
-                out.extend(
-                    column
-                        .iter()
-                        .map(|&v| sample_uniform_raw(threshold, redraw_scale, v, rng.next_u64())),
-                );
-            }
-            Form::General(m) => {
-                out.extend(
-                    column
-                        .iter()
-                        .map(|&v| sample_general_row(m, self.r, v as usize, rng.gen())),
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Randomizes a whole column of category codes.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::DimensionMismatch`] if any code is out of range.
+    /// Returns [`CoreError::DimensionMismatch`] if any code is out of range;
+    /// no randomness is consumed then.
     pub fn randomize_column(
         &self,
         column: &[u32],
         rng: &mut impl Rng,
     ) -> Result<Vec<u32>, CoreError> {
-        let mut out = Vec::new();
-        self.randomize_into(column, rng, &mut out)?;
-        Ok(out)
+        if let Some(&bad) = column.iter().find(|&&v| v as usize >= self.r) {
+            return Err(CoreError::DimensionMismatch {
+                context: "randomize_column".to_string(),
+                expected: self.r,
+                got: bad as usize,
+            });
+        }
+        Ok(match &self.form {
+            Form::Uniform { diag, .. } => {
+                let (threshold, redraw_scale) = uniform_row_constants(self.r, *diag);
+                column
+                    .iter()
+                    .map(|&v| sample_uniform_raw(threshold, redraw_scale, v, rng.next_u64()))
+                    .collect()
+            }
+            Form::General(m) => column
+                .iter()
+                .map(|&v| sample_general_row(m, self.r, v as usize, rng.gen()))
+                .collect(),
+        })
     }
 
     /// Propagates a true distribution through the mechanism:

@@ -15,31 +15,20 @@
 
 use crate::adjustment::AdjustmentTarget;
 use crate::clustering::Clustering;
+use crate::codec::ChannelCodec;
 use crate::error::{MdrrError, ProtocolError};
 use crate::estimator::{validate_assignment, Assignment, FrequencyEstimator};
-use crate::protocol::{
-    gather_joint_codes, validate_batch_shape, validate_records_view, validate_report_shape,
-    validate_tally_shape, with_predrawn, Protocol, RandomizationLevel, Release,
-};
-use mdrr_core::{
-    estimate_proper_from_counts, randomize_joint, PreparedRandomizer, PrivacyAccountant, RRMatrix,
-};
+use crate::protocol::{Protocol, RandomizationLevel, Release};
+use mdrr_core::{estimate_proper_from_counts, randomize_joint, PrivacyAccountant, RRMatrix};
 use mdrr_data::{Dataset, JointDomain, RecordsView, Schema};
 use rand::{Rng, RngCore};
-
-/// Hoisted per-cluster batch-encode state: the cluster's columns (in
-/// cluster order), its mixed-radix strides, and its prepared
-/// randomization kernel.
-type PreparedCluster<'a> = (Vec<&'a [u32]>, &'a [usize], PreparedRandomizer<'a>);
 
 /// The RR-Clusters protocol: a clustering plus one randomization matrix per
 /// cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RRClusters {
     schema: Schema,
-    clustering: Clustering,
-    domains: Vec<JointDomain>,
-    matrices: Vec<RRMatrix>,
+    codec: ChannelCodec,
 }
 
 impl RRClusters {
@@ -50,7 +39,9 @@ impl RRClusters {
     ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfiguration`] if the clustering
-    /// does not cover the schema or the budget list has the wrong length.
+    /// does not cover the schema, a cluster has more than 2³² value
+    /// combinations (its codes would not fit a `u32`), or the budget list
+    /// has the wrong length.
     pub fn with_equivalent_risk(
         schema: Schema,
         clustering: Clustering,
@@ -63,26 +54,16 @@ impl RRClusters {
                 epsilons.len()
             )));
         }
-        Self::validate_clustering(&schema, &clustering)?;
-        let mut domains = Vec::with_capacity(clustering.len());
-        let mut matrices = Vec::with_capacity(clustering.len());
-        for cluster in clustering.clusters() {
-            let cards: Vec<usize> = cluster
-                .iter()
-                .map(|&a| schema.attribute(a).map(|attr| attr.cardinality()))
-                .collect::<Result<_, _>>()?;
-            let domain = JointDomain::new(&cards)?;
-            let cluster_epsilons: Vec<f64> = cluster.iter().map(|&a| epsilons[a]).collect();
-            let matrix = RRMatrix::cluster_from_epsilons(&cluster_epsilons, domain.size())?;
-            domains.push(domain);
-            matrices.push(matrix);
-        }
-        Ok(RRClusters {
-            schema,
-            clustering,
-            domains,
-            matrices,
-        })
+        let matrices = ChannelCodec::channel_domains(&schema, &clustering)?
+            .iter()
+            .zip(clustering.clusters())
+            .map(|(domain, cluster)| {
+                let cluster_epsilons: Vec<f64> = cluster.iter().map(|&a| epsilons[a]).collect();
+                RRMatrix::cluster_from_epsilons(&cluster_epsilons, domain.size())
+            })
+            .collect::<Result<_, _>>()?;
+        let codec = ChannelCodec::new(&schema, clustering, matrices)?;
+        Ok(RRClusters { schema, codec })
     }
 
     /// Convenience constructor for the paper's experiments: the
@@ -124,8 +105,9 @@ impl RRClusters {
     /// adjustment).  Useful for ablations.
     ///
     /// # Errors
-    /// Returns [`ProtocolError::InvalidConfiguration`] for an invalid `p` or
-    /// a clustering that does not cover the schema.
+    /// Returns [`ProtocolError::InvalidConfiguration`] for an invalid `p`, a
+    /// clustering that does not cover the schema, or a cluster of more
+    /// than 2³² value combinations.
     pub fn with_keep_probability(
         schema: Schema,
         clustering: Clustering,
@@ -136,51 +118,12 @@ impl RRClusters {
                 "keep probability must lie in [0, 1], got {p}"
             )));
         }
-        Self::validate_clustering(&schema, &clustering)?;
-        let mut domains = Vec::with_capacity(clustering.len());
-        let mut matrices = Vec::with_capacity(clustering.len());
-        for cluster in clustering.clusters() {
-            let cards: Vec<usize> = cluster
-                .iter()
-                .map(|&a| schema.attribute(a).map(|attr| attr.cardinality()))
-                .collect::<Result<_, _>>()?;
-            let domain = JointDomain::new(&cards)?;
-            let matrix = RRMatrix::uniform_keep(p, domain.size())?;
-            domains.push(domain);
-            matrices.push(matrix);
-        }
-        Ok(RRClusters {
-            schema,
-            clustering,
-            domains,
-            matrices,
-        })
-    }
-
-    fn validate_clustering(schema: &Schema, clustering: &Clustering) -> Result<(), ProtocolError> {
-        if clustering.attribute_count() != schema.len() {
-            return Err(ProtocolError::config(format!(
-                "clustering covers {} attributes but the schema has {}",
-                clustering.attribute_count(),
-                schema.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Hoists each cluster's column set (in cluster order), mixed-radix
-    /// strides and prepared randomization kernel — the loop-invariant
-    /// state shared by the batched encoders.
-    fn prepared_clusters<'a>(&'a self, columns: &[&'a [u32]]) -> Vec<PreparedCluster<'a>> {
-        self.clustering
-            .clusters()
+        let matrices = ChannelCodec::channel_domains(&schema, &clustering)?
             .iter()
-            .zip(self.domains.iter().zip(self.matrices.iter()))
-            .map(|(cluster, (domain, matrix))| {
-                let cluster_columns = cluster.iter().map(|&a| columns[a]).collect();
-                (cluster_columns, domain.strides(), matrix.prepared())
-            })
-            .collect()
+            .map(|domain| RRMatrix::uniform_keep(p, domain.size()))
+            .collect::<Result<_, _>>()?;
+        let codec = ChannelCodec::new(&schema, clustering, matrices)?;
+        Ok(RRClusters { schema, codec })
     }
 
     /// The schema the protocol was configured for.
@@ -190,45 +133,17 @@ impl RRClusters {
 
     /// The clustering the protocol uses.
     pub fn clustering(&self) -> &Clustering {
-        &self.clustering
+        self.codec.clustering()
     }
 
     /// The per-cluster randomization matrices (cluster order).
     pub fn matrices(&self) -> &[RRMatrix] {
-        &self.matrices
+        self.codec.matrices()
     }
 
     /// The per-cluster joint-domain codecs (cluster order).
     pub fn domains(&self) -> &[JointDomain] {
-        &self.domains
-    }
-
-    /// Client-side encoding: randomizes one true record into its report —
-    /// one randomized joint code per cluster, in cluster order.
-    ///
-    /// # Errors
-    /// * [`ProtocolError::Data`] if the record does not fit the schema;
-    /// * propagated randomization errors otherwise.
-    pub fn encode_record(
-        &self,
-        record: &[u32],
-        rng: &mut impl Rng,
-    ) -> Result<Vec<u32>, ProtocolError> {
-        self.schema.validate_record(record)?;
-        let mut report = Vec::with_capacity(self.clustering.len());
-        let mut tuple = Vec::new();
-        for (cluster, (domain, matrix)) in self
-            .clustering
-            .clusters()
-            .iter()
-            .zip(self.domains.iter().zip(self.matrices.iter()))
-        {
-            tuple.clear();
-            tuple.extend(cluster.iter().map(|&a| record[a]));
-            let code = domain.encode(&tuple)?;
-            report.push(matrix.randomize(code as u32, rng)?);
-        }
-        Ok(report)
+        self.codec.domains()
     }
 
     /// Collector-side estimation from accumulated sufficient statistics:
@@ -248,38 +163,17 @@ impl RRClusters {
         counts: &[Vec<u64>],
         n_records: usize,
     ) -> Result<ClustersRelease, ProtocolError> {
-        if n_records == 0 {
-            return Err(ProtocolError::config(
-                "cannot build an RR-Clusters release from zero reports",
-            ));
-        }
-        if counts.len() != self.clustering.len() {
-            return Err(ProtocolError::config(format!(
-                "expected {} per-cluster count vectors, got {}",
-                self.clustering.len(),
-                counts.len()
-            )));
-        }
-        let mut distributions = Vec::with_capacity(self.clustering.len());
+        self.codec.check_counts(counts, n_records)?;
+        let mut distributions = Vec::with_capacity(counts.len());
         let mut accountant = PrivacyAccountant::new();
-        for (k, cluster) in self.clustering.clusters().iter().enumerate() {
-            let matrix = &self.matrices[k];
-            let domain = &self.domains[k];
-            let channel = &counts[k];
-            if channel.len() != domain.size() {
-                return Err(ProtocolError::config(format!(
-                    "count vector for cluster {k} has {} cells but its joint domain has {}",
-                    channel.len(),
-                    domain.size()
-                )));
-            }
-            let total: u64 = channel.iter().sum();
-            if total != n_records as u64 {
-                return Err(ProtocolError::config(format!(
-                    "count vector for cluster {k} sums to {total} but {n_records} reports \
-                     were accumulated"
-                )));
-            }
+        for (k, ((cluster, matrix), channel)) in self
+            .clustering()
+            .clusters()
+            .iter()
+            .zip(self.matrices())
+            .zip(counts)
+            .enumerate()
+        {
             distributions.push(estimate_proper_from_counts(matrix, channel)?);
             accountant.record_matrix(
                 format!("RR-Clusters on cluster {k} (attributes {cluster:?})"),
@@ -288,8 +182,8 @@ impl RRClusters {
         }
         Ok(ClustersRelease {
             schema: self.schema.clone(),
-            clustering: self.clustering.clone(),
-            domains: self.domains.clone(),
+            clustering: self.clustering().clone(),
+            domains: self.domains().to_vec(),
             distributions,
             randomized: None,
             accountant,
@@ -321,7 +215,7 @@ impl RRClusters {
             ));
         }
         let counts: Vec<Vec<u64>> = self
-            .clustering
+            .clustering()
             .clusters()
             .iter()
             .map(|cluster| randomized.joint_counts(cluster).map(|(_, c)| c))
@@ -359,13 +253,17 @@ impl RRClusters {
         // plus per-cluster counts tallied from the in-hand joint codes so
         // estimation needs no re-encoding round-trip.
         let mut randomized_columns: Vec<Vec<u32>> = vec![vec![0; n]; self.schema.len()];
-        let mut counts: Vec<Vec<u64>> = self.domains.iter().map(|d| vec![0u64; d.size()]).collect();
-        for (k, cluster) in self.clustering.clusters().iter().enumerate() {
-            let randomized_codes = randomize_joint(dataset, cluster, &self.matrices[k], rng)?;
+        let mut counts: Vec<Vec<u64>> = self
+            .channel_sizes()
+            .iter()
+            .map(|&size| vec![0u64; size])
+            .collect();
+        for (k, cluster) in self.clustering().clusters().iter().enumerate() {
+            let randomized_codes = randomize_joint(dataset, cluster, &self.matrices()[k], rng)?;
             // Scatter the decoded randomized values back into the columns.
             for (i, &code) in randomized_codes.iter().enumerate() {
                 counts[k][code as usize] += 1;
-                let tuple = self.domains[k].decode(code as usize)?;
+                let tuple = self.domains()[k].decode(code as usize)?;
                 for (&attribute, &value) in cluster.iter().zip(tuple.iter()) {
                     randomized_columns[attribute][i] = value;
                 }
@@ -520,85 +418,33 @@ impl Protocol for RRClusters {
     }
 
     fn channel_sizes(&self) -> Vec<usize> {
-        self.domains.iter().map(JointDomain::size).collect()
+        self.codec.channel_sizes()
     }
 
     fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        RRClusters::encode_record(self, record, &mut &mut *rng)
+        self.codec.encode_record(&self.schema, record, rng)
     }
 
-    /// Tuned batch override: the schema is validated once per batch and
-    /// each cluster's column set, mixed-radix strides and prepared
-    /// randomization kernel are gathered once up front, so the hot loop
-    /// fuses the joint encoding and the randomization over bulk-pre-drawn
-    /// randomness with no per-record tuple buffer.  Draws are consumed
-    /// record-major (record `i`'s clusters in cluster order) —
-    /// bit-identical to repeated [`RRClusters::encode_record`] calls.
     fn encode_batch(
         &self,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         out: &mut [Vec<u32>],
     ) -> Result<(), MdrrError> {
-        validate_batch_shape(out.len(), self.clustering.len())?;
-        validate_records_view(records, &self.schema)?;
-        let n = records.n_records();
-        for channel in out.iter_mut() {
-            channel.reserve(n);
-        }
-        let prepared = self.prepared_clusters(records.columns());
-        let n_clusters = prepared.len();
-        // Scratch for the fused mixed-radix joint codes of one cluster of
-        // one chunk.
-        let mut codes: Vec<u32> = Vec::new();
-        with_predrawn(n, n_clusters, rng, |range, draws| {
-            // Cluster-at-a-time over the pre-drawn randomness: cluster `j`
-            // of record `i` consumes draw `i·n_clusters + j` — the
-            // record-major mapping of the per-record path.
-            for (j, ((cluster_columns, strides, sampler), channel)) in
-                prepared.iter().zip(out.iter_mut()).enumerate()
-            {
-                gather_joint_codes(cluster_columns, strides, range.clone(), &mut codes);
-                sampler.randomize_strided_into(&codes, draws, j, n_clusters, channel);
-            }
-        });
-        Ok(())
+        self.codec.encode_batch(&self.schema, records, rng, out)
     }
 
-    /// Fused randomize-and-count override: the same draw schedule and
-    /// codes as the batch encoder, tallied per cluster in one pass.
     fn encode_tally(
         &self,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         tallies: &mut [Vec<u64>],
     ) -> Result<(), MdrrError> {
-        validate_tally_shape(tallies, &Protocol::channel_sizes(self))?;
-        validate_records_view(records, &self.schema)?;
-        let prepared = self.prepared_clusters(records.columns());
-        let n_clusters = prepared.len();
-        let mut codes: Vec<u32> = Vec::new();
-        with_predrawn(records.n_records(), n_clusters, rng, |range, draws| {
-            for (j, ((cluster_columns, strides, sampler), tally)) in
-                prepared.iter().zip(tallies.iter_mut()).enumerate()
-            {
-                gather_joint_codes(cluster_columns, strides, range.clone(), &mut codes);
-                sampler.randomize_strided_tally(&codes, draws, j, n_clusters, tally);
-            }
-        });
-        Ok(())
+        self.codec.encode_tally(&self.schema, records, rng, tallies)
     }
 
     fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
-        validate_report_shape(codes, &Protocol::channel_sizes(self))?;
-        let mut record = vec![0u32; self.schema.len()];
-        for (k, cluster) in self.clustering.clusters().iter().enumerate() {
-            let tuple = self.domains[k].decode(codes[k] as usize)?;
-            for (&attribute, &value) in cluster.iter().zip(tuple.iter()) {
-                record[attribute] = value;
-            }
-        }
-        Ok(record)
+        self.codec.decode_report(codes)
     }
 
     fn release_from_counts(
@@ -622,7 +468,7 @@ impl Protocol for RRClusters {
     }
 
     fn epsilons(&self) -> Vec<f64> {
-        self.matrices.iter().map(RRMatrix::epsilon).collect()
+        self.matrices().iter().map(RRMatrix::epsilon).collect()
     }
 }
 
@@ -649,6 +495,7 @@ mod tests {
     use super::*;
     use crate::estimator::EmpiricalEstimator;
     use crate::independent::{RRIndependent, RandomizationLevel};
+    use crate::joint::RRJoint;
     use mdrr_data::{Attribute, AttributeKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -920,6 +767,45 @@ mod tests {
         let f_a = release.frequency(&[(0, 0)]).unwrap();
         let f_b = release.frequency(&[(1, 0)]).unwrap();
         assert!((f_joint - f_a * f_b).abs() < 1e-12);
+
+        // The two ends of the cluster spectrum emit the basic protocols'
+        // codes: singletons are RR-Independent and one all-attribute
+        // cluster is RR-Joint (equal matrices, draw `i·m + j` for channel
+        // `j` of record `i`), through the batch and the per-record path.
+        let p = 0.7;
+        let singletons = Clustering::singletons(3).unwrap();
+        let whole = Clustering::new(vec![vec![0, 1, 2]], 3).unwrap();
+        let ends: [(RRClusters, Box<dyn Protocol>); 2] = [
+            (
+                RRClusters::with_keep_probability(schema(), singletons, p).unwrap(),
+                Box::new(
+                    RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(p)).unwrap(),
+                ),
+            ),
+            (
+                RRClusters::with_keep_probability(schema(), whole, p).unwrap(),
+                Box::new(RRJoint::with_keep_probability(schema(), p, None).unwrap()),
+            ),
+        ];
+        let view = ds.view();
+        for (clusters, basic) in &ends {
+            let mut codes = Vec::new();
+            for protocol in [clusters as &dyn Protocol, &**basic] {
+                let mut rng = StdRng::seed_from_u64(15);
+                let mut batch = vec![Vec::new(); protocol.channel_sizes().len()];
+                protocol.encode_batch(&view, &mut rng, &mut batch).unwrap();
+                let mut rng = StdRng::seed_from_u64(15);
+                let mut row = Vec::new();
+                let per_record: Vec<Vec<u32>> = (0..view.n_records())
+                    .map(|i| {
+                        view.read_record(i, &mut row).unwrap();
+                        protocol.encode_record(&row, &mut rng).unwrap()
+                    })
+                    .collect();
+                codes.push((batch, per_record));
+            }
+            assert_eq!(codes[0], codes[1], "{}", basic.name());
+        }
     }
 
     #[test]

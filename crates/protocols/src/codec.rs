@@ -1,0 +1,385 @@
+//! The channel codec shared by RR-Independent, RR-Joint and RR-Clusters.
+//!
+//! In the paper the two basic protocols are the two ends of RR-Clusters:
+//! RR-Independent is one cluster per attribute and RR-Joint is one cluster
+//! holding every attribute.  [`ChannelCodec`] is that common shape — a
+//! clustering of the schema's attributes plus each cluster's joint domain
+//! and randomization matrix — and the one implementation of the
+//! client-side encoders, the report decoder and the count-shape checks.
+//! RR-Independent builds it over [`Clustering::singletons`], RR-Joint over
+//! the single cluster `[0, …, m−1]` and RR-Clusters over its own
+//! clustering.
+
+use crate::clustering::Clustering;
+use crate::error::MdrrError;
+use mdrr_core::{PreparedRandomizer, RRMatrix};
+use mdrr_data::{JointDomain, RecordsView, Schema};
+use rand::RngCore;
+
+/// Channel codes travel as `u32`, so a channel's joint domain holds at most
+/// 2³² combinations.
+const MAX_CHANNEL_DOMAIN: u64 = 1 << 32;
+
+/// Raw u64 draws pre-filled per refill of the batch driver: large enough
+/// to amortise the one virtual `fill_u64` call per refill, small enough to
+/// stay cache-resident.
+const DRAW_BUFFER: usize = 8 * 1024;
+
+/// A partition of the schema's attributes into channels, each with its
+/// mixed-radix joint domain and its randomization matrix.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ChannelCodec {
+    clustering: Clustering,
+    domains: Vec<JointDomain>,
+    matrices: Vec<RRMatrix>,
+}
+
+impl ChannelCodec {
+    /// The joint domain of each cluster of `clustering` over `schema`, in
+    /// cluster order.
+    ///
+    /// # Errors
+    /// Returns [`MdrrError::InvalidConfiguration`] if the clustering does
+    /// not cover the schema or a cluster has more than 2³² combinations
+    /// (its codes would not fit a `u32`).
+    pub(crate) fn channel_domains(
+        schema: &Schema,
+        clustering: &Clustering,
+    ) -> Result<Vec<JointDomain>, MdrrError> {
+        if clustering.attribute_count() != schema.len() {
+            return Err(MdrrError::config(format!(
+                "clustering covers {} attributes but the schema has {}",
+                clustering.attribute_count(),
+                schema.len()
+            )));
+        }
+        let cardinalities = schema.cardinalities();
+        clustering
+            .clusters()
+            .iter()
+            .map(|cluster| {
+                let cards: Vec<usize> = cluster.iter().map(|&a| cardinalities[a]).collect();
+                let domain = JointDomain::new(&cards)?;
+                if domain.size() as u64 > MAX_CHANNEL_DOMAIN {
+                    return Err(MdrrError::config(format!(
+                        "attributes {cluster:?} have {} combinations, more than the 2^32 a \
+                         channel code can address",
+                        domain.size()
+                    )));
+                }
+                Ok(domain)
+            })
+            .collect()
+    }
+
+    /// Builds the codec: one channel per cluster, randomized by the
+    /// matching matrix.
+    ///
+    /// # Errors
+    /// Returns [`MdrrError::InvalidConfiguration`] for the conditions of
+    /// [`ChannelCodec::channel_domains`], or if the matrices are not one
+    /// per cluster, each sized to its cluster's joint domain.
+    pub(crate) fn new(
+        schema: &Schema,
+        clustering: Clustering,
+        matrices: Vec<RRMatrix>,
+    ) -> Result<Self, MdrrError> {
+        let domains = Self::channel_domains(schema, &clustering)?;
+        if matrices.len() != domains.len() {
+            return Err(MdrrError::config(format!(
+                "expected {} matrices, one per channel, got {}",
+                domains.len(),
+                matrices.len()
+            )));
+        }
+        for (k, (domain, matrix)) in domains.iter().zip(&matrices).enumerate() {
+            if matrix.size() != domain.size() {
+                return Err(MdrrError::config(format!(
+                    "matrix for channel {k} has size {} but the channel has {} categories",
+                    matrix.size(),
+                    domain.size()
+                )));
+            }
+        }
+        Ok(ChannelCodec {
+            clustering,
+            domains,
+            matrices,
+        })
+    }
+
+    /// The attribute clusters, one per channel.
+    pub(crate) fn clustering(&self) -> &Clustering {
+        &self.clustering
+    }
+
+    /// The joint-domain codec of each channel.
+    pub(crate) fn domains(&self) -> &[JointDomain] {
+        &self.domains
+    }
+
+    /// The randomization matrix of each channel.
+    pub(crate) fn matrices(&self) -> &[RRMatrix] {
+        &self.matrices
+    }
+
+    /// The domain size of each channel.
+    pub(crate) fn channel_sizes(&self) -> Vec<usize> {
+        self.domains.iter().map(JointDomain::size).collect()
+    }
+
+    /// The per-record reference encoder: validates `record` against
+    /// `schema`, then randomizes each channel's joint code with
+    /// [`RRMatrix::randomize`], one draw per channel in channel order.  It
+    /// deliberately shares no kernel with the batch encoders, so the
+    /// bit-identity tests compare two implementations.
+    pub(crate) fn encode_record(
+        &self,
+        schema: &Schema,
+        record: &[u32],
+        mut rng: &mut dyn RngCore,
+    ) -> Result<Vec<u32>, MdrrError> {
+        schema.validate_record(record)?;
+        let mut tuple = Vec::new();
+        self.channels()
+            .map(|(cluster, domain, matrix)| {
+                tuple.clear();
+                tuple.extend(cluster.iter().map(|&a| record[a]));
+                // Below 2³² by construction (`channel_domains`).
+                let code = domain.encode(&tuple)? as u32;
+                Ok(matrix.randomize(code, &mut rng)?)
+            })
+            .collect()
+    }
+
+    /// Batch encoder: appends one code per record to each channel buffer of
+    /// `out`, bit-identical to [`ChannelCodec::encode_record`] on the same
+    /// records and RNG.
+    pub(crate) fn encode_batch(
+        &self,
+        schema: &Schema,
+        records: &RecordsView<'_>,
+        rng: &mut dyn RngCore,
+        out: &mut [Vec<u32>],
+    ) -> Result<(), MdrrError> {
+        if out.len() != self.domains.len() {
+            return Err(MdrrError::config(format!(
+                "batch output has {} channel buffers but the protocol has {} channels",
+                out.len(),
+                self.domains.len()
+            )));
+        }
+        for channel in out.iter_mut() {
+            channel.reserve(records.n_records());
+        }
+        self.drive(
+            schema,
+            records,
+            rng,
+            out,
+            |sampler, codes, draws, j, m, channel| {
+                sampler.randomize_strided_into(codes, draws, j, m, channel);
+            },
+        )
+    }
+
+    /// Fused randomize-and-count encoder: the codes of
+    /// [`ChannelCodec::encode_batch`], added to `tallies` instead of
+    /// stored.  On error the tallies are unchanged.
+    pub(crate) fn encode_tally(
+        &self,
+        schema: &Schema,
+        records: &RecordsView<'_>,
+        rng: &mut dyn RngCore,
+        tallies: &mut [Vec<u64>],
+    ) -> Result<(), MdrrError> {
+        self.check_count_shape(tallies)?;
+        self.drive(
+            schema,
+            records,
+            rng,
+            tallies,
+            |sampler, codes, draws, j, m, tally| {
+                sampler.randomize_strided_tally(codes, draws, j, m, tally);
+            },
+        )
+    }
+
+    /// The one batch driver behind [`ChannelCodec::encode_batch`] and
+    /// [`ChannelCodec::encode_tally`], generic over the per-channel kernel
+    /// call so each monomorphises to its own loop.
+    ///
+    /// The batch is validated once (per-column range scans) and each
+    /// channel's matrix kernel is prepared once.  The randomness is
+    /// bulk-pre-drawn: one virtual [`RngCore::fill_u64`] call fills the
+    /// draws of a whole chunk of records.  Every channel consumes exactly
+    /// one draw per record, and channel `j` of record `i` consumes draw
+    /// `i·m + j` of its chunk, so the draws replay the `next_u64` stream of
+    /// the record-major per-record path even though channels run one at a
+    /// time.  A channel over one attribute randomizes the column slice
+    /// itself; a wider channel first gathers its mixed-radix joint codes
+    /// (validated above, and below 2³² by construction).
+    fn drive<T>(
+        &self,
+        schema: &Schema,
+        records: &RecordsView<'_>,
+        rng: &mut dyn RngCore,
+        outs: &mut [T],
+        kernel: impl Fn(&PreparedRandomizer<'_>, &[u32], &[u64], usize, usize, &mut T),
+    ) -> Result<(), MdrrError> {
+        validate_records_view(records, schema)?;
+        let all_columns = records.columns();
+        let channels: Vec<_> = self
+            .channels()
+            .map(|(cluster, domain, matrix)| {
+                let columns: Vec<&[u32]> = cluster.iter().map(|&a| all_columns[a]).collect();
+                (columns, domain.strides(), matrix.prepared())
+            })
+            .collect();
+        let (n, m) = (records.n_records(), channels.len());
+        let records_per_fill = (DRAW_BUFFER / m).max(1);
+        let mut draw_buffer = vec![0u64; records_per_fill.min(n) * m];
+        // Scratch for one channel's gathered joint codes over one chunk.
+        let mut joint = Vec::new();
+        for start in (0..n).step_by(records_per_fill) {
+            let range = start..(start + records_per_fill).min(n);
+            let draws = &mut draw_buffer[..range.len() * m];
+            rng.fill_u64(draws);
+            for (j, ((columns, strides, sampler), out)) in
+                channels.iter().zip(outs.iter_mut()).enumerate()
+            {
+                let codes = match columns.as_slice() {
+                    [column] => &column[range.clone()],
+                    _ => {
+                        joint.clear();
+                        for i in range.clone() {
+                            let mut code = 0usize;
+                            for (column, &stride) in columns.iter().zip(*strides) {
+                                code += column[i] as usize * stride;
+                            }
+                            joint.push(code as u32);
+                        }
+                        joint.as_slice()
+                    }
+                };
+                kernel(sampler, codes, draws, j, m, out);
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes a report's channel codes back into the randomized record.
+    ///
+    /// # Errors
+    /// Returns [`MdrrError::InvalidConfiguration`] if the report does not
+    /// have one in-range code per channel.
+    pub(crate) fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
+        if codes.len() != self.domains.len() {
+            return Err(MdrrError::config(format!(
+                "report has {} codes but the protocol has {} channels",
+                codes.len(),
+                self.domains.len()
+            )));
+        }
+        let mut record = vec![0u32; self.clustering.attribute_count()];
+        for (k, ((cluster, domain, _), &code)) in self.channels().zip(codes).enumerate() {
+            if code as usize >= domain.size() {
+                return Err(MdrrError::config(format!(
+                    "code {code} out of range for channel {k} ({} categories)",
+                    domain.size()
+                )));
+            }
+            for (&attribute, value) in cluster.iter().zip(domain.decode(code as usize)?) {
+                record[attribute] = value;
+            }
+        }
+        Ok(record)
+    }
+
+    /// Checks accumulated per-channel counts before estimation: at least
+    /// one report, one count vector per channel, each sized to its channel
+    /// and summing to `n_records`.
+    ///
+    /// # Errors
+    /// Returns [`MdrrError::InvalidConfiguration`] naming the violated
+    /// condition.
+    pub(crate) fn check_counts(
+        &self,
+        counts: &[impl AsRef<[u64]>],
+        n_records: usize,
+    ) -> Result<(), MdrrError> {
+        if n_records == 0 {
+            return Err(MdrrError::config(
+                "cannot build a release from zero reports",
+            ));
+        }
+        self.check_count_shape(counts)?;
+        for (k, channel) in counts.iter().enumerate() {
+            let total: u64 = channel.as_ref().iter().sum();
+            if total != n_records as u64 {
+                return Err(MdrrError::config(format!(
+                    "count vector for channel {k} sums to {total} but {n_records} reports \
+                     were accumulated"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that `counts` holds one count vector per channel, each sized
+    /// to its channel's domain.
+    fn check_count_shape(&self, counts: &[impl AsRef<[u64]>]) -> Result<(), MdrrError> {
+        if counts.len() != self.domains.len() {
+            return Err(MdrrError::config(format!(
+                "expected {} count vectors, one per channel, got {}",
+                self.domains.len(),
+                counts.len()
+            )));
+        }
+        for (k, (channel, domain)) in counts.iter().zip(&self.domains).enumerate() {
+            if channel.as_ref().len() != domain.size() {
+                return Err(MdrrError::config(format!(
+                    "count vector for channel {k} has {} cells but the channel has {}",
+                    channel.as_ref().len(),
+                    domain.size()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Each channel's attributes, joint domain and matrix, in channel
+    /// order.
+    fn channels(&self) -> impl Iterator<Item = (&[usize], &JointDomain, &RRMatrix)> {
+        self.clustering
+            .clusters()
+            .iter()
+            .zip(&self.domains)
+            .zip(&self.matrices)
+            .map(|((cluster, domain), matrix)| (cluster.as_slice(), domain, matrix))
+    }
+}
+
+/// Validates a columnar record batch against a schema in one pass per
+/// column: the arity must match and every code must lie within its
+/// attribute's domain — the once-per-batch replacement for per-record
+/// `Schema::validate_record` calls.
+fn validate_records_view(records: &RecordsView<'_>, schema: &Schema) -> Result<(), MdrrError> {
+    if records.n_attributes() != schema.len() {
+        return Err(MdrrError::config(format!(
+            "batch records have {} attributes but the schema has {}",
+            records.n_attributes(),
+            schema.len()
+        )));
+    }
+    for (col, attribute) in records.columns().iter().zip(schema.attributes()) {
+        let cardinality = attribute.cardinality() as u32;
+        if let Some(&bad) = col.iter().find(|&&v| v >= cardinality) {
+            return Err(MdrrError::config(format!(
+                "code {bad} out of range for attribute `{}` ({cardinality} categories)",
+                attribute.name()
+            )));
+        }
+    }
+    Ok(())
+}

@@ -12,12 +12,11 @@
 //! RR-Adjustment (Section 5) repairs.
 
 use crate::adjustment::AdjustmentTarget;
+use crate::clustering::Clustering;
+use crate::codec::ChannelCodec;
 use crate::error::{MdrrError, ProtocolError};
 use crate::estimator::{validate_assignment, Assignment, FrequencyEstimator};
-use crate::protocol::{
-    validate_batch_shape, validate_records_view, validate_report_shape, validate_tally_shape,
-    with_predrawn, Protocol, Release,
-};
+use crate::protocol::{Protocol, Release};
 use mdrr_core::{
     estimate_proper_from_counts, randomize_dataset_independent, PrivacyAccountant, RRMatrix,
 };
@@ -26,11 +25,12 @@ use rand::{Rng, RngCore};
 
 pub use crate::protocol::RandomizationLevel;
 
-/// The RR-Independent protocol, configured for a schema.
+/// The RR-Independent protocol, configured for a schema: RR-Clusters over
+/// one singleton cluster per attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RRIndependent {
     schema: Schema,
-    matrices: Vec<RRMatrix>,
+    codec: ChannelCodec,
 }
 
 impl RRIndependent {
@@ -41,7 +41,7 @@ impl RRIndependent {
     /// (probability outside `[0, 1]`, negative ε, wrong budget count).
     pub fn new(schema: Schema, level: &RandomizationLevel) -> Result<Self, ProtocolError> {
         let matrices = level.independent_matrices(&schema)?;
-        Ok(RRIndependent { schema, matrices })
+        Self::from_matrices(schema, matrices)
     }
 
     /// Configures the protocol with explicit per-attribute matrices.
@@ -50,24 +50,8 @@ impl RRIndependent {
     /// Returns [`ProtocolError::InvalidConfiguration`] if the number of
     /// matrices or any matrix size does not match the schema.
     pub fn from_matrices(schema: Schema, matrices: Vec<RRMatrix>) -> Result<Self, ProtocolError> {
-        if matrices.len() != schema.len() {
-            return Err(ProtocolError::config(format!(
-                "expected {} matrices, got {}",
-                schema.len(),
-                matrices.len()
-            )));
-        }
-        for (attribute, matrix) in schema.attributes().iter().zip(matrices.iter()) {
-            if matrix.size() != attribute.cardinality() {
-                return Err(ProtocolError::config(format!(
-                    "matrix for `{}` has size {} but the attribute has {} categories",
-                    attribute.name(),
-                    matrix.size(),
-                    attribute.cardinality()
-                )));
-            }
-        }
-        Ok(RRIndependent { schema, matrices })
+        let codec = ChannelCodec::new(&schema, Clustering::singletons(schema.len())?, matrices)?;
+        Ok(RRIndependent { schema, codec })
     }
 
     /// The schema the protocol was configured for.
@@ -77,37 +61,14 @@ impl RRIndependent {
 
     /// The per-attribute randomization matrices, in schema order.
     pub fn matrices(&self) -> &[RRMatrix] {
-        &self.matrices
+        self.codec.matrices()
     }
 
     /// Per-attribute privacy budgets ε_A of the configured matrices
     /// (Expression (4)); these are the inputs to the equivalent-risk
     /// construction of RR-Clusters (Section 6.3.2).
     pub fn epsilons(&self) -> Vec<f64> {
-        self.matrices.iter().map(RRMatrix::epsilon).collect()
-    }
-
-    /// Client-side encoding: randomizes one true record into its report —
-    /// one randomized code per attribute.  This is the unit of work a party
-    /// performs locally before sending anything to the collector; the
-    /// streaming subsystem (`mdrr-stream`) accumulates these reports into
-    /// per-attribute count vectors and estimates with
-    /// [`RRIndependent::release_from_counts`].
-    ///
-    /// # Errors
-    /// * [`ProtocolError::Data`] if the record does not fit the schema;
-    /// * propagated randomization errors otherwise.
-    pub fn encode_record(
-        &self,
-        record: &[u32],
-        rng: &mut impl Rng,
-    ) -> Result<Vec<u32>, ProtocolError> {
-        self.schema.validate_record(record)?;
-        record
-            .iter()
-            .zip(self.matrices.iter())
-            .map(|(&value, matrix)| matrix.randomize(value, rng).map_err(ProtocolError::from))
-            .collect()
+        self.matrices().iter().map(RRMatrix::epsilon).collect()
     }
 
     /// Collector-side estimation from accumulated sufficient statistics:
@@ -128,35 +89,10 @@ impl RRIndependent {
         counts: &[Vec<u64>],
         n_records: usize,
     ) -> Result<IndependentRelease, ProtocolError> {
-        if n_records == 0 {
-            return Err(ProtocolError::config(
-                "cannot build an RR-Independent release from zero reports",
-            ));
-        }
-        if counts.len() != self.matrices.len() {
-            return Err(ProtocolError::config(format!(
-                "expected {} per-attribute count vectors, got {}",
-                self.matrices.len(),
-                counts.len()
-            )));
-        }
-        let mut marginals = Vec::with_capacity(self.matrices.len());
+        self.codec.check_counts(counts, n_records)?;
+        let mut marginals = Vec::with_capacity(counts.len());
         let mut accountant = PrivacyAccountant::new();
-        for (j, (matrix, channel)) in self.matrices.iter().zip(counts.iter()).enumerate() {
-            if channel.len() != matrix.size() {
-                return Err(ProtocolError::config(format!(
-                    "count vector for attribute {j} has {} categories, expected {}",
-                    channel.len(),
-                    matrix.size()
-                )));
-            }
-            let total: u64 = channel.iter().sum();
-            if total != n_records as u64 {
-                return Err(ProtocolError::config(format!(
-                    "count vector for attribute {j} sums to {total} but {n_records} reports \
-                     were accumulated"
-                )));
-            }
+        for (j, (matrix, channel)) in self.matrices().iter().zip(counts).enumerate() {
             marginals.push(estimate_proper_from_counts(matrix, channel)?);
             accountant.record_matrix(
                 format!("RR-Independent on {}", self.schema.attribute(j)?.name()),
@@ -165,7 +101,7 @@ impl RRIndependent {
         }
         Ok(IndependentRelease {
             randomized: None,
-            matrices: self.matrices.clone(),
+            matrices: self.matrices().to_vec(),
             marginals,
             accountant,
             n_records,
@@ -226,7 +162,7 @@ impl RRIndependent {
                 "cannot run RR-Independent on an empty dataset",
             ));
         }
-        let randomized = randomize_dataset_independent(dataset, &self.matrices, rng)?;
+        let randomized = randomize_dataset_independent(dataset, self.matrices(), rng)?;
         self.release_from_randomized(randomized)
     }
 }
@@ -306,83 +242,33 @@ impl Protocol for RRIndependent {
     }
 
     fn channel_sizes(&self) -> Vec<usize> {
-        self.matrices.iter().map(RRMatrix::size).collect()
+        self.codec.channel_sizes()
     }
 
     fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        RRIndependent::encode_record(self, record, &mut &mut *rng)
+        self.codec.encode_record(&self.schema, record, rng)
     }
 
-    /// Tuned batch override: the schema is validated once per batch
-    /// (per-column range scans), the per-attribute randomization kernels
-    /// are prepared once, the randomness is bulk-pre-drawn (one virtual
-    /// RNG call per refill), and codes are written straight into the
-    /// reusable per-channel buffers — zero allocations per record, pure
-    /// arithmetic in the loop.  Draws are consumed record-major (record
-    /// `i`'s attributes in schema order), exactly as repeated
-    /// [`RRIndependent::encode_record`] calls would consume them.
     fn encode_batch(
         &self,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         out: &mut [Vec<u32>],
     ) -> Result<(), MdrrError> {
-        validate_batch_shape(out.len(), self.matrices.len())?;
-        validate_records_view(records, &self.schema)?;
-        let n = records.n_records();
-        for channel in out.iter_mut() {
-            channel.reserve(n);
-        }
-        let columns = records.columns();
-        let samplers: Vec<_> = self.matrices.iter().map(RRMatrix::prepared).collect();
-        let m = samplers.len();
-        with_predrawn(n, m, rng, |range, draws| {
-            // Column-at-a-time over the pre-drawn randomness: channel `j`
-            // of record `i` consumes draw `i·m + j` — the record-major
-            // mapping of the per-record path — while each channel runs as
-            // one tight `RRMatrix::randomize_strided_into` pass.
-            for (j, ((column, sampler), channel)) in columns
-                .iter()
-                .zip(samplers.iter())
-                .zip(out.iter_mut())
-                .enumerate()
-            {
-                sampler.randomize_strided_into(&column[range.clone()], draws, j, m, channel);
-            }
-        });
-        Ok(())
+        self.codec.encode_batch(&self.schema, records, rng, out)
     }
 
-    /// Fused randomize-and-count override: the same draw schedule and
-    /// codes as the batch encoder, tallied per attribute in one pass —
-    /// nothing is stored or re-read.
     fn encode_tally(
         &self,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         tallies: &mut [Vec<u64>],
     ) -> Result<(), MdrrError> {
-        validate_tally_shape(tallies, &Protocol::channel_sizes(self))?;
-        validate_records_view(records, &self.schema)?;
-        let columns = records.columns();
-        let samplers: Vec<_> = self.matrices.iter().map(RRMatrix::prepared).collect();
-        let m = samplers.len();
-        with_predrawn(records.n_records(), m, rng, |range, draws| {
-            for (j, ((column, sampler), tally)) in columns
-                .iter()
-                .zip(samplers.iter())
-                .zip(tallies.iter_mut())
-                .enumerate()
-            {
-                sampler.randomize_strided_tally(&column[range.clone()], draws, j, m, tally);
-            }
-        });
-        Ok(())
+        self.codec.encode_tally(&self.schema, records, rng, tallies)
     }
 
     fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
-        validate_report_shape(codes, &Protocol::channel_sizes(self))?;
-        Ok(codes.to_vec())
+        self.codec.decode_report(codes)
     }
 
     fn release_from_counts(

@@ -14,13 +14,14 @@
 //! paper's experiments cannot run RR-Joint on the full Adult schema.
 
 use crate::adjustment::AdjustmentTarget;
+use crate::clustering::Clustering;
+use crate::codec::ChannelCodec;
 use crate::error::{MdrrError, ProtocolError};
 use crate::estimator::{validate_assignment, Assignment, FrequencyEstimator};
-use crate::protocol::{
-    gather_joint_codes, validate_batch_shape, validate_records_view, validate_report_shape,
-    validate_tally_shape, with_predrawn, Protocol, RandomizationLevel, Release,
+use crate::protocol::{Protocol, RandomizationLevel, Release};
+use mdrr_core::{
+    estimate_proper_from_counts, randomize_joint, CoreError, PrivacyAccountant, RRMatrix,
 };
-use mdrr_core::{estimate_proper_from_counts, randomize_joint, PrivacyAccountant, RRMatrix};
 use mdrr_data::{Dataset, JointDomain, RecordsView, Schema};
 use rand::{Rng, RngCore};
 
@@ -28,12 +29,12 @@ use rand::{Rng, RngCore};
 /// constructors.
 pub const DEFAULT_MAX_JOINT_DOMAIN: usize = 1_000_000;
 
-/// The RR-Joint protocol over the full attribute set of a schema.
+/// The RR-Joint protocol over the full attribute set of a schema:
+/// RR-Clusters over one cluster holding every attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RRJoint {
     schema: Schema,
-    domain: JointDomain,
-    matrix: RRMatrix,
+    codec: ChannelCodec,
 }
 
 impl RRJoint {
@@ -43,19 +44,15 @@ impl RRJoint {
     ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfiguration`] if the joint domain
-    /// exceeds the cap (or overflows), or the budget is invalid.
+    /// exceeds the cap or 2³² combinations (a report code is a `u32`), or
+    /// the budget is invalid.
     pub fn with_epsilon(
         schema: Schema,
         epsilon: f64,
         max_domain: Option<usize>,
     ) -> Result<Self, ProtocolError> {
-        let domain = JointDomain::new(&schema.cardinalities())?;
-        Self::check_domain(&domain, max_domain)?;
-        let matrix = RRMatrix::from_epsilon(epsilon, domain.size())?;
-        Ok(RRJoint {
-            schema,
-            domain,
-            matrix,
+        Self::build(schema, max_domain, |size| {
+            RRMatrix::from_epsilon(epsilon, size)
         })
     }
 
@@ -69,14 +66,7 @@ impl RRJoint {
         p: f64,
         max_domain: Option<usize>,
     ) -> Result<Self, ProtocolError> {
-        let domain = JointDomain::new(&schema.cardinalities())?;
-        Self::check_domain(&domain, max_domain)?;
-        let matrix = RRMatrix::uniform_keep(p, domain.size())?;
-        Ok(RRJoint {
-            schema,
-            domain,
-            matrix,
-        })
+        Self::build(schema, max_domain, |size| RRMatrix::uniform_keep(p, size))
     }
 
     /// Configures RR-Joint at the *equivalent risk* of RR-Independent with
@@ -94,26 +84,31 @@ impl RRJoint {
         max_domain: Option<usize>,
     ) -> Result<Self, ProtocolError> {
         let epsilons = level.attribute_epsilons(&schema)?;
-        let domain = JointDomain::new(&schema.cardinalities())?;
-        Self::check_domain(&domain, max_domain)?;
-        let matrix = RRMatrix::cluster_from_epsilons(&epsilons, domain.size())?;
-        Ok(RRJoint {
-            schema,
-            domain,
-            matrix,
+        Self::build(schema, max_domain, |size| {
+            RRMatrix::cluster_from_epsilons(&epsilons, size)
         })
     }
 
-    fn check_domain(domain: &JointDomain, max_domain: Option<usize>) -> Result<(), ProtocolError> {
+    /// Builds the single all-attribute channel, refusing joint domains
+    /// above `max_domain`, with the matrix `matrix` makes for the domain
+    /// size.
+    fn build(
+        schema: Schema,
+        max_domain: Option<usize>,
+        matrix: impl FnOnce(usize) -> Result<RRMatrix, CoreError>,
+    ) -> Result<Self, ProtocolError> {
+        let m = schema.len();
+        let whole = Clustering::new(vec![(0..m).collect()], m)?;
+        let size = ChannelCodec::channel_domains(&schema, &whole)?[0].size();
         let cap = max_domain.unwrap_or(DEFAULT_MAX_JOINT_DOMAIN);
-        if domain.size() > cap {
+        if size > cap {
             return Err(ProtocolError::config(format!(
-                "joint domain has {} combinations, above the configured cap of {cap}; \
-                 use RR-Independent or RR-Clusters instead",
-                domain.size()
+                "joint domain has {size} combinations, above the configured cap of {cap}; \
+                 use RR-Independent or RR-Clusters instead"
             )));
         }
-        Ok(())
+        let codec = ChannelCodec::new(&schema, whole, vec![matrix(size)?])?;
+        Ok(RRJoint { schema, codec })
     }
 
     /// The schema the protocol was configured for.
@@ -123,24 +118,12 @@ impl RRJoint {
 
     /// The joint-domain codec.
     pub fn domain(&self) -> &JointDomain {
-        &self.domain
+        &self.codec.domains()[0]
     }
 
     /// The randomization matrix over the joint domain.
     pub fn matrix(&self) -> &RRMatrix {
-        &self.matrix
-    }
-
-    /// Client-side encoding: randomizes one true record into its report —
-    /// a single randomized code over the joint domain.
-    ///
-    /// # Errors
-    /// * [`ProtocolError::Data`] if the record does not fit the schema;
-    /// * propagated randomization errors otherwise.
-    pub fn encode_record(&self, record: &[u32], rng: &mut impl Rng) -> Result<u32, ProtocolError> {
-        self.schema.validate_record(record)?;
-        let code = self.domain.encode(record)?;
-        Ok(self.matrix.randomize(code as u32, rng)?)
+        &self.codec.matrices()[0]
     }
 
     /// Collector-side estimation from accumulated sufficient statistics:
@@ -159,30 +142,24 @@ impl RRJoint {
         counts: &[u64],
         n_records: usize,
     ) -> Result<JointRelease, ProtocolError> {
-        if n_records == 0 {
-            return Err(ProtocolError::config(
-                "cannot build an RR-Joint release from zero reports",
-            ));
-        }
-        if counts.len() != self.domain.size() {
-            return Err(ProtocolError::config(format!(
-                "count vector has {} cells but the joint domain has {}",
-                counts.len(),
-                self.domain.size()
-            )));
-        }
-        let total: u64 = counts.iter().sum();
-        if total != n_records as u64 {
-            return Err(ProtocolError::config(format!(
-                "count vector sums to {total} but {n_records} reports were accumulated"
-            )));
-        }
-        let joint = estimate_proper_from_counts(&self.matrix, counts)?;
+        self.release(&[counts], n_records)
+    }
+
+    /// [`RRJoint::release_from_counts`] over the per-channel count vectors
+    /// of [`Protocol::release_from_counts`]: exactly one, for the joint
+    /// domain.
+    fn release(
+        &self,
+        counts: &[impl AsRef<[u64]>],
+        n_records: usize,
+    ) -> Result<JointRelease, ProtocolError> {
+        self.codec.check_counts(counts, n_records)?;
+        let joint = estimate_proper_from_counts(self.matrix(), counts[0].as_ref())?;
         let mut accountant = PrivacyAccountant::new();
-        accountant.record_matrix("RR-Joint on the full attribute set", &self.matrix);
+        accountant.record_matrix("RR-Joint on the full attribute set", self.matrix());
         Ok(JointRelease {
             schema: self.schema.clone(),
-            domain: self.domain.clone(),
+            domain: self.domain().clone(),
             randomized: None,
             joint,
             accountant,
@@ -243,17 +220,17 @@ impl RRJoint {
             ));
         }
         let attributes: Vec<usize> = (0..self.schema.len()).collect();
-        let randomized_codes = randomize_joint(dataset, &attributes, &self.matrix, rng)?;
+        let randomized_codes = randomize_joint(dataset, &attributes, self.matrix(), rng)?;
 
         // Estimate directly from the in-hand joint codes (no re-encoding
         // round-trip) and reconstruct the randomized microdata set so
         // downstream consumers (Randomized baseline, RR-Adjustment) can use
         // it like any other release.
-        let mut counts = vec![0u64; self.domain.size()];
+        let mut counts = vec![0u64; self.domain().size()];
         let mut randomized = Dataset::empty(self.schema.clone());
         for &code in &randomized_codes {
             counts[code as usize] += 1;
-            let record = self.domain.decode(code as usize)?;
+            let record = self.domain().decode(code as usize)?;
             randomized.push_record(&record)?;
         }
         let mut release = self.release_from_counts(&counts, randomized_codes.len())?;
@@ -360,68 +337,33 @@ impl Protocol for RRJoint {
     }
 
     fn channel_sizes(&self) -> Vec<usize> {
-        vec![self.domain.size()]
+        self.codec.channel_sizes()
     }
 
     fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        Ok(vec![RRJoint::encode_record(self, record, &mut &mut *rng)?])
+        self.codec.encode_record(&self.schema, record, rng)
     }
 
-    /// Tuned batch override: the schema is validated once per batch, the
-    /// mixed-radix joint encoding is fused into the loop via the domain's
-    /// strides (no per-record tuple buffer, no per-value range re-checks),
-    /// the randomness is bulk-pre-drawn and the single channel buffer is
-    /// written in place.  One draw per record, in record order —
-    /// bit-identical to repeated [`RRJoint::encode_record`] calls.
     fn encode_batch(
         &self,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         out: &mut [Vec<u32>],
     ) -> Result<(), MdrrError> {
-        validate_batch_shape(out.len(), 1)?;
-        validate_records_view(records, &self.schema)?;
-        let n = records.n_records();
-        let channel = &mut out[0];
-        channel.reserve(n);
-        let strides = self.domain.strides();
-        let columns = records.columns();
-        let sampler = self.matrix.prepared();
-        // Scratch for the fused mixed-radix joint codes of one chunk.
-        let mut codes: Vec<u32> = Vec::new();
-        with_predrawn(n, 1, rng, |range, draws| {
-            gather_joint_codes(columns, strides, range, &mut codes);
-            sampler.randomize_strided_into(&codes, draws, 0, 1, channel);
-        });
-        Ok(())
+        self.codec.encode_batch(&self.schema, records, rng, out)
     }
 
-    /// Fused randomize-and-count override: the same draw schedule and
-    /// codes as the batch encoder, tallied over the joint domain in one
-    /// pass.
     fn encode_tally(
         &self,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         tallies: &mut [Vec<u64>],
     ) -> Result<(), MdrrError> {
-        validate_tally_shape(tallies, &Protocol::channel_sizes(self))?;
-        validate_records_view(records, &self.schema)?;
-        let strides = self.domain.strides();
-        let columns = records.columns();
-        let sampler = self.matrix.prepared();
-        let tally = &mut tallies[0];
-        let mut codes: Vec<u32> = Vec::new();
-        with_predrawn(records.n_records(), 1, rng, |range, draws| {
-            gather_joint_codes(columns, strides, range, &mut codes);
-            sampler.randomize_strided_tally(&codes, draws, 0, 1, tally);
-        });
-        Ok(())
+        self.codec.encode_tally(&self.schema, records, rng, tallies)
     }
 
     fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
-        validate_report_shape(codes, &Protocol::channel_sizes(self))?;
-        Ok(self.domain.decode(codes[0] as usize)?)
+        self.codec.decode_report(codes)
     }
 
     fn release_from_counts(
@@ -429,15 +371,7 @@ impl Protocol for RRJoint {
         counts: &[Vec<u64>],
         n_records: usize,
     ) -> Result<Box<dyn Release>, MdrrError> {
-        if counts.len() != 1 {
-            return Err(MdrrError::config(format!(
-                "RR-Joint has a single channel but {} count vectors were provided",
-                counts.len()
-            )));
-        }
-        Ok(Box::new(RRJoint::release_from_counts(
-            self, &counts[0], n_records,
-        )?))
+        Ok(Box::new(self.release(counts, n_records)?))
     }
 
     fn release_from_randomized(&self, randomized: Dataset) -> Result<Box<dyn Release>, MdrrError> {
@@ -451,7 +385,7 @@ impl Protocol for RRJoint {
     }
 
     fn epsilons(&self) -> Vec<f64> {
-        vec![self.matrix.epsilon()]
+        vec![self.matrix().epsilon()]
     }
 }
 
@@ -591,7 +525,7 @@ mod tests {
         let mut reports: Vec<u32> = Vec::with_capacity(ds.n_records());
         for i in 0..ds.n_records() {
             view.read_record(i, &mut row).unwrap();
-            reports.push(protocol.encode_record(&row, &mut rng).unwrap());
+            reports.push(protocol.encode_record(&row, &mut rng).unwrap()[0]);
         }
 
         let mut counts = vec![0u64; protocol.domain().size()];

@@ -69,6 +69,7 @@
 pub mod adjustment;
 pub mod clustering;
 pub mod clusters;
+mod codec;
 pub mod dependence;
 pub mod error;
 pub mod estimator;

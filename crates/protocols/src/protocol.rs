@@ -130,9 +130,15 @@ impl RandomizationLevel {
 ///
 /// The trait is object-safe: streaming ingestion (`mdrr-stream`), the
 /// evaluation harness and the benches hold `Arc<dyn Protocol>` and work
-/// with any current or future protocol unchanged.  Concrete protocol types
-/// keep their inherent, statically-dispatched methods (which these trait
-/// impls delegate to), so monomorphised hot paths lose nothing.
+/// with any current or future protocol unchanged.
+///
+/// RR-Independent, RR-Joint and RR-Clusters share one channel codec: in
+/// the paper the two basic protocols are the ends of RR-Clusters (one
+/// cluster per attribute, and one cluster holding every attribute), so
+/// their encoding, decoding and count-shape methods are one-line
+/// delegations to that codec.  The batch encoders validate and prepare
+/// once per call, so dispatching through `dyn Protocol` costs one virtual
+/// call per batch, not per record.
 pub trait Protocol: fmt::Debug + Send + Sync {
     /// Human-readable protocol name (used in ledgers, logs and reports).
     fn name(&self) -> String;
@@ -157,8 +163,7 @@ pub trait Protocol: fmt::Debug + Send + Sync {
     /// true records, appending one code per record to each channel buffer
     /// of `out` (in channel order) — the bulk fast path of the pipeline.
     ///
-    /// The contract, shared by the provided implementation and every
-    /// override:
+    /// The contract every implementation keeps:
     ///
     /// * exactly `records.n_records()` codes are appended to every channel
     ///   buffer, in record order;
@@ -175,31 +180,16 @@ pub trait Protocol: fmt::Debug + Send + Sync {
     /// On error, the contents of `out` are unspecified; callers should
     /// clear the buffers before retrying.
     ///
-    /// The provided implementation delegates to
-    /// [`Protocol::encode_record`] through a reused row buffer; the
-    /// concrete protocols override it with allocation-free columnar loops.
-    ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] if `out` does not have
-    /// one buffer per channel, and [`MdrrError::Data`] if a record does
-    /// not fit the schema; propagated randomization errors otherwise.
+    /// one buffer per channel or a record does not fit the schema;
+    /// propagated randomization errors otherwise.
     fn encode_batch(
         &self,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         out: &mut [Vec<u32>],
-    ) -> Result<(), MdrrError> {
-        validate_batch_shape(out.len(), self.channel_sizes().len())?;
-        let mut row = Vec::with_capacity(records.n_attributes());
-        for i in 0..records.n_records() {
-            records.read_record(i, &mut row).map_err(MdrrError::from)?;
-            let codes = self.encode_record(&row, rng)?;
-            for (channel, &code) in out.iter_mut().zip(codes.iter()) {
-                channel.push(code);
-            }
-        }
-        Ok(())
-    }
+    ) -> Result<(), MdrrError>;
 
     /// Client-side batch encoding straight into per-channel count vectors
     /// — the *sufficient-statistics* fast path of bulk ingestion.
@@ -217,31 +207,16 @@ pub trait Protocol: fmt::Debug + Send + Sync {
     /// into one set of tallies before merging.  On error the tallies are
     /// unchanged (validation happens before any counting).
     ///
-    /// The provided implementation encodes through
-    /// [`Protocol::encode_batch`] into a scratch batch and counts it; the
-    /// concrete protocols override it with fused randomize-and-count
-    /// loops.
-    ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] if `tallies` does not
-    /// match the channel topology, and [`MdrrError::Data`] if a record
-    /// does not fit the schema; propagated randomization errors otherwise.
+    /// match the channel topology or a record does not fit the schema;
+    /// propagated randomization errors otherwise.
     fn encode_tally(
         &self,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         tallies: &mut [Vec<u64>],
-    ) -> Result<(), MdrrError> {
-        validate_tally_shape(tallies, &self.channel_sizes())?;
-        let mut scratch: Vec<Vec<u32>> = vec![Vec::new(); tallies.len()];
-        self.encode_batch(records, rng, &mut scratch)?;
-        for (codes, tally) in scratch.iter().zip(tallies.iter_mut()) {
-            for &code in codes {
-                tally[code as usize] += 1;
-            }
-        }
-        Ok(())
-    }
+    ) -> Result<(), MdrrError>;
 
     /// Decodes a report's channel codes back into the randomized microdata
     /// record the batch collector would have received (the inverse of the
@@ -326,147 +301,6 @@ pub trait Release: FrequencyEstimator + fmt::Debug + Send + Sync {
     /// Returns [`MdrrError::UnsupportedQuery`] for releases that cannot be
     /// adjusted further (e.g. an already-adjusted release).
     fn adjustment_targets(&self) -> Result<Vec<AdjustmentTarget>, MdrrError>;
-}
-
-/// Raw u64 draws pre-filled per [`with_predrawn`] refill: large enough to
-/// amortise the one virtual `fill_u64` call per refill, small enough to
-/// stay cache-resident.
-const DRAW_BUFFER: usize = 8 * 1024;
-
-/// Drives a batched encoder over `0..n_records` with bulk-pre-drawn
-/// randomness: repeatedly fills a raw u64 buffer with
-/// `draws_per_record × range_len` consecutive RNG outputs (one virtual
-/// [`RngCore::fill_u64`] call per refill instead of one per draw) and
-/// hands each record sub-range to `body` together with its draws.
-///
-/// Because every protocol consumes exactly one draw per (record, channel)
-/// — the fused keep/redraw kernel of `mdrr_core` — consuming the buffer in
-/// record-major channel order replays the exact `next_u64` stream the
-/// per-record path would consume, which is what keeps the batched output
-/// bit-identical to repeated [`Protocol::encode_record`] calls.
-pub(crate) fn with_predrawn(
-    n_records: usize,
-    draws_per_record: usize,
-    rng: &mut dyn RngCore,
-    mut body: impl FnMut(std::ops::Range<usize>, &[u64]),
-) {
-    debug_assert!(draws_per_record > 0);
-    let records_per_fill = (DRAW_BUFFER / draws_per_record).max(1);
-    let mut draws = vec![0u64; records_per_fill.min(n_records) * draws_per_record];
-    let mut start = 0;
-    while start < n_records {
-        let end = (start + records_per_fill).min(n_records);
-        let buffer = &mut draws[..(end - start) * draws_per_record];
-        rng.fill_u64(buffer);
-        body(start..end, buffer);
-        start = end;
-    }
-}
-
-/// Gathers the fused mixed-radix joint codes of the records at `range`
-/// into `out` (cleared first): record `i` maps to
-/// `Σ columns[j][i] · strides[j]`.  Shared by the RR-Joint and
-/// RR-Clusters batch encoders, whose per-value validation was hoisted to
-/// [`validate_records_view`], so no range re-checks run here.
-pub(crate) fn gather_joint_codes(
-    columns: &[&[u32]],
-    strides: &[usize],
-    range: std::ops::Range<usize>,
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    for i in range {
-        let mut code = 0usize;
-        for (column, &stride) in columns.iter().zip(strides.iter()) {
-            code += column[i] as usize * stride;
-        }
-        out.push(code as u32);
-    }
-}
-
-/// Validates that a batch-encode output has one buffer per channel.
-/// Shared by [`Protocol::encode_batch`] and its overrides.
-pub(crate) fn validate_batch_shape(out_len: usize, n_channels: usize) -> Result<(), MdrrError> {
-    if out_len != n_channels {
-        return Err(MdrrError::config(format!(
-            "batch output has {out_len} channel buffers but the protocol has {n_channels} channels"
-        )));
-    }
-    Ok(())
-}
-
-/// Validates that a tally-encode output has one count vector per channel,
-/// each sized to its channel's domain.  Shared by
-/// [`Protocol::encode_tally`] and its overrides.
-pub(crate) fn validate_tally_shape(
-    tallies: &[Vec<u64>],
-    channel_sizes: &[usize],
-) -> Result<(), MdrrError> {
-    if tallies.len() != channel_sizes.len() {
-        return Err(MdrrError::config(format!(
-            "tally output has {} count vectors but the protocol has {} channels",
-            tallies.len(),
-            channel_sizes.len()
-        )));
-    }
-    for (k, (tally, &size)) in tallies.iter().zip(channel_sizes.iter()).enumerate() {
-        if tally.len() != size {
-            return Err(MdrrError::config(format!(
-                "tally for channel {k} has {} cells but the channel domain has {size}",
-                tally.len()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a columnar record batch against a schema in one pass per
-/// column: the arity must match and every code must lie within its
-/// attribute's domain.  This is the once-per-batch replacement for the
-/// per-record `Schema::validate_record` calls of the scalar path, shared
-/// by the tuned [`Protocol::encode_batch`] overrides.
-pub(crate) fn validate_records_view(
-    records: &RecordsView<'_>,
-    schema: &Schema,
-) -> Result<(), MdrrError> {
-    if records.n_attributes() != schema.len() {
-        return Err(MdrrError::config(format!(
-            "batch records have {} attributes but the schema has {}",
-            records.n_attributes(),
-            schema.len()
-        )));
-    }
-    for (col, attribute) in records.columns().iter().zip(schema.attributes()) {
-        let cardinality = attribute.cardinality() as u32;
-        if let Some(&bad) = col.iter().find(|&&v| v >= cardinality) {
-            return Err(MdrrError::config(format!(
-                "code {bad} out of range for attribute `{}` ({cardinality} categories)",
-                attribute.name()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a report's channel codes against a protocol's channel layout:
-/// the arity must match and every code must lie within its channel's
-/// domain.  Shared by the [`Protocol::decode_report`] implementations.
-pub(crate) fn validate_report_shape(codes: &[u32], sizes: &[usize]) -> Result<(), MdrrError> {
-    if codes.len() != sizes.len() {
-        return Err(MdrrError::config(format!(
-            "report has {} codes but the protocol has {} channels",
-            codes.len(),
-            sizes.len()
-        )));
-    }
-    for (k, (&code, &size)) in codes.iter().zip(sizes.iter()).enumerate() {
-        if code as usize >= size {
-            return Err(MdrrError::config(format!(
-                "code {code} out of range for channel {k} ({size} categories)"
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
