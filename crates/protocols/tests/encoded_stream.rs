@@ -6,10 +6,12 @@
 //! synthetic Adult records for each of the four `ProtocolSpec` shapes, and
 //! check that `encode_record` and `encode_tally` agree with it.  A change
 //! that alters the randomized stream on purpose re-captures the constants.
+//! `release_is_pinned` does the same for the collector side: the estimates,
+//! query answers, ledger and randomized microdata of every release path.
 
-use mdrr_data::{adult_schema, AdultSynthesizer, Attribute, RecordsView, Schema};
+use mdrr_data::{adult_schema, AdultSynthesizer, Attribute, Dataset, RecordsView, Schema};
 use mdrr_protocols::{
-    AdjustmentConfig, Clustering, Protocol, ProtocolSpec, RRClusters, RandomizationLevel,
+    AdjustmentConfig, Clustering, Protocol, ProtocolSpec, RRClusters, RandomizationLevel, Release,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,6 +52,18 @@ impl Fnv {
 
     fn code(&mut self, code: u32) {
         for byte in code.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, word: u64) {
+        self.code(word as u32);
+        self.code((word >> 32) as u32);
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -148,6 +162,105 @@ fn encoded_stream_is_pinned() {
             }
             assert_eq!(tallies, counts, "encode_tally, {}", spec.label());
         }
+    }
+}
+
+/// Hashes what a release publishes: the bits of every marginal, the bits
+/// of every single-attribute query and of one pair query per attribute
+/// pair, the ledger's text and, when present, the randomized microdata
+/// column by column.
+fn release_hash(release: &dyn Release, schema: &Schema) -> u64 {
+    let mut hash = Fnv::new();
+    hash.word(release.record_count() as u64);
+    let cards = schema.cardinalities();
+    for (a, &ca) in cards.iter().enumerate() {
+        for p in release.marginal(a).unwrap() {
+            hash.word(p.to_bits());
+        }
+        for va in 0..ca as u32 {
+            hash.word(release.frequency(&[(a, va)]).unwrap().to_bits());
+        }
+        for (b, &cb) in cards.iter().enumerate().skip(a + 1) {
+            let query = [(a, (a % ca) as u32), (b, (cb - 1) as u32)];
+            hash.word(release.frequency(&query).unwrap().to_bits());
+        }
+    }
+    hash.bytes(release.accountant().to_string().as_bytes());
+    if let Some(randomized) = release.randomized() {
+        for column in randomized.view().columns() {
+            column.iter().for_each(|&code| hash.code(code));
+        }
+    }
+    hash.0
+}
+
+/// `RELEASES[spec]`: the [`release_hash`] of spec `spec` (in [`specs`]
+/// order) through `release_from_counts`, `release_from_randomized` and
+/// `run`.  RR-Adjustment estimates from microdata only, so its
+/// `release_from_counts` entry is 0 and the call must fail.
+const RELEASES: [[u64; 3]; 4] = [
+    [
+        0xa584_87a8_caa4_98cc,
+        0xf139_3a0a_5130_8119,
+        0x5f0a_2fbd_f118_da34,
+    ],
+    [
+        0xbadc_a5f1_89ee_6d50,
+        0xd062_56eb_b14a_1e96,
+        0x0c58_8950_a3f0_051f,
+    ],
+    [
+        0x4863_1f47_bf8d_bffe,
+        0x87fa_5a4b_c84e_86a2,
+        0xe752_babb_83db_3856,
+    ],
+    [0, 0x85e4_9abd_252e_8320, 0xbccf_02a3_6fcf_d48d],
+];
+
+#[test]
+fn release_is_pinned() {
+    const N: usize = 4_000;
+    const SEED: u64 = 5;
+    let schema = adult_schema();
+    let dataset = AdultSynthesizer::new(N)
+        .unwrap()
+        .generate(&mut StdRng::seed_from_u64(SEED));
+    let view = dataset.view();
+    for (p, spec) in specs(&schema).iter().enumerate() {
+        let protocol = spec.build(&schema).unwrap();
+        let label = spec.label();
+
+        // The randomized reports of the first half of the records, as
+        // counts and as microdata.
+        let mut out: Vec<Vec<u32>> = vec![Vec::new(); protocol.channel_sizes().len()];
+        let half = view.slice(0..N / 2).unwrap();
+        protocol
+            .encode_batch(&half, &mut StdRng::seed_from_u64(SEED), &mut out)
+            .unwrap();
+        let mut counts = empty_tallies(&*protocol);
+        let mut records = Vec::with_capacity(N / 2);
+        for i in 0..N / 2 {
+            let codes: Vec<u32> = out.iter().map(|channel| channel[i]).collect();
+            for (tally, &code) in counts.iter_mut().zip(&codes) {
+                tally[code as usize] += 1;
+            }
+            records.push(protocol.decode_report(&codes).unwrap());
+        }
+        let randomized = Dataset::from_records(schema.clone(), &records).unwrap();
+
+        let from_counts = match protocol.release_from_counts(&counts, N / 2) {
+            Ok(release) => release_hash(&*release, &schema),
+            Err(_) => 0,
+        };
+        let from_randomized = release_hash(
+            &*protocol.release_from_randomized(randomized).unwrap(),
+            &schema,
+        );
+        let run = protocol
+            .run(&dataset, &mut StdRng::seed_from_u64(SEED + 1))
+            .unwrap();
+        let hashes = [from_counts, from_randomized, release_hash(&*run, &schema)];
+        assert_eq!(hashes, RELEASES[p], "{label}");
     }
 }
 
