@@ -15,10 +15,8 @@
 //! Because the adjustment only reads `Y` and the already-published
 //! estimates, it consumes no additional privacy budget (Section 5).
 
-use crate::clusters::ClustersRelease;
 use crate::error::{MdrrError, ProtocolError};
 use crate::estimator::{validate_assignment, Assignment, FrequencyEstimator};
-use crate::independent::IndependentRelease;
 use crate::protocol::{Protocol, Release};
 use mdrr_core::PrivacyAccountant;
 use mdrr_data::{Dataset, Schema};
@@ -65,39 +63,6 @@ impl AdjustmentTarget {
             attributes,
             distribution,
         })
-    }
-
-    /// One target per attribute, taken from an RR-Independent release
-    /// (the "RR-Independent + Adjustment" configuration of Section 6.2).
-    pub fn from_independent(release: &IndependentRelease) -> Vec<AdjustmentTarget> {
-        release
-            .marginals()
-            .iter()
-            .enumerate()
-            .map(|(j, marginal)| AdjustmentTarget {
-                attributes: vec![j],
-                distribution: marginal.clone(),
-            })
-            .collect()
-    }
-
-    /// One target per cluster, taken from an RR-Clusters release
-    /// (the "RR-Clusters + Adjustment" configuration of Section 6.2).
-    ///
-    /// # Errors
-    /// Propagates errors from reading the release's cluster distributions
-    /// (cannot happen for a well-formed release).
-    pub fn from_clusters(
-        release: &ClustersRelease,
-    ) -> Result<Vec<AdjustmentTarget>, ProtocolError> {
-        let mut targets = Vec::with_capacity(release.clustering().len());
-        for (k, cluster) in release.clustering().clusters().iter().enumerate() {
-            targets.push(AdjustmentTarget {
-                attributes: cluster.clone(),
-                distribution: release.cluster_distribution(k)?.to_vec(),
-            });
-        }
-        Ok(targets)
     }
 }
 

@@ -19,15 +19,14 @@ use crate::codec::ChannelCodec;
 use crate::error::{MdrrError, ProtocolError};
 use crate::estimator::{validate_assignment, Assignment, FrequencyEstimator};
 use crate::protocol::{Protocol, RandomizationLevel, Release};
-use mdrr_core::{estimate_proper_from_counts, randomize_joint, PrivacyAccountant, RRMatrix};
+use mdrr_core::{PrivacyAccountant, RRMatrix};
 use mdrr_data::{Dataset, JointDomain, RecordsView, Schema};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// The RR-Clusters protocol: a clustering plus one randomization matrix per
 /// cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RRClusters {
-    schema: Schema,
     codec: ChannelCodec,
 }
 
@@ -62,8 +61,7 @@ impl RRClusters {
                 RRMatrix::cluster_from_epsilons(&cluster_epsilons, domain.size())
             })
             .collect::<Result<_, _>>()?;
-        let codec = ChannelCodec::new(&schema, clustering, matrices)?;
-        Ok(RRClusters { schema, codec })
+        Self::from_matrices(schema, clustering, matrices)
     }
 
     /// Convenience constructor for the paper's experiments: the
@@ -122,13 +120,24 @@ impl RRClusters {
             .iter()
             .map(|domain| RRMatrix::uniform_keep(p, domain.size()))
             .collect::<Result<_, _>>()?;
-        let codec = ChannelCodec::new(&schema, clustering, matrices)?;
-        Ok(RRClusters { schema, codec })
+        Self::from_matrices(schema, clustering, matrices)
+    }
+
+    /// The codec over `clustering`, one ledger entry per cluster.
+    fn from_matrices(
+        schema: Schema,
+        clustering: Clustering,
+        matrices: Vec<RRMatrix>,
+    ) -> Result<Self, ProtocolError> {
+        let codec = ChannelCodec::new(schema, clustering, matrices, |_, k, cluster| {
+            format!("RR-Clusters on cluster {k} (attributes {cluster:?})")
+        })?;
+        Ok(RRClusters { codec })
     }
 
     /// The schema the protocol was configured for.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.codec.schema()
     }
 
     /// The clustering the protocol uses.
@@ -145,260 +154,83 @@ impl RRClusters {
     pub fn domains(&self) -> &[JointDomain] {
         self.codec.domains()
     }
-
-    /// Collector-side estimation from accumulated sufficient statistics:
-    /// builds a release from per-cluster count vectors over the randomized
-    /// joint codes of `n_records` reports.  Numerically identical to the
-    /// estimate [`RRClusters::run`] computes from the same codes, but
-    /// carries no randomized microdata
-    /// ([`ClustersRelease::randomized`] is `None`).
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::InvalidConfiguration`] if `n_records` is
-    /// zero, the number of count vectors differs from the number of
-    /// clusters, a count vector's length differs from its cluster's
-    /// joint-domain size, or a count vector does not sum to `n_records`.
-    pub fn release_from_counts(
-        &self,
-        counts: &[Vec<u64>],
-        n_records: usize,
-    ) -> Result<ClustersRelease, ProtocolError> {
-        self.codec.check_counts(counts, n_records)?;
-        let mut distributions = Vec::with_capacity(counts.len());
-        let mut accountant = PrivacyAccountant::new();
-        for (k, ((cluster, matrix), channel)) in self
-            .clustering()
-            .clusters()
-            .iter()
-            .zip(self.matrices())
-            .zip(counts)
-            .enumerate()
-        {
-            distributions.push(estimate_proper_from_counts(matrix, channel)?);
-            accountant.record_matrix(
-                format!("RR-Clusters on cluster {k} (attributes {cluster:?})"),
-                matrix,
-            );
-        }
-        Ok(ClustersRelease {
-            schema: self.schema.clone(),
-            clustering: self.clustering().clone(),
-            domains: self.domains().to_vec(),
-            distributions,
-            randomized: None,
-            accountant,
-            n_records,
-        })
-    }
-
-    /// Collector-side estimation from an already-randomized data set (the
-    /// pooled per-cluster reports of all parties, decoded to microdata).
-    /// [`RRClusters::run`] is exactly client-side randomization followed by
-    /// this constructor.
-    ///
-    /// # Errors
-    /// * [`ProtocolError::InvalidConfiguration`] for a schema mismatch or an
-    ///   empty data set;
-    /// * propagated estimation errors otherwise.
-    pub fn release_from_randomized(
-        &self,
-        randomized: Dataset,
-    ) -> Result<ClustersRelease, ProtocolError> {
-        if randomized.schema() != &self.schema {
-            return Err(ProtocolError::config(
-                "randomized dataset schema does not match the protocol configuration",
-            ));
-        }
-        if randomized.is_empty() {
-            return Err(ProtocolError::config(
-                "cannot build an RR-Clusters release from an empty dataset",
-            ));
-        }
-        let counts: Vec<Vec<u64>> = self
-            .clustering()
-            .clusters()
-            .iter()
-            .map(|cluster| randomized.joint_counts(cluster).map(|(_, c)| c))
-            .collect::<Result<_, _>>()?;
-        let mut release = self.release_from_counts(&counts, randomized.n_records())?;
-        release.randomized = Some(randomized);
-        Ok(release)
-    }
-
-    /// Runs the protocol: randomizes each cluster's joint codes, estimates
-    /// each cluster's joint distribution and reconstructs the randomized
-    /// microdata set.
-    ///
-    /// # Errors
-    /// * [`ProtocolError::InvalidConfiguration`] for schema mismatch or an
-    ///   empty dataset;
-    /// * propagated randomization/estimation errors otherwise.
-    pub fn run(
-        &self,
-        dataset: &Dataset,
-        rng: &mut impl Rng,
-    ) -> Result<ClustersRelease, ProtocolError> {
-        if dataset.schema() != &self.schema {
-            return Err(ProtocolError::config(
-                "dataset schema does not match the protocol configuration",
-            ));
-        }
-        if dataset.is_empty() {
-            return Err(ProtocolError::config(
-                "cannot run RR-Clusters on an empty dataset",
-            ));
-        }
-        let n = dataset.n_records();
-        // Column-major buffer for the reconstructed randomized dataset,
-        // plus per-cluster counts tallied from the in-hand joint codes so
-        // estimation needs no re-encoding round-trip.
-        let mut randomized_columns: Vec<Vec<u32>> = vec![vec![0; n]; self.schema.len()];
-        let mut counts: Vec<Vec<u64>> = self
-            .channel_sizes()
-            .iter()
-            .map(|&size| vec![0u64; size])
-            .collect();
-        for (k, cluster) in self.clustering().clusters().iter().enumerate() {
-            let randomized_codes = randomize_joint(dataset, cluster, &self.matrices()[k], rng)?;
-            // Scatter the decoded randomized values back into the columns.
-            for (i, &code) in randomized_codes.iter().enumerate() {
-                counts[k][code as usize] += 1;
-                let tuple = self.domains()[k].decode(code as usize)?;
-                for (&attribute, &value) in cluster.iter().zip(tuple.iter()) {
-                    randomized_columns[attribute][i] = value;
-                }
-            }
-        }
-        let randomized = Dataset::from_columns(self.schema.clone(), randomized_columns)?;
-        let mut release = self.release_from_counts(&counts, n)?;
-        release.randomized = Some(randomized);
-        Ok(release)
-    }
 }
 
-/// The output of one run of RR-Clusters.
+/// The release of RR-Clusters, and so also of RR-Independent (one cluster
+/// per attribute) and RR-Joint (one cluster holding every attribute): the
+/// estimated joint distribution of each cluster, in the code order of the
+/// cluster's joint domain.  Clusters are taken to be independent of each
+/// other, so a query's frequency is the product over the clusters it
+/// constrains of the matching mass within each cluster.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClustersRelease {
-    schema: Schema,
-    clustering: Clustering,
-    domains: Vec<JointDomain>,
-    distributions: Vec<Vec<f64>>,
-    randomized: Option<Dataset>,
-    accountant: PrivacyAccountant,
-    n_records: usize,
+pub(crate) struct ClustersRelease {
+    pub(crate) cardinalities: Vec<usize>,
+    pub(crate) clustering: Clustering,
+    pub(crate) domains: Vec<JointDomain>,
+    pub(crate) distributions: Vec<Vec<f64>>,
+    pub(crate) randomized: Option<Dataset>,
+    pub(crate) accountant: PrivacyAccountant,
+    pub(crate) n_records: usize,
 }
 
 impl ClustersRelease {
-    /// The published randomized microdata set — `Some` for batch releases,
-    /// `None` for releases assembled from streamed sufficient statistics
-    /// ([`RRClusters::release_from_counts`]).
-    pub fn randomized(&self) -> Option<&Dataset> {
-        self.randomized.as_ref()
-    }
-
-    /// The clustering the release was produced with.
-    pub fn clustering(&self) -> &Clustering {
-        &self.clustering
-    }
-
-    /// The estimated joint distribution of cluster `k` (code order of the
-    /// cluster's joint domain).
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::UnsupportedQuery`] for a bad index.
-    pub fn cluster_distribution(&self, k: usize) -> Result<&[f64], ProtocolError> {
-        self.distributions
-            .get(k)
-            .map(Vec::as_slice)
-            .ok_or_else(|| ProtocolError::unsupported(format!("cluster index {k} out of range")))
-    }
-
-    /// The per-cluster joint-domain codecs.
-    pub fn domains(&self) -> &[JointDomain] {
-        &self.domains
-    }
-
-    /// The privacy ledger (one entry per cluster).
-    pub fn accountant(&self) -> &PrivacyAccountant {
-        &self.accountant
-    }
-
-    /// The estimated marginal distribution of a single attribute, obtained
-    /// by marginalising its cluster's estimated joint distribution (the
-    /// shared [`Release::marginal`] accessor, formerly
-    /// `attribute_marginal`).
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::UnsupportedQuery`] for a bad attribute
-    /// index.
-    pub fn marginal(&self, attribute: usize) -> Result<Vec<f64>, ProtocolError> {
-        let k = self.clustering.cluster_of(attribute).ok_or_else(|| {
-            ProtocolError::unsupported(format!("attribute {attribute} not covered by any cluster"))
-        })?;
-        let cluster = &self.clustering.clusters()[k];
-        let position = cluster
+    /// The cluster holding `attribute` and the attribute's position in it.
+    fn locate(&self, attribute: usize) -> Result<(usize, usize), ProtocolError> {
+        self.clustering
+            .clusters()
             .iter()
-            .position(|&a| a == attribute)
-            .expect("cluster_of guarantees membership");
+            .enumerate()
+            .find_map(|(k, cluster)| Some((k, cluster.iter().position(|&a| a == attribute)?)))
+            .ok_or_else(|| {
+                ProtocolError::unsupported(format!("attribute index {attribute} out of range"))
+            })
+    }
+
+    /// The estimated mass of cluster `k` on the cells matching
+    /// `constraints`, given as `(k, position in the cluster, code)`.  A value's
+    /// position in a cell follows from the domain's strides, so no cell is
+    /// decoded; a query that fixes every attribute of the cluster reads its
+    /// one cell.
+    fn cluster_frequency(&self, k: usize, constraints: &[(usize, usize, u32)]) -> f64 {
         let domain = &self.domains[k];
-        let cardinality = domain.cardinalities()[position];
-        let mut marginal = vec![0.0; cardinality];
-        for (cell, &prob) in self.distributions[k].iter().enumerate() {
-            let tuple = domain.decode(cell)?;
-            marginal[tuple[position] as usize] += prob;
+        let (strides, cardinalities) = (domain.strides(), domain.cardinalities());
+        let distribution = &self.distributions[k];
+        if constraints.len() == cardinalities.len() {
+            let cell: usize = constraints
+                .iter()
+                .map(|&(_, position, code)| code as usize * strides[position])
+                .sum();
+            return distribution[cell];
         }
-        Ok(marginal)
+        let mut total = 0.0;
+        for (cell, &prob) in distribution.iter().enumerate() {
+            let matches = |&(_, position, code): &(usize, usize, u32)| {
+                cell / strides[position] % cardinalities[position] == code as usize
+            };
+            if prob != 0.0 && constraints.iter().all(matches) {
+                total += prob;
+            }
+        }
+        total
     }
 }
 
 impl FrequencyEstimator for ClustersRelease {
     fn frequency(&self, assignment: &Assignment) -> Result<f64, ProtocolError> {
-        validate_assignment(assignment, &self.schema.cardinalities())?;
-        // Group the constraints by cluster.
-        let mut per_cluster: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.clustering.len()];
-        for &(attribute, code) in assignment {
-            let k = self.clustering.cluster_of(attribute).ok_or_else(|| {
-                ProtocolError::unsupported(format!(
-                    "attribute {attribute} not covered by any cluster"
-                ))
-            })?;
-            per_cluster[k].push((attribute, code));
-        }
-
-        // Independence across clusters: multiply the per-cluster marginal
-        // probabilities of the constrained cells.
+        validate_assignment(assignment, &self.cardinalities)?;
+        // `(cluster, position, code)` of each constraint, in cluster order.
+        let mut constraints = assignment
+            .iter()
+            .map(|&(attribute, code)| {
+                let (k, position) = self.locate(attribute)?;
+                Ok((k, position, code))
+            })
+            .collect::<Result<Vec<_>, ProtocolError>>()?;
+        constraints.sort_unstable_by_key(|&(k, _, _)| k);
+        // Independence across clusters: multiply the per-cluster masses.
         let mut freq = 1.0;
-        for (k, constraints) in per_cluster.iter().enumerate() {
-            if constraints.is_empty() {
-                continue;
-            }
-            let cluster = &self.clustering.clusters()[k];
-            let domain = &self.domains[k];
-            // Positions of the constrained attributes inside the cluster.
-            let positional: Vec<(usize, u32)> = constraints
-                .iter()
-                .map(|&(attribute, code)| {
-                    let position = cluster
-                        .iter()
-                        .position(|&a| a == attribute)
-                        .expect("validated above");
-                    (position, code)
-                })
-                .collect();
-            let mut cluster_freq = 0.0;
-            for (cell, &prob) in self.distributions[k].iter().enumerate() {
-                if prob == 0.0 {
-                    continue;
-                }
-                let tuple = domain.decode(cell)?;
-                if positional
-                    .iter()
-                    .all(|&(position, code)| tuple[position] == code)
-                {
-                    cluster_freq += prob;
-                }
-            }
-            freq *= cluster_freq;
+        for group in constraints.chunk_by(|a, b| a.0 == b.0) {
+            freq *= self.cluster_frequency(group[0].0, group);
         }
         Ok(freq)
     }
@@ -408,13 +240,54 @@ impl FrequencyEstimator for ClustersRelease {
     }
 }
 
+impl Release for ClustersRelease {
+    /// Marginalises the attribute's cluster distribution; a one-attribute
+    /// cluster's distribution is the marginal itself.
+    fn marginal(&self, attribute: usize) -> Result<Vec<f64>, MdrrError> {
+        let (k, position) = self.locate(attribute)?;
+        let distribution = &self.distributions[k];
+        let domain = &self.domains[k];
+        if domain.cardinalities().len() == 1 {
+            return Ok(distribution.clone());
+        }
+        let stride = domain.strides()[position];
+        let cardinality = domain.cardinalities()[position];
+        let mut marginal = vec![0.0; cardinality];
+        for (cell, &prob) in distribution.iter().enumerate() {
+            marginal[cell / stride % cardinality] += prob;
+        }
+        Ok(marginal)
+    }
+
+    fn accountant(&self) -> &PrivacyAccountant {
+        &self.accountant
+    }
+
+    fn randomized(&self) -> Option<&Dataset> {
+        self.randomized.as_ref()
+    }
+
+    fn adjustment_targets(&self) -> Result<Vec<AdjustmentTarget>, MdrrError> {
+        Ok(self
+            .clustering
+            .clusters()
+            .iter()
+            .zip(&self.distributions)
+            .map(|(cluster, distribution)| AdjustmentTarget {
+                attributes: cluster.clone(),
+                distribution: distribution.clone(),
+            })
+            .collect())
+    }
+}
+
 impl Protocol for RRClusters {
     fn name(&self) -> String {
         "RR-Clusters".to_string()
     }
 
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.codec.schema()
     }
 
     fn channel_sizes(&self) -> Vec<usize> {
@@ -422,7 +295,7 @@ impl Protocol for RRClusters {
     }
 
     fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        self.codec.encode_record(&self.schema, record, rng)
+        self.codec.encode_record(record, rng)
     }
 
     fn encode_batch(
@@ -431,7 +304,7 @@ impl Protocol for RRClusters {
         rng: &mut dyn RngCore,
         out: &mut [Vec<u32>],
     ) -> Result<(), MdrrError> {
-        self.codec.encode_batch(&self.schema, records, rng, out)
+        self.codec.encode_batch(records, rng, out)
     }
 
     fn encode_tally(
@@ -440,7 +313,7 @@ impl Protocol for RRClusters {
         rng: &mut dyn RngCore,
         tallies: &mut [Vec<u64>],
     ) -> Result<(), MdrrError> {
-        self.codec.encode_tally(&self.schema, records, rng, tallies)
+        self.codec.encode_tally(records, rng, tallies)
     }
 
     fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
@@ -452,19 +325,15 @@ impl Protocol for RRClusters {
         counts: &[Vec<u64>],
         n_records: usize,
     ) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(RRClusters::release_from_counts(
-            self, counts, n_records,
-        )?))
+        Ok(Box::new(self.codec.release_from_counts(counts, n_records)?))
     }
 
     fn release_from_randomized(&self, randomized: Dataset) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(RRClusters::release_from_randomized(
-            self, randomized,
-        )?))
+        Ok(Box::new(self.codec.release_from_randomized(randomized)?))
     }
 
     fn run(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(RRClusters::run(self, dataset, &mut &mut *rng)?))
+        Ok(Box::new(self.codec.run(dataset, rng)?))
     }
 
     fn epsilons(&self) -> Vec<f64> {
@@ -472,33 +341,15 @@ impl Protocol for RRClusters {
     }
 }
 
-impl Release for ClustersRelease {
-    fn marginal(&self, attribute: usize) -> Result<Vec<f64>, MdrrError> {
-        ClustersRelease::marginal(self, attribute)
-    }
-
-    fn accountant(&self) -> &PrivacyAccountant {
-        ClustersRelease::accountant(self)
-    }
-
-    fn randomized(&self) -> Option<&Dataset> {
-        ClustersRelease::randomized(self)
-    }
-
-    fn adjustment_targets(&self) -> Result<Vec<AdjustmentTarget>, MdrrError> {
-        AdjustmentTarget::from_clusters(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::EmpiricalEstimator;
+    use crate::estimator::{EmpiricalEstimator, FrequencyEstimator};
     use crate::independent::{RRIndependent, RandomizationLevel};
     use crate::joint::RRJoint;
     use mdrr_data::{Attribute, AttributeKind};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -677,8 +528,7 @@ mod tests {
         assert_eq!(randomized.schema(), ds.schema());
         assert_eq!(release.accountant().len(), 2);
         assert_eq!(release.record_count(), 1_000);
-        assert!(release.cluster_distribution(0).is_ok());
-        assert!(release.cluster_distribution(5).is_err());
+        assert_eq!(release.adjustment_targets().unwrap().len(), 2);
     }
 
     #[test]
@@ -723,12 +573,10 @@ mod tests {
         }
         let randomized = Dataset::from_columns(schema(), columns).unwrap();
         let batch = protocol.release_from_randomized(randomized).unwrap();
-        for k in 0..2 {
-            assert_eq!(
-                streamed.cluster_distribution(k).unwrap(),
-                batch.cluster_distribution(k).unwrap()
-            );
-        }
+        assert_eq!(
+            streamed.adjustment_targets().unwrap(),
+            batch.adjustment_targets().unwrap()
+        );
         assert_eq!(streamed.record_count(), batch.record_count());
     }
 

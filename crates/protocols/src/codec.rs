@@ -5,15 +5,19 @@
 //! holding every attribute.  [`ChannelCodec`] is that common shape — a
 //! clustering of the schema's attributes plus each cluster's joint domain
 //! and randomization matrix — and the one implementation of the
-//! client-side encoders, the report decoder and the count-shape checks.
-//! RR-Independent builds it over [`Clustering::singletons`], RR-Joint over
-//! the single cluster `[0, …, m−1]` and RR-Clusters over its own
-//! clustering.
+//! client-side encoders, the report decoder, the count-shape checks and
+//! the collector-side estimation, whose output is the one
+//! [`ClustersRelease`].  RR-Independent builds it over
+//! [`Clustering::singletons`], RR-Joint over the single cluster
+//! `[0, …, m−1]` and RR-Clusters over its own clustering.
 
 use crate::clustering::Clustering;
+use crate::clusters::ClustersRelease;
 use crate::error::MdrrError;
-use mdrr_core::{PreparedRandomizer, RRMatrix};
-use mdrr_data::{JointDomain, RecordsView, Schema};
+use mdrr_core::{
+    estimate_proper_from_counts, randomize_joint, PreparedRandomizer, PrivacyAccountant, RRMatrix,
+};
+use mdrr_data::{Dataset, JointDomain, RecordsView, Schema};
 use rand::RngCore;
 
 /// Channel codes travel as `u32`, so a channel's joint domain holds at most
@@ -26,12 +30,15 @@ const MAX_CHANNEL_DOMAIN: u64 = 1 << 32;
 const DRAW_BUFFER: usize = 8 * 1024;
 
 /// A partition of the schema's attributes into channels, each with its
-/// mixed-radix joint domain and its randomization matrix.
+/// mixed-radix joint domain, its randomization matrix and its entry in the
+/// privacy ledger of every release.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ChannelCodec {
+    schema: Schema,
     clustering: Clustering,
     domains: Vec<JointDomain>,
     matrices: Vec<RRMatrix>,
+    ledger: PrivacyAccountant,
 }
 
 impl ChannelCodec {
@@ -73,18 +80,20 @@ impl ChannelCodec {
     }
 
     /// Builds the codec: one channel per cluster, randomized by the
-    /// matching matrix.
+    /// matching matrix and recorded in the ledger under
+    /// `label(schema, k, cluster)`.
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] for the conditions of
     /// [`ChannelCodec::channel_domains`], or if the matrices are not one
     /// per cluster, each sized to its cluster's joint domain.
     pub(crate) fn new(
-        schema: &Schema,
+        schema: Schema,
         clustering: Clustering,
         matrices: Vec<RRMatrix>,
+        label: impl Fn(&Schema, usize, &[usize]) -> String,
     ) -> Result<Self, MdrrError> {
-        let domains = Self::channel_domains(schema, &clustering)?;
+        let domains = Self::channel_domains(&schema, &clustering)?;
         if matrices.len() != domains.len() {
             return Err(MdrrError::config(format!(
                 "expected {} matrices, one per channel, got {}",
@@ -101,11 +110,22 @@ impl ChannelCodec {
                 )));
             }
         }
+        let mut ledger = PrivacyAccountant::new();
+        for (k, (cluster, matrix)) in clustering.clusters().iter().zip(&matrices).enumerate() {
+            ledger.record_matrix(label(&schema, k, cluster), matrix);
+        }
         Ok(ChannelCodec {
+            schema,
             clustering,
             domains,
             matrices,
+            ledger,
         })
+    }
+
+    /// The schema the channels cover.
+    pub(crate) fn schema(&self) -> &Schema {
+        &self.schema
     }
 
     /// The attribute clusters, one per channel.
@@ -128,18 +148,17 @@ impl ChannelCodec {
         self.domains.iter().map(JointDomain::size).collect()
     }
 
-    /// The per-record reference encoder: validates `record` against
-    /// `schema`, then randomizes each channel's joint code with
+    /// The per-record reference encoder: validates `record` against the
+    /// schema, then randomizes each channel's joint code with
     /// [`RRMatrix::randomize`], one draw per channel in channel order.  It
     /// deliberately shares no kernel with the batch encoders, so the
     /// bit-identity tests compare two implementations.
     pub(crate) fn encode_record(
         &self,
-        schema: &Schema,
         record: &[u32],
         mut rng: &mut dyn RngCore,
     ) -> Result<Vec<u32>, MdrrError> {
-        schema.validate_record(record)?;
+        self.schema.validate_record(record)?;
         let mut tuple = Vec::new();
         self.channels()
             .map(|(cluster, domain, matrix)| {
@@ -157,7 +176,6 @@ impl ChannelCodec {
     /// records and RNG.
     pub(crate) fn encode_batch(
         &self,
-        schema: &Schema,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         out: &mut [Vec<u32>],
@@ -172,15 +190,9 @@ impl ChannelCodec {
         for channel in out.iter_mut() {
             channel.reserve(records.n_records());
         }
-        self.drive(
-            schema,
-            records,
-            rng,
-            out,
-            |sampler, codes, draws, j, m, channel| {
-                sampler.randomize_strided_into(codes, draws, j, m, channel);
-            },
-        )
+        self.drive(records, rng, out, |sampler, codes, draws, j, m, channel| {
+            sampler.randomize_strided_into(codes, draws, j, m, channel);
+        })
     }
 
     /// Fused randomize-and-count encoder: the codes of
@@ -188,14 +200,12 @@ impl ChannelCodec {
     /// stored.  On error the tallies are unchanged.
     pub(crate) fn encode_tally(
         &self,
-        schema: &Schema,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         tallies: &mut [Vec<u64>],
     ) -> Result<(), MdrrError> {
         self.check_count_shape(tallies)?;
         self.drive(
-            schema,
             records,
             rng,
             tallies,
@@ -221,13 +231,12 @@ impl ChannelCodec {
     /// (validated above, and below 2³² by construction).
     fn drive<T>(
         &self,
-        schema: &Schema,
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         outs: &mut [T],
         kernel: impl Fn(&PreparedRandomizer<'_>, &[u32], &[u64], usize, usize, &mut T),
     ) -> Result<(), MdrrError> {
-        validate_records_view(records, schema)?;
+        validate_records_view(records, &self.schema)?;
         let all_columns = records.columns();
         let channels: Vec<_> = self
             .channels()
@@ -296,9 +305,127 @@ impl ChannelCodec {
         Ok(record)
     }
 
+    /// Collector-side estimation from accumulated sufficient statistics:
+    /// each channel's distribution estimated from its count vector over
+    /// the randomized codes of `n_records` reports.  Numerically identical
+    /// to the estimate [`ChannelCodec::run`] computes from the same codes,
+    /// but carries no randomized microdata.
+    ///
+    /// # Errors
+    /// Returns [`MdrrError::InvalidConfiguration`] for the conditions of
+    /// [`ChannelCodec::check_counts`]; propagated estimation errors
+    /// otherwise.
+    pub(crate) fn release_from_counts(
+        &self,
+        counts: &[impl AsRef<[u64]>],
+        n_records: usize,
+    ) -> Result<ClustersRelease, MdrrError> {
+        self.check_counts(counts, n_records)?;
+        let distributions = self
+            .matrices
+            .iter()
+            .zip(counts)
+            .map(|(matrix, channel)| estimate_proper_from_counts(matrix, channel.as_ref()))
+            .collect::<Result<_, _>>()?;
+        Ok(ClustersRelease {
+            cardinalities: self.schema.cardinalities(),
+            clustering: self.clustering.clone(),
+            domains: self.domains.clone(),
+            distributions,
+            randomized: None,
+            accountant: self.ledger.clone(),
+            n_records,
+        })
+    }
+
+    /// Collector-side estimation from an already-randomized data set (the
+    /// pooled reports of all parties, decoded to microdata): the release of
+    /// its per-channel counts, carrying the data set.  [`ChannelCodec::run`]
+    /// is client-side randomization followed by this.
+    ///
+    /// # Errors
+    /// Returns [`MdrrError::InvalidConfiguration`] for a schema mismatch or
+    /// an empty data set; propagated estimation errors otherwise.
+    pub(crate) fn release_from_randomized(
+        &self,
+        randomized: Dataset,
+    ) -> Result<ClustersRelease, MdrrError> {
+        self.check_dataset(&randomized)?;
+        let counts = self
+            .clustering
+            .clusters()
+            .iter()
+            .map(|cluster| randomized.joint_counts(cluster).map(|(_, c)| c))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut release = self.release_from_counts(&counts, randomized.n_records())?;
+        release.randomized = Some(randomized);
+        Ok(release)
+    }
+
+    /// Runs the protocol over a data set: randomizes each channel's codes
+    /// with its matrix, channel after channel and record after record
+    /// within a channel, and releases the estimate together with the
+    /// randomized microdata decoded from those codes.
+    ///
+    /// # Errors
+    /// Returns [`MdrrError::InvalidConfiguration`] for a schema mismatch or
+    /// an empty data set; propagated randomization and estimation errors
+    /// otherwise.
+    pub(crate) fn run(
+        &self,
+        dataset: &Dataset,
+        mut rng: &mut dyn RngCore,
+    ) -> Result<ClustersRelease, MdrrError> {
+        self.check_dataset(dataset)?;
+        let n = dataset.n_records();
+        let mut columns: Vec<Vec<u32>> = vec![Vec::new(); self.schema.len()];
+        let mut counts = Vec::with_capacity(self.domains.len());
+        for (cluster, domain, matrix) in self.channels() {
+            let randomized = randomize_joint(dataset, cluster, matrix, &mut rng)?;
+            let mut tally = vec![0u64; domain.size()];
+            for &code in &randomized {
+                tally[code as usize] += 1;
+            }
+            counts.push(tally);
+            if let [attribute] = cluster {
+                columns[*attribute] = randomized;
+                continue;
+            }
+            let positions = cluster
+                .iter()
+                .zip(domain.strides())
+                .zip(domain.cardinalities());
+            for ((&attribute, &stride), &cardinality) in positions {
+                columns[attribute] = randomized
+                    .iter()
+                    .map(|&code| (code as usize / stride % cardinality) as u32)
+                    .collect();
+            }
+        }
+        let mut release = self.release_from_counts(&counts, n)?;
+        release.randomized = Some(Dataset::from_columns(self.schema.clone(), columns)?);
+        Ok(release)
+    }
+
+    /// Checks that a data set to estimate from is over the codec's schema
+    /// and not empty.
+    fn check_dataset(&self, dataset: &Dataset) -> Result<(), MdrrError> {
+        if dataset.schema() != &self.schema {
+            return Err(MdrrError::config(
+                "dataset schema does not match the protocol configuration",
+            ));
+        }
+        if dataset.is_empty() {
+            return Err(MdrrError::config(
+                "cannot build a release from an empty dataset",
+            ));
+        }
+        Ok(())
+    }
+
     /// Checks accumulated per-channel counts before estimation: at least
     /// one report, one count vector per channel, each sized to its channel
-    /// and summing to `n_records`.
+    /// and summing to `n_records` without overflowing a `u64`.
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] naming the violated
@@ -315,7 +442,13 @@ impl ChannelCodec {
         }
         self.check_count_shape(counts)?;
         for (k, channel) in counts.iter().enumerate() {
-            let total: u64 = channel.as_ref().iter().sum();
+            let total = channel
+                .as_ref()
+                .iter()
+                .try_fold(0u64, |total, &count| total.checked_add(count))
+                .ok_or_else(|| {
+                    MdrrError::config(format!("count vector for channel {k} overflows u64"))
+                })?;
             if total != n_records as u64 {
                 return Err(MdrrError::config(format!(
                     "count vector for channel {k} sums to {total} but {n_records} reports \

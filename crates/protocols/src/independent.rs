@@ -9,19 +9,18 @@
 //! (Section 3.1).
 //!
 //! This is the baseline of the paper's experiments and the release that
-//! RR-Adjustment (Section 5) repairs.
+//! RR-Adjustment (Section 5) repairs.  It is RR-Clusters with one cluster
+//! per attribute: encoding, estimation and the release all run through the
+//! shared channel codec, so a release answers a query with the product of
+//! the constrained attributes' estimated marginals.
 
-use crate::adjustment::AdjustmentTarget;
 use crate::clustering::Clustering;
 use crate::codec::ChannelCodec;
 use crate::error::{MdrrError, ProtocolError};
-use crate::estimator::{validate_assignment, Assignment, FrequencyEstimator};
 use crate::protocol::{Protocol, Release};
-use mdrr_core::{
-    estimate_proper_from_counts, randomize_dataset_independent, PrivacyAccountant, RRMatrix,
-};
+use mdrr_core::RRMatrix;
 use mdrr_data::{Dataset, RecordsView, Schema};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 pub use crate::protocol::RandomizationLevel;
 
@@ -29,7 +28,6 @@ pub use crate::protocol::RandomizationLevel;
 /// one singleton cluster per attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RRIndependent {
-    schema: Schema,
     codec: ChannelCodec,
 }
 
@@ -50,13 +48,16 @@ impl RRIndependent {
     /// Returns [`ProtocolError::InvalidConfiguration`] if the number of
     /// matrices or any matrix size does not match the schema.
     pub fn from_matrices(schema: Schema, matrices: Vec<RRMatrix>) -> Result<Self, ProtocolError> {
-        let codec = ChannelCodec::new(&schema, Clustering::singletons(schema.len())?, matrices)?;
-        Ok(RRIndependent { schema, codec })
+        let singletons = Clustering::singletons(schema.len())?;
+        let codec = ChannelCodec::new(schema, singletons, matrices, |schema, j, _| {
+            format!("RR-Independent on {}", schema.attributes()[j].name())
+        })?;
+        Ok(RRIndependent { codec })
     }
 
     /// The schema the protocol was configured for.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.codec.schema()
     }
 
     /// The per-attribute randomization matrices, in schema order.
@@ -70,166 +71,6 @@ impl RRIndependent {
     pub fn epsilons(&self) -> Vec<f64> {
         self.matrices().iter().map(RRMatrix::epsilon).collect()
     }
-
-    /// Collector-side estimation from accumulated sufficient statistics:
-    /// builds a release from per-attribute count vectors over the
-    /// randomized codes of `n_records` reports.  The count vectors are all
-    /// the collector needs — the release is numerically identical to the one
-    /// [`RRIndependent::run`] computes from the same randomized codes, but
-    /// carries no randomized microdata
-    /// ([`IndependentRelease::randomized`] is `None`).
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::InvalidConfiguration`] if `n_records` is
-    /// zero, the number of count vectors does not match the schema, a count
-    /// vector's length does not match its attribute's cardinality, or a
-    /// count vector does not sum to `n_records`.
-    pub fn release_from_counts(
-        &self,
-        counts: &[Vec<u64>],
-        n_records: usize,
-    ) -> Result<IndependentRelease, ProtocolError> {
-        self.codec.check_counts(counts, n_records)?;
-        let mut marginals = Vec::with_capacity(counts.len());
-        let mut accountant = PrivacyAccountant::new();
-        for (j, (matrix, channel)) in self.matrices().iter().zip(counts).enumerate() {
-            marginals.push(estimate_proper_from_counts(matrix, channel)?);
-            accountant.record_matrix(
-                format!("RR-Independent on {}", self.schema.attribute(j)?.name()),
-                matrix,
-            );
-        }
-        Ok(IndependentRelease {
-            randomized: None,
-            matrices: self.matrices().to_vec(),
-            marginals,
-            accountant,
-            n_records,
-        })
-    }
-
-    /// Collector-side estimation from an already-randomized data set — the
-    /// batch entry point of the collector given the pooled reports of all
-    /// parties.  [`RRIndependent::run`] is exactly client-side
-    /// randomization followed by this constructor.
-    ///
-    /// # Errors
-    /// * [`ProtocolError::InvalidConfiguration`] for a schema mismatch or an
-    ///   empty data set;
-    /// * propagated estimation errors otherwise.
-    pub fn release_from_randomized(
-        &self,
-        randomized: Dataset,
-    ) -> Result<IndependentRelease, ProtocolError> {
-        if randomized.schema() != &self.schema {
-            return Err(ProtocolError::config(
-                "randomized dataset schema does not match the protocol configuration",
-            ));
-        }
-        if randomized.is_empty() {
-            return Err(ProtocolError::config(
-                "cannot build an RR-Independent release from an empty dataset",
-            ));
-        }
-        let counts: Vec<Vec<u64>> = (0..self.schema.len())
-            .map(|j| randomized.marginal_counts(j))
-            .collect::<Result<_, _>>()?;
-        let mut release = self.release_from_counts(&counts, randomized.n_records())?;
-        release.randomized = Some(randomized);
-        Ok(release)
-    }
-
-    /// Runs the protocol: randomizes the data set (each party/record
-    /// independently, each attribute independently) and estimates the
-    /// per-attribute true distributions.
-    ///
-    /// # Errors
-    /// * [`ProtocolError::InvalidConfiguration`] if the dataset's schema
-    ///   differs from the configured one or the dataset is empty;
-    /// * propagated randomization/estimation errors otherwise.
-    pub fn run(
-        &self,
-        dataset: &Dataset,
-        rng: &mut impl Rng,
-    ) -> Result<IndependentRelease, ProtocolError> {
-        if dataset.schema() != &self.schema {
-            return Err(ProtocolError::config(
-                "dataset schema does not match the protocol configuration",
-            ));
-        }
-        if dataset.is_empty() {
-            return Err(ProtocolError::config(
-                "cannot run RR-Independent on an empty dataset",
-            ));
-        }
-        let randomized = randomize_dataset_independent(dataset, self.matrices(), rng)?;
-        self.release_from_randomized(randomized)
-    }
-}
-
-/// The output of one run of RR-Independent: the randomized data set (for
-/// batch runs), the matrices that produced it, the estimated per-attribute
-/// distributions and the privacy ledger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndependentRelease {
-    randomized: Option<Dataset>,
-    matrices: Vec<RRMatrix>,
-    marginals: Vec<Vec<f64>>,
-    accountant: PrivacyAccountant,
-    n_records: usize,
-}
-
-impl IndependentRelease {
-    /// The published randomized data set `Y` — `Some` for batch releases
-    /// ([`RRIndependent::run`] / [`RRIndependent::release_from_randomized`]),
-    /// `None` for releases assembled from streamed sufficient statistics
-    /// ([`RRIndependent::release_from_counts`]), where the microdata is
-    /// never materialized.
-    pub fn randomized(&self) -> Option<&Dataset> {
-        self.randomized.as_ref()
-    }
-
-    /// The per-attribute randomization matrices.
-    pub fn matrices(&self) -> &[RRMatrix] {
-        &self.matrices
-    }
-
-    /// The estimated true distribution `π̂_j` of attribute `j` (the shared
-    /// [`Release::marginal`] accessor; see [`IndependentRelease::marginals`]
-    /// for zero-copy access to all of them).
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::UnsupportedQuery`] for a bad index.
-    pub fn marginal(&self, attribute: usize) -> Result<Vec<f64>, ProtocolError> {
-        self.marginals.get(attribute).cloned().ok_or_else(|| {
-            ProtocolError::unsupported(format!("attribute index {attribute} out of range"))
-        })
-    }
-
-    /// All estimated marginal distributions, in schema order.
-    pub fn marginals(&self) -> &[Vec<f64>] {
-        &self.marginals
-    }
-
-    /// The privacy ledger of the release (one entry per attribute).
-    pub fn accountant(&self) -> &PrivacyAccountant {
-        &self.accountant
-    }
-}
-
-impl FrequencyEstimator for IndependentRelease {
-    fn frequency(&self, assignment: &Assignment) -> Result<f64, ProtocolError> {
-        let cardinalities: Vec<usize> = self.marginals.iter().map(Vec::len).collect();
-        validate_assignment(assignment, &cardinalities)?;
-        Ok(assignment
-            .iter()
-            .map(|&(attribute, code)| self.marginals[attribute][code as usize])
-            .product())
-    }
-
-    fn record_count(&self) -> usize {
-        self.n_records
-    }
 }
 
 impl Protocol for RRIndependent {
@@ -238,7 +79,7 @@ impl Protocol for RRIndependent {
     }
 
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.codec.schema()
     }
 
     fn channel_sizes(&self) -> Vec<usize> {
@@ -246,7 +87,7 @@ impl Protocol for RRIndependent {
     }
 
     fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        self.codec.encode_record(&self.schema, record, rng)
+        self.codec.encode_record(record, rng)
     }
 
     fn encode_batch(
@@ -255,7 +96,7 @@ impl Protocol for RRIndependent {
         rng: &mut dyn RngCore,
         out: &mut [Vec<u32>],
     ) -> Result<(), MdrrError> {
-        self.codec.encode_batch(&self.schema, records, rng, out)
+        self.codec.encode_batch(records, rng, out)
     }
 
     fn encode_tally(
@@ -264,7 +105,7 @@ impl Protocol for RRIndependent {
         rng: &mut dyn RngCore,
         tallies: &mut [Vec<u64>],
     ) -> Result<(), MdrrError> {
-        self.codec.encode_tally(&self.schema, records, rng, tallies)
+        self.codec.encode_tally(records, rng, tallies)
     }
 
     fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
@@ -276,19 +117,15 @@ impl Protocol for RRIndependent {
         counts: &[Vec<u64>],
         n_records: usize,
     ) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(RRIndependent::release_from_counts(
-            self, counts, n_records,
-        )?))
+        Ok(Box::new(self.codec.release_from_counts(counts, n_records)?))
     }
 
     fn release_from_randomized(&self, randomized: Dataset) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(RRIndependent::release_from_randomized(
-            self, randomized,
-        )?))
+        Ok(Box::new(self.codec.release_from_randomized(randomized)?))
     }
 
     fn run(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(RRIndependent::run(self, dataset, &mut &mut *rng)?))
+        Ok(Box::new(self.codec.run(dataset, rng)?))
     }
 
     fn epsilons(&self) -> Vec<f64> {
@@ -296,31 +133,13 @@ impl Protocol for RRIndependent {
     }
 }
 
-impl Release for IndependentRelease {
-    fn marginal(&self, attribute: usize) -> Result<Vec<f64>, MdrrError> {
-        IndependentRelease::marginal(self, attribute)
-    }
-
-    fn accountant(&self) -> &PrivacyAccountant {
-        IndependentRelease::accountant(self)
-    }
-
-    fn randomized(&self) -> Option<&Dataset> {
-        IndependentRelease::randomized(self)
-    }
-
-    fn adjustment_targets(&self) -> Result<Vec<AdjustmentTarget>, MdrrError> {
-        Ok(AdjustmentTarget::from_independent(self))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::EmpiricalEstimator;
+    use crate::estimator::{EmpiricalEstimator, FrequencyEstimator};
     use mdrr_data::{Attribute, AttributeKind};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -517,6 +336,17 @@ mod tests {
         assert!(protocol
             .release_from_counts(&[vec![4, 0, 0], vec![3, 1]], 4)
             .is_ok());
+
+        // Counts whose sum overflows a u64 are refused, not wrapped.
+        let one = Schema::new(vec![Attribute::indexed("A", 2).unwrap()]).unwrap();
+        let protocol = RRIndependent::new(one, &RandomizationLevel::KeepProbability(0.6)).unwrap();
+        let err = protocol
+            .release_from_counts(&[vec![u64::MAX, 2]], 1)
+            .unwrap_err();
+        assert!(
+            matches!(&err, MdrrError::InvalidConfiguration { message } if message.contains("overflows")),
+            "{err}"
+        );
     }
 
     #[test]

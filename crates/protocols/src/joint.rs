@@ -12,18 +12,19 @@
 //! The constructor therefore takes an explicit cap on the joint-domain size
 //! and refuses to build a protocol beyond it — exactly the reason the
 //! paper's experiments cannot run RR-Joint on the full Adult schema.
+//!
+//! RR-Joint is RR-Clusters with one cluster holding every attribute:
+//! encoding, estimation and the release all run through the shared channel
+//! codec, so a release answers a query by summing the matching cells of the
+//! one estimated joint distribution.
 
-use crate::adjustment::AdjustmentTarget;
 use crate::clustering::Clustering;
 use crate::codec::ChannelCodec;
 use crate::error::{MdrrError, ProtocolError};
-use crate::estimator::{validate_assignment, Assignment, FrequencyEstimator};
 use crate::protocol::{Protocol, RandomizationLevel, Release};
-use mdrr_core::{
-    estimate_proper_from_counts, randomize_joint, CoreError, PrivacyAccountant, RRMatrix,
-};
+use mdrr_core::{CoreError, RRMatrix};
 use mdrr_data::{Dataset, JointDomain, RecordsView, Schema};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// Default cap on the joint-domain size accepted by the [`RRJoint`]
 /// constructors.
@@ -33,7 +34,6 @@ pub const DEFAULT_MAX_JOINT_DOMAIN: usize = 1_000_000;
 /// RR-Clusters over one cluster holding every attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RRJoint {
-    schema: Schema,
     codec: ChannelCodec,
 }
 
@@ -107,13 +107,15 @@ impl RRJoint {
                  use RR-Independent or RR-Clusters instead"
             )));
         }
-        let codec = ChannelCodec::new(&schema, whole, vec![matrix(size)?])?;
-        Ok(RRJoint { schema, codec })
+        let codec = ChannelCodec::new(schema, whole, vec![matrix(size)?], |_, _, _| {
+            "RR-Joint on the full attribute set".to_string()
+        })?;
+        Ok(RRJoint { codec })
     }
 
     /// The schema the protocol was configured for.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.codec.schema()
     }
 
     /// The joint-domain codec.
@@ -125,206 +127,6 @@ impl RRJoint {
     pub fn matrix(&self) -> &RRMatrix {
         &self.codec.matrices()[0]
     }
-
-    /// Collector-side estimation from accumulated sufficient statistics:
-    /// builds a release from the count vector over the joint domain of the
-    /// randomized codes of `n_records` reports.  Numerically identical to
-    /// the estimate [`RRJoint::run`] computes from the same codes, but
-    /// carries no randomized microdata ([`JointRelease::randomized`] is
-    /// `None`).
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::InvalidConfiguration`] if `n_records` is
-    /// zero, the count vector's length differs from the joint-domain size,
-    /// or the counts do not sum to `n_records`.
-    pub fn release_from_counts(
-        &self,
-        counts: &[u64],
-        n_records: usize,
-    ) -> Result<JointRelease, ProtocolError> {
-        self.release(&[counts], n_records)
-    }
-
-    /// [`RRJoint::release_from_counts`] over the per-channel count vectors
-    /// of [`Protocol::release_from_counts`]: exactly one, for the joint
-    /// domain.
-    fn release(
-        &self,
-        counts: &[impl AsRef<[u64]>],
-        n_records: usize,
-    ) -> Result<JointRelease, ProtocolError> {
-        self.codec.check_counts(counts, n_records)?;
-        let joint = estimate_proper_from_counts(self.matrix(), counts[0].as_ref())?;
-        let mut accountant = PrivacyAccountant::new();
-        accountant.record_matrix("RR-Joint on the full attribute set", self.matrix());
-        Ok(JointRelease {
-            schema: self.schema.clone(),
-            domain: self.domain().clone(),
-            randomized: None,
-            joint,
-            accountant,
-            n_records,
-        })
-    }
-
-    /// Collector-side estimation from an already-randomized data set (the
-    /// pooled reports of all parties, decoded to microdata).
-    /// [`RRJoint::run`] is exactly client-side randomization followed by
-    /// this constructor.
-    ///
-    /// # Errors
-    /// * [`ProtocolError::InvalidConfiguration`] for a schema mismatch or an
-    ///   empty data set;
-    /// * propagated estimation errors otherwise.
-    pub fn release_from_randomized(
-        &self,
-        randomized: Dataset,
-    ) -> Result<JointRelease, ProtocolError> {
-        if randomized.schema() != &self.schema {
-            return Err(ProtocolError::config(
-                "randomized dataset schema does not match the protocol configuration",
-            ));
-        }
-        if randomized.is_empty() {
-            return Err(ProtocolError::config(
-                "cannot build an RR-Joint release from an empty dataset",
-            ));
-        }
-        let attributes: Vec<usize> = (0..self.schema.len()).collect();
-        let (_, counts) = randomized.joint_counts(&attributes)?;
-        let mut release = self.release_from_counts(&counts, randomized.n_records())?;
-        release.randomized = Some(randomized);
-        Ok(release)
-    }
-
-    /// Runs the protocol and estimates the joint distribution of the true
-    /// data.
-    ///
-    /// # Errors
-    /// * [`ProtocolError::InvalidConfiguration`] for a schema mismatch or an
-    ///   empty dataset;
-    /// * propagated randomization/estimation errors otherwise.
-    pub fn run(
-        &self,
-        dataset: &Dataset,
-        rng: &mut impl Rng,
-    ) -> Result<JointRelease, ProtocolError> {
-        if dataset.schema() != &self.schema {
-            return Err(ProtocolError::config(
-                "dataset schema does not match the protocol configuration",
-            ));
-        }
-        if dataset.is_empty() {
-            return Err(ProtocolError::config(
-                "cannot run RR-Joint on an empty dataset",
-            ));
-        }
-        let attributes: Vec<usize> = (0..self.schema.len()).collect();
-        let randomized_codes = randomize_joint(dataset, &attributes, self.matrix(), rng)?;
-
-        // Estimate directly from the in-hand joint codes (no re-encoding
-        // round-trip) and reconstruct the randomized microdata set so
-        // downstream consumers (Randomized baseline, RR-Adjustment) can use
-        // it like any other release.
-        let mut counts = vec![0u64; self.domain().size()];
-        let mut randomized = Dataset::empty(self.schema.clone());
-        for &code in &randomized_codes {
-            counts[code as usize] += 1;
-            let record = self.domain().decode(code as usize)?;
-            randomized.push_record(&record)?;
-        }
-        let mut release = self.release_from_counts(&counts, randomized_codes.len())?;
-        release.randomized = Some(randomized);
-        Ok(release)
-    }
-}
-
-/// The output of one run of RR-Joint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JointRelease {
-    schema: Schema,
-    domain: JointDomain,
-    randomized: Option<Dataset>,
-    joint: Vec<f64>,
-    accountant: PrivacyAccountant,
-    n_records: usize,
-}
-
-impl JointRelease {
-    /// The published randomized microdata set — `Some` for batch releases,
-    /// `None` for releases assembled from streamed sufficient statistics
-    /// ([`RRJoint::release_from_counts`]).
-    pub fn randomized(&self) -> Option<&Dataset> {
-        self.randomized.as_ref()
-    }
-
-    /// The estimated joint distribution over the full domain (code order of
-    /// [`JointRelease::domain`]).
-    pub fn joint_distribution(&self) -> &[f64] {
-        &self.joint
-    }
-
-    /// The joint-domain codec of the estimate.
-    pub fn domain(&self) -> &JointDomain {
-        &self.domain
-    }
-
-    /// The privacy ledger (a single entry: the joint release).
-    pub fn accountant(&self) -> &PrivacyAccountant {
-        &self.accountant
-    }
-
-    /// The estimated marginal distribution of a single attribute, obtained
-    /// by marginalising the estimated joint distribution (the shared
-    /// [`Release::marginal`] accessor).
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::UnsupportedQuery`] for a bad attribute
-    /// index.
-    pub fn marginal(&self, attribute: usize) -> Result<Vec<f64>, ProtocolError> {
-        let cardinality = *self.schema.cardinalities().get(attribute).ok_or_else(|| {
-            ProtocolError::unsupported(format!("attribute index {attribute} out of range"))
-        })?;
-        let mut marginal = vec![0.0; cardinality];
-        for (cell, &prob) in self.joint.iter().enumerate() {
-            if prob == 0.0 {
-                continue;
-            }
-            let tuple = self.domain.decode(cell)?;
-            marginal[tuple[attribute] as usize] += prob;
-        }
-        Ok(marginal)
-    }
-}
-
-impl FrequencyEstimator for JointRelease {
-    fn frequency(&self, assignment: &Assignment) -> Result<f64, ProtocolError> {
-        validate_assignment(assignment, &self.schema.cardinalities())?;
-        let mut constraint: Vec<Option<u32>> = vec![None; self.schema.len()];
-        for &(attribute, code) in assignment {
-            constraint[attribute] = Some(code);
-        }
-        // Sum the estimated joint distribution over all matching cells.
-        let mut freq = 0.0;
-        for (cell, &prob) in self.joint.iter().enumerate() {
-            if prob == 0.0 {
-                continue;
-            }
-            let tuple = self.domain.decode(cell)?;
-            let matches = constraint
-                .iter()
-                .zip(tuple.iter())
-                .all(|(c, &v)| c.is_none_or(|expected| expected == v));
-            if matches {
-                freq += prob;
-            }
-        }
-        Ok(freq)
-    }
-
-    fn record_count(&self) -> usize {
-        self.n_records
-    }
 }
 
 impl Protocol for RRJoint {
@@ -333,7 +135,7 @@ impl Protocol for RRJoint {
     }
 
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.codec.schema()
     }
 
     fn channel_sizes(&self) -> Vec<usize> {
@@ -341,7 +143,7 @@ impl Protocol for RRJoint {
     }
 
     fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        self.codec.encode_record(&self.schema, record, rng)
+        self.codec.encode_record(record, rng)
     }
 
     fn encode_batch(
@@ -350,7 +152,7 @@ impl Protocol for RRJoint {
         rng: &mut dyn RngCore,
         out: &mut [Vec<u32>],
     ) -> Result<(), MdrrError> {
-        self.codec.encode_batch(&self.schema, records, rng, out)
+        self.codec.encode_batch(records, rng, out)
     }
 
     fn encode_tally(
@@ -359,7 +161,7 @@ impl Protocol for RRJoint {
         rng: &mut dyn RngCore,
         tallies: &mut [Vec<u64>],
     ) -> Result<(), MdrrError> {
-        self.codec.encode_tally(&self.schema, records, rng, tallies)
+        self.codec.encode_tally(records, rng, tallies)
     }
 
     fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
@@ -371,17 +173,15 @@ impl Protocol for RRJoint {
         counts: &[Vec<u64>],
         n_records: usize,
     ) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(self.release(counts, n_records)?))
+        Ok(Box::new(self.codec.release_from_counts(counts, n_records)?))
     }
 
     fn release_from_randomized(&self, randomized: Dataset) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(RRJoint::release_from_randomized(
-            self, randomized,
-        )?))
+        Ok(Box::new(self.codec.release_from_randomized(randomized)?))
     }
 
     fn run(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(RRJoint::run(self, dataset, &mut &mut *rng)?))
+        Ok(Box::new(self.codec.run(dataset, rng)?))
     }
 
     fn epsilons(&self) -> Vec<f64> {
@@ -389,36 +189,13 @@ impl Protocol for RRJoint {
     }
 }
 
-impl Release for JointRelease {
-    fn marginal(&self, attribute: usize) -> Result<Vec<f64>, MdrrError> {
-        JointRelease::marginal(self, attribute)
-    }
-
-    fn accountant(&self) -> &PrivacyAccountant {
-        JointRelease::accountant(self)
-    }
-
-    fn randomized(&self) -> Option<&Dataset> {
-        JointRelease::randomized(self)
-    }
-
-    fn adjustment_targets(&self) -> Result<Vec<AdjustmentTarget>, MdrrError> {
-        // The joint estimate constrains the full attribute set at once; an
-        // adjustment against it reproduces the estimated joint exactly.
-        Ok(vec![AdjustmentTarget::new(
-            (0..self.schema.len()).collect(),
-            self.joint.clone(),
-        )?])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::EmpiricalEstimator;
+    use crate::estimator::{EmpiricalEstimator, FrequencyEstimator};
     use mdrr_data::{Attribute, AttributeKind};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -496,7 +273,7 @@ mod tests {
         assert!((marginal_a0 - exact_a0).abs() < 0.02);
         // The distribution is proper.
         assert!(mdrr_math::is_probability_vector(
-            release.joint_distribution(),
+            &release.adjustment_targets().unwrap()[0].distribution,
             1e-9
         ));
         assert_eq!(release.record_count(), 40_000);
@@ -528,9 +305,9 @@ mod tests {
             reports.push(protocol.encode_record(&row, &mut rng).unwrap()[0]);
         }
 
-        let mut counts = vec![0u64; protocol.domain().size()];
+        let mut counts = vec![vec![0u64; protocol.domain().size()]];
         for &code in &reports {
-            counts[code as usize] += 1;
+            counts[0][code as usize] += 1;
         }
         let streamed = protocol
             .release_from_counts(&counts, reports.len())
@@ -544,7 +321,10 @@ mod tests {
                 .unwrap();
         }
         let batch = protocol.release_from_randomized(randomized).unwrap();
-        assert_eq!(streamed.joint_distribution(), batch.joint_distribution());
+        assert_eq!(
+            streamed.adjustment_targets().unwrap(),
+            batch.adjustment_targets().unwrap()
+        );
         assert_eq!(streamed.record_count(), batch.record_count());
     }
 
@@ -556,12 +336,14 @@ mod tests {
         assert!(protocol.encode_record(&[0, 5], &mut rng).is_err());
         assert!(protocol.encode_record(&[1, 2], &mut rng).is_ok());
 
-        assert!(protocol.release_from_counts(&[0; 6], 0).is_err());
-        assert!(protocol.release_from_counts(&[1, 1, 1], 3).is_err());
+        assert!(protocol.release_from_counts(&[vec![0; 6]], 0).is_err());
+        assert!(protocol.release_from_counts(&[vec![1, 1, 1]], 3).is_err());
         assert!(protocol
-            .release_from_counts(&[1, 1, 1, 0, 0, 0], 4)
+            .release_from_counts(&[vec![1, 1, 1, 0, 0, 0]], 4)
             .is_err());
-        assert!(protocol.release_from_counts(&[1, 1, 1, 1, 0, 0], 4).is_ok());
+        assert!(protocol
+            .release_from_counts(&[vec![1, 1, 1, 1, 0, 0]], 4)
+            .is_ok());
     }
 
     #[test]

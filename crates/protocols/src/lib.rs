@@ -10,9 +10,11 @@
 //! * [`spec`] — the serde-able [`ProtocolSpec`] builder that constructs any
 //!   protocol from configuration data;
 //! * [`independent`] — Protocol 1 (RR-Independent): per-attribute RR, joint
-//!   frequencies estimated under the independence assumption;
+//!   frequencies estimated under the independence assumption — RR-Clusters
+//!   with one cluster per attribute;
 //! * [`joint`] — Protocol 2 (RR-Joint): a single RR over the Cartesian
-//!   product of all attributes;
+//!   product of all attributes — RR-Clusters with one cluster holding
+//!   every attribute;
 //! * [`clustering`] — Algorithm 1: grouping attributes by dependence under
 //!   the `Tv`/`Td` thresholds;
 //! * [`dependence`] — the three privacy-preserving procedures of
@@ -20,7 +22,10 @@
 //! * [`secure_sum`] — the additive-sharing secure-sum substrate those
 //!   procedures rely on;
 //! * [`clusters`] — RR-Clusters: RR-Joint within each cluster with
-//!   equivalent-risk matrices (Section 6.3.2);
+//!   equivalent-risk matrices (Section 6.3.2).  All three protocols
+//!   encode, estimate and release through one crate-private channel codec,
+//!   and every release of theirs is one per-cluster estimate behind
+//!   `Box<dyn Release>`;
 //! * [`adjustment`] — Algorithm 2 (RR-Adjustment): iterative re-weighting
 //!   of the randomized data set, stackable on any base protocol via
 //!   [`RRAdjustment`];
@@ -85,15 +90,15 @@ pub use adjustment::{
     rr_adjustment, AdjustedRelease, AdjustmentConfig, AdjustmentTarget, RRAdjustment,
 };
 pub use clustering::{cluster_attributes, Clustering, ClusteringConfig, DependenceMatrix};
-pub use clusters::{ClustersRelease, RRClusters};
+pub use clusters::RRClusters;
 pub use dependence::{
     dependence_matrix_plain, dependence_via_exact_bivariate, dependence_via_randomized_attributes,
     dependence_via_rr_pairs, DependenceEstimate,
 };
 pub use error::{MdrrError, ProtocolError};
 pub use estimator::{validate_assignment, Assignment, EmpiricalEstimator, FrequencyEstimator};
-pub use independent::{IndependentRelease, RRIndependent};
-pub use joint::{JointRelease, RRJoint, DEFAULT_MAX_JOINT_DOMAIN};
+pub use independent::RRIndependent;
+pub use joint::{RRJoint, DEFAULT_MAX_JOINT_DOMAIN};
 pub use party::{collect_independent_responses, Party};
 pub use protocol::{Protocol, RandomizationLevel, Release};
 pub use secure_sum::{secure_contingency_table, SecureSumMode, SecureSumSession};

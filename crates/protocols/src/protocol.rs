@@ -135,8 +135,9 @@ impl RandomizationLevel {
 /// RR-Independent, RR-Joint and RR-Clusters share one channel codec: in
 /// the paper the two basic protocols are the ends of RR-Clusters (one
 /// cluster per attribute, and one cluster holding every attribute), so
-/// their encoding, decoding and count-shape methods are one-line
-/// delegations to that codec.  The batch encoders validate and prepare
+/// their encoding, decoding and estimation methods are one-line
+/// delegations to that codec, and all three release the same per-cluster
+/// estimate.  The batch encoders validate and prepare
 /// once per call, so dispatching through `dyn Protocol` costs one virtual
 /// call per batch, not per record.
 pub trait Protocol: fmt::Debug + Send + Sync {

@@ -2,9 +2,9 @@
 
 use mdrr_data::{Attribute, AttributeKind, Dataset, Schema};
 use mdrr_protocols::{
-    cluster_attributes, rr_adjustment, AdjustmentConfig, AdjustmentTarget, Clustering,
-    ClusteringConfig, DependenceMatrix, FrequencyEstimator, RRClusters, RRIndependent,
-    RandomizationLevel, SecureSumSession,
+    cluster_attributes, rr_adjustment, AdjustmentConfig, Clustering, ClusteringConfig,
+    DependenceMatrix, FrequencyEstimator, Protocol, RRClusters, RRIndependent, RandomizationLevel,
+    SecureSumSession,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -82,7 +82,7 @@ proptest! {
         let release = protocol.run(&ds, &mut rng).unwrap();
         for attribute in 0..m {
             let card = ds.schema().attribute(attribute).unwrap().cardinality();
-            let mut total = 0.0;
+            let mut total = 0.0f64;
             for code in 0..card as u32 {
                 let f = release.frequency(&[(attribute, code)]).unwrap();
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&f));
@@ -124,7 +124,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let protocol = RRIndependent::new(ds.schema().clone(), &RandomizationLevel::KeepProbability(0.7)).unwrap();
         let release = protocol.run(&ds, &mut rng).unwrap();
-        let targets = AdjustmentTarget::from_independent(&release);
+        let targets = release.adjustment_targets().unwrap();
         let adjusted = rr_adjustment(release.randomized().unwrap(), &targets, AdjustmentConfig::new(60, 1e-10).unwrap()).unwrap();
         let total: f64 = adjusted.weights().iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-9);

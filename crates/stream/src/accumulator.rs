@@ -160,9 +160,9 @@ impl Accumulator {
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] if the channel layouts
-    /// differ or any channel's counts do not sum to `n_reports` (each
-    /// report contributes exactly one code per channel); the accumulator
-    /// is unchanged on error.
+    /// differ, any channel's counts do not sum to `n_reports` (each report
+    /// contributes exactly one code per channel) or a sum overflows a
+    /// `u64`; the accumulator is unchanged on error.
     pub fn absorb_counts(&mut self, counts: &[Vec<u64>], n_reports: u64) -> Result<(), MdrrError> {
         if counts.len() != self.counts.len()
             || counts
@@ -175,19 +175,27 @@ impl Accumulator {
             ));
         }
         for (k, channel) in counts.iter().enumerate() {
-            let total: u64 = channel.iter().sum();
+            let total = channel
+                .iter()
+                .try_fold(0u64, |total, &count| total.checked_add(count))
+                .ok_or_else(|| MdrrError::config(format!("channel {k} counts overflow u64")))?;
             if total != n_reports {
                 return Err(MdrrError::config(format!(
                     "channel {k} counts sum to {total} but {n_reports} reports were tallied"
                 )));
             }
         }
+        // Every cell is bounded by its channel's total, so no cell sum
+        // overflows once the report count does not.
+        self.n_reports = self
+            .n_reports
+            .checked_add(n_reports)
+            .ok_or_else(|| MdrrError::config("absorbed report count overflows u64"))?;
         for (mine, theirs) in self.counts.iter_mut().zip(counts.iter()) {
             for (a, b) in mine.iter_mut().zip(theirs.iter()) {
                 *a += b;
             }
         }
-        self.n_reports += n_reports;
         Ok(())
     }
 
@@ -348,5 +356,19 @@ mod tests {
         assert!(a.merge(&b).is_err());
         assert!(a.merge(&c).is_err());
         assert!(a.is_empty());
+    }
+
+    #[test]
+    fn counts_whose_sums_overflow_are_rejected() {
+        let err = Accumulator::from_counts(vec![vec![u64::MAX, 2]], 1).unwrap_err();
+        assert!(
+            matches!(&err, MdrrError::InvalidConfiguration { message } if message.contains("overflow")),
+            "{err}"
+        );
+        // A report count that would overflow leaves the accumulator as it was.
+        let mut acc = Accumulator::from_counts(vec![vec![u64::MAX, 0]], u64::MAX).unwrap();
+        assert!(acc.absorb_counts(&[vec![0, 1]], 1).is_err());
+        assert_eq!(acc.counts(), &[vec![u64::MAX, 0]]);
+        assert_eq!(acc.n_reports(), u64::MAX);
     }
 }

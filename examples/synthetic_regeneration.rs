@@ -46,8 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RRClusters::with_equivalent_risk_from_keep_probability(schema.clone(), clustering, 0.7)?;
     let release = protocol.run(&dataset, &mut rng)?;
 
-    // Estimated joint distribution of the cluster → synthetic microdata.
-    let estimated = release.cluster_distribution(0)?;
+    // Estimated joint distribution of the cluster (the release's first
+    // adjustment target) → synthetic microdata.
+    let estimated = &release.adjustment_targets()?[0].distribution;
     let synthetic = synthesize_deterministic(&schema, &cluster, estimated, dataset.n_records())?;
     println!(
         "synthesized {} records over the projected schema ({} attributes, joint domain {})",

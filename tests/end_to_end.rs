@@ -74,7 +74,7 @@ fn full_clustered_pipeline_dependences_clustering_release_adjustment() {
 
     // …and RR-Adjustment re-weights the randomized data to match the
     // estimated per-cluster distributions.
-    let targets = AdjustmentTarget::from_clusters(&release).unwrap();
+    let targets = release.adjustment_targets().unwrap();
     let adjusted = rr_adjustment(
         release.randomized().unwrap(),
         &targets,
@@ -220,7 +220,7 @@ fn synthetic_regeneration_preserves_the_released_distribution() {
             .unwrap()
             .run(&dataset, &mut rng)
             .unwrap();
-    let estimated = release.cluster_distribution(0).unwrap().to_vec();
+    let estimated = release.adjustment_targets().unwrap().remove(0).distribution;
     let synthetic =
         mdrr::protocols::synthesize_deterministic(&schema, &cluster, &estimated, 15_000).unwrap();
 

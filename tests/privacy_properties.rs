@@ -75,7 +75,7 @@ proptest! {
         let dataset = AdultSynthesizer::new(n).unwrap().generate(&mut rng);
         let protocol = RRIndependent::new(dataset.schema().clone(), &RandomizationLevel::KeepProbability(0.6)).unwrap();
         let release = protocol.run(&dataset, &mut rng).unwrap();
-        let targets = AdjustmentTarget::from_independent(&release);
+        let targets = release.adjustment_targets().unwrap();
         let adjusted = rr_adjustment(release.randomized().unwrap(), &targets, AdjustmentConfig::default()).unwrap();
         prop_assert_eq!(adjusted.randomized(), release.randomized().unwrap());
         prop_assert!((adjusted.weights().iter().sum::<f64>() - 1.0).abs() < 1e-9);
