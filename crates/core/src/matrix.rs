@@ -118,10 +118,17 @@ fn uniform_redraw_scale(r: usize, threshold: u64) -> u128 {
 /// onto one of the `r − 1` categories other than `true_value`.  Shared by
 /// the batched kernel and the scalar path so their arithmetic can never
 /// diverge.
+///
+/// The arithmetic wraps because [`sample_uniform_raw`] also evaluates it
+/// for draws it then keeps (`hi < threshold`) and discards the result;
+/// near `diag = 1` the product can then exceed `u128`.  For a redraw
+/// `diff = hi − threshold < span`, so the product is below
+/// `(r − 1) · 2⁶⁴`, `idx < r − 1` and nothing wraps: the redrawn category
+/// is the exact one.
 #[inline]
 fn uniform_redraw(threshold: u64, redraw_scale: u128, true_value: u32, hi: u64) -> u32 {
-    let idx = (((hi - threshold) as u128 * redraw_scale) >> 64) as u32;
-    idx + u32::from(idx >= true_value)
+    let idx = (u128::from(hi.wrapping_sub(threshold)).wrapping_mul(redraw_scale) >> 64) as u32;
+    idx.wrapping_add(u32::from(idx >= true_value))
 }
 
 /// The fused keep/redraw kernel of the uniform-perturbation form: maps one
@@ -135,13 +142,15 @@ fn uniform_redraw(threshold: u64, redraw_scale: u128, true_value: u32, hi: u64) 
 /// draw per value, no data-dependent extra draws; this is the draw
 /// discipline both the per-record and the batched encoders share, which is
 /// what makes them bit-identical under a common seed.
+///
+/// The redraw is always computed and the keep is a select, not a branch:
+/// the keep decision is a coin flip (about 30% redraws at the benchmark's
+/// keep probability), so a branch would be mispredicted that often.
 #[inline]
 fn sample_uniform_raw(threshold: u64, redraw_scale: u128, true_value: u32, raw: u64) -> u32 {
     let hi = raw >> (64 - DRAW_BITS);
-    if hi < threshold {
-        return true_value;
-    }
-    uniform_redraw(threshold, redraw_scale, true_value, hi)
+    let redrawn = uniform_redraw(threshold, redraw_scale, true_value, hi);
+    std::hint::select_unpredictable(hi < threshold, true_value, redrawn)
 }
 
 // lint:endregion(no_float, no_alloc)
@@ -183,27 +192,6 @@ enum PreparedKind<'a> {
 }
 
 impl PreparedRandomizer<'_> {
-    /// Randomizes `true_value` with the raw 64-bit draw `raw` — exactly
-    /// what [`RRMatrix::randomize`] computes from one `next_u64` output.
-    ///
-    /// The caller must have validated `true_value < r` (the batched
-    /// encoders validate each column once per batch); out-of-range values
-    /// are a debug-time panic and an unspecified in-range result in
-    /// release builds.
-    #[inline]
-    pub fn randomize_raw(&self, true_value: u32, raw: u64) -> u32 {
-        debug_assert!((true_value as usize) < self.r, "category out of range");
-        match self.kind {
-            PreparedKind::Uniform {
-                threshold,
-                redraw_scale,
-            } => sample_uniform_raw(threshold, redraw_scale, true_value, raw),
-            PreparedKind::General(m) => {
-                sample_general_row(m, self.r, true_value as usize, rand::unit_f64_from_u64(raw))
-            }
-        }
-    }
-
     /// Randomizes a whole column of (pre-validated) category codes with
     /// pre-drawn randomness, appending to `out`: value `i` uses
     /// `draws[offset + i · stride]`.
@@ -751,7 +739,7 @@ impl RRMatrix {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn assert_close(actual: f64, expected: f64, tol: f64) {
         assert!(
@@ -952,5 +940,132 @@ mod tests {
         let strong_privacy = RRMatrix::direct(0.3, 5).unwrap().epsilon();
         let weak_privacy = RRMatrix::direct(0.9, 5).unwrap().epsilon();
         assert!(strong_privacy < weak_privacy);
+    }
+
+    /// An RNG that replays a fixed list of draws.
+    struct Replay<'a>(std::slice::Iter<'a, u64>);
+
+    impl RngCore for Replay<'_> {
+        fn next_u64(&mut self) -> u64 {
+            *self.0.next().expect("replay ran out of draws")
+        }
+    }
+
+    /// Value `i` of `column` randomized with the raw draw `raws[i]` gives
+    /// the same code through `randomize_column`, `randomize_strided_into`
+    /// and `randomize_strided_tally` as through the scalar `randomize`.
+    fn assert_batch_matches_scalar(m: &RRMatrix, column: &[u32], raws: &[u64]) {
+        let r = m.size();
+        let mut scalar = Replay(raws.iter());
+        let expected: Vec<u32> = column
+            .iter()
+            .map(|&v| m.randomize(v, &mut scalar).unwrap())
+            .collect();
+        let context = format!("{m:?}");
+        assert_eq!(
+            m.randomize_column(column, &mut Replay(raws.iter()))
+                .unwrap(),
+            expected,
+            "randomize_column, {context}"
+        );
+
+        // Value `i` reads draw `OFFSET + i · STRIDE`; every other slot holds
+        // a different draw, so a wrong index shows.
+        const OFFSET: usize = 2;
+        const STRIDE: usize = 3;
+        let mut draws: Vec<u64> = (0..OFFSET + raws.len() * STRIDE)
+            .map(|i| !raws[i / STRIDE % raws.len()])
+            .collect();
+        for (i, &raw) in raws.iter().enumerate() {
+            draws[OFFSET + i * STRIDE] = raw;
+        }
+        let prepared = m.prepared();
+        let mut out = Vec::new();
+        prepared.randomize_strided_into(column, &draws, OFFSET, STRIDE, &mut out);
+        assert_eq!(out, expected, "randomize_strided_into, {context}");
+
+        let mut tally = vec![0u64; r];
+        prepared.randomize_strided_tally(column, &draws, OFFSET, STRIDE, &mut tally);
+        let mut expected_tally = vec![0u64; r];
+        for &code in &expected {
+            expected_tally[code as usize] += 1;
+        }
+        assert_eq!(tally, expected_tally, "randomize_strided_tally, {context}");
+    }
+
+    /// The keep probabilities of the kernel tests: the ends, the middle,
+    /// and diagonals so close to 1 that the redraw span is a few units,
+    /// where the redraw scale is largest.
+    fn kernel_test_matrices(r: usize) -> Vec<RRMatrix> {
+        let ulp = 1.0 / (1u64 << DRAW_BITS) as f64;
+        let mut matrices: Vec<RRMatrix> = [0.0, 0.1, 0.5, 0.7, 0.999]
+            .into_iter()
+            .chain([5.0, 2.0, 1.0].map(|k| 1.0 - k * ulp))
+            .chain([1.0])
+            .map(|p| RRMatrix::direct(p, r).unwrap())
+            .collect();
+        matrices.push(RRMatrix::uniform_keep(0.7, r).unwrap());
+        matrices.push(RRMatrix::from_epsilon(1.0, r).unwrap());
+        matrices
+    }
+
+    /// The keep/redraw select equals the scalar branch at its boundaries:
+    /// draws whose top 53 bits are 0, `threshold − 1`, `threshold`,
+    /// `threshold + 1` and `2⁵³ − 1`, for every true value.  In a debug
+    /// build this also checks that the redraw, computed for kept draws
+    /// too, wraps instead of overflowing when the span is a few units.
+    #[test]
+    fn select_kernel_matches_scalar_at_the_keep_boundary() {
+        let full = 1u64 << DRAW_BITS;
+        let mut wrapped = false;
+        for r in [2usize, 3, 64, 65, 144, 1008] {
+            let column: Vec<u32> = (0..r as u32).collect();
+            let mut spans = Vec::new();
+            for m in kernel_test_matrices(r) {
+                let (threshold, redraw_scale) = uniform_row_constants(r, m.prob(0, 0));
+                spans.push(full - threshold);
+                let his = [0, full - 1]
+                    .into_iter()
+                    .chain(threshold.checked_sub(1))
+                    .chain(
+                        [threshold, threshold + 1]
+                            .into_iter()
+                            .filter(|&hi| hi < full),
+                    );
+                for hi in his {
+                    wrapped |= u128::from(hi.wrapping_sub(threshold))
+                        .checked_mul(redraw_scale)
+                        .is_none();
+                    // The low 11 bits are not part of the draw.
+                    for low in [0, (1 << (64 - DRAW_BITS)) - 1] {
+                        let raws = vec![hi << (64 - DRAW_BITS) | low; r];
+                        assert_batch_matches_scalar(&m, &column, &raws);
+                    }
+                }
+            }
+            assert!(
+                [5, 2, 1].iter().all(|k| spans.contains(k)),
+                "r {r}: spans {spans:?}"
+            );
+        }
+        assert!(wrapped, "no kept draw reached the wrapping product");
+    }
+
+    /// Heavy sweep (`cargo test --release -p mdrr-core -- --ignored`): every
+    /// domain up to the banked tally's width plus two wide ones, the kernel
+    /// test matrices, and 2²⁰ random values and draws each.
+    #[test]
+    #[ignore = "heavy: under a minute in release"]
+    fn select_kernel_matches_scalar_on_random_draws() {
+        let mut rng = StdRng::seed_from_u64(0x5e1ec7);
+        let n = 1 << 20;
+        for r in (1..=TALLY_BANK_WIDTH).chain([144, 1008]) {
+            for m in kernel_test_matrices(r) {
+                let column: Vec<u32> = (0..n).map(|_| rng.gen_range(0..r) as u32).collect();
+                let mut raws = vec![0u64; n];
+                rng.fill_u64(&mut raws);
+                assert_batch_matches_scalar(&m, &column, &raws);
+            }
+        }
     }
 }

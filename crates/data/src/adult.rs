@@ -498,39 +498,37 @@ impl Tables {
     }
 }
 
+// The row selectors below are table lookups rather than `if`/`match`
+// chains: their inputs are codes drawn a few instructions earlier, so a
+// branch on them is mispredicted often, and each miss throws away the
+// overlap between consecutive records.  The draw order and the rows are
+// untouched; a test checks every parent-code combination against the
+// branchy forms.
+
+/// Education tier (below 8, 8–11, 12 and up) of each education code.
+const EDUCATION_TIER: [u8; 16] = [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2];
+
 /// Row of [`MARITAL`]: sex × education tier.
 fn marital_row(sex: u32, education: u32) -> usize {
-    let education_tier = if education < 8 {
-        0
-    } else if education < 12 {
-        1
-    } else {
-        2
-    };
-    sex as usize * 3 + education_tier
+    sex as usize * 3 + usize::from(EDUCATION_TIER[education as usize])
 }
+
+/// [`relationship_row`] by marital status, then sex.
+const RELATIONSHIP_ROW: [[u8; 2]; 7] = [[2, 2], [0, 1], [3, 3], [3, 3], [3, 3], [3, 3], [0, 1]];
 
 /// Row of [`RELATIONSHIP`]: married man, married woman, never married,
 /// other.
 fn relationship_row(marital: u32, sex: u32) -> usize {
-    match (marital, sex) {
-        (1, 0) | (6, 0) => 0,
-        (1, 1) | (6, 1) => 1,
-        (0, _) => 2,
-        _ => 3,
-    }
+    usize::from(RELATIONSHIP_ROW[marital as usize][sex as usize])
 }
+
+/// [`work_class_row`] by occupation code.
+const WORK_CLASS_ROW: [u8; 15] = [4, 4, 4, 3, 4, 4, 4, 4, 4, 2, 4, 2, 1, 1, 0];
 
 /// Row of [`WORK_CLASS`]: unknown occupation, managerial or professional,
 /// protective services or armed forces, farming and fishing, other.
 fn work_class_row(occupation: u32) -> usize {
-    match occupation {
-        14 => 0,
-        12.. => 1,
-        9 | 11 => 2,
-        3 => 3,
-        _ => 4,
-    }
+    usize::from(WORK_CLASS_ROW[occupation as usize])
 }
 
 /// Occupation weights for one education level.  Occupation depends
@@ -550,17 +548,22 @@ fn occupation_weights(education: u32) -> [f64; 15] {
     weights
 }
 
+/// Whether each marital code counts as married (1 and 6) for
+/// [`income_case`].
+const MARRIED: [u8; 7] = [0, 1, 0, 0, 0, 0, 1];
+
+/// The work-class class of each work-class code for [`income_case`]:
+/// incorporated self-employed (2) is 1, without pay or never worked (6
+/// and 7) is 2, any other is 0.
+const WORK_CLASS_CLASS: [u8; 9] = [0, 0, 1, 0, 0, 0, 2, 2, 0];
+
 /// Index into [`Tables::p_high`].  Income depends on marital status only
 /// through "married" (codes 1 and 6) and on work-class only through its
 /// class: incorporated self-employed (2), without pay or never worked
 /// (6 and 7), or any other.
 fn income_case(education: u32, occupation: u32, sex: u32, marital: u32, work_class: u32) -> usize {
-    let married = usize::from(marital == 1 || marital == 6);
-    let class = match work_class {
-        2 => 1,
-        6 | 7 => 2,
-        _ => 0,
-    };
+    let married = usize::from(MARRIED[marital as usize]);
+    let class = usize::from(WORK_CLASS_CLASS[work_class as usize]);
     (((education as usize * 15 + occupation as usize) * 2 + sex as usize) * 2 + married) * 3 + class
 }
 
@@ -936,6 +939,103 @@ mod tests {
             score -= 2.0; // without pay / never worked
         }
         1.0 / (1.0 + (-score).exp())
+    }
+
+    /// The row selectors as they were before they became table lookups,
+    /// moved verbatim: the oracle for the selector tables.
+    fn reference_marital_row(sex: u32, education: u32) -> usize {
+        let education_tier = if education < 8 {
+            0
+        } else if education < 12 {
+            1
+        } else {
+            2
+        };
+        sex as usize * 3 + education_tier
+    }
+
+    fn reference_relationship_row(marital: u32, sex: u32) -> usize {
+        match (marital, sex) {
+            (1, 0) | (6, 0) => 0,
+            (1, 1) | (6, 1) => 1,
+            (0, _) => 2,
+            _ => 3,
+        }
+    }
+
+    fn reference_work_class_row(occupation: u32) -> usize {
+        match occupation {
+            14 => 0,
+            12.. => 1,
+            9 | 11 => 2,
+            3 => 3,
+            _ => 4,
+        }
+    }
+
+    fn reference_income_case(
+        education: u32,
+        occupation: u32,
+        sex: u32,
+        marital: u32,
+        work_class: u32,
+    ) -> usize {
+        let married = usize::from(marital == 1 || marital == 6);
+        let class = match work_class {
+            2 => 1,
+            6 | 7 => 2,
+            _ => 0,
+        };
+        (((education as usize * 15 + occupation as usize) * 2 + sex as usize) * 2 + married) * 3
+            + class
+    }
+
+    /// Every parent-code combination picks the same row through the
+    /// selector tables as through the branchy forms, including the rare
+    /// combinations random records seldom reach.
+    #[test]
+    fn row_selectors_match_reference_on_every_code() {
+        for sex in 0..2 {
+            for education in 0..16 {
+                assert_eq!(
+                    marital_row(sex, education),
+                    reference_marital_row(sex, education),
+                    "sex {sex}, education {education}"
+                );
+            }
+            for marital in 0..7 {
+                assert_eq!(
+                    relationship_row(marital, sex),
+                    reference_relationship_row(marital, sex),
+                    "marital {marital}, sex {sex}"
+                );
+            }
+        }
+        for occupation in 0..15 {
+            assert_eq!(
+                work_class_row(occupation),
+                reference_work_class_row(occupation),
+                "occupation {occupation}"
+            );
+        }
+        for education in 0..16 {
+            for occupation in 0..15 {
+                for sex in 0..2 {
+                    for marital in 0..7 {
+                        for work_class in 0..9 {
+                            assert_eq!(
+                                income_case(education, occupation, sex, marital, work_class),
+                                reference_income_case(
+                                    education, occupation, sex, marital, work_class
+                                ),
+                                "education {education}, occupation {occupation}, sex {sex}, \
+                                 marital {marital}, work-class {work_class}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn reference_sample_weighted(rng: &mut impl Rng, weights: &[f64]) -> u32 {
