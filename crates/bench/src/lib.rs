@@ -12,8 +12,6 @@
 //! --out PATH    also write the result as JSON to PATH
 //! ```
 
-#![deny(missing_docs)]
-
 use mdrr_eval::ExperimentConfig;
 use serde::Serialize;
 use std::path::{Path, PathBuf};

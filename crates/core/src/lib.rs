@@ -40,8 +40,6 @@
 //! # Ok::<(), mdrr_core::CoreError>(())
 //! ```
 
-#![deny(missing_docs)]
-
 pub mod bounds;
 pub mod error;
 pub mod estimate;

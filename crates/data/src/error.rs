@@ -58,6 +58,10 @@ pub enum DataError {
     },
 }
 
+// A public error type implements `std::error::Error`, hence `Display` (E0277 otherwise).
+const _: () = is_error::<DataError>();
+const fn is_error<E: std::error::Error>() {}
+
 impl fmt::Display for DataError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

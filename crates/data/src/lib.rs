@@ -44,8 +44,6 @@
 //! # Ok::<(), mdrr_data::DataError>(())
 //! ```
 
-#![deny(missing_docs)]
-
 pub mod adult;
 pub mod csv;
 pub mod dataset;

@@ -39,8 +39,6 @@
 //! # Ok::<(), mdrr_protocols::ProtocolError>(())
 //! ```
 
-#![deny(missing_docs)]
-
 pub mod experiments;
 pub mod metrics;
 pub mod obs;

@@ -178,7 +178,6 @@ mod tests {
                  v.to_vec() // lint:allow(no-alloc-in-hot-loop, reason = \"one copy per batch\")\n    \
                  // lint:endregion(no_alloc)\n}\n",
             )],
-            vec![],
         );
         let out = run_filtered(
             &ws,
@@ -195,16 +194,13 @@ mod tests {
 
     #[test]
     fn stale_allows_are_reported() {
-        let ws = Workspace::in_memory(
-            vec![(
-                "crates/core/src/x.rs",
-                "// lint:region(no_alloc)\n\
-                 // lint:allow(no-alloc-in-hot-loop, reason = \"nothing here allocates\")\n\
-                 pub fn f() -> u8 { 0 }\n\
-                 // lint:endregion(no_alloc)\n",
-            )],
-            vec![],
-        );
+        let ws = Workspace::in_memory(vec![(
+            "crates/core/src/x.rs",
+            "// lint:region(no_alloc)\n\
+             // lint:allow(no-alloc-in-hot-loop, reason = \"nothing here allocates\")\n\
+             pub fn f() -> u8 { 0 }\n\
+             // lint:endregion(no_alloc)\n",
+        )]);
         let out = run_filtered(
             &ws,
             &all_rules(),
@@ -217,13 +213,10 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_allow_is_a_hard_error() {
-        let ws = Workspace::in_memory(
-            vec![(
-                "crates/store/src/x.rs",
-                "// lint:allow(no-such-rule, reason = \"typo\")\npub fn f() {}\n",
-            )],
-            vec![],
-        );
+        let ws = Workspace::in_memory(vec![(
+            "crates/store/src/x.rs",
+            "// lint:allow(no-such-rule, reason = \"typo\")\npub fn f() {}\n",
+        )]);
         let out = run_filtered(&ws, &all_rules(), None);
         assert!(out
             .diagnostics
@@ -234,16 +227,13 @@ mod tests {
     #[test]
     fn unknown_rule_in_allow_fires_even_under_a_rule_filter() {
         // Regression: the unknown-rule escalation used to sit behind the
-        // "did this rule run" gate, so `--rule spec-sync` runs silently
+        // "did this rule run" gate, so `--rule determinism` runs silently
         // skipped allows naming rules that don't exist at all.
-        let ws = Workspace::in_memory(
-            vec![(
-                "crates/store/src/x.rs",
-                "// lint:allow(no-such-rule, reason = \"typo\")\npub fn f() {}\n",
-            )],
-            vec![],
-        );
-        let out = run_filtered(&ws, &all_rules(), Some(&["spec-sync".to_string()]));
+        let ws = Workspace::in_memory(vec![(
+            "crates/store/src/x.rs",
+            "// lint:allow(no-such-rule, reason = \"typo\")\npub fn f() {}\n",
+        )]);
+        let out = run_filtered(&ws, &all_rules(), Some(&["determinism".to_string()]));
         assert!(
             out.diagnostics
                 .iter()
@@ -255,7 +245,7 @@ mod tests {
 
     #[test]
     fn run_timed_records_per_rule_and_total_wall_time() {
-        let ws = Workspace::in_memory(vec![("crates/store/src/x.rs", "pub fn f() {}\n")], vec![]);
+        let ws = Workspace::in_memory(vec![("crates/store/src/x.rs", "pub fn f() {}\n")]);
         // A deterministic fake clock: advances 5 ns per reading.
         let ticks = std::cell::Cell::new(0u64);
         let clock = move || {

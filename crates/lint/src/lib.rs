@@ -4,11 +4,10 @@
 //! nothing in the default toolchain stops tomorrow's patch from quietly
 //! re-introducing a panic into the no-panic snapshot decoder, a float
 //! into the integer randomization kernels, an ambient-entropy draw into
-//! the deterministic-resume path, or a drift between `docs/FORMAT.md`
-//! and the constants in `crates/store/src/format.rs`.  Those are
-//! *contracts of this codebase*, not of the language, so the compiler
-//! and clippy cannot see them — this crate checks them mechanically and
-//! fails CI when they break.
+//! the deterministic-resume path, or raw microdata into a snapshot.
+//! Those are *contracts of this codebase*, not of the language, so the
+//! compiler and clippy cannot see them — this crate checks them
+//! mechanically and fails CI when they break.
 //!
 //! The design is deliberately dependency-free (the workspace builds
 //! offline against vendored shims, so `syn` is not an option): a small
@@ -28,8 +27,6 @@
 //! ```text
 //! cargo run -p mdrr-lint -- --deny-warnings
 //! ```
-
-#![deny(missing_docs)]
 
 pub mod diag;
 pub mod engine;

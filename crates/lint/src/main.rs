@@ -1,8 +1,6 @@
 //! The `mdrr-lint` CLI.  See `--help`, or `docs/LINTS.md` for the rule
 //! catalog.
 
-#![deny(missing_docs)]
-
 use mdrr_lint::diag::{report_json, Severity};
 use mdrr_lint::rules::all_rules;
 use mdrr_lint::{engine, Workspace};

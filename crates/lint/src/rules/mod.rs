@@ -10,13 +10,11 @@ use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
-pub mod crate_hygiene;
 pub mod determinism;
 pub mod no_alloc_in_hot_loop;
 pub mod no_float_in_kernel;
 pub mod panic_reachability;
 pub mod privacy_taint;
-pub mod spec_sync;
 
 /// One static-analysis rule.
 pub trait Rule {
@@ -33,8 +31,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(no_float_in_kernel::NoFloatInKernel),
         Box::new(no_alloc_in_hot_loop::NoAllocInHotLoop),
-        Box::new(spec_sync::SpecSync),
-        Box::new(crate_hygiene::CrateHygiene),
         Box::new(privacy_taint::PrivacyTaint),
         Box::new(panic_reachability::PanicReachability),
         Box::new(determinism::Determinism),

@@ -263,7 +263,7 @@ mod tests {
     use super::*;
 
     fn graph(files: Vec<(&str, &str)>) -> (SymbolTable, CallGraph) {
-        let ws = Workspace::in_memory(files, vec![]);
+        let ws = Workspace::in_memory(files);
         let st = SymbolTable::build(&ws);
         let g = CallGraph::build(&ws, &st);
         (st, g)

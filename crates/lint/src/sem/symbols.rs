@@ -443,7 +443,7 @@ mod tests {
     use super::*;
 
     fn table(files: Vec<(&str, &str)>) -> (Workspace, SymbolTable) {
-        let ws = Workspace::in_memory(files, vec![]);
+        let ws = Workspace::in_memory(files);
         let st = SymbolTable::build(&ws);
         (ws, st)
     }

@@ -1,11 +1,10 @@
 //! Workspace discovery: find the root, enumerate member crates from the
-//! root `Cargo.toml`, and load every Rust source file (plus the auxiliary
-//! documents cross-checked by spec-sync) into lexed [`SourceFile`]s.
+//! root `Cargo.toml`, and load every Rust source file into lexed
+//! [`SourceFile`]s.
 
 use crate::sem::SemModel;
 use crate::source::{FileKind, SourceFile};
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -22,8 +21,7 @@ pub struct CrateInfo {
     pub is_vendor: bool,
 }
 
-/// Everything the rules see: the member crates, their lexed sources, and
-/// auxiliary (non-Rust) documents like `docs/FORMAT.md`.
+/// Everything the rules see: the member crates and their lexed sources.
 #[derive(Debug)]
 pub struct Workspace {
     /// Absolute path of the workspace root.
@@ -32,8 +30,6 @@ pub struct Workspace {
     pub crates: Vec<CrateInfo>,
     /// Every lexed Rust source file of every non-vendor member.
     pub files: Vec<SourceFile>,
-    /// Auxiliary text documents by workspace-relative path.
-    pub aux: BTreeMap<String, String>,
     /// Lazily built semantic model (symbol table + call graph), shared
     /// by the interprocedural rules so the tree is parsed once.
     sem: OnceCell<SemModel>,
@@ -88,7 +84,6 @@ impl Workspace {
             root: root.to_path_buf(),
             crates,
             files: Vec::new(),
-            aux: BTreeMap::new(),
             sem: OnceCell::new(),
         };
         let crate_list = ws.crates.clone();
@@ -112,18 +107,13 @@ impl Workspace {
         }
         // Stable order: path-sorted, so diagnostics are deterministic.
         ws.files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        for doc in ["docs/FORMAT.md", "docs/LINTS.md"] {
-            if let Ok(text) = fs::read_to_string(root.join(doc)) {
-                ws.aux.insert(doc.to_string(), text);
-            }
-        }
         Ok(ws)
     }
 
     /// A test constructor: an in-memory workspace from `(rel_path, text)`
-    /// pairs plus auxiliary documents — the mutation fixtures run rules
-    /// against synthetic trees without touching the filesystem.
-    pub fn in_memory(sources: Vec<(&str, &str)>, aux: Vec<(&str, &str)>) -> Workspace {
+    /// pairs — the mutation fixtures run rules against synthetic trees
+    /// without touching the filesystem.
+    pub fn in_memory(sources: Vec<(&str, &str)>) -> Workspace {
         let mut crates: Vec<CrateInfo> = Vec::new();
         let mut files = Vec::new();
         for (rel, text) in sources {
@@ -146,10 +136,6 @@ impl Workspace {
             root: PathBuf::from("."),
             crates,
             files,
-            aux: aux
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
             sem: OnceCell::new(),
         }
     }
@@ -217,11 +203,6 @@ impl Workspace {
     /// The lexed file at workspace-relative path `rel`, if loaded.
     pub fn file(&self, rel: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.rel == rel)
-    }
-
-    /// All files belonging to the crate named `name`.
-    pub fn crate_files<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SourceFile> + 'a {
-        self.files.iter().filter(move |f| f.crate_name == name)
     }
 }
 
@@ -324,13 +305,10 @@ name = "mdrr"
 
     #[test]
     fn in_memory_workspaces_infer_crates_and_kinds() {
-        let ws = Workspace::in_memory(
-            vec![
-                ("crates/store/src/format.rs", "fn a() {}"),
-                ("crates/store/tests/t.rs", "fn b() {}"),
-            ],
-            vec![("docs/FORMAT.md", "# spec")],
-        );
+        let ws = Workspace::in_memory(vec![
+            ("crates/store/src/format.rs", "fn a() {}"),
+            ("crates/store/tests/t.rs", "fn b() {}"),
+        ]);
         let f = ws.file("crates/store/src/format.rs").unwrap();
         assert_eq!(f.crate_name, "mdrr-store");
         assert_eq!(f.kind, FileKind::LibSrc);
@@ -338,6 +316,5 @@ name = "mdrr"
             ws.file("crates/store/tests/t.rs").unwrap().kind,
             FileKind::Test
         );
-        assert!(ws.aux.contains_key("docs/FORMAT.md"));
     }
 }

@@ -11,7 +11,7 @@ use mdrr_lint::{Diagnostic, Workspace};
 use std::path::Path;
 
 fn lint(rule: &str, files: Vec<(&str, &str)>) -> Vec<Diagnostic> {
-    let ws = Workspace::in_memory(files, vec![]);
+    let ws = Workspace::in_memory(files);
     run_filtered(&ws, &all_rules(), Some(&[rule.to_string()])).diagnostics
 }
 

@@ -29,7 +29,7 @@ fn target_file(path: &[&str]) -> (String, String) {
 }
 
 fn build(files: Vec<(&str, &str)>) -> (Workspace, SymbolTable) {
-    let ws = Workspace::in_memory(files, vec![]);
+    let ws = Workspace::in_memory(files);
     let st = SymbolTable::build(&ws);
     (ws, st)
 }

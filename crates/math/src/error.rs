@@ -37,6 +37,10 @@ pub enum MathError {
     },
 }
 
+// A public error type implements `std::error::Error`, hence `Display` (E0277 otherwise).
+const _: () = is_error::<MathError>();
+const fn is_error<E: std::error::Error>() {}
+
 impl fmt::Display for MathError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

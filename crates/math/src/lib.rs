@@ -43,8 +43,6 @@
 //! # Ok::<(), mdrr_math::MathError>(())
 //! ```
 
-#![deny(missing_docs)]
-
 pub mod chi2;
 pub mod contingency;
 pub mod correlation;

@@ -50,8 +50,6 @@
 //! assert!(json.contains("shard_reports_total"));
 //! ```
 
-#![deny(missing_docs)]
-
 pub mod clock;
 pub mod export;
 pub mod hist;

@@ -50,6 +50,10 @@ pub enum MdrrError {
     },
 }
 
+// A public error type implements `std::error::Error`, hence `Display` (E0277 otherwise).
+const _: () = is_error::<MdrrError>();
+const fn is_error<E: std::error::Error>() {}
+
 /// Compatibility alias: the protocol layer's historical error name.
 pub type ProtocolError = MdrrError;
 

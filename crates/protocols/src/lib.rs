@@ -69,8 +69,6 @@
 //! # Ok::<(), mdrr_protocols::MdrrError>(())
 //! ```
 
-#![deny(missing_docs)]
-
 pub mod adjustment;
 pub mod clustering;
 pub mod clusters;

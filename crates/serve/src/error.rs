@@ -32,6 +32,10 @@ pub enum ServeError {
     },
 }
 
+// A public error type implements `std::error::Error`, hence `Display` (E0277 otherwise).
+const _: () = is_error::<ServeError>();
+const fn is_error<E: std::error::Error>() {}
+
 impl ServeError {
     /// Convenience constructor for [`ServeError::Io`].
     pub fn io(context: impl Into<String>, source: io::Error) -> Self {

@@ -51,7 +51,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![deny(missing_docs)]
 // No panic on hostile input: every malformed frame is a typed error.
 #![deny(
     clippy::unwrap_used,

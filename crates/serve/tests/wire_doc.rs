@@ -1,7 +1,7 @@
 //! Executable proof that `docs/WIRE.md` is sufficient for an external
 //! implementer: a real frame is hand-decoded using nothing but the byte
-//! offsets documented there, and the doc's worked example can be
-//! regenerated with the ignored printer below.
+//! offsets documented there, and the doc's worked example is pinned to
+//! the bytes the codec writes.
 
 mod common;
 
@@ -19,10 +19,21 @@ fn reference_frame() -> Vec<u8> {
     wire::encode_frame(FrameType::Batch, &payload).unwrap()
 }
 
-/// Hand-decodes [`reference_frame`] by the WIRE.md offset table alone.
+/// Hand-decodes [`reference_frame`] by the WIRE.md offset table alone,
+/// and pins the doc's worked example to it byte for byte.  On a
+/// deliberate wire change, the failure message prints the regenerated
+/// dump to paste into the doc.
 #[test]
 fn wire_md_offsets_hand_decode_a_real_frame() {
     let frame = reference_frame();
+    let doc = include_str!("../../../docs/WIRE.md");
+    assert!(
+        dump_after(doc, "## Worked example") == Some(frame.clone())
+            && doc.contains(&format!("exactly these {} bytes", frame.len())),
+        "docs/WIRE.md's worked example drifted; the reference frame is these {} bytes:\n{}",
+        frame.len(),
+        hexdump(&frame)
+    );
 
     // WIRE.md §framing: fixed 20-byte header.
     assert_eq!(&frame[0..8], &WIRE_MAGIC, "[0,8) magic");
@@ -92,15 +103,10 @@ fn frame_type_discriminants_match_wire_md() {
     }
 }
 
-/// Regenerates the annotated dump in `docs/WIRE.md` §Worked example
-/// (run with `cargo test -p mdrr-serve --test wire_doc -- --ignored
-/// print_reference --nocapture` after a wire change and refresh the doc).
-#[test]
-#[ignore]
-fn print_reference_frame_hexdump() {
-    let frame = reference_frame();
-    println!("{} bytes:", frame.len());
-    for (i, chunk) in frame.chunks(16).enumerate() {
+/// `bytes` in the `hexdump -C` layout of the doc's worked example.
+fn hexdump(bytes: &[u8]) -> String {
+    let mut out = String::new();
+    for (i, chunk) in bytes.chunks(16).enumerate() {
         let hex: Vec<String> = chunk.iter().map(|b| format!("{b:02x}")).collect();
         let ascii: String = chunk
             .iter()
@@ -112,6 +118,25 @@ fn print_reference_frame_hexdump() {
                 }
             })
             .collect();
-        println!("{:08x}  {:<47}  |{ascii}|", i * 16, hex.join(" "));
+        out += &format!("{:08x}  {:<47}  |{ascii}|\n", i * 16, hex.join(" "));
     }
+    out
+}
+
+/// The bytes of the first `text` block after `heading` in `doc`, read as
+/// a hexdump: per line, the hex columns between the offset and the `|`.
+fn dump_after(doc: &str, heading: &str) -> Option<Vec<u8>> {
+    let block = doc.split_once(heading)?.1.split_once("```text\n")?.1;
+    let block = block.split_once("```")?.0;
+    block
+        .lines()
+        .flat_map(|line| {
+            line.split('|')
+                .next()
+                .unwrap_or("")
+                .split_whitespace()
+                .skip(1)
+        })
+        .map(|byte| u8::from_str_radix(byte, 16).ok())
+        .collect()
 }

@@ -131,6 +131,10 @@ pub enum StoreError {
     },
 }
 
+// A public error type implements `std::error::Error`, hence `Display` (E0277 otherwise).
+const _: () = is_error::<StoreError>();
+const fn is_error<E: std::error::Error>() {}
+
 impl StoreError {
     /// Convenience constructor for [`StoreError::Io`].
     ///

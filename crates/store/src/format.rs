@@ -3,19 +3,8 @@
 //!
 //! The format is specified byte by byte in `docs/FORMAT.md` at the
 //! repository root — this module is the reference implementation of that
-//! contract.  In short (all integers little-endian):
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  = "MDRRSNAP" (ASCII)
-//! 8       4     format version (u32, currently 1)
-//! 12      8     record count (u64)
-//! 20      4     channel count C (u32)
-//! 24      4     header JSON length H (u32)
-//! 28      H     header JSON (UTF-8: schema, protocol spec, app state)
-//! 28+H    …     C channel blocks: u32 length L, then L × u64 counts
-//! end-8   8     CRC-64/XZ over every preceding byte (u64)
-//! ```
+//! contract, and `format_md_offsets_hand_decode_a_real_snapshot` in
+//! `tests/proptest_store.rs` holds the two to each other.
 //!
 //! Decoding never trusts a declared length beyond the bytes actually
 //! present, so corrupt length fields cannot trigger huge allocations;

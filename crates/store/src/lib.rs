@@ -72,7 +72,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![deny(missing_docs)]
 // No panic on any malformed input: every failure is a typed `StoreError`.
 #![deny(
     clippy::unwrap_used,

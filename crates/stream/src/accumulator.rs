@@ -75,8 +75,9 @@ impl Accumulator {
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] if the report's arity
-    /// differs from the number of channels or a code is out of its
-    /// channel's range; the accumulator is unchanged on error.
+    /// differs from the number of channels, a code is out of its
+    /// channel's range or the report count would overflow a `u64`; the
+    /// accumulator is unchanged on error.
     pub fn ingest(&mut self, report: &Report) -> Result<(), MdrrError> {
         let codes = report.codes();
         if codes.len() != self.counts.len() {
@@ -94,10 +95,10 @@ impl Accumulator {
                 )));
             }
         }
+        self.n_reports = self.checked_total(1)?;
         for (&code, channel) in codes.iter().zip(self.counts.iter_mut()) {
             channel[code as usize] += 1;
         }
-        self.n_reports += 1;
         Ok(())
     }
 
@@ -111,8 +112,8 @@ impl Accumulator {
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] if the batch's channel
     /// count differs from the accumulator's, the channel buffers are
-    /// ragged, or a code is out of its channel's range; the accumulator is
-    /// unchanged on error.
+    /// ragged, a code is out of its channel's range or the report count
+    /// would overflow a `u64`; the accumulator is unchanged on error.
     pub fn ingest_batch(&mut self, batch: &ReportBatch) -> Result<(), MdrrError> {
         let channels = batch.channels();
         if channels.len() != self.counts.len() {
@@ -139,6 +140,7 @@ impl Accumulator {
                 }
             }
         }
+        self.n_reports = self.checked_total(n as u64)?;
         // Validated above: every code is in range, so the counting loops
         // run branch-predictably start to finish.
         // lint:region(no_alloc)
@@ -148,7 +150,6 @@ impl Accumulator {
             }
         }
         // lint:endregion(no_alloc)
-        self.n_reports += n as u64;
         Ok(())
     }
 
@@ -185,12 +186,7 @@ impl Accumulator {
                 )));
             }
         }
-        // Every cell is bounded by its channel's total, so no cell sum
-        // overflows once the report count does not.
-        self.n_reports = self
-            .n_reports
-            .checked_add(n_reports)
-            .ok_or_else(|| MdrrError::config("absorbed report count overflows u64"))?;
+        self.n_reports = self.checked_total(n_reports)?;
         for (mine, theirs) in self.counts.iter_mut().zip(counts.iter()) {
             for (a, b) in mine.iter_mut().zip(theirs.iter()) {
                 *a += b;
@@ -203,26 +199,19 @@ impl Accumulator {
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] if the channel layouts
-    /// differ; the accumulator is unchanged on error.
+    /// differ or a sum overflows a `u64`; the accumulator is unchanged on
+    /// error.
     pub fn merge(&mut self, other: &Accumulator) -> Result<(), MdrrError> {
-        if self.counts.len() != other.counts.len()
-            || self
-                .counts
-                .iter()
-                .zip(other.counts.iter())
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(MdrrError::config(
-                "cannot merge accumulators with different channel layouts",
-            ));
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            for (a, b) in mine.iter_mut().zip(theirs.iter()) {
-                *a += b;
-            }
-        }
-        self.n_reports += other.n_reports;
-        Ok(())
+        self.absorb_counts(other.counts(), other.n_reports())
+    }
+
+    /// The report count after adding `n` more, or an error if it would
+    /// overflow a `u64`.  Every cell is bounded by the report count, so
+    /// once this succeeds no cell sum can overflow.
+    fn checked_total(&self, n: u64) -> Result<u64, MdrrError> {
+        self.n_reports
+            .checked_add(n)
+            .ok_or_else(|| MdrrError::config("the report count overflows u64"))
     }
 
     /// The per-channel count vectors, in channel order.
@@ -370,5 +359,25 @@ mod tests {
         assert!(acc.absorb_counts(&[vec![0, 1]], 1).is_err());
         assert_eq!(acc.counts(), &[vec![u64::MAX, 0]]);
         assert_eq!(acc.n_reports(), u64::MAX);
+    }
+
+    #[test]
+    fn report_count_overflow_is_typed_and_changes_nothing() {
+        let full = Accumulator::from_counts(vec![vec![u64::MAX, 0]], u64::MAX).unwrap();
+        let one = Accumulator::from_counts(vec![vec![1, 0]], 1).unwrap();
+        let mut batch = ReportBatch::new(1).unwrap();
+        batch.push(&report(&[1])).unwrap();
+        let mut acc = full.clone();
+        for err in [
+            acc.merge(&one).unwrap_err(),
+            acc.ingest(&report(&[1])).unwrap_err(),
+            acc.ingest_batch(&batch).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, MdrrError::InvalidConfiguration { message } if message.contains("overflow")),
+                "{err}"
+            );
+        }
+        assert_eq!(acc, full);
     }
 }

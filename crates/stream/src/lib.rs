@@ -76,8 +76,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![deny(missing_docs)]
-
 pub mod accumulator;
 pub mod batch;
 pub mod checkpoint;

@@ -287,6 +287,10 @@ pub enum WireError {
     },
 }
 
+// A public error type implements `std::error::Error`, hence `Display` (E0277 otherwise).
+const _: () = is_error::<WireError>();
+const fn is_error<E: std::error::Error>() {}
+
 impl WireError {
     /// Convenience constructor for [`WireError::Io`].
     pub fn io(context: impl Into<String>, source: io::Error) -> Self {

@@ -65,8 +65,6 @@
 //! For multi-attribute releases see [`protocols::RRIndependent`],
 //! [`protocols::RRClusters`] and the runnable programs in `examples/`.
 
-#![deny(missing_docs)]
-
 pub use mdrr_core as core;
 pub use mdrr_data as data;
 pub use mdrr_eval as eval;
