@@ -9,14 +9,14 @@
 
 use mdrr_data::{Attribute, AttributeKind, Schema};
 use mdrr_protocols::{AdjustmentConfig, Clustering, ProtocolSpec, RandomizationLevel};
-use mdrr_store::{
-    crc64, merge_snapshot_files, merge_snapshots, Snapshot, Storage, StoreError, FORMAT_VERSION,
-    MAGIC,
-};
+use mdrr_store::{crc64, merge_snapshot_files, merge_snapshots, Snapshot, Storage, StoreError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+
+mod format_doc;
+use format_doc::{drift, layout_rows, two_channel_snapshot, Code, FORMAT_MD, POLY};
 
 /// A small schema with 3 attributes of cardinalities 2–4.
 fn schema_strategy() -> impl Strategy<Value = Schema> {
@@ -96,9 +96,6 @@ fn tally(spec: &ProtocolSpec, schema: &Schema, records: &[Vec<u32>], seed: u64) 
     }
     counts
 }
-
-/// The reflected CRC-64/XZ generator polynomial.
-const POLY: u64 = 0xC96C_5795_D787_0F42;
 
 /// CRC-64/XZ one bit at a time, straight from the definition (reflected
 /// [`POLY`], init and xorout `!0`) with no table: the oracle the
@@ -361,191 +358,32 @@ fn spec_mismatch_and_overflow_are_typed_on_files() {
     ));
 }
 
-/// `docs/FORMAT.md`, baked in at compile time so the test reads the doc
-/// it ships with.
-const FORMAT_MD: &str = include_str!("../../../docs/FORMAT.md");
+/// `docs/FORMAT.md` agrees with the code on every constant, offset and
+/// byte of the worked example, and is sufficient for an external reader:
+/// a real two-channel snapshot hand-decodes at the offsets it gives.  On
+/// a deliberate format change, the failure message prints the
+/// regenerated worked-example dump to paste into the doc.  The mutation
+/// suite in `rules_fire.rs` proves each field's check live.
+#[test]
+fn format_md_offsets_hand_decode_a_real_snapshot() {
+    let drift = drift(FORMAT_MD, &Code::real());
+    assert!(
+        drift.is_empty(),
+        "docs/FORMAT.md drifted:\n{}",
+        drift.join("\n")
+    );
 
-/// `bytes` in the `hexdump -C` layout of the doc's worked example.
-fn hexdump(bytes: &[u8]) -> String {
-    let mut out = String::new();
-    for (i, chunk) in bytes.chunks(16).enumerate() {
-        let hex: Vec<String> = chunk.iter().map(|b| format!("{b:02x}")).collect();
-        let ascii: String = chunk
-            .iter()
-            .map(|&b| {
-                if (0x20..0x7f).contains(&b) {
-                    b as char
-                } else {
-                    '.'
-                }
-            })
-            .collect();
-        out += &format!("{:08x}  {:<47}  |{ascii}|\n", i * 16, hex.join(" "));
-    }
-    out
-}
-
-/// The bytes of the first `text` block after `heading` in `doc`, read as
-/// a hexdump: per line, the hex columns between the offset and the `|`.
-fn dump_after(doc: &str, heading: &str) -> Option<Vec<u8>> {
-    let block = doc.split_once(heading)?.1.split_once("```text\n")?.1;
-    let block = block.split_once("```")?.0;
-    block
-        .lines()
-        .flat_map(|line| {
-            line.split('|')
-                .next()
-                .unwrap_or("")
-                .split_whitespace()
-                .skip(1)
-        })
-        .map(|byte| u8::from_str_radix(byte, 16).ok())
-        .collect()
-}
-
-/// The `k`-th backtick-quoted span after `anchor` on the first doc line
-/// containing it.
-fn quoted<'a>(doc: &'a str, anchor: &str, k: usize) -> Option<&'a str> {
-    let rest = doc.lines().find_map(|line| line.split_once(anchor))?.1;
-    rest.split('`').nth(2 * k + 1)
-}
-
-/// The layout table's rows with a numeric offset, as (field, offset,
-/// size); the size is `None` where it varies.
-fn layout_rows(doc: &str) -> Vec<(&str, usize, Option<usize>)> {
-    doc.lines()
-        .filter_map(|line| {
-            let mut cells = line.strip_prefix('|')?.split('|');
-            let offset = cells.next()?.trim().parse().ok()?;
-            let size = cells.next()?.trim().parse().ok();
-            let field = cells.next()?.split("**").nth(1)?;
-            Some((field, offset, size))
-        })
-        .collect()
-}
-
-/// Every way `doc`, a copy of `docs/FORMAT.md`, disagrees with the code:
-/// one line per drifted field, opening with the field's name.  Along the
-/// way it hand-decodes a real two-channel snapshot using nothing but the
-/// offsets the doc gives — the proof that the written spec is sufficient
-/// for an external reader.
-fn format_md_drift(doc: &str) -> Vec<String> {
-    let mut drift = Vec::new();
-    let mut check = |field: &str, ok: bool, doc_says: String, code: String| {
-        if !ok {
-            drift.push(format!("{field}: the doc says {doc_says}, the code {code}"));
-        }
+    let (counts, bytes) = two_channel_snapshot();
+    let offset = |field: &str| {
+        layout_rows(FORMAT_MD)
+            .into_iter()
+            .find(|row| row.0 == field)
+            .unwrap()
+            .1
     };
-
-    let magic = quoted(doc, "ASCII bytes", 0);
-    let magic_hex = quoted(doc, "ASCII bytes", 1).map(|hex| {
-        hex.split_whitespace()
-            .map(|b| u8::from_str_radix(b, 16).ok())
-            .collect::<Option<Vec<u8>>>()
-    });
-    check(
-        "magic ASCII",
-        magic.map(str::as_bytes) == Some(&MAGIC[..]),
-        format!("{magic:?}"),
-        format!("writes {:?}", String::from_utf8_lossy(&MAGIC)),
-    );
-    check(
-        "magic hex",
-        magic_hex == Some(Some(MAGIC.to_vec())),
-        format!("{magic_hex:02x?}"),
-        format!("writes {MAGIC:02x?}"),
-    );
-    let version = quoted(doc, "currently", 0);
-    check(
-        "format version",
-        version == Some(FORMAT_VERSION.to_string().as_str()),
-        format!("{version:?}"),
-        format!("writes {FORMAT_VERSION}"),
-    );
-    let hex = |s: &str| u64::from_str_radix(s.trim().trim_start_matches("0x"), 16).ok();
-    let poly = quoted(doc, "polynomial (reflected):", 0).and_then(hex);
-    check(
-        "polynomial",
-        poly == Some(POLY),
-        format!("{poly:x?}"),
-        format!("divides by {POLY:#x}"),
-    );
-    let check_vector = quoted(doc, "check vector:", 0)
-        .and_then(|span| span.split_once('='))
-        .and_then(|(_, value)| hex(value));
-    let computed = crc64(b"123456789");
-    check(
-        "check vector",
-        check_vector == Some(computed),
-        format!("{check_vector:x?}"),
-        format!("computes {computed:#x}"),
-    );
-    // The worked example: one 3-category attribute, RR-Independent at
-    // keep probability 0.7, counts [5, 3, 2] over 10 reports.
-    let schema = Schema::new(vec![Attribute::indexed("A", 3).unwrap()]).unwrap();
-    let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
-    let reference = Snapshot::new(schema, spec, vec![vec![5, 3, 2]], 10)
-        .unwrap()
-        .to_bytes()
-        .unwrap();
-    let dump = dump_after(doc, "## Worked example");
-    check(
-        "worked example",
-        dump.as_ref() == Some(&reference)
-            && doc.contains(&format!("exactly these {} bytes", reference.len())),
-        format!("{} bytes that differ", dump.map_or(0, |d| d.len())),
-        format!(
-            "writes these {} bytes:\n{}",
-            reference.len(),
-            hexdump(&reference)
-        ),
-    );
-
-    // FORMAT.md §layout: the fixed prefix, read at the doc's offsets.
-    let schema = Schema::new(vec![
-        Attribute::indexed("A", 3).unwrap(),
-        Attribute::indexed("B", 2).unwrap(),
-    ])
-    .unwrap();
-    let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
-    let counts = vec![vec![5, 3, 2], vec![6, 4]];
-    let snapshot = Snapshot::new(schema, spec, counts.clone(), 10).unwrap();
-    let bytes = snapshot.to_bytes().unwrap();
-    let blocks: usize = counts.iter().map(|c| 4 + 8 * c.len()).sum();
-    let mut prefix: Vec<(&str, Vec<u8>)> = vec![
-        ("magic", MAGIC.to_vec()),
-        ("format version", FORMAT_VERSION.to_le_bytes().to_vec()),
-        ("record count", 10u64.to_le_bytes().to_vec()),
-        ("channel count", 2u32.to_le_bytes().to_vec()),
-    ];
-    // The header JSON is what the 4-byte header length, the channel
-    // blocks and the 8-byte checksum leave over.
-    let header_at = prefix.iter().map(|(_, b)| b.len()).sum::<usize>() + 4;
-    let header_len = bytes.len() - header_at - blocks - 8;
-    prefix.push((
-        "header length",
-        u32::try_from(header_len).unwrap().to_le_bytes().to_vec(),
-    ));
-    let rows = layout_rows(doc);
-    let mut at = 0;
-    for (field, want) in &prefix {
-        let row = rows.iter().find(|row| row.0 == *field);
-        let got = row.and_then(|&(_, offset, size)| bytes.get(offset..offset + size?));
-        check(
-            field,
-            row.map(|row| row.1) == Some(at) && got == Some(want.as_slice()),
-            format!("{row:?}"),
-            format!("writes {want:02x?} at {at}"),
-        );
-        at += want.len();
-    }
-    let header_row = rows.iter().find(|row| row.0 == "header JSON");
-    check(
-        "header JSON",
-        header_row.map(|row| row.1) == Some(at),
-        format!("{header_row:?}"),
-        format!("writes it at {at}"),
-    );
+    let at = offset("header length");
+    let header_len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let at = offset("header JSON");
 
     // FORMAT.md §header: UTF-8 JSON with schema, spec and app_state.
     let header = std::str::from_utf8(&bytes[at..at + header_len]).unwrap();
@@ -570,45 +408,4 @@ fn format_md_drift(doc: &str) -> Vec<String> {
     let stored = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
     assert_eq!(stored, crc64(&bytes[..pos]));
     assert_eq!(pos + 8, bytes.len());
-    drift
-}
-
-/// `docs/FORMAT.md` agrees with the code on every constant, offset and
-/// byte of the worked example; and each single-field drift of the doc is
-/// caught and named.  On a deliberate format change, the failure message
-/// prints the regenerated worked-example dump to paste into the doc.
-#[test]
-fn format_md_offsets_hand_decode_a_real_snapshot() {
-    let drift = format_md_drift(FORMAT_MD);
-    assert!(
-        drift.is_empty(),
-        "docs/FORMAT.md drifted:\n{}",
-        drift.join("\n")
-    );
-
-    for (field, from, to) in [
-        ("format version", "currently `1`", "currently `2`"),
-        ("magic ASCII", "bytes `MDRRSNAP`", "bytes `MDRRSNAX`"),
-        ("magic hex", "53 4e 41 50`", "53 4e 41 51`"),
-        ("polynomial", "`0xC96C5795D7870F42`", "`0xC96C5795D7870F43`"),
-        (
-            "check vector",
-            "= 0x995DC9BBDF1939FA`",
-            "= 0x995DC9BBDF1939FB`",
-        ),
-        (
-            "record count",
-            "| 12            | 8 ",
-            "| 16            | 8 ",
-        ),
-        ("worked example", "52 fd fb 75", "52 fd fb 76"),
-    ] {
-        let mutated = FORMAT_MD.replacen(from, to, 1);
-        assert_ne!(mutated, FORMAT_MD, "{from:?} is gone from the doc");
-        let drift = format_md_drift(&mutated);
-        assert!(
-            drift.len() == 1 && drift[0].starts_with(&format!("{field}:")),
-            "{from:?} -> {to:?} must drift exactly `{field}`, got {drift:#?}"
-        );
-    }
 }
