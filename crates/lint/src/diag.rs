@@ -48,21 +48,6 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// A finding with no snippet context (file-level or cross-file rules).
-    pub fn file_level(rule: &str, file: &str, message: String) -> Self {
-        Diagnostic {
-            rule: rule.to_string(),
-            severity: Severity::Warning,
-            file: file.to_string(),
-            line: 1,
-            col: 1,
-            message,
-            snippet: None,
-            span_chars: 1,
-            help: None,
-        }
-    }
-
     /// Attaches a `= help:` trailer.
     pub fn with_help(mut self, help: impl Into<String>) -> Self {
         self.help = Some(help.into());
@@ -173,6 +158,21 @@ pub fn report_json(outcome: &crate::engine::Outcome) -> String {
 mod tests {
     use super::*;
 
+    /// A warning at the top of `file`, with no snippet.
+    fn finding(rule: &str, file: &str, message: &str) -> Diagnostic {
+        Diagnostic {
+            rule: rule.to_string(),
+            severity: Severity::Warning,
+            file: file.to_string(),
+            line: 1,
+            col: 1,
+            message: message.to_string(),
+            snippet: None,
+            span_chars: 1,
+            help: None,
+        }
+    }
+
     #[test]
     fn render_matches_the_rustc_shape() {
         let d = Diagnostic {
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn report_json_is_versioned_timed_and_round_trips_quotes() {
-        let d = Diagnostic::file_level("determinism", "docs/FORMAT.md", "magic \"drift\"".into());
+        let d = finding("determinism", "docs/FORMAT.md", "magic \"drift\"");
         let outcome = crate::engine::Outcome {
             diagnostics: vec![d],
             suppressed: 1,
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn report_json_is_deterministic_for_identical_outcomes() {
         let make = || crate::engine::Outcome {
-            diagnostics: vec![Diagnostic::file_level("a-rule", "b.rs", "msg".into())],
+            diagnostics: vec![finding("a-rule", "b.rs", "msg")],
             suppressed: 0,
             files_scanned: 1,
             rule_times: vec![("a-rule".into(), 7)],

@@ -15,15 +15,14 @@ use std::path::Path;
 
 const ROOT_MANIFEST: &str = include_str!("../../../Cargo.toml");
 
-/// Whether `manifest` has a line equal to `header` whose next
-/// non-blank, non-comment line is `entry`.
+/// Whether `manifest` has a line equal to `header` followed by a line
+/// equal to `entry` before the next `[` header.
 fn has_table_entry(manifest: &str, header: &str, entry: &str) -> bool {
-    let mut lines = manifest
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'));
-    while let Some(line) = lines.next() {
-        if line == header && lines.next() == Some(entry) {
+    let mut in_table = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_table = line == header;
+        } else if in_table && line == entry {
             return true;
         }
     }
@@ -57,6 +56,18 @@ fn the_workspace_forbids_unsafe_code() {
             "unsafe_code = \"forbid\""
         ),
         "the root Cargo.toml must forbid unsafe_code for the workspace"
+    );
+}
+
+#[test]
+fn the_workspace_forbids_missing_docs() {
+    assert!(
+        has_table_entry(
+            ROOT_MANIFEST,
+            "[workspace.lints.rust]",
+            "missing_docs = \"forbid\""
+        ),
+        "the root Cargo.toml must forbid missing_docs for the workspace"
     );
 }
 

@@ -102,18 +102,23 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Ingests a whole columnar [`ReportBatch`]: one tight counting loop
-    /// per channel, with a single shape/range validation pass per batch
-    /// (one arity check, one length check and one max-code scan per
-    /// channel) instead of one per report.  Counting `n` reports this way
-    /// is equivalent to `n` [`Accumulator::ingest`] calls on the same
-    /// codes, at a fraction of the cost.
+    /// Ingests a whole columnar [`ReportBatch`]: one pass per channel that
+    /// validates and counts together, with one arity check and one length
+    /// check per batch instead of one per report.  A channel of at most 64
+    /// categories tallies into four interleaved stack banks whose index is
+    /// clamped to an overflow slot, and the slots past the channel's size
+    /// are checked once the pass is done; a wider channel counts straight
+    /// into its count vector.  Counting `n` reports this way is equivalent
+    /// to `n` [`Accumulator::ingest`] calls on the same codes, at a
+    /// fraction of the cost.
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] if the batch's channel
     /// count differs from the accumulator's, the channel buffers are
     /// ragged, a code is out of its channel's range or the report count
-    /// would overflow a `u64`; the accumulator is unchanged on error.
+    /// would overflow a `u64`; the accumulator is unchanged on error (a
+    /// bad channel adds nothing, and the clean channels before it are
+    /// taken back out).
     pub fn ingest_batch(&mut self, batch: &ReportBatch) -> Result<(), MdrrError> {
         let channels = batch.channels();
         if channels.len() != self.counts.len() {
@@ -124,33 +129,35 @@ impl Accumulator {
             )));
         }
         let n = batch.n_reports();
-        for (k, (codes, channel)) in channels.iter().zip(self.counts.iter()).enumerate() {
-            if codes.len() != n {
+        if let Some((k, codes)) = channels.iter().enumerate().find(|(_, c)| c.len() != n) {
+            return Err(MdrrError::config(format!(
+                "batch channel {k} holds {} codes but channel 0 holds {n}",
+                codes.len()
+            )));
+        }
+        let total = self.checked_total(n as u64)?;
+        for (k, (codes, channel)) in channels.iter().zip(self.counts.iter_mut()).enumerate() {
+            if let Err(code) = count_channel(codes, channel) {
+                let len = channel.len();
+                for (codes, channel) in channels.iter().zip(self.counts.iter_mut()).take(k) {
+                    uncount_channel(codes, channel);
+                }
                 return Err(MdrrError::config(format!(
-                    "batch channel {k} holds {} codes but channel 0 holds {n}",
-                    codes.len()
+                    "code {code} out of range for channel {k} ({len} categories)"
                 )));
             }
-            if let Some(&max) = codes.iter().max() {
-                if max as usize >= channel.len() {
-                    return Err(MdrrError::config(format!(
-                        "code {max} out of range for channel {k} ({} categories)",
-                        channel.len()
-                    )));
-                }
-            }
         }
-        self.n_reports = self.checked_total(n as u64)?;
-        // Validated above: every code is in range, so the counting loops
-        // run branch-predictably start to finish.
-        // lint:region(no_alloc)
-        for (codes, channel) in channels.iter().zip(self.counts.iter_mut()) {
-            for &code in codes {
-                channel[code as usize] += 1;
-            }
-        }
-        // lint:endregion(no_alloc)
+        self.n_reports = total;
         Ok(())
+    }
+
+    /// Resets every count to zero, keeping the channel layout, so one
+    /// accumulator can tally batch after batch without reallocating.
+    pub fn clear(&mut self) {
+        for channel in &mut self.counts {
+            channel.fill(0);
+        }
+        self.n_reports = 0;
     }
 
     /// Absorbs externally tallied per-channel count vectors covering
@@ -235,6 +242,75 @@ impl Accumulator {
     }
 }
 
+/// Largest channel domain [`Accumulator::ingest_batch`] counts through
+/// interleaved stack banks (4 banks of this width plus one overflow slot
+/// each, 2 KiB, zero quickly).
+const BANK_WIDTH: usize = 64;
+
+/// Adds one channel's codes to its count vector, or leaves `channel`
+/// unchanged and returns the first code that is out of its range.
+fn count_channel(codes: &[u32], channel: &mut [u64]) -> Result<(), u32> {
+    let len = channel.len();
+    // lint:region(no_alloc)
+    if len <= BANK_WIDTH {
+        // Four banks, one per lane of a 4-code chunk: consecutive codes
+        // never increment the same slot, which breaks the
+        // store-forwarding chains that serialize counting on
+        // low-cardinality channels.  An index clamped to `BANK_WIDTH`
+        // keeps every write in bounds; any count at or past `len` is a
+        // code out of range.
+        let mut banks = [[0u64; BANK_WIDTH + 1]; 4];
+        let (quads, rest) = codes.as_chunks::<4>();
+        for quad in quads {
+            for (bank, &code) in banks.iter_mut().zip(quad) {
+                bank[(code as usize).min(BANK_WIDTH)] += 1;
+            }
+        }
+        for (bank, &code) in banks.iter_mut().zip(rest) {
+            bank[(code as usize).min(BANK_WIDTH)] += 1;
+        }
+        if banks.iter().any(|bank| bank[len..].iter().any(|&c| c != 0)) {
+            return Err(first_out_of_range(codes, len));
+        }
+        for (code, slot) in channel.iter_mut().enumerate() {
+            *slot += banks[0][code] + banks[1][code] + banks[2][code] + banks[3][code];
+        }
+    } else {
+        let mut out_of_range = false;
+        for &code in codes {
+            match channel.get_mut(code as usize) {
+                Some(slot) => *slot += 1,
+                None => out_of_range = true,
+            }
+        }
+        if out_of_range {
+            uncount_channel(codes, channel);
+            return Err(first_out_of_range(codes, len));
+        }
+    }
+    // lint:endregion(no_alloc)
+    Ok(())
+}
+
+/// The first code of `codes` at or past `len` (`u32::MAX` if none is).
+fn first_out_of_range(codes: &[u32], len: usize) -> u32 {
+    codes
+        .iter()
+        .copied()
+        .find(|&c| c as usize >= len)
+        .unwrap_or(u32::MAX)
+}
+
+/// Takes back out of `channel` every in-range code of `codes` — the
+/// error path of [`Accumulator::ingest_batch`].
+fn uncount_channel(codes: &[u32], channel: &mut [u64]) {
+    for &code in codes {
+        if let Some(slot) = channel.get_mut(code as usize) {
+            *slot -= 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,6 +387,108 @@ mod tests {
         assert!(acc.ingest_batch(&bad_code).is_err());
         assert!(acc.is_empty());
         assert_eq!(acc.counts(), &[vec![0, 0, 0], vec![0, 0]]);
+    }
+
+    /// The channel sizes the batch count is swept over: every banked size,
+    /// the first size past the banks, and two wide joint domains.
+    fn sweep_sizes() -> impl Iterator<Item = usize> {
+        (1..=65).chain([144, 1008])
+    }
+
+    /// A batch over `sizes` of `len` reports with well-mixed in-range
+    /// codes.
+    fn mixed_batch(sizes: &[usize], len: usize) -> ReportBatch {
+        let mut batch = ReportBatch::new(sizes.len()).unwrap();
+        for (k, (channel, &size)) in batch.channels_mut().iter_mut().zip(sizes).enumerate() {
+            channel.extend((0..len).map(|i| {
+                let x = ((i * sizes.len() + k) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                ((x >> 32) % size as u64) as u32
+            }));
+        }
+        batch
+    }
+
+    /// Runs the batch-count sweep for every size in [`sweep_sizes`] over a
+    /// `[size, 2, size]` layout (so a bad code in the last channel must
+    /// take two counted channels back out): for each length, the batch
+    /// count must equal per-report ingestion, and an out-of-range code at
+    /// each of `positions(len)` in each channel must give a typed error
+    /// and leave the accumulator as it was.
+    fn sweep_batch_count(lengths: &[usize], positions: impl Fn(usize) -> Vec<usize>) {
+        for size in sweep_sizes() {
+            let sizes = [size, 2, size];
+            let mut before = Accumulator::new(&sizes).unwrap();
+            before.ingest(&report(&[size as u32 - 1, 1, 0])).unwrap();
+            let bad_codes: Vec<u32> = [size as u32, 64, 65, u32::MAX]
+                .into_iter()
+                .filter(|&c| c as usize >= size)
+                .collect();
+            for &len in lengths {
+                let mut batch = mixed_batch(&sizes, len);
+                let mut per_report = before.clone();
+                let mut codes = Vec::new();
+                for i in 0..len {
+                    batch.read_report(i, &mut codes).unwrap();
+                    per_report.ingest(&report(&codes)).unwrap();
+                }
+                let mut batched = before.clone();
+                batched.ingest_batch(&batch).unwrap();
+                assert_eq!(batched, per_report, "size {size}, {len} reports");
+
+                for position in positions(len) {
+                    for (k, &channel_size) in sizes.iter().enumerate() {
+                        let good = batch.channels()[k][position];
+                        for &bad in bad_codes.iter().filter(|&&c| c as usize >= channel_size) {
+                            batch.channels_mut()[k][position] = bad;
+                            let mut acc = before.clone();
+                            let err = acc.ingest_batch(&batch).unwrap_err();
+                            let context = format!(
+                                "size {size}, {len} reports, code {bad} at {position} of channel {k}"
+                            );
+                            let expected = format!(
+                                "code {bad} out of range for channel {k} ({channel_size} categories)"
+                            );
+                            assert!(
+                                matches!(&err, MdrrError::InvalidConfiguration { message }
+                                    if *message == expected),
+                                "{context}: {err}"
+                            );
+                            assert_eq!(acc, before, "{context}");
+                        }
+                        batch.channels_mut()[k][position] = good;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every lane of the first and the last 4-code chunk, and the
+    /// remainder after them.
+    fn ends(len: usize) -> Vec<usize> {
+        let mut positions: Vec<usize> = (0..len.min(4)).collect();
+        positions.extend(len.saturating_sub(7).max(4)..len);
+        positions
+    }
+
+    #[test]
+    fn batch_count_matches_per_report_ingestion_and_rejects_atomically() {
+        let lengths: Vec<usize> = (0..=9).chain([4099]).collect();
+        sweep_batch_count(&lengths, ends);
+    }
+
+    #[test]
+    #[ignore = "exhaustive sweep, ~10 s in release; CI runs it with --ignored"]
+    fn batch_count_sweep_exhaustive() {
+        let lengths: Vec<usize> = (0..=67).chain(4092..=4100).collect();
+        sweep_batch_count(&lengths, |len| {
+            if len <= 67 {
+                (0..len).collect()
+            } else {
+                let mut positions = ends(len);
+                positions.extend((4..len - 7).step_by(61));
+                positions
+            }
+        });
     }
 
     #[test]

@@ -734,9 +734,17 @@ fn push_batch_payload(
                 channel.len()
             )));
         }
-        for &code in channel {
-            out.extend_from_slice(&code.to_le_bytes());
+        let start = out.len();
+        out.resize(start + 4 * n_reports, 0);
+        let (dst, _) = out
+            .get_mut(start..)
+            .ok_or_else(|| WireError::malformed("internal: payload sizing"))?
+            .as_chunks_mut::<4>();
+        // lint:region(no_alloc)
+        for (bytes, &code) in dst.iter_mut().zip(channel) {
+            *bytes = code.to_le_bytes();
         }
+        // lint:endregion(no_alloc)
     }
     Ok(())
 }
@@ -898,34 +906,34 @@ pub fn read_frame<R: Read>(
     Ok(Some(frame_type))
 }
 
-/// Appends bytes from `reader` until `buf` holds `target` bytes.
-/// Returns `Ok(false)` on EOF before the first byte (clean close); EOF
-/// after that is [`WireError::Closed`].  Never reads past `target`, so
-/// back-to-back frames on one stream are never split.
+/// Appends bytes from `reader` until `buf` holds `target` bytes, reading
+/// straight into `buf`.  Returns `Ok(false)` on EOF before the first byte
+/// (clean close); EOF after that is [`WireError::Closed`].  Never reads
+/// past `target`, so back-to-back frames on one stream are never split.
+/// On error `buf` holds exactly the bytes read so far.
 fn fill<R: Read>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     target: usize,
     wait: &mut dyn FnMut(usize) -> Result<(), WireError>,
 ) -> Result<bool, WireError> {
-    let mut chunk = [0u8; 8192];
-    while buf.len() < target {
-        let want = (target - buf.len()).min(chunk.len());
-        let dst = match chunk.get_mut(..want) {
-            Some(dst) => dst,
-            None => return Err(WireError::malformed("internal: read chunk sizing")),
+    let mut filled = buf.len();
+    if filled >= target {
+        return Ok(true);
+    }
+    buf.resize(target, 0);
+    let outcome = loop {
+        let Some(dst) = buf.get_mut(filled..).filter(|dst| !dst.is_empty()) else {
+            break Ok(true);
         };
         match reader.read(dst) {
+            Ok(0) if filled == 0 => break Ok(false),
             Ok(0) => {
-                if buf.is_empty() {
-                    return Ok(false);
-                }
-                return Err(WireError::closed(format!(
-                    "peer closed mid-frame after {} of {target} bytes",
-                    buf.len()
-                )));
+                break Err(WireError::closed(format!(
+                    "peer closed mid-frame after {filled} of {target} bytes"
+                )))
             }
-            Ok(n) => buf.extend_from_slice(dst.get(..n).unwrap_or(dst)),
+            Ok(n) => filled += n.min(dst.len()),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e)
                 if matches!(
@@ -933,12 +941,15 @@ fn fill<R: Read>(
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                wait(buf.len())?;
+                if let Err(e) = wait(filled) {
+                    break Err(e);
+                }
             }
-            Err(e) => return Err(WireError::io("read frame", e)),
+            Err(e) => break Err(WireError::io("read frame", e)),
         }
-    }
-    Ok(true)
+    };
+    buf.truncate(filled);
+    outcome
 }
 
 #[cfg(test)]
@@ -1146,6 +1157,81 @@ mod tests {
             read_frame(&mut partial, &mut buf, &mut wait),
             Err(WireError::Closed { .. })
         ));
+    }
+
+    /// A reader that hands out its bytes 1–7 at a time and answers every
+    /// other call with `WouldBlock`, as a slow socket with a read timeout
+    /// does.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, dst: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = (1 + (self.calls / 2) % 7)
+                .min(dst.len())
+                .min(self.bytes.len());
+            let (head, rest) = self.bytes.split_at(n);
+            dst[..n].copy_from_slice(head);
+            self.bytes = rest;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_frame_assembles_trickled_frames_without_reading_ahead() {
+        let frames: Vec<Vec<u8>> = [3u64, 4]
+            .iter()
+            .map(|&seq| {
+                let payload = encode_batch_payload(seq, 1, &sample_batch()).unwrap();
+                encode_frame(FrameType::Batch, &payload).unwrap()
+            })
+            .collect();
+        let stream = frames.concat();
+        let mut reader = Trickle {
+            bytes: &stream,
+            calls: 0,
+        };
+        let mut buf = Vec::new();
+        let mut decoded = ReportBatch::new(3).unwrap();
+        for (frame, seq) in frames.iter().zip([3u64, 4]) {
+            let mut seen = Vec::new();
+            let mut wait = |bytes_so_far: usize| {
+                seen.push(bytes_so_far);
+                Ok(())
+            };
+            assert_eq!(
+                read_frame(&mut reader, &mut buf, &mut wait).unwrap(),
+                Some(FrameType::Batch)
+            );
+            assert_eq!(&buf, frame);
+            let header = decode_batch_payload(frame_payload(&buf), &mut decoded).unwrap();
+            assert_eq!((header.seq, &decoded), (seq, &sample_batch()));
+            assert!(seen.len() > 2, "{seen:?}");
+            assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
+        }
+        assert_eq!(
+            read_frame(&mut reader, &mut buf, &mut |_| Ok(())).unwrap(),
+            None
+        );
+
+        // EOF in the middle of the payload is Closed, with the bytes that
+        // did arrive left in `buf`.
+        let cut = WIRE_HEADER_LEN + 13;
+        let mut reader = Trickle {
+            bytes: &frames[0][..cut],
+            calls: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut reader, &mut buf, &mut |_| Ok(())),
+            Err(WireError::Closed { .. })
+        ));
+        assert_eq!(buf, frames[0][..cut]);
     }
 
     #[test]
