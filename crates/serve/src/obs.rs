@@ -17,7 +17,7 @@
 //! | `serve_reports_total` | counter | — | reports ingested and acknowledged |
 //! | `serve_rejects_total` | counter | `reason` | frames/connections rejected, by [`WireError::label`] |
 //! | `serve_decode_nanos` | histogram | — | batch payload decode time |
-//! | `serve_ingest_nanos` | histogram | — | per batch: the session's count, the collector-lock wait and the merge |
+//! | `serve_ingest_nanos` | histogram | — | collector ingest time per batch |
 //!
 //! Journal events: `connection_opened`, `connection_closed`,
 //! `server_drained` (plus the stream layer's own events if the collector

@@ -10,12 +10,10 @@
 //! frame boundary, and hands the collector back to the caller —
 //! typically straight into
 //! [`DrainedCollector::checkpoint`], which is
-//! [`ShardedCollector::checkpoint`] under the hood.  A session validates
-//! and counts each batch outside the collector lock, merges the count
-//! into its shard under the lock, and acknowledges the batch only *after*
-//! that merge returns, so every acknowledged report is in the collector
-//! the drain returns, and therefore in the checkpoint — the
-//! zero-accepted-loss invariant the fault suite audits.
+//! [`ShardedCollector::checkpoint`] under the hood.  Because a batch is
+//! acknowledged only *after* `ingest_batch` returns, every acknowledged
+//! report is in the collector the drain returns, and therefore in the
+//! checkpoint — the zero-accepted-loss invariant the fault suite audits.
 //!
 //! The daemon never reads ambient time: accept polling, read deadlines
 //! and the slowloris budget all run on the injected [`Clock`].
@@ -54,11 +52,10 @@ pub(crate) struct Shared {
 impl Shared {
     /// Locks the collector, recovering from a poisoned mutex: the counts
     /// are plain sums, structurally valid even if a session thread
-    /// panicked while holding the lock.  Sessions validate and count a
-    /// batch before they lock, and under the lock only merge that tally
-    /// (`ShardedCollector::merge_tally`, which checks the layout and the
-    /// report total before it adds), so a poisoned guard holds either the
-    /// old or the new totals — never a half-applied batch.
+    /// panicked mid-ingest (and `ingest_batch` adds a channel's counts
+    /// only once its codes check clean, and takes the clean channels
+    /// back out when a later one fails, so a poisoned guard holds either
+    /// the old or the new totals — never a half-applied batch).
     pub(crate) fn lock_collector(&self) -> MutexGuard<'_, ShardedCollector> {
         self.collector.lock().unwrap_or_else(|p| p.into_inner())
     }

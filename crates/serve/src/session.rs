@@ -12,23 +12,22 @@
 //! * every malformed frame is answered with a typed `error` frame and a
 //!   metered reject — never a panic;
 //! * payload buffers are sized only after the declared length passes the
-//!   cap check inside `wire::decode_header` (cap-before-alloc), and the
-//!   session's read buffer and decode batch are reused across frames;
+//!   cap check inside `wire::decode_header` (cap-before-alloc), the read
+//!   buffer grows only with the payload bytes that actually arrive, and
+//!   the session's read buffer and decode batch are reused across frames;
 //! * a frame whose first byte arrived must finish within
 //!   `frame_budget_nanos` or the connection is closed with a `timeout`
 //!   error frame — the slowloris defence — while an *idle* connection
 //!   (no partial frame) may wait indefinitely;
-//! * a batch is validated and counted outside the collector lock, into
-//!   the session's own tally (`Accumulator::ingest_batch`, all or
-//!   nothing); under the lock the session only merges that tally into
-//!   the routed shard (`ShardedCollector::merge_tally`);
-//! * a batch is acknowledged only after that merge returns, so an acked
-//!   report is by construction in the collector that a drain hands back.
+//! * a batch is validated and counted under the collector lock, in one
+//!   all-or-nothing `ShardedCollector::ingest_batch` call, and
+//!   acknowledged only after that call returns, so an acked report is by
+//!   construction in the collector that a drain hands back.
 
 use crate::server::Shared;
 use mdrr_store::Snapshot;
 use mdrr_stream::wire::{self, error_code, Hello, HelloAck, StatsReply};
-use mdrr_stream::{Accumulator, FrameType, ReportBatch, WireError};
+use mdrr_stream::{FrameType, ReportBatch, WireError};
 use serde::Serialize;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -65,9 +64,6 @@ struct Session<'a> {
     buf: Vec<u8>,
     /// Reusable decode target shaped for the server's protocol.
     batch: ReportBatch,
-    /// Reusable count of the current batch, tallied before the collector
-    /// lock is taken.
-    tally: Accumulator,
     /// Reports acknowledged over this connection.
     acked: u64,
 }
@@ -93,18 +89,15 @@ impl<'a> Session<'a> {
         stream
             .set_write_timeout(Some(Duration::from_nanos(shared.config.frame_budget_nanos)))
             .map_err(|e| WireError::io("set write timeout", e))?;
-        let (batch, tally) = {
+        let batch = {
             let guard = shared.lock_collector();
-            let protocol = guard.protocol().as_ref();
-            let tally = Accumulator::new(&protocol.channel_sizes()).map_err(WireError::Protocol)?;
-            (ReportBatch::for_protocol(protocol), tally)
+            ReportBatch::for_protocol(guard.protocol().as_ref())
         };
         Ok(Session {
             shared,
             stream,
             buf: Vec::new(),
             batch,
-            tally,
             acked: 0,
         })
     }
@@ -276,11 +269,10 @@ impl<'a> Session<'a> {
             };
         let ingest_begin = clock.now_nanos();
         let shard = (header.shard as usize) % shared.config.n_shards;
-        self.tally.clear();
-        let ingested = self
-            .tally
-            .ingest_batch(&self.batch)
-            .and_then(|()| shared.lock_collector().merge_tally(shard, &self.tally));
+        let ingested = {
+            let mut guard = shared.lock_collector();
+            guard.ingest_batch(shard, &self.batch)
+        };
         let ingest_end = clock.now_nanos();
         match ingested {
             Ok(n) => {

@@ -151,15 +151,6 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Resets every count to zero, keeping the channel layout, so one
-    /// accumulator can tally batch after batch without reallocating.
-    pub fn clear(&mut self) {
-        for channel in &mut self.counts {
-            channel.fill(0);
-        }
-        self.n_reports = 0;
-    }
-
     /// Absorbs externally tallied per-channel count vectors covering
     /// `n_reports` reports — the sink of the fused
     /// [`mdrr_protocols::Protocol::encode_tally`] path, where a worker

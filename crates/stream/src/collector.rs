@@ -325,30 +325,6 @@ impl ShardedCollector {
         Ok(n)
     }
 
-    /// Merges a batch already counted into `tally` (by
-    /// [`Accumulator::ingest_batch`] on a caller-owned accumulator) into a
-    /// specific shard, recording the same per-shard metrics as
-    /// [`ShardedCollector::ingest_batch`].  This is the network path's
-    /// split of that call: the caller validates and counts outside any
-    /// lock it holds on the collector, and only this O(domain) merge runs
-    /// under it.  Returns the number of reports merged.
-    ///
-    /// # Errors
-    /// Returns [`MdrrError::InvalidConfiguration`] for a bad shard index,
-    /// a tally whose channel layout differs from the protocol's or a
-    /// report count that would overflow a `u64`, and
-    /// [`MdrrError::ShardFailed`] for a quarantined shard; the shard is
-    /// unchanged on error.
-    pub fn merge_tally(&mut self, shard: usize, tally: &Accumulator) -> Result<u64, MdrrError> {
-        let worker = WorkerObs::for_shard(self.obs.as_deref(), shard);
-        let start = worker.chunk_start();
-        routable(&mut self.shards, &self.quarantined, shard)?.merge(tally)?;
-        let n = tally.n_reports();
-        worker.chunk_done(start);
-        worker.run_done(n);
-        Ok(n)
-    }
-
     /// The one bulk fan-out behind every `ingest_*` path over many
     /// records.  It partitions `n` records with
     /// [`ShardedCollector::shard_ranges`] — the only definition of the
@@ -784,40 +760,6 @@ mod tests {
         assert!(c.ingest_batch(5, &batch).is_err());
         assert_eq!(c.shards()[0].n_reports(), 0);
         assert_eq!(c.shards()[1].n_reports(), 2);
-    }
-
-    #[test]
-    fn merged_tallies_land_like_routed_batches() {
-        let obs = StreamObs::new(Arc::new(mdrr_obs::NullClock), 2);
-        let mut merged = ShardedCollector::new(protocol(), 2).unwrap();
-        merged.instrument(Arc::clone(&obs)).unwrap();
-        let mut routed = ShardedCollector::new(protocol(), 2).unwrap();
-        let mut batch = crate::batch::ReportBatch::new(2).unwrap();
-        batch.push(&Report::new(vec![1, 0])).unwrap();
-        batch.push(&Report::new(vec![2, 1])).unwrap();
-        let mut tally = Accumulator::new(&[3, 2]).unwrap();
-        for _ in 0..2 {
-            tally.clear();
-            tally.ingest_batch(&batch).unwrap();
-            assert_eq!(merged.merge_tally(1, &tally).unwrap(), 2);
-            routed.ingest_batch(1, &batch).unwrap();
-        }
-        assert_eq!(merged.shards(), routed.shards());
-        let snap = obs.registry().snapshot();
-        let shard1 = [("shard", "1")];
-        assert_eq!(
-            snap.counter_value("stream_shard_batches_total", &shard1),
-            Some(2)
-        );
-        assert_eq!(
-            snap.counter_value("stream_shard_reports_total", &shard1),
-            Some(4)
-        );
-        // A bad shard or a foreign layout changes nothing.
-        assert!(merged.merge_tally(5, &tally).is_err());
-        let foreign = Accumulator::from_counts(vec![vec![1, 0, 0, 0], vec![1, 0]], 1).unwrap();
-        assert!(merged.merge_tally(0, &foreign).is_err());
-        assert_eq!(merged.shards(), routed.shards());
     }
 
     #[test]

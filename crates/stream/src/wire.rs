@@ -906,50 +906,45 @@ pub fn read_frame<R: Read>(
     Ok(Some(frame_type))
 }
 
-/// Appends bytes from `reader` until `buf` holds `target` bytes, reading
-/// straight into `buf`.  Returns `Ok(false)` on EOF before the first byte
-/// (clean close); EOF after that is [`WireError::Closed`].  Never reads
-/// past `target`, so back-to-back frames on one stream are never split.
-/// On error `buf` holds exactly the bytes read so far.
+/// Appends bytes from `reader` until `buf` holds `target` bytes.
+/// Returns `Ok(false)` on EOF before the first byte (clean close); EOF
+/// after that is [`WireError::Closed`].  Never reads past `target`, so
+/// back-to-back frames on one stream are never split.  On error `buf`
+/// holds exactly the bytes read so far.
+///
+/// `read_to_end` through a `take` reads straight into `buf`'s spare
+/// capacity, with no bounce buffer and no zeroing, and grows `buf` only
+/// as bytes arrive: a header that declares a large payload reserves
+/// nothing until the payload itself comes in.
 fn fill<R: Read>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     target: usize,
     wait: &mut dyn FnMut(usize) -> Result<(), WireError>,
 ) -> Result<bool, WireError> {
-    let mut filled = buf.len();
-    if filled >= target {
-        return Ok(true);
-    }
-    buf.resize(target, 0);
-    let outcome = loop {
-        let Some(dst) = buf.get_mut(filled..).filter(|dst| !dst.is_empty()) else {
-            break Ok(true);
-        };
-        match reader.read(dst) {
-            Ok(0) if filled == 0 => break Ok(false),
-            Ok(0) => {
-                break Err(WireError::closed(format!(
-                    "peer closed mid-frame after {filled} of {target} bytes"
+    while buf.len() < target {
+        let want = (target - buf.len()) as u64;
+        match reader.by_ref().take(want).read_to_end(buf) {
+            Ok(_) if buf.is_empty() => return Ok(false),
+            Ok(_) if buf.len() < target => {
+                return Err(WireError::closed(format!(
+                    "peer closed mid-frame after {} of {target} bytes",
+                    buf.len()
                 )))
             }
-            Ok(n) => filled += n.min(dst.len()),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Ok(_) => {}
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if let Err(e) = wait(filled) {
-                    break Err(e);
-                }
+                wait(buf.len())?;
             }
-            Err(e) => break Err(WireError::io("read frame", e)),
+            Err(e) => return Err(WireError::io("read frame", e)),
         }
-    };
-    buf.truncate(filled);
-    outcome
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -1232,6 +1227,48 @@ mod tests {
             Err(WireError::Closed { .. })
         ));
         assert_eq!(buf, frames[0][..cut]);
+    }
+
+    /// A peer that has stopped sending: every read would block.
+    struct Stalled;
+
+    impl Read for Stalled {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    #[test]
+    fn a_stalled_oversized_declaration_buffers_only_what_arrived() {
+        // The header declares the largest legal payload; the peer then
+        // sends `sent` payload bytes and stalls until the budget runs out.
+        for sent in [0, 1000, 200_000] {
+            let mut stream = Vec::new();
+            push_header(&mut stream, FrameType::Batch, MAX_WIRE_PAYLOAD);
+            stream.resize(WIRE_HEADER_LEN + sent, 0xA5);
+            let mut reader = stream.as_slice().chain(Stalled);
+            let mut buf = Vec::new();
+            let mut waits = 0;
+            let mut wait = |_: usize| {
+                waits += 1;
+                if waits > 3 {
+                    return Err(WireError::Timeout {
+                        context: "frame budget".into(),
+                    });
+                }
+                Ok(())
+            };
+            assert!(matches!(
+                read_frame(&mut reader, &mut buf, &mut wait),
+                Err(WireError::Timeout { .. })
+            ));
+            assert_eq!(buf, stream);
+            assert!(
+                buf.capacity() <= 2 * stream.len() + 64,
+                "{sent} bytes sent, capacity {}",
+                buf.capacity()
+            );
+        }
     }
 
     #[test]
