@@ -62,7 +62,7 @@ pub struct UseDecl {
 pub struct TraitImpl {
     /// The trait's final path segment (`Display`, `Protocol`).
     pub trait_name: String,
-    /// The implementing type's name (`StoreError`, `RRJoint`).
+    /// The implementing type's name (`StoreError`, `RRClusters`).
     pub type_name: String,
 }
 

@@ -1,4 +1,5 @@
-//! RR-Clusters (Section 4 of the paper).
+//! RR-Clusters (Section 4 of the paper), and the two basic protocols as
+//! its ends.
 //!
 //! Attributes are partitioned into clusters of mutually dependent
 //! attributes (Algorithm 1, [`crate::clustering`]) and RR-Joint is run
@@ -12,25 +13,162 @@
 //! cluster `C` is the optimal matrix for the budget `Σ_{A∈C} ε_A`
 //! (Section 6.3.2), where `ε_A` is the budget RR-Independent would have
 //! spent on attribute `A` alone.
+//!
+//! The two basic protocols are the two ends of the cluster spectrum, so
+//! [`RRClusters`] is the one type of all three:
+//!
+//! * Protocol 1, RR-Independent ([`RRClusters::independent`]), is one
+//!   cluster per attribute: each attribute is randomized on its own, and a
+//!   release answers a query with the product of the constrained
+//!   attributes' estimated marginals (Section 3.1).  It is the baseline of
+//!   the paper's experiments and the release RR-Adjustment repairs.
+//! * Protocol 2, RR-Joint ([`RRClusters::joint`]), is one cluster holding
+//!   every attribute: a single RR over the Cartesian product, whose release
+//!   answers a query by summing the matching cells of the one estimated
+//!   joint distribution (Section 3.2).  It needs no independence
+//!   assumption, but the joint domain grows exponentially with the number
+//!   of attributes, so both the cost and the estimation error explode
+//!   unless `n ≫ Π|A_j|` (Bound (7)).  Its constructors therefore refuse
+//!   joint domains above an explicit cap — exactly the reason the paper's
+//!   experiments cannot run RR-Joint on the full Adult schema.
+
+mod codec;
 
 use crate::adjustment::AdjustmentTarget;
 use crate::clustering::Clustering;
-use crate::codec::ChannelCodec;
 use crate::error::{MdrrError, ProtocolError};
 use crate::estimator::{validate_assignment, Assignment, FrequencyEstimator};
-use crate::protocol::{Protocol, RandomizationLevel, Release};
-use mdrr_core::{PrivacyAccountant, RRMatrix};
-use mdrr_data::{Dataset, JointDomain, RecordsView, Schema};
-use rand::RngCore;
+use crate::protocol::{RandomizationLevel, Release};
+use mdrr_core::{CoreError, PrivacyAccountant, RRMatrix};
+use mdrr_data::{Dataset, JointDomain, Schema};
 
-/// The RR-Clusters protocol: a clustering plus one randomization matrix per
-/// cluster.
+/// Default cap on the joint-domain size accepted by the RR-Joint
+/// constructors ([`RRClusters::joint`] and its siblings).
+pub const DEFAULT_MAX_JOINT_DOMAIN: usize = 1_000_000;
+
+/// The RR-Clusters protocol: a clustering of the schema's attributes plus
+/// each cluster's joint domain and randomization matrix.  RR-Independent
+/// and RR-Joint are its singleton and all-attribute clusterings; the
+/// constructor sets the protocol's name and its privacy-ledger entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RRClusters {
-    codec: ChannelCodec,
+    name: &'static str,
+    schema: Schema,
+    clustering: Clustering,
+    domains: Vec<JointDomain>,
+    matrices: Vec<RRMatrix>,
+    ledger: PrivacyAccountant,
 }
 
 impl RRClusters {
+    /// Protocol 1, RR-Independent: one singleton cluster per attribute,
+    /// each randomized with the per-attribute matrix of `level`.
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::InvalidConfiguration`] for invalid levels
+    /// (probability outside `[0, 1]`, negative ε, wrong budget count).
+    pub fn independent(schema: Schema, level: &RandomizationLevel) -> Result<Self, ProtocolError> {
+        let matrices = level.independent_matrices(&schema)?;
+        Self::independent_from_matrices(schema, matrices)
+    }
+
+    /// RR-Independent with explicit per-attribute matrices, in schema
+    /// order.
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::InvalidConfiguration`] if the number of
+    /// matrices or any matrix size does not match the schema.
+    pub fn independent_from_matrices(
+        schema: Schema,
+        matrices: Vec<RRMatrix>,
+    ) -> Result<Self, ProtocolError> {
+        let singletons = Clustering::singletons(schema.len())?;
+        Self::new(
+            "RR-Independent",
+            schema,
+            singletons,
+            matrices,
+            |schema, j, _| format!("RR-Independent on {}", schema.attributes()[j].name()),
+        )
+    }
+
+    /// Protocol 2, RR-Joint, at the *equivalent risk* of RR-Independent
+    /// with `level` (Section 6.3.2, with the full attribute set as one
+    /// cluster): the joint matrix is the optimal matrix for `Σ_A ε_A`,
+    /// where `ε_A` are the per-attribute budgets the level implies.  The
+    /// same level therefore buys the same total differential-privacy
+    /// guarantee whether it is spent by RR-Independent, RR-Joint or
+    /// RR-Clusters.  Joint domains larger than `max_domain`
+    /// ([`DEFAULT_MAX_JOINT_DOMAIN`] when `None`) are refused.
+    ///
+    /// # Errors
+    /// Same conditions as [`RRClusters::joint_with_epsilon`] plus an
+    /// invalid level.
+    pub fn joint(
+        schema: Schema,
+        level: &RandomizationLevel,
+        max_domain: Option<usize>,
+    ) -> Result<Self, ProtocolError> {
+        let epsilons = level.attribute_epsilons(&schema)?;
+        Self::joint_over(schema, max_domain, |size| {
+            RRMatrix::cluster_from_epsilons(&epsilons, size)
+        })
+    }
+
+    /// RR-Joint with the uniform-keep mechanism at keep probability `p`
+    /// over the joint domain.
+    ///
+    /// # Errors
+    /// Same conditions as [`RRClusters::joint_with_epsilon`].
+    pub fn joint_with_keep_probability(
+        schema: Schema,
+        p: f64,
+        max_domain: Option<usize>,
+    ) -> Result<Self, ProtocolError> {
+        Self::joint_over(schema, max_domain, |size| RRMatrix::uniform_keep(p, size))
+    }
+
+    /// RR-Joint with the ε-optimal matrix over the joint domain, refusing
+    /// joint domains larger than `max_domain` ([`DEFAULT_MAX_JOINT_DOMAIN`]
+    /// when `None`).
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::InvalidConfiguration`] if the joint domain
+    /// exceeds the cap or 2³² combinations (a report code is a `u32`), or
+    /// the budget is invalid.
+    pub fn joint_with_epsilon(
+        schema: Schema,
+        epsilon: f64,
+        max_domain: Option<usize>,
+    ) -> Result<Self, ProtocolError> {
+        Self::joint_over(schema, max_domain, |size| {
+            RRMatrix::from_epsilon(epsilon, size)
+        })
+    }
+
+    /// Builds RR-Joint's single all-attribute channel, refusing joint
+    /// domains above `max_domain`, with the matrix `matrix` makes for the
+    /// domain size.
+    fn joint_over(
+        schema: Schema,
+        max_domain: Option<usize>,
+        matrix: impl FnOnce(usize) -> Result<RRMatrix, CoreError>,
+    ) -> Result<Self, ProtocolError> {
+        let m = schema.len();
+        let whole = Clustering::new(vec![(0..m).collect()], m)?;
+        let size = Self::channel_domains(&schema, &whole)?[0].size();
+        let cap = max_domain.unwrap_or(DEFAULT_MAX_JOINT_DOMAIN);
+        if size > cap {
+            return Err(ProtocolError::config(format!(
+                "joint domain has {size} combinations, above the configured cap of {cap}; \
+                 use RR-Independent or RR-Clusters instead"
+            )));
+        }
+        Self::new("RR-Joint", schema, whole, vec![matrix(size)?], |_, _, _| {
+            "RR-Joint on the full attribute set".to_string()
+        })
+    }
+
     /// Section 6.3.2 construction: the cluster matrices provide the same
     /// differential-privacy level as RR-Independent with per-attribute
     /// budgets `epsilons` (in schema order): cluster `C` gets the optimal
@@ -53,7 +191,7 @@ impl RRClusters {
                 epsilons.len()
             )));
         }
-        let matrices = ChannelCodec::channel_domains(&schema, &clustering)?
+        let matrices = Self::channel_domains(&schema, &clustering)?
             .iter()
             .zip(clustering.clusters())
             .map(|(domain, cluster)| {
@@ -116,43 +254,46 @@ impl RRClusters {
                 "keep probability must lie in [0, 1], got {p}"
             )));
         }
-        let matrices = ChannelCodec::channel_domains(&schema, &clustering)?
+        let matrices = Self::channel_domains(&schema, &clustering)?
             .iter()
             .map(|domain| RRMatrix::uniform_keep(p, domain.size()))
             .collect::<Result<_, _>>()?;
         Self::from_matrices(schema, clustering, matrices)
     }
 
-    /// The codec over `clustering`, one ledger entry per cluster.
+    /// RR-Clusters over `clustering`, one ledger entry per cluster.
     fn from_matrices(
         schema: Schema,
         clustering: Clustering,
         matrices: Vec<RRMatrix>,
     ) -> Result<Self, ProtocolError> {
-        let codec = ChannelCodec::new(schema, clustering, matrices, |_, k, cluster| {
-            format!("RR-Clusters on cluster {k} (attributes {cluster:?})")
-        })?;
-        Ok(RRClusters { codec })
+        Self::new(
+            "RR-Clusters",
+            schema,
+            clustering,
+            matrices,
+            |_, k, cluster| format!("RR-Clusters on cluster {k} (attributes {cluster:?})"),
+        )
     }
 
     /// The schema the protocol was configured for.
     pub fn schema(&self) -> &Schema {
-        self.codec.schema()
+        &self.schema
     }
 
     /// The clustering the protocol uses.
     pub fn clustering(&self) -> &Clustering {
-        self.codec.clustering()
+        &self.clustering
     }
 
     /// The per-cluster randomization matrices (cluster order).
     pub fn matrices(&self) -> &[RRMatrix] {
-        self.codec.matrices()
+        &self.matrices
     }
 
     /// The per-cluster joint-domain codecs (cluster order).
     pub fn domains(&self) -> &[JointDomain] {
-        self.codec.domains()
+        &self.domains
     }
 }
 
@@ -163,14 +304,14 @@ impl RRClusters {
 /// other, so a query's frequency is the product over the clusters it
 /// constrains of the matching mass within each cluster.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ClustersRelease {
-    pub(crate) cardinalities: Vec<usize>,
-    pub(crate) clustering: Clustering,
-    pub(crate) domains: Vec<JointDomain>,
-    pub(crate) distributions: Vec<Vec<f64>>,
-    pub(crate) randomized: Option<Dataset>,
-    pub(crate) accountant: PrivacyAccountant,
-    pub(crate) n_records: usize,
+struct ClustersRelease {
+    cardinalities: Vec<usize>,
+    clustering: Clustering,
+    domains: Vec<JointDomain>,
+    distributions: Vec<Vec<f64>>,
+    randomized: Option<Dataset>,
+    accountant: PrivacyAccountant,
+    n_records: usize,
 }
 
 impl ClustersRelease {
@@ -281,72 +422,11 @@ impl Release for ClustersRelease {
     }
 }
 
-impl Protocol for RRClusters {
-    fn name(&self) -> String {
-        "RR-Clusters".to_string()
-    }
-
-    fn schema(&self) -> &Schema {
-        self.codec.schema()
-    }
-
-    fn channel_sizes(&self) -> Vec<usize> {
-        self.codec.channel_sizes()
-    }
-
-    fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        self.codec.encode_record(record, rng)
-    }
-
-    fn encode_batch(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        out: &mut [Vec<u32>],
-    ) -> Result<(), MdrrError> {
-        self.codec.encode_batch(records, rng, out)
-    }
-
-    fn encode_tally(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        tallies: &mut [Vec<u64>],
-    ) -> Result<(), MdrrError> {
-        self.codec.encode_tally(records, rng, tallies)
-    }
-
-    fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
-        self.codec.decode_report(codes)
-    }
-
-    fn release_from_counts(
-        &self,
-        counts: &[Vec<u64>],
-        n_records: usize,
-    ) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(self.codec.release_from_counts(counts, n_records)?))
-    }
-
-    fn release_from_randomized(&self, randomized: Dataset) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(self.codec.release_from_randomized(randomized)?))
-    }
-
-    fn run(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(self.codec.run(dataset, rng)?))
-    }
-
-    fn epsilons(&self) -> Vec<f64> {
-        self.matrices().iter().map(RRMatrix::epsilon).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimator::{EmpiricalEstimator, FrequencyEstimator};
-    use crate::independent::{RRIndependent, RandomizationLevel};
-    use crate::joint::RRJoint;
+    use crate::protocol::Protocol;
     use mdrr_data::{Attribute, AttributeKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -412,7 +492,7 @@ mod tests {
         let s = schema();
         let p = 0.7;
         let independent =
-            RRIndependent::new(s.clone(), &RandomizationLevel::KeepProbability(p)).unwrap();
+            RRClusters::independent(s.clone(), &RandomizationLevel::KeepProbability(p)).unwrap();
         let epsilons = independent.epsilons();
         let clusters = RRClusters::with_equivalent_risk(s, ab_c_clustering(), &epsilons).unwrap();
         // Cluster {A, B} spends ε_A + ε_B; cluster {C} spends ε_C.
@@ -471,7 +551,7 @@ mod tests {
                 .run(&ds, &mut rng)
                 .unwrap();
         let independent_release =
-            RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(p))
+            RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(p))
                 .unwrap()
                 .run(&ds, &mut rng)
                 .unwrap();
@@ -627,12 +707,13 @@ mod tests {
             (
                 RRClusters::with_keep_probability(schema(), singletons, p).unwrap(),
                 Box::new(
-                    RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(p)).unwrap(),
+                    RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(p))
+                        .unwrap(),
                 ),
             ),
             (
                 RRClusters::with_keep_probability(schema(), whole, p).unwrap(),
-                Box::new(RRJoint::with_keep_probability(schema(), p, None).unwrap()),
+                Box::new(RRClusters::joint_with_keep_probability(schema(), p, None).unwrap()),
             ),
         ];
         let view = ds.view();

@@ -1,19 +1,18 @@
-//! The channel codec shared by RR-Independent, RR-Joint and RR-Clusters.
+//! The channel machinery of [`RRClusters`], and its one `Protocol` impl.
 //!
-//! In the paper the two basic protocols are the two ends of RR-Clusters:
-//! RR-Independent is one cluster per attribute and RR-Joint is one cluster
-//! holding every attribute.  [`ChannelCodec`] is that common shape — a
-//! clustering of the schema's attributes plus each cluster's joint domain
-//! and randomization matrix — and the one implementation of the
-//! client-side encoders, the report decoder, the count-shape checks and
-//! the collector-side estimation, whose output is the one
-//! [`ClustersRelease`].  RR-Independent builds it over
+//! Every protocol [`RRClusters`] builds — RR-Independent over
 //! [`Clustering::singletons`], RR-Joint over the single cluster
-//! `[0, …, m−1]` and RR-Clusters over its own clustering.
+//! `[0, …, m−1]` and RR-Clusters over its own clustering — is a clustering
+//! of the schema's attributes plus each cluster's joint domain and
+//! randomization matrix.  This module holds the one implementation of the
+//! client-side encoders, the report decoder, the count-shape checks and
+//! the collector-side estimation over that shape, whose output is the one
+//! [`ClustersRelease`].
 
+use super::{ClustersRelease, RRClusters};
 use crate::clustering::Clustering;
-use crate::clusters::ClustersRelease;
 use crate::error::MdrrError;
+use crate::protocol::{Protocol, Release};
 use mdrr_core::{
     estimate_proper_from_counts, randomize_joint, PreparedRandomizer, PrivacyAccountant, RRMatrix,
 };
@@ -29,19 +28,7 @@ const MAX_CHANNEL_DOMAIN: u64 = 1 << 32;
 /// stay cache-resident.
 const DRAW_BUFFER: usize = 8 * 1024;
 
-/// A partition of the schema's attributes into channels, each with its
-/// mixed-radix joint domain, its randomization matrix and its entry in the
-/// privacy ledger of every release.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ChannelCodec {
-    schema: Schema,
-    clustering: Clustering,
-    domains: Vec<JointDomain>,
-    matrices: Vec<RRMatrix>,
-    ledger: PrivacyAccountant,
-}
-
-impl ChannelCodec {
+impl RRClusters {
     /// The joint domain of each cluster of `clustering` over `schema`, in
     /// cluster order.
     ///
@@ -49,7 +36,7 @@ impl ChannelCodec {
     /// Returns [`MdrrError::InvalidConfiguration`] if the clustering does
     /// not cover the schema or a cluster has more than 2³² combinations
     /// (its codes would not fit a `u32`).
-    pub(crate) fn channel_domains(
+    pub(super) fn channel_domains(
         schema: &Schema,
         clustering: &Clustering,
     ) -> Result<Vec<JointDomain>, MdrrError> {
@@ -79,15 +66,16 @@ impl ChannelCodec {
             .collect()
     }
 
-    /// Builds the codec: one channel per cluster, randomized by the
-    /// matching matrix and recorded in the ledger under
+    /// Builds the protocol `name`: one channel per cluster, randomized by
+    /// the matching matrix and recorded in the ledger under
     /// `label(schema, k, cluster)`.
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] for the conditions of
-    /// [`ChannelCodec::channel_domains`], or if the matrices are not one
-    /// per cluster, each sized to its cluster's joint domain.
-    pub(crate) fn new(
+    /// [`RRClusters::channel_domains`], or if the matrices are not one per
+    /// cluster, each sized to its cluster's joint domain.
+    pub(super) fn new(
+        name: &'static str,
         schema: Schema,
         clustering: Clustering,
         matrices: Vec<RRMatrix>,
@@ -114,7 +102,8 @@ impl ChannelCodec {
         for (k, (cluster, matrix)) in clustering.clusters().iter().zip(&matrices).enumerate() {
             ledger.record_matrix(label(&schema, k, cluster), matrix);
         }
-        Ok(ChannelCodec {
+        Ok(RRClusters {
+            name,
             schema,
             clustering,
             domains,
@@ -123,100 +112,8 @@ impl ChannelCodec {
         })
     }
 
-    /// The schema the channels cover.
-    pub(crate) fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// The attribute clusters, one per channel.
-    pub(crate) fn clustering(&self) -> &Clustering {
-        &self.clustering
-    }
-
-    /// The joint-domain codec of each channel.
-    pub(crate) fn domains(&self) -> &[JointDomain] {
-        &self.domains
-    }
-
-    /// The randomization matrix of each channel.
-    pub(crate) fn matrices(&self) -> &[RRMatrix] {
-        &self.matrices
-    }
-
-    /// The domain size of each channel.
-    pub(crate) fn channel_sizes(&self) -> Vec<usize> {
-        self.domains.iter().map(JointDomain::size).collect()
-    }
-
-    /// The per-record reference encoder: validates `record` against the
-    /// schema, then randomizes each channel's joint code with
-    /// [`RRMatrix::randomize`], one draw per channel in channel order.  It
-    /// deliberately shares no kernel with the batch encoders, so the
-    /// bit-identity tests compare two implementations.
-    pub(crate) fn encode_record(
-        &self,
-        record: &[u32],
-        mut rng: &mut dyn RngCore,
-    ) -> Result<Vec<u32>, MdrrError> {
-        self.schema.validate_record(record)?;
-        let mut tuple = Vec::new();
-        self.channels()
-            .map(|(cluster, domain, matrix)| {
-                tuple.clear();
-                tuple.extend(cluster.iter().map(|&a| record[a]));
-                // Below 2³² by construction (`channel_domains`).
-                let code = domain.encode(&tuple)? as u32;
-                Ok(matrix.randomize(code, &mut rng)?)
-            })
-            .collect()
-    }
-
-    /// Batch encoder: appends one code per record to each channel buffer of
-    /// `out`, bit-identical to [`ChannelCodec::encode_record`] on the same
-    /// records and RNG.
-    pub(crate) fn encode_batch(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        out: &mut [Vec<u32>],
-    ) -> Result<(), MdrrError> {
-        if out.len() != self.domains.len() {
-            return Err(MdrrError::config(format!(
-                "batch output has {} channel buffers but the protocol has {} channels",
-                out.len(),
-                self.domains.len()
-            )));
-        }
-        for channel in out.iter_mut() {
-            channel.reserve(records.n_records());
-        }
-        self.drive(records, rng, out, |sampler, codes, draws, j, m, channel| {
-            sampler.randomize_strided_into(codes, draws, j, m, channel);
-        })
-    }
-
-    /// Fused randomize-and-count encoder: the codes of
-    /// [`ChannelCodec::encode_batch`], added to `tallies` instead of
-    /// stored.  On error the tallies are unchanged.
-    pub(crate) fn encode_tally(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        tallies: &mut [Vec<u64>],
-    ) -> Result<(), MdrrError> {
-        self.check_count_shape(tallies)?;
-        self.drive(
-            records,
-            rng,
-            tallies,
-            |sampler, codes, draws, j, m, tally| {
-                sampler.randomize_strided_tally(codes, draws, j, m, tally);
-            },
-        )
-    }
-
-    /// The one batch driver behind [`ChannelCodec::encode_batch`] and
-    /// [`ChannelCodec::encode_tally`], generic over the per-channel kernel
+    /// The one batch driver behind [`Protocol::encode_batch`] and
+    /// [`Protocol::encode_tally`], generic over the per-channel kernel
     /// call so each monomorphises to its own loop.
     ///
     /// The batch is validated once (per-column range scans) and each
@@ -277,12 +174,194 @@ impl ChannelCodec {
         Ok(())
     }
 
-    /// Decodes a report's channel codes back into the randomized record.
+    /// Estimates each channel's distribution from its count vector over
+    /// the randomized codes of `n_records` reports, carrying `randomized`
+    /// microdata when the caller has it.
     ///
     /// # Errors
-    /// Returns [`MdrrError::InvalidConfiguration`] if the report does not
-    /// have one in-range code per channel.
-    pub(crate) fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
+    /// Returns [`MdrrError::InvalidConfiguration`] for the conditions of
+    /// [`RRClusters::check_counts`]; propagated estimation errors
+    /// otherwise.
+    fn estimate(
+        &self,
+        counts: &[Vec<u64>],
+        n_records: usize,
+        randomized: Option<Dataset>,
+    ) -> Result<ClustersRelease, MdrrError> {
+        self.check_counts(counts, n_records)?;
+        let distributions = self
+            .matrices
+            .iter()
+            .zip(counts)
+            .map(|(matrix, channel)| estimate_proper_from_counts(matrix, channel))
+            .collect::<Result<_, _>>()?;
+        Ok(ClustersRelease {
+            cardinalities: self.schema.cardinalities(),
+            clustering: self.clustering.clone(),
+            domains: self.domains.clone(),
+            distributions,
+            randomized,
+            accountant: self.ledger.clone(),
+            n_records,
+        })
+    }
+
+    /// Checks that a data set to estimate from is over the protocol's
+    /// schema and not empty.
+    fn check_dataset(&self, dataset: &Dataset) -> Result<(), MdrrError> {
+        if dataset.schema() != &self.schema {
+            return Err(MdrrError::config(
+                "dataset schema does not match the protocol configuration",
+            ));
+        }
+        if dataset.is_empty() {
+            return Err(MdrrError::config(
+                "cannot build a release from an empty dataset",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Checks accumulated per-channel counts before estimation: at least
+    /// one report, one count vector per channel, each sized to its channel
+    /// and summing to `n_records` without overflowing a `u64`.
+    ///
+    /// # Errors
+    /// Returns [`MdrrError::InvalidConfiguration`] naming the violated
+    /// condition.
+    fn check_counts(&self, counts: &[Vec<u64>], n_records: usize) -> Result<(), MdrrError> {
+        if n_records == 0 {
+            return Err(MdrrError::config(
+                "cannot build a release from zero reports",
+            ));
+        }
+        self.check_count_shape(counts)?;
+        for (k, channel) in counts.iter().enumerate() {
+            let total = channel
+                .iter()
+                .try_fold(0u64, |total, &count| total.checked_add(count))
+                .ok_or_else(|| {
+                    MdrrError::config(format!("count vector for channel {k} overflows u64"))
+                })?;
+            if total != n_records as u64 {
+                return Err(MdrrError::config(format!(
+                    "count vector for channel {k} sums to {total} but {n_records} reports \
+                     were accumulated"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that `counts` holds one count vector per channel, each sized
+    /// to its channel's domain.
+    fn check_count_shape(&self, counts: &[Vec<u64>]) -> Result<(), MdrrError> {
+        if counts.len() != self.domains.len() {
+            return Err(MdrrError::config(format!(
+                "expected {} count vectors, one per channel, got {}",
+                self.domains.len(),
+                counts.len()
+            )));
+        }
+        for (k, (channel, domain)) in counts.iter().zip(&self.domains).enumerate() {
+            if channel.len() != domain.size() {
+                return Err(MdrrError::config(format!(
+                    "count vector for channel {k} has {} cells but the channel has {}",
+                    channel.len(),
+                    domain.size()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Each channel's attributes, joint domain and matrix, in channel
+    /// order.
+    fn channels(&self) -> impl Iterator<Item = (&[usize], &JointDomain, &RRMatrix)> {
+        self.clustering
+            .clusters()
+            .iter()
+            .zip(&self.domains)
+            .zip(&self.matrices)
+            .map(|((cluster, domain), matrix)| (cluster.as_slice(), domain, matrix))
+    }
+}
+
+impl Protocol for RRClusters {
+    fn name(&self) -> String {
+        self.name.to_string()
+    }
+
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn channel_sizes(&self) -> Vec<usize> {
+        self.domains.iter().map(JointDomain::size).collect()
+    }
+
+    /// The per-record reference encoder: validates `record` against the
+    /// schema, then randomizes each channel's joint code with
+    /// [`RRMatrix::randomize`], one draw per channel in channel order.  It
+    /// deliberately shares no kernel with the batch encoders, so the
+    /// bit-identity tests compare two implementations.
+    fn encode_record(
+        &self,
+        record: &[u32],
+        mut rng: &mut dyn RngCore,
+    ) -> Result<Vec<u32>, MdrrError> {
+        self.schema.validate_record(record)?;
+        let mut tuple = Vec::new();
+        self.channels()
+            .map(|(cluster, domain, matrix)| {
+                tuple.clear();
+                tuple.extend(cluster.iter().map(|&a| record[a]));
+                // Below 2³² by construction (`channel_domains`).
+                let code = domain.encode(&tuple)? as u32;
+                Ok(matrix.randomize(code, &mut rng)?)
+            })
+            .collect()
+    }
+
+    fn encode_batch(
+        &self,
+        records: &RecordsView<'_>,
+        rng: &mut dyn RngCore,
+        out: &mut [Vec<u32>],
+    ) -> Result<(), MdrrError> {
+        if out.len() != self.domains.len() {
+            return Err(MdrrError::config(format!(
+                "batch output has {} channel buffers but the protocol has {} channels",
+                out.len(),
+                self.domains.len()
+            )));
+        }
+        for channel in out.iter_mut() {
+            channel.reserve(records.n_records());
+        }
+        self.drive(records, rng, out, |sampler, codes, draws, j, m, channel| {
+            sampler.randomize_strided_into(codes, draws, j, m, channel);
+        })
+    }
+
+    fn encode_tally(
+        &self,
+        records: &RecordsView<'_>,
+        rng: &mut dyn RngCore,
+        tallies: &mut [Vec<u64>],
+    ) -> Result<(), MdrrError> {
+        self.check_count_shape(tallies)?;
+        self.drive(
+            records,
+            rng,
+            tallies,
+            |sampler, codes, draws, j, m, tally| {
+                sampler.randomize_strided_tally(codes, draws, j, m, tally);
+            },
+        )
+    }
+
+    fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
         if codes.len() != self.domains.len() {
             return Err(MdrrError::config(format!(
                 "report has {} codes but the protocol has {} channels",
@@ -305,51 +384,18 @@ impl ChannelCodec {
         Ok(record)
     }
 
-    /// Collector-side estimation from accumulated sufficient statistics:
-    /// each channel's distribution estimated from its count vector over
-    /// the randomized codes of `n_records` reports.  Numerically identical
-    /// to the estimate [`ChannelCodec::run`] computes from the same codes,
-    /// but carries no randomized microdata.
-    ///
-    /// # Errors
-    /// Returns [`MdrrError::InvalidConfiguration`] for the conditions of
-    /// [`ChannelCodec::check_counts`]; propagated estimation errors
-    /// otherwise.
-    pub(crate) fn release_from_counts(
+    fn release_from_counts(
         &self,
-        counts: &[impl AsRef<[u64]>],
+        counts: &[Vec<u64>],
         n_records: usize,
-    ) -> Result<ClustersRelease, MdrrError> {
-        self.check_counts(counts, n_records)?;
-        let distributions = self
-            .matrices
-            .iter()
-            .zip(counts)
-            .map(|(matrix, channel)| estimate_proper_from_counts(matrix, channel.as_ref()))
-            .collect::<Result<_, _>>()?;
-        Ok(ClustersRelease {
-            cardinalities: self.schema.cardinalities(),
-            clustering: self.clustering.clone(),
-            domains: self.domains.clone(),
-            distributions,
-            randomized: None,
-            accountant: self.ledger.clone(),
-            n_records,
-        })
+    ) -> Result<Box<dyn Release>, MdrrError> {
+        Ok(Box::new(self.estimate(counts, n_records, None)?))
     }
 
-    /// Collector-side estimation from an already-randomized data set (the
-    /// pooled reports of all parties, decoded to microdata): the release of
-    /// its per-channel counts, carrying the data set.  [`ChannelCodec::run`]
-    /// is client-side randomization followed by this.
-    ///
-    /// # Errors
-    /// Returns [`MdrrError::InvalidConfiguration`] for a schema mismatch or
-    /// an empty data set; propagated estimation errors otherwise.
-    pub(crate) fn release_from_randomized(
-        &self,
-        randomized: Dataset,
-    ) -> Result<ClustersRelease, MdrrError> {
+    /// The release of the data set's per-channel counts, carrying the data
+    /// set.  [`Protocol::run`] is client-side randomization followed by
+    /// this.
+    fn release_from_randomized(&self, randomized: Dataset) -> Result<Box<dyn Release>, MdrrError> {
         self.check_dataset(&randomized)?;
         let counts = self
             .clustering
@@ -357,25 +403,23 @@ impl ChannelCodec {
             .iter()
             .map(|cluster| randomized.joint_counts(cluster).map(|(_, c)| c))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut release = self.release_from_counts(&counts, randomized.n_records())?;
-        release.randomized = Some(randomized);
-        Ok(release)
+        let n_records = randomized.n_records();
+        Ok(Box::new(self.estimate(
+            &counts,
+            n_records,
+            Some(randomized),
+        )?))
     }
 
-    /// Runs the protocol over a data set: randomizes each channel's codes
-    /// with its matrix, channel after channel and record after record
-    /// within a channel, and releases the estimate together with the
-    /// randomized microdata decoded from those codes.
-    ///
-    /// # Errors
-    /// Returns [`MdrrError::InvalidConfiguration`] for a schema mismatch or
-    /// an empty data set; propagated randomization and estimation errors
-    /// otherwise.
-    pub(crate) fn run(
+    /// Randomizes each channel's codes with its matrix, channel after
+    /// channel and record after record within a channel, and releases the
+    /// estimate together with the randomized microdata decoded from those
+    /// codes.
+    fn run(
         &self,
         dataset: &Dataset,
         mut rng: &mut dyn RngCore,
-    ) -> Result<ClustersRelease, MdrrError> {
+    ) -> Result<Box<dyn Release>, MdrrError> {
         self.check_dataset(dataset)?;
         let n = dataset.n_records();
         let mut columns: Vec<Vec<u32>> = vec![Vec::new(); self.schema.len()];
@@ -402,94 +446,12 @@ impl ChannelCodec {
                     .collect();
             }
         }
-        let mut release = self.release_from_counts(&counts, n)?;
-        release.randomized = Some(Dataset::from_columns(self.schema.clone(), columns)?);
-        Ok(release)
+        let randomized = Dataset::from_columns(self.schema.clone(), columns)?;
+        Ok(Box::new(self.estimate(&counts, n, Some(randomized))?))
     }
 
-    /// Checks that a data set to estimate from is over the codec's schema
-    /// and not empty.
-    fn check_dataset(&self, dataset: &Dataset) -> Result<(), MdrrError> {
-        if dataset.schema() != &self.schema {
-            return Err(MdrrError::config(
-                "dataset schema does not match the protocol configuration",
-            ));
-        }
-        if dataset.is_empty() {
-            return Err(MdrrError::config(
-                "cannot build a release from an empty dataset",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Checks accumulated per-channel counts before estimation: at least
-    /// one report, one count vector per channel, each sized to its channel
-    /// and summing to `n_records` without overflowing a `u64`.
-    ///
-    /// # Errors
-    /// Returns [`MdrrError::InvalidConfiguration`] naming the violated
-    /// condition.
-    pub(crate) fn check_counts(
-        &self,
-        counts: &[impl AsRef<[u64]>],
-        n_records: usize,
-    ) -> Result<(), MdrrError> {
-        if n_records == 0 {
-            return Err(MdrrError::config(
-                "cannot build a release from zero reports",
-            ));
-        }
-        self.check_count_shape(counts)?;
-        for (k, channel) in counts.iter().enumerate() {
-            let total = channel
-                .as_ref()
-                .iter()
-                .try_fold(0u64, |total, &count| total.checked_add(count))
-                .ok_or_else(|| {
-                    MdrrError::config(format!("count vector for channel {k} overflows u64"))
-                })?;
-            if total != n_records as u64 {
-                return Err(MdrrError::config(format!(
-                    "count vector for channel {k} sums to {total} but {n_records} reports \
-                     were accumulated"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that `counts` holds one count vector per channel, each sized
-    /// to its channel's domain.
-    fn check_count_shape(&self, counts: &[impl AsRef<[u64]>]) -> Result<(), MdrrError> {
-        if counts.len() != self.domains.len() {
-            return Err(MdrrError::config(format!(
-                "expected {} count vectors, one per channel, got {}",
-                self.domains.len(),
-                counts.len()
-            )));
-        }
-        for (k, (channel, domain)) in counts.iter().zip(&self.domains).enumerate() {
-            if channel.as_ref().len() != domain.size() {
-                return Err(MdrrError::config(format!(
-                    "count vector for channel {k} has {} cells but the channel has {}",
-                    channel.as_ref().len(),
-                    domain.size()
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Each channel's attributes, joint domain and matrix, in channel
-    /// order.
-    fn channels(&self) -> impl Iterator<Item = (&[usize], &JointDomain, &RRMatrix)> {
-        self.clustering
-            .clusters()
-            .iter()
-            .zip(&self.domains)
-            .zip(&self.matrices)
-            .map(|((cluster, domain), matrix)| (cluster.as_slice(), domain, matrix))
+    fn epsilons(&self) -> Vec<f64> {
+        self.matrices.iter().map(RRMatrix::epsilon).collect()
     }
 }
 

@@ -1,139 +1,13 @@
-//! Protocol 1: RR-Independent.
-//!
-//! Every party randomizes each of her attribute values independently with a
-//! per-attribute randomization matrix and publishes the results.  The data
-//! collector estimates the marginal distribution of every attribute with
-//! Equation (2) and, under the attribute-independence assumption, estimates
-//! the frequency of any subset `S ⊆ A_1 × … × A_m` as the sum over the
-//! combinations in `S` of the products of the estimated marginals
-//! (Section 3.1).
-//!
-//! This is the baseline of the paper's experiments and the release that
-//! RR-Adjustment (Section 5) repairs.  It is RR-Clusters with one cluster
-//! per attribute: encoding, estimation and the release all run through the
-//! shared channel codec, so a release answers a query with the product of
-//! the constrained attributes' estimated marginals.
+//! Unit tests of Protocol 1, RR-Independent: `RRClusters::independent`
+//! and `RRClusters::independent_from_matrices`, one singleton cluster per
+//! attribute.
 
-use crate::clustering::Clustering;
-use crate::codec::ChannelCodec;
-use crate::error::{MdrrError, ProtocolError};
-use crate::protocol::{Protocol, Release};
+use crate::clusters::RRClusters;
+use crate::error::MdrrError;
+use crate::protocol::{Protocol, RandomizationLevel};
 use mdrr_core::RRMatrix;
-use mdrr_data::{Dataset, RecordsView, Schema};
-use rand::RngCore;
+use mdrr_data::{Dataset, Schema};
 
-pub use crate::protocol::RandomizationLevel;
-
-/// The RR-Independent protocol, configured for a schema: RR-Clusters over
-/// one singleton cluster per attribute.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RRIndependent {
-    codec: ChannelCodec,
-}
-
-impl RRIndependent {
-    /// Configures the protocol from a randomization level.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::InvalidConfiguration`] for invalid levels
-    /// (probability outside `[0, 1]`, negative ε, wrong budget count).
-    pub fn new(schema: Schema, level: &RandomizationLevel) -> Result<Self, ProtocolError> {
-        let matrices = level.independent_matrices(&schema)?;
-        Self::from_matrices(schema, matrices)
-    }
-
-    /// Configures the protocol with explicit per-attribute matrices.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::InvalidConfiguration`] if the number of
-    /// matrices or any matrix size does not match the schema.
-    pub fn from_matrices(schema: Schema, matrices: Vec<RRMatrix>) -> Result<Self, ProtocolError> {
-        let singletons = Clustering::singletons(schema.len())?;
-        let codec = ChannelCodec::new(schema, singletons, matrices, |schema, j, _| {
-            format!("RR-Independent on {}", schema.attributes()[j].name())
-        })?;
-        Ok(RRIndependent { codec })
-    }
-
-    /// The schema the protocol was configured for.
-    pub fn schema(&self) -> &Schema {
-        self.codec.schema()
-    }
-
-    /// The per-attribute randomization matrices, in schema order.
-    pub fn matrices(&self) -> &[RRMatrix] {
-        self.codec.matrices()
-    }
-
-    /// Per-attribute privacy budgets ε_A of the configured matrices
-    /// (Expression (4)); these are the inputs to the equivalent-risk
-    /// construction of RR-Clusters (Section 6.3.2).
-    pub fn epsilons(&self) -> Vec<f64> {
-        self.matrices().iter().map(RRMatrix::epsilon).collect()
-    }
-}
-
-impl Protocol for RRIndependent {
-    fn name(&self) -> String {
-        "RR-Independent".to_string()
-    }
-
-    fn schema(&self) -> &Schema {
-        self.codec.schema()
-    }
-
-    fn channel_sizes(&self) -> Vec<usize> {
-        self.codec.channel_sizes()
-    }
-
-    fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        self.codec.encode_record(record, rng)
-    }
-
-    fn encode_batch(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        out: &mut [Vec<u32>],
-    ) -> Result<(), MdrrError> {
-        self.codec.encode_batch(records, rng, out)
-    }
-
-    fn encode_tally(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        tallies: &mut [Vec<u64>],
-    ) -> Result<(), MdrrError> {
-        self.codec.encode_tally(records, rng, tallies)
-    }
-
-    fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
-        self.codec.decode_report(codes)
-    }
-
-    fn release_from_counts(
-        &self,
-        counts: &[Vec<u64>],
-        n_records: usize,
-    ) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(self.codec.release_from_counts(counts, n_records)?))
-    }
-
-    fn release_from_randomized(&self, randomized: Dataset) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(self.codec.release_from_randomized(randomized)?))
-    }
-
-    fn run(&self, dataset: &Dataset, rng: &mut dyn RngCore) -> Result<Box<dyn Release>, MdrrError> {
-        Ok(Box::new(self.codec.run(dataset, rng)?))
-    }
-
-    fn epsilons(&self) -> Vec<f64> {
-        RRIndependent::epsilons(self)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimator::{EmpiricalEstimator, FrequencyEstimator};
@@ -175,28 +49,34 @@ mod tests {
 
     #[test]
     fn configuration_validation() {
-        assert!(RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(1.5)).is_err());
         assert!(
-            RRIndependent::new(schema(), &RandomizationLevel::EpsilonPerAttribute(-1.0)).is_err()
+            RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(1.5)).is_err()
         );
-        assert!(RRIndependent::new(schema(), &RandomizationLevel::Epsilons(vec![1.0])).is_err());
         assert!(
-            RRIndependent::new(schema(), &RandomizationLevel::Epsilons(vec![1.0, 2.0])).is_ok()
+            RRClusters::independent(schema(), &RandomizationLevel::EpsilonPerAttribute(-1.0))
+                .is_err()
+        );
+        assert!(
+            RRClusters::independent(schema(), &RandomizationLevel::Epsilons(vec![1.0])).is_err()
+        );
+        assert!(
+            RRClusters::independent(schema(), &RandomizationLevel::Epsilons(vec![1.0, 2.0]))
+                .is_ok()
         );
 
         let wrong_size = vec![
             RRMatrix::identity(4).unwrap(),
             RRMatrix::identity(2).unwrap(),
         ];
-        assert!(RRIndependent::from_matrices(schema(), wrong_size).is_err());
+        assert!(RRClusters::independent_from_matrices(schema(), wrong_size).is_err());
         let wrong_count = vec![RRMatrix::identity(3).unwrap()];
-        assert!(RRIndependent::from_matrices(schema(), wrong_count).is_err());
+        assert!(RRClusters::independent_from_matrices(schema(), wrong_count).is_err());
     }
 
     #[test]
     fn run_validates_dataset() {
         let protocol =
-            RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(0.7)).unwrap();
+            RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(0.7)).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let empty = Dataset::empty(schema());
         assert!(protocol.run(&empty, &mut rng).is_err());
@@ -209,7 +89,8 @@ mod tests {
     #[test]
     fn epsilons_match_matrices() {
         let protocol =
-            RRIndependent::new(schema(), &RandomizationLevel::EpsilonPerAttribute(1.2)).unwrap();
+            RRClusters::independent(schema(), &RandomizationLevel::EpsilonPerAttribute(1.2))
+                .unwrap();
         for eps in protocol.epsilons() {
             assert!((eps - 1.2).abs() < 1e-9);
         }
@@ -219,7 +100,7 @@ mod tests {
     fn marginal_estimates_recover_the_truth() {
         let ds = independent_dataset(40_000, 1);
         let protocol =
-            RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(0.7)).unwrap();
+            RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(0.7)).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let release = protocol.run(&ds, &mut rng).unwrap();
 
@@ -242,7 +123,7 @@ mod tests {
     fn joint_estimates_are_good_when_attributes_are_independent() {
         let ds = independent_dataset(40_000, 3);
         let protocol =
-            RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(0.7)).unwrap();
+            RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(0.7)).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let release = protocol.run(&ds, &mut rng).unwrap();
         let truth = EmpiricalEstimator::new(&ds);
@@ -263,7 +144,7 @@ mod tests {
     fn frequency_estimator_contract() {
         let ds = independent_dataset(2_000, 5);
         let protocol =
-            RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(0.9)).unwrap();
+            RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(0.9)).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let release = protocol.run(&ds, &mut rng).unwrap();
 
@@ -279,7 +160,7 @@ mod tests {
     fn streamed_counts_match_the_batch_estimate_exactly() {
         let ds = independent_dataset(5_000, 20);
         let protocol =
-            RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(0.6)).unwrap();
+            RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(0.6)).unwrap();
 
         // Client side: every record encodes into one report.
         let mut rng = StdRng::seed_from_u64(21);
@@ -316,7 +197,7 @@ mod tests {
     #[test]
     fn encode_record_and_counts_validate_input() {
         let protocol =
-            RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(0.6)).unwrap();
+            RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(0.6)).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         assert!(protocol.encode_record(&[0], &mut rng).is_err());
         assert!(protocol.encode_record(&[0, 5], &mut rng).is_err());
@@ -339,7 +220,8 @@ mod tests {
 
         // Counts whose sum overflows a u64 are refused, not wrapped.
         let one = Schema::new(vec![Attribute::indexed("A", 2).unwrap()]).unwrap();
-        let protocol = RRIndependent::new(one, &RandomizationLevel::KeepProbability(0.6)).unwrap();
+        let protocol =
+            RRClusters::independent(one, &RandomizationLevel::KeepProbability(0.6)).unwrap();
         let err = protocol
             .release_from_counts(&[vec![u64::MAX, 2]], 1)
             .unwrap_err();
@@ -356,7 +238,7 @@ mod tests {
             RRMatrix::identity(3).unwrap(),
             RRMatrix::identity(2).unwrap(),
         ];
-        let protocol = RRIndependent::from_matrices(schema(), matrices).unwrap();
+        let protocol = RRClusters::independent_from_matrices(schema(), matrices).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         let release = protocol.run(&ds, &mut rng).unwrap();
         for j in 0..2 {

@@ -9,12 +9,6 @@
 //!   [`RandomizationLevel`] that parameterises all of them;
 //! * [`spec`] — the serde-able [`ProtocolSpec`] builder that constructs any
 //!   protocol from configuration data;
-//! * [`independent`] — Protocol 1 (RR-Independent): per-attribute RR, joint
-//!   frequencies estimated under the independence assumption — RR-Clusters
-//!   with one cluster per attribute;
-//! * [`joint`] — Protocol 2 (RR-Joint): a single RR over the Cartesian
-//!   product of all attributes — RR-Clusters with one cluster holding
-//!   every attribute;
 //! * [`clustering`] — Algorithm 1: grouping attributes by dependence under
 //!   the `Tv`/`Td` thresholds;
 //! * [`dependence`] — the three privacy-preserving procedures of
@@ -22,17 +16,16 @@
 //! * [`secure_sum`] — the additive-sharing secure-sum substrate those
 //!   procedures rely on;
 //! * [`clusters`] — RR-Clusters: RR-Joint within each cluster with
-//!   equivalent-risk matrices (Section 6.3.2).  All three protocols
-//!   encode, estimate and release through one crate-private channel codec,
-//!   and every release of theirs is one per-cluster estimate behind
-//!   `Box<dyn Release>`;
+//!   equivalent-risk matrices (Section 6.3.2).  Protocol 1
+//!   (RR-Independent, one cluster per attribute) and Protocol 2 (RR-Joint,
+//!   one cluster holding every attribute) are its two ends, so all three
+//!   are constructors of the one [`RRClusters`] type, and every release of
+//!   theirs is one per-cluster estimate behind `Box<dyn Release>`;
 //! * [`adjustment`] — Algorithm 2 (RR-Adjustment): iterative re-weighting
 //!   of the randomized data set, stackable on any base protocol via
 //!   [`RRAdjustment`];
 //! * [`synthetic`] — re-creation of synthetic microdata from an estimated
 //!   joint distribution;
-//! * [`party`] — the party-side view of the protocols (local
-//!   anonymization trust model made explicit);
 //! * [`estimator`] — the common [`FrequencyEstimator`] query interface
 //!   every release implements;
 //! * [`error`] — the single [`MdrrError`] of the protocol and streaming
@@ -72,13 +65,13 @@
 pub mod adjustment;
 pub mod clustering;
 pub mod clusters;
-mod codec;
 pub mod dependence;
 pub mod error;
 pub mod estimator;
-pub mod independent;
-pub mod joint;
-pub mod party;
+#[cfg(test)]
+mod independent;
+#[cfg(test)]
+mod joint;
 pub mod protocol;
 pub mod secure_sum;
 pub mod spec;
@@ -88,16 +81,13 @@ pub use adjustment::{
     rr_adjustment, AdjustedRelease, AdjustmentConfig, AdjustmentTarget, RRAdjustment,
 };
 pub use clustering::{cluster_attributes, Clustering, ClusteringConfig, DependenceMatrix};
-pub use clusters::RRClusters;
+pub use clusters::{RRClusters, DEFAULT_MAX_JOINT_DOMAIN};
 pub use dependence::{
     dependence_matrix_plain, dependence_via_exact_bivariate, dependence_via_randomized_attributes,
     dependence_via_rr_pairs, DependenceEstimate,
 };
 pub use error::{MdrrError, ProtocolError};
 pub use estimator::{validate_assignment, Assignment, EmpiricalEstimator, FrequencyEstimator};
-pub use independent::RRIndependent;
-pub use joint::{RRJoint, DEFAULT_MAX_JOINT_DOMAIN};
-pub use party::{collect_independent_responses, Party};
 pub use protocol::{Protocol, RandomizationLevel, Release};
 pub use secure_sum::{secure_contingency_table, SecureSumMode, SecureSumSession};
 pub use spec::ProtocolSpec;

@@ -132,13 +132,13 @@ impl RandomizationLevel {
 /// evaluation harness and the benches hold `Arc<dyn Protocol>` and work
 /// with any current or future protocol unchanged.
 ///
-/// RR-Independent, RR-Joint and RR-Clusters share one channel codec: in
-/// the paper the two basic protocols are the ends of RR-Clusters (one
-/// cluster per attribute, and one cluster holding every attribute), so
-/// their encoding, decoding and estimation methods are one-line
-/// delegations to that codec, and all three release the same per-cluster
-/// estimate.  The batch encoders validate and prepare
-/// once per call, so dispatching through `dyn Protocol` costs one virtual
+/// RR-Independent, RR-Joint and RR-Clusters are one type,
+/// [`crate::RRClusters`]: in the paper the two basic protocols are the
+/// ends of RR-Clusters (one cluster per attribute, and one cluster holding
+/// every attribute), so they are its constructors, share its one
+/// implementation of this trait and all three release the same
+/// per-cluster estimate.  The batch encoders validate and prepare once per
+/// call, so dispatching through `dyn Protocol` costs one virtual
 /// call per batch, not per record.
 pub trait Protocol: fmt::Debug + Send + Sync {
     /// Human-readable protocol name (used in ledgers, logs and reports).

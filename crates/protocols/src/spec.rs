@@ -34,8 +34,6 @@ use crate::adjustment::{AdjustmentConfig, RRAdjustment};
 use crate::clustering::Clustering;
 use crate::clusters::RRClusters;
 use crate::error::MdrrError;
-use crate::independent::RRIndependent;
-use crate::joint::RRJoint;
 use crate::protocol::{Protocol, RandomizationLevel};
 use mdrr_data::Schema;
 use serde::{Deserialize, Serialize};
@@ -144,7 +142,7 @@ impl ProtocolSpec {
     pub fn build(&self, schema: &Schema) -> Result<Box<dyn Protocol>, MdrrError> {
         match self {
             ProtocolSpec::Independent { level } => {
-                Ok(Box::new(RRIndependent::new(schema.clone(), level)?))
+                Ok(Box::new(RRClusters::independent(schema.clone(), level)?))
             }
             ProtocolSpec::Joint {
                 level,
@@ -152,14 +150,18 @@ impl ProtocolSpec {
                 equivalent_risk,
             } => {
                 let joint = if *equivalent_risk {
-                    RRJoint::with_level(schema.clone(), level, *max_domain)?
+                    RRClusters::joint(schema.clone(), level, *max_domain)?
                 } else {
                     match level {
                         RandomizationLevel::KeepProbability(p) => {
-                            RRJoint::with_keep_probability(schema.clone(), *p, *max_domain)?
+                            RRClusters::joint_with_keep_probability(
+                                schema.clone(),
+                                *p,
+                                *max_domain,
+                            )?
                         }
                         RandomizationLevel::EpsilonPerAttribute(eps) => {
-                            RRJoint::with_epsilon(schema.clone(), *eps, *max_domain)?
+                            RRClusters::joint_with_epsilon(schema.clone(), *eps, *max_domain)?
                         }
                         RandomizationLevel::Epsilons(_) => {
                             return Err(MdrrError::config(
@@ -258,12 +260,46 @@ mod tests {
             .unwrap();
         assert_eq!(clusters.channel_sizes(), vec![6, 2]);
 
-        let adjusted = ProtocolSpec::independent(level)
+        let adjusted = ProtocolSpec::independent(level.clone())
             .adjusted(AdjustmentConfig::default())
             .build(&s)
             .unwrap();
         assert_eq!(adjusted.name(), "RR-Independent + RR-Adjustment");
         assert_eq!(adjusted.channel_sizes(), vec![3, 2, 2]);
+
+        // Every build branch names its protocol as the spec labels it and
+        // spends one budget per channel.
+        let specs = [
+            ProtocolSpec::independent(level.clone()),
+            ProtocolSpec::joint(level.clone()),
+            ProtocolSpec::Joint {
+                level: level.clone(),
+                max_domain: None,
+                equivalent_risk: false,
+            },
+            ProtocolSpec::Joint {
+                level: RandomizationLevel::EpsilonPerAttribute(1.0),
+                max_domain: None,
+                equivalent_risk: false,
+            },
+            ProtocolSpec::clusters(level.clone(), clustering()),
+            ProtocolSpec::Clusters {
+                level: level.clone(),
+                clustering: clustering(),
+                equivalent_risk: false,
+            },
+            ProtocolSpec::independent(level).adjusted(AdjustmentConfig::default()),
+        ];
+        for spec in specs {
+            let protocol = spec.build(&s).unwrap();
+            assert_eq!(protocol.name(), spec.label());
+            assert_eq!(
+                protocol.epsilons().len(),
+                protocol.channel_sizes().len(),
+                "{}",
+                spec.label()
+            );
+        }
     }
 
     #[test]
@@ -289,7 +325,7 @@ mod tests {
             equivalent_risk: false,
         };
         let direct = spec.build(&s).unwrap();
-        let legacy = RRJoint::with_keep_probability(s.clone(), 0.5, None).unwrap();
+        let legacy = RRClusters::joint_with_keep_probability(s.clone(), 0.5, None).unwrap();
         assert_eq!(direct.epsilons(), Protocol::epsilons(&legacy));
 
         let spec = ProtocolSpec::Clusters {

@@ -3,7 +3,7 @@
 use mdrr_data::{Attribute, AttributeKind, Dataset, Schema};
 use mdrr_protocols::{
     cluster_attributes, rr_adjustment, AdjustmentConfig, Clustering, ClusteringConfig,
-    DependenceMatrix, FrequencyEstimator, Protocol, RRClusters, RRIndependent, RandomizationLevel,
+    DependenceMatrix, FrequencyEstimator, Protocol, RRClusters, RandomizationLevel,
     SecureSumSession,
 };
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ proptest! {
     fn independent_release_marginals_are_distributions(ds in dataset_strategy(),
                                                         p in 0.2f64..0.95,
                                                         seed in any::<u64>()) {
-        let protocol = RRIndependent::new(ds.schema().clone(), &RandomizationLevel::KeepProbability(p)).unwrap();
+        let protocol = RRClusters::independent(ds.schema().clone(), &RandomizationLevel::KeepProbability(p)).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let release = protocol.run(&ds, &mut rng).unwrap();
         for j in 0..ds.n_attributes() {
@@ -122,7 +122,7 @@ proptest! {
     fn adjustment_preserves_total_weight_and_matches_last_target(ds in dataset_strategy(),
                                                                   seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let protocol = RRIndependent::new(ds.schema().clone(), &RandomizationLevel::KeepProbability(0.7)).unwrap();
+        let protocol = RRClusters::independent(ds.schema().clone(), &RandomizationLevel::KeepProbability(0.7)).unwrap();
         let release = protocol.run(&ds, &mut rng).unwrap();
         let targets = release.adjustment_targets().unwrap();
         let adjusted = rr_adjustment(release.randomized().unwrap(), &targets, AdjustmentConfig::new(60, 1e-10).unwrap()).unwrap();

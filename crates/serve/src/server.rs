@@ -185,11 +185,6 @@ impl CollectorServer {
         self.shared.open_connections.load(Ordering::SeqCst)
     }
 
-    /// Whether a drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining()
-    }
-
     /// Gracefully stops the daemon: flips the drain flag (in-flight
     /// sessions finish their current frame, answer further reads with a
     /// `draining` error frame and close), joins the acceptor and every

@@ -175,20 +175,10 @@ impl<'a> Session<'a> {
             }
             Ok(())
         };
-        let got = wire::read_frame(&mut self.stream, &mut self.buf, &mut wait)?;
+        // The local cap applies at the header, before any payload byte.
+        let max_payload = shared.config.max_payload;
+        let got = wire::read_frame_within(&mut self.stream, &mut self.buf, max_payload, &mut wait)?;
         if let Some(frame_type) = got {
-            // `decode_header` already enforced the global cap before any
-            // allocation; this enforces the (possibly tighter) local one.
-            let payload_len = self
-                .buf
-                .len()
-                .saturating_sub(wire::WIRE_HEADER_LEN + wire::WIRE_TRAILER_LEN);
-            if payload_len as u64 > shared.config.max_payload as u64 {
-                return Err(WireError::Oversized {
-                    declared: payload_len as u64,
-                    max: shared.config.max_payload as u64,
-                });
-            }
             if let Some(obs) = &shared.obs {
                 obs.frame_read(frame_type, self.buf.len() as u64);
             }

@@ -330,25 +330,40 @@ fn server_survives_garbage_and_keeps_serving() {
 fn oversized_declared_length_is_refused_at_the_header() {
     let schema = common::schema();
     let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
-    let (server, _obs) = common::start_server(&schema, &spec, ServeConfig::default());
+    // The global cap, then a daemon's own tighter cap.  A lone header
+    // above the cap, with no payload byte behind it, must be refused at
+    // once: a daemon that waited for the payload would answer `TIMEOUT`
+    // only after its 30 s mid-frame budget, long after `read_reply` gives
+    // up (10 s).
+    let tight = ServeConfig {
+        max_payload: 1024,
+        frame_budget_nanos: 30_000_000_000,
+        ..ServeConfig::default()
+    };
+    for (config, declared) in [
+        (ServeConfig::default(), MAX_WIRE_PAYLOAD + 1),
+        (tight, 1025),
+    ] {
+        let (server, _obs) = common::start_server(&schema, &spec, config);
 
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    let mut header = Vec::new();
-    header.extend_from_slice(&WIRE_MAGIC);
-    header.extend_from_slice(&mdrr_stream::WIRE_VERSION.to_le_bytes());
-    header.push(0x01); // hello
-    header.extend_from_slice(&[0u8; 3]);
-    header.extend_from_slice(&(MAX_WIRE_PAYLOAD + 1).to_le_bytes());
-    raw.write_all(&header).unwrap();
-    raw.flush().unwrap();
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        let mut header = Vec::new();
+        header.extend_from_slice(&WIRE_MAGIC);
+        header.extend_from_slice(&mdrr_stream::WIRE_VERSION.to_le_bytes());
+        header.push(0x01); // hello
+        header.extend_from_slice(&[0u8; 3]);
+        header.extend_from_slice(&declared.to_le_bytes());
+        raw.write_all(&header).unwrap();
+        raw.flush().unwrap();
 
-    let reply = read_reply(&mut raw).unwrap();
-    let (frame_type, payload) = reply.expect("server should refuse the header with an error");
-    assert_eq!(frame_type, FrameType::Error);
-    let (code, _) = wire::decode_error_payload(&payload).unwrap();
-    assert_eq!(code, error_code::MALFORMED);
+        let reply = read_reply(&mut raw).unwrap();
+        let (frame_type, payload) = reply.expect("server should refuse the header with an error");
+        assert_eq!(frame_type, FrameType::Error);
+        let (code, _) = wire::decode_error_payload(&payload).unwrap();
+        assert_eq!(code, error_code::MALFORMED, "declared {declared}");
 
-    drop(raw);
-    let drained = server.drain().unwrap();
-    assert_eq!(drained.acked_reports, 0);
+        drop(raw);
+        let drained = server.drain().unwrap();
+        assert_eq!(drained.acked_reports, 0);
+    }
 }

@@ -170,12 +170,6 @@ impl ShardedCollector {
         self.shards.iter().map(Accumulator::n_reports).sum()
     }
 
-    /// Whether shard `k` is quarantined (out-of-range indices read as
-    /// healthy).
-    pub fn is_quarantined(&self, shard: usize) -> bool {
-        self.quarantined.get(shard).copied().unwrap_or(false)
-    }
-
     /// The quarantined shard indices, ascending — the shards whose lost
     /// work must be re-collected and merged back (see
     /// [`ShardedCollector::rehabilitate`]).
@@ -679,9 +673,11 @@ mod tests {
 
     #[test]
     fn for_protocol_wraps_concrete_protocols() {
-        let concrete =
-            mdrr_protocols::RRIndependent::new(schema(), &RandomizationLevel::KeepProbability(0.7))
-                .unwrap();
+        let concrete = mdrr_protocols::RRClusters::independent(
+            schema(),
+            &RandomizationLevel::KeepProbability(0.7),
+        )
+        .unwrap();
         let c = ShardedCollector::for_protocol(concrete, 2).unwrap();
         assert_eq!(c.protocol().name(), "RR-Independent");
         assert_eq!(c.n_shards(), 2);

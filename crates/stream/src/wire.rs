@@ -896,11 +896,31 @@ pub fn read_frame<R: Read>(
     buf: &mut Vec<u8>,
     wait: &mut dyn FnMut(usize) -> Result<(), WireError>,
 ) -> Result<Option<FrameType>, WireError> {
+    read_frame_within(reader, buf, MAX_WIRE_PAYLOAD, wait)
+}
+
+/// [`read_frame`] under a tighter payload cap: a header declaring more
+/// than `max_payload` bytes is [`WireError::Oversized`] as soon as its 20
+/// bytes arrive, before any payload byte is read.  Caps above
+/// [`MAX_WIRE_PAYLOAD`] do not loosen the global one, which
+/// [`decode_header`] always enforces.
+pub fn read_frame_within<R: Read>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+    max_payload: u32,
+    wait: &mut dyn FnMut(usize) -> Result<(), WireError>,
+) -> Result<Option<FrameType>, WireError> {
     buf.clear();
     if !fill(reader, buf, WIRE_HEADER_LEN, wait)? {
         return Ok(None);
     }
     let (frame_type, payload_len) = decode_header(buf)?;
+    if payload_len as u64 > max_payload as u64 {
+        return Err(WireError::Oversized {
+            declared: payload_len as u64,
+            max: max_payload as u64,
+        });
+    }
     fill(reader, buf, frame_len(payload_len), wait)?;
     decode_frame(buf)?;
     Ok(Some(frame_type))

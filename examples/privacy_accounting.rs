@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Per-attribute budgets of RR-Independent at keep probability p.
     println!("per-attribute budgets of RR-Independent at p = {p}:");
-    let independent = RRIndependent::new(schema.clone(), &RandomizationLevel::KeepProbability(p))?;
+    let independent =
+        RRClusters::independent(schema.clone(), &RandomizationLevel::KeepProbability(p))?;
     for (attribute, epsilon) in schema.attributes().iter().zip(independent.epsilons()) {
         println!(
             "  {:<16} |A| = {:>2}   epsilon_A = {:>6.3}   (closed form: {:>6.3})",

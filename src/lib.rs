@@ -62,8 +62,9 @@
 //! # Ok::<(), mdrr::core::CoreError>(())
 //! ```
 //!
-//! For multi-attribute releases see [`protocols::RRIndependent`],
-//! [`protocols::RRClusters`] and the runnable programs in `examples/`.
+//! For multi-attribute releases see [`protocols::RRClusters`], whose
+//! constructors build RR-Independent, RR-Joint and RR-Clusters, and the
+//! runnable programs in `examples/`.
 
 pub use mdrr_core as core;
 pub use mdrr_data as data;
@@ -89,8 +90,7 @@ pub mod prelude {
     pub use mdrr_protocols::{
         cluster_attributes, rr_adjustment, validate_assignment, AdjustmentConfig, AdjustmentTarget,
         Clustering, ClusteringConfig, EmpiricalEstimator, FrequencyEstimator, MdrrError, Protocol,
-        ProtocolError, ProtocolSpec, RRAdjustment, RRClusters, RRIndependent, RRJoint,
-        RandomizationLevel, Release,
+        ProtocolError, ProtocolSpec, RRAdjustment, RRClusters, RandomizationLevel, Release,
     };
     pub use mdrr_serve::{CollectorServer, DrainedCollector, ServeConfig};
     pub use mdrr_store::{merge_snapshot_files, merge_snapshots, Snapshot, Storage, StoreError};

@@ -110,7 +110,7 @@ fn empty_dataset_operations_do_not_panic() {
 fn protocols_reject_empty_datasets() {
     let mut rng = StdRng::seed_from_u64(5);
     let dataset = Dataset::empty(adult_schema());
-    let protocol = RRIndependent::new(
+    let protocol = RRClusters::independent(
         dataset.schema().clone(),
         &RandomizationLevel::KeepProbability(0.7),
     )

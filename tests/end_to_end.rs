@@ -14,7 +14,7 @@ fn adult(n: usize, seed: u64) -> Dataset {
 #[test]
 fn rr_independent_pipeline_recovers_every_marginal() {
     let dataset = adult(20_000, 1);
-    let protocol = RRIndependent::new(
+    let protocol = RRClusters::independent(
         dataset.schema().clone(),
         &RandomizationLevel::KeepProbability(0.7),
     )
@@ -116,7 +116,7 @@ fn equivalent_risk_construction_matches_independent_budget_on_adult() {
     let schema = adult_schema();
     let p = 0.5;
     let independent =
-        RRIndependent::new(schema.clone(), &RandomizationLevel::KeepProbability(p)).unwrap();
+        RRClusters::independent(schema.clone(), &RandomizationLevel::KeepProbability(p)).unwrap();
     let epsilons = independent.epsilons();
 
     let clustering = Clustering::new(
@@ -184,10 +184,10 @@ fn joint_protocol_beats_independence_on_a_small_dependent_schema() {
         dataset.push_record(&[a, b]).unwrap();
     }
 
-    let joint = RRJoint::with_keep_probability(schema.clone(), 0.7, None).unwrap();
+    let joint = RRClusters::joint_with_keep_probability(schema.clone(), 0.7, None).unwrap();
     let joint_release = joint.run(&dataset, &mut rng).unwrap();
     let independent =
-        RRIndependent::new(schema, &RandomizationLevel::KeepProbability(0.7)).unwrap();
+        RRClusters::independent(schema, &RandomizationLevel::KeepProbability(0.7)).unwrap();
     let independent_release = independent.run(&dataset, &mut rng).unwrap();
 
     let truth = EmpiricalEstimator::new(&dataset);
@@ -253,7 +253,7 @@ fn csv_roundtrip_of_a_randomized_release() {
     // A randomized release can be exported to CSV and re-imported without
     // loss — the release format a data collector would actually publish.
     let dataset = adult(500, 13);
-    let protocol = RRIndependent::new(
+    let protocol = RRClusters::independent(
         dataset.schema().clone(),
         &RandomizationLevel::KeepProbability(0.6),
     )

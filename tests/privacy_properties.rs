@@ -23,7 +23,7 @@ proptest! {
     #[test]
     fn equivalent_risk_preserves_total_budget(p in 0.05f64..0.95, split in 1usize..7) {
         let schema = adult_schema();
-        let independent = RRIndependent::new(schema.clone(), &RandomizationLevel::KeepProbability(p)).unwrap();
+        let independent = RRClusters::independent(schema.clone(), &RandomizationLevel::KeepProbability(p)).unwrap();
         let epsilons = independent.epsilons();
         // Deterministic partition controlled by `split`: attributes i with
         // i % split == k share a cluster.
@@ -73,7 +73,7 @@ proptest! {
     fn adjustment_is_pure_post_processing(seed in any::<u64>(), n in 50usize..300) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dataset = AdultSynthesizer::new(n).unwrap().generate(&mut rng);
-        let protocol = RRIndependent::new(dataset.schema().clone(), &RandomizationLevel::KeepProbability(0.6)).unwrap();
+        let protocol = RRClusters::independent(dataset.schema().clone(), &RandomizationLevel::KeepProbability(0.6)).unwrap();
         let release = protocol.run(&dataset, &mut rng).unwrap();
         let targets = release.adjustment_targets().unwrap();
         let adjusted = rr_adjustment(release.randomized().unwrap(), &targets, AdjustmentConfig::default()).unwrap();

@@ -66,7 +66,7 @@ fn dyn_adjustment_matches_the_manual_pipeline() {
     // the per-attribute targets, run Algorithm 2.
     let dataset = adult(4_000);
     let config = AdjustmentConfig::new(25, 1e-9).unwrap();
-    let base = RRIndependent::new(
+    let base = RRClusters::independent(
         dataset.schema().clone(),
         &RandomizationLevel::KeepProbability(0.7),
     )
@@ -96,7 +96,7 @@ fn spec_built_protocols_match_concrete_construction() {
     // the same seed.
     let dataset = adult(2_000);
     let level = RandomizationLevel::KeepProbability(0.6);
-    let concrete = RRIndependent::new(dataset.schema().clone(), &level).unwrap();
+    let concrete = RRClusters::independent(dataset.schema().clone(), &level).unwrap();
     let from_spec = ProtocolSpec::independent(level)
         .build(dataset.schema())
         .unwrap();
