@@ -39,20 +39,14 @@
 //! runs or machines into one exact merged estimate, and `--merged-out
 //! PATH` writes the pooled snapshot itself.
 //!
-//! Chaos flags: `--chaos` turns the run into a fault-injection soak —
-//! every third round arms a scripted shard-worker panic (contained as a
-//! typed `ShardFailed`, recovered by deterministic re-collection of the
-//! lost range, rehabilitated), and every round's checkpoint runs through
-//! a seeded `FaultyBackend` with a random fault plan (transients are
-//! retried away; torn writes crash the checkpoint, after which the
-//! directory is salvaged and re-committed from the live collector).  The
-//! soak checkpoints into a per-process scratch directory that it deletes
-//! at exit, so it rejects `--checkpoint-dir`.  The run records every
-//! recovery's latency and ends with a zero-report-loss assertion: live,
-//! restored-from-disk and expected report counts must agree exactly, and
-//! the restored shards must equal the live shards bit-for-bit.  `--out
-//! chaos_soak.json` persists the evidence (the CI chaos job asserts
-//! `report_loss == 0` from it).
+//! Chaos flags: `--chaos` runs the same rounds as a fault-injection soak
+//! (see `Chaos`): every third round `mdrr_stream::FaultyProtocol` kills
+//! the worker of shard `round % shards`, and every checkpoint runs
+//! through a seeded `FaultyBackend`.  Each failure is recovered on the
+//! spot, and the run ends with a zero-report-loss verdict.  The soak
+//! checkpoints into a per-process scratch directory that it deletes at
+//! exit, so it rejects `--checkpoint-dir`.  `--out chaos_soak.json`
+//! persists the evidence (the CI chaos job asserts `report_loss == 0`).
 //!
 //! Observability: `--metrics-out PATH` attaches the `mdrr-obs`
 //! instrumentation (per-shard report/batch counters, ingest latency
@@ -72,18 +66,17 @@ use mdrr_bench::maybe_write_json;
 use mdrr_data::{adult_schema, AdultSynthesizer, RecordsBuffer, RecordsView, Schema};
 use mdrr_obs::{Clock, HistogramSnapshot, MonotonicClock};
 use mdrr_protocols::{
-    Clustering, FrequencyEstimator, MdrrError, Protocol, ProtocolSpec, RandomizationLevel, Release,
+    Clustering, FrequencyEstimator, MdrrError, Protocol, ProtocolSpec, RandomizationLevel,
 };
 use mdrr_store::{
     merge_snapshots, read_checkpoint, salvage_checkpoint, FaultPlan, FaultyBackend, RetryPolicy,
     Snapshot, Storage, StorageBackend,
 };
-use mdrr_stream::{offset_base_seed, ShardedCollector, StreamObs};
+use mdrr_stream::{offset_base_seed, FaultyProtocol, ShardedCollector, StreamObs};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Keep probability used for every protocol variant.
@@ -457,98 +450,9 @@ fn run_merge(options: &Options) {
     maybe_write_json(&cli, &report);
 }
 
-/// A delegating protocol wrapper that panics inside one shard worker
-/// when an armed countdown of `encode_tally` calls reaches zero — the
-/// chaos mode's deterministic stand-in for a worker dying mid-ingest
-/// (OOM, corrupted input, a bug in a protocol backend).  Bit-identical
-/// to the inner protocol on every non-panicking call, so recovered runs
-/// can be compared against uninterrupted ones exactly.
-#[derive(Debug)]
-struct ChaosProtocol {
-    inner: Arc<dyn Protocol>,
-    countdown: AtomicI64,
-}
-
-impl ChaosProtocol {
-    fn new(inner: Arc<dyn Protocol>) -> Self {
-        // Disarmed: decrementing from 0 never passes through the trigger
-        // value of 1.
-        ChaosProtocol {
-            inner,
-            countdown: AtomicI64::new(0),
-        }
-    }
-
-    /// Arms the next worker death: the `calls`-th `encode_tally` call
-    /// from now panics (exactly once — the countdown keeps falling).
-    fn arm(&self, calls: i64) {
-        self.countdown.store(calls, Ordering::SeqCst);
-    }
-}
-
-impl Protocol for ChaosProtocol {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-    fn channel_sizes(&self) -> Vec<usize> {
-        self.inner.channel_sizes()
-    }
-    fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        self.inner.encode_record(record, rng)
-    }
-    fn encode_batch(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        out: &mut [Vec<u32>],
-    ) -> Result<(), MdrrError> {
-        self.inner.encode_batch(records, rng, out)
-    }
-    fn encode_tally(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        tallies: &mut [Vec<u64>],
-    ) -> Result<(), MdrrError> {
-        if self.countdown.fetch_sub(1, Ordering::SeqCst) == 1 {
-            panic!("chaos-injected shard worker failure");
-        }
-        self.inner.encode_tally(records, rng, tallies)
-    }
-    fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
-        self.inner.decode_report(codes)
-    }
-    fn release_from_counts(
-        &self,
-        counts: &[Vec<u64>],
-        n_records: usize,
-    ) -> Result<Box<dyn Release>, MdrrError> {
-        self.inner.release_from_counts(counts, n_records)
-    }
-    fn release_from_randomized(
-        &self,
-        randomized: mdrr_data::Dataset,
-    ) -> Result<Box<dyn Release>, MdrrError> {
-        self.inner.release_from_randomized(randomized)
-    }
-    fn run(
-        &self,
-        dataset: &mdrr_data::Dataset,
-        rng: &mut dyn RngCore,
-    ) -> Result<Box<dyn Release>, MdrrError> {
-        self.inner.run(dataset, rng)
-    }
-    fn epsilons(&self) -> Vec<f64> {
-        self.inner.epsilons()
-    }
-}
-
 /// Order statistics of the chaos run's recovery latencies (shard
 /// re-collections and checkpoint salvage/re-commit cycles pooled).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 struct LatencySummary {
     count: usize,
     p50_secs: f64,
@@ -557,23 +461,21 @@ struct LatencySummary {
 }
 
 impl LatencySummary {
-    fn from_sorted(latencies: &mut [f64]) -> Self {
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let pick = |q: f64| match latencies.is_empty() {
-            true => 0.0,
-            false => latencies[((latencies.len() - 1) as f64 * q).round() as usize],
-        };
+    fn of(latencies: &mut [f64]) -> Self {
+        latencies.sort_by(f64::total_cmp);
+        let last = latencies.len().saturating_sub(1) as f64;
+        let pick = |q: f64| *latencies.get((last * q).round() as usize).unwrap_or(&0.0);
         LatencySummary {
             count: latencies.len(),
             p50_secs: pick(0.5),
             p95_secs: pick(0.95),
-            max_secs: latencies.last().copied().unwrap_or(0.0),
+            max_secs: pick(1.0),
         }
     }
 }
 
 /// The chaos-mode result written by `--out` (`chaos_soak.json` in CI).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 struct ChaosReport {
     protocol: String,
     clients: usize,
@@ -602,312 +504,246 @@ struct ChaosReport {
     final_max_marginal_abs_error: f64,
 }
 
-/// `--chaos` mode: the same generate→ingest→checkpoint loop as a normal
-/// run, but every third round a shard worker is scripted to die and every
-/// checkpoint runs through a seeded `FaultyBackend` with a random fault
-/// plan.  Every failure is recovered on the spot — quarantine +
-/// deterministic re-collection for dead shards, salvage + re-commit for
-/// crashed checkpoints — and the run ends by proving zero report loss.
-fn run_chaos(options: &Options) {
-    let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-    let (spec, schema) = build_spec(options).unwrap_or_else(|e| die(e));
-    let inner = spec.build_arc(&schema).unwrap_or_else(|e| die(e));
-    let chaos = Arc::new(ChaosProtocol::new(Arc::clone(&inner)));
-    let mut collector =
-        ShardedCollector::new(Arc::clone(&chaos) as Arc<dyn Protocol>, options.shards)
-            .unwrap_or_else(|e| die(e));
-    let obs = options.metrics_out.is_some().then(|| {
-        let obs = StreamObs::new(Arc::clone(&clock), options.shards);
-        collector
-            .instrument(Arc::clone(&obs))
-            .unwrap_or_else(|e| die(format!("cannot instrument collector: {e}")));
-        obs
-    });
-    // The soak's durability target: a per-process scratch directory, so
-    // clearing it at start can never erase a real checkpoint.
-    let dir = std::env::temp_dir().join(format!("mdrr-chaos-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+/// What `--chaos` adds to a run: every third round one shard worker dies
+/// (the victim rotates over the shards) and every checkpoint runs through
+/// a seeded `FaultyBackend` with a random fault plan.  Every failure is
+/// recovered on the spot — quarantine + deterministic re-collection for
+/// dead shards, salvage + re-commit for crashed checkpoints — and the run
+/// ends by proving zero report loss, recording every recovery's latency.
+struct Chaos {
+    /// The protocol the collector runs: the simulated one behind the
+    /// fault wrapper.
+    protocol: Arc<FaultyProtocol>,
+    /// The soak's durability target: a per-process scratch directory, so
+    /// clearing it at start can never erase a real checkpoint.
+    dir: PathBuf,
+    clock: Arc<dyn Clock>,
+    /// One faulty backend per "disk epoch": it persists across rounds (a
+    /// lying sync in round N can surface as lost data at round N+2's
+    /// crash, exactly like a real fsync lie) and is replaced, under the
+    /// next plan seed, after each simulated power cut — the reboot onto a
+    /// new disk view.
+    backend: Arc<FaultyBackend>,
+    plan_seed: u64,
+    recoveries: Vec<f64>,
+    /// The counts so far; `checkpoint_faults_injected` holds the finished
+    /// epochs' faults.
+    report: ChaosReport,
+}
 
-    let synthesizer = AdultSynthesizer::paper_sized();
-    let record_arity = schema.len();
-    let mut generator_rng = StdRng::seed_from_u64(options.seed);
-    let mut true_counts: Vec<Vec<u64>> = schema
-        .cardinalities()
-        .iter()
-        .map(|&c| vec![0u64; c])
-        .collect();
+impl Chaos {
+    fn new(inner: Arc<dyn Protocol>, options: &Options, clock: Arc<dyn Clock>) -> Self {
+        let dir = std::env::temp_dir().join(format!("mdrr-chaos-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        Chaos {
+            report: ChaosReport {
+                protocol: inner.name(),
+                clients: options.clients,
+                shards: options.shards,
+                rounds: options.rounds,
+                ..ChaosReport::default()
+            },
+            protocol: Arc::new(FaultyProtocol::new(inner)),
+            dir,
+            clock,
+            backend: Self::backend(options.seed),
+            plan_seed: options.seed,
+            recoveries: Vec::new(),
+        }
+    }
 
-    println!("{}", "=".repeat(72));
-    println!(
-        "stream_sim --chaos — {} clients through {} shards ({} rounds, {}, scripted \
-         worker panics + faulted checkpoints)",
-        options.clients,
-        options.shards,
-        options.rounds,
-        inner.name()
-    );
-    println!("{}", "=".repeat(72));
-
-    let mut recoveries: Vec<f64> = Vec::new();
-    let mut shard_panics = 0usize;
-    let mut checkpoint_failures = 0usize;
-    let mut salvages = 0usize;
-    let mut faults_injected = 0u64;
-    let mut expected = 0u64;
-
-    // One faulty backend per "disk epoch": it persists across rounds (a
-    // lying sync in round N can surface as lost data at round N+2's
-    // crash, exactly like a real fsync lie) and is replaced by a fresh
-    // one after each simulated power cut — the reboot onto a new disk
-    // view.
-    let make_backend = |epoch: u64| {
-        let plan_seed = options
-            .seed
-            .wrapping_add(epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    fn backend(plan_seed: u64) -> Arc<FaultyBackend> {
         Arc::new(FaultyBackend::new(FaultPlan::random(plan_seed, 64, 3)))
-    };
-    let mut epoch = 0u64;
-    let mut backend = make_backend(epoch);
+    }
 
-    for round in 1..=options.rounds {
-        let clients = if round == options.rounds {
-            options.clients - options.clients / options.rounds * (options.rounds - 1)
-        } else {
-            options.clients / options.rounds
+    /// Ingests a round.  Every third round the worker of shard
+    /// `round % shards` dies, unless the round gives it no clients; its
+    /// lost range is re-run under the shard's derived seed, merged into
+    /// its pre-failure state, and the shard is rehabilitated.
+    fn ingest(
+        &mut self,
+        collector: &mut ShardedCollector,
+        records: &RecordsView<'_>,
+        seed: u64,
+        round: usize,
+    ) {
+        // The victim's range, taken before ingesting, is the
+        // re-collection's work order.
+        let victim = (round % 3 == 2).then_some(round % self.report.shards);
+        let lost = (collector.shard_ranges(records.n_records()).into_iter())
+            .find(|&(k, _)| Some(k) == victim)
+            .map(|(_, range)| records.slice(range).unwrap_or_else(|e| die(e)));
+        if let Some(lost) = &lost {
+            self.protocol.arm(lost.column(0).unwrap_or_else(|e| die(e)));
+        }
+        let (shard, lost) = match (collector.ingest_view(records, seed), lost) {
+            (Ok(_), _) => return,
+            (Err(MdrrError::ShardFailed { shard, .. }), Some(lost)) => (shard, lost),
+            (Err(e), _) => die(format!("chaos ingest failed unrecoverably: {e}")),
         };
-        let mut rows: Vec<Vec<u32>> = Vec::with_capacity(clients);
-        for _ in 0..clients {
-            let mut record = synthesizer.sample_record(&mut generator_rng);
-            record.truncate(record_arity);
-            for (j, &v) in record.iter().enumerate() {
-                true_counts[j][v as usize] += 1;
-            }
-            rows.push(record);
-        }
-        let seed = options.seed.wrapping_add(round as u64);
-
-        // Every third round, the next encode_tally call dies: one shard
-        // worker panics mid-ingest.  The shard ranges are captured first —
-        // they are the recovery's work order.
-        if round % 3 == 2 {
-            chaos.arm(1);
-        }
-        let ranges = collector.shard_ranges(rows.len());
-        match collector.ingest_records(&rows, seed) {
-            Ok(_) => {}
-            Err(MdrrError::ShardFailed { shard, .. }) => {
-                shard_panics += 1;
-                let t0 = clock.now_nanos();
-                // Deterministic re-collection: the lost range under the
-                // shard's original derived seed, merged into its
-                // pre-failure state, then rehabilitation.
-                let lost = ranges
-                    .iter()
-                    .find(|(k, _)| *k == shard)
-                    .map(|(_, r)| r.clone())
-                    .unwrap_or(0..0);
-                let lost_len = lost.len();
-                let mut rerun =
-                    ShardedCollector::new(Arc::clone(&inner), 1).unwrap_or_else(|e| die(e));
-                rerun
-                    .ingest_records(&rows[lost], offset_base_seed(seed, shard))
-                    .unwrap_or_else(|e| die(format!("re-collection failed: {e}")));
-                let mut replacement = collector.shards()[shard].clone();
-                replacement
-                    .merge(&rerun.shards()[0])
-                    .unwrap_or_else(|e| die(format!("re-collection merge failed: {e}")));
-                collector
-                    .rehabilitate(shard, replacement)
-                    .unwrap_or_else(|e| die(format!("rehabilitation failed: {e}")));
-                let secs = clock.now_nanos().saturating_sub(t0) as f64 / 1e9;
-                recoveries.push(secs);
-                println!(
-                    "round {round:>3}: shard {shard} worker died — re-collected its \
-                     {lost_len} lost reports and rehabilitated in {secs:.4}s"
-                );
-            }
-            Err(e) => die(format!("chaos ingest failed unrecoverably: {e}")),
-        }
-        expected += clients as u64;
-
-        // Checkpoint through the epoch's faulty backend: transients are
-        // retried away; a torn write crashes the attempt and every later
-        // operation, leaving a possibly-torn directory (possibly missing
-        // files an earlier round's lying sync never made durable).
-        let storage = Storage::new(
-            Arc::clone(&backend) as Arc<dyn StorageBackend>,
-            RetryPolicy::default(),
-            Arc::clone(&clock),
-        );
-        let app = format!("chaos round {round}");
-        let result = collector.checkpoint_with(&spec, &dir, Some(&app), &storage);
-        if let Err(e) = result {
-            checkpoint_failures += 1;
-            // Finish the crash: whatever the backend never durably synced
-            // is gone, exactly as after a real power cut.
-            backend.power_cut();
-            faults_injected += backend.injected();
-            epoch += 1;
-            backend = make_backend(epoch);
-            let t0 = clock.now_nanos();
-            if ShardedCollector::restore(&dir).is_err() {
-                match salvage_checkpoint(&dir, &Storage::os()) {
-                    Ok(report) => {
-                        salvages += 1;
-                        println!(
-                            "round {round:>3}: torn checkpoint salvaged — {} shard(s) \
-                             recovered, {} dropped",
-                            report.recovered.len(),
-                            report.dropped.len()
-                        );
-                    }
-                    Err(salvage_err) => println!(
-                        "round {round:>3}: nothing salvageable ({salvage_err}); rebuilding \
-                         from the live collector"
-                    ),
-                }
-            }
-            // The live collector is authoritative: re-commit cleanly.
-            collector
-                .checkpoint(&spec, &dir, Some(&app))
-                .unwrap_or_else(|e2| die(format!("clean re-checkpoint failed: {e2}")));
-            let secs = clock.now_nanos().saturating_sub(t0) as f64 / 1e9;
-            recoveries.push(secs);
-            println!(
-                "round {round:>3}: checkpoint crashed ({e}); durability recovered in {secs:.4}s"
-            );
-        }
+        self.report.shard_panics += 1;
+        let t0 = self.clock.now_nanos();
+        // The wrapper disarmed itself when it fired.
+        let mut rerun = ShardedCollector::new(Arc::clone(&self.protocol) as Arc<dyn Protocol>, 1)
+            .unwrap_or_else(|e| die(e));
+        rerun
+            .ingest_view(&lost, offset_base_seed(seed, shard))
+            .unwrap_or_else(|e| die(format!("re-collection failed: {e}")));
+        let mut replacement = collector.shards()[shard].clone();
+        replacement
+            .merge(&rerun.shards()[0])
+            .unwrap_or_else(|e| die(format!("re-collection merge failed: {e}")));
+        collector
+            .rehabilitate(shard, replacement)
+            .unwrap_or_else(|e| die(format!("rehabilitation failed: {e}")));
+        let secs = self.clock.now_nanos().saturating_sub(t0) as f64 / 1e9;
+        self.recoveries.push(secs);
         println!(
-            "round {round:>3}: {:>9} reports total | {} backend fault(s) injected so far",
-            collector.total_reports(),
-            faults_injected + backend.injected()
+            "round {round:>3}: shard {shard} worker died — re-collected its \
+             {} lost reports and rehabilitated in {secs:.4}s",
+            lost.n_records()
         );
     }
-    faults_injected += backend.injected();
 
-    // The estimates survived the chaos: compare the final snapshot's
-    // marginals against the generated ground truth, as a normal run does.
-    let snapshot = collector.snapshot().unwrap_or_else(|e| die(e));
-    let total = collector.total_reports();
-    let mut max_error = 0.0f64;
-    for (j, channel) in true_counts.iter().enumerate() {
-        for (code, &count) in channel.iter().enumerate() {
-            let truth = count as f64 / total as f64;
-            let estimated = snapshot
-                .frequency(&[(j, code as u32)])
-                .unwrap_or_else(|e| die(format!("marginal query failed: {e}")));
-            max_error = max_error.max((estimated - truth).abs());
+    /// Checkpoints `round` through the epoch's faulty backend.
+    /// Transients are retried away; a torn write crashes the attempt and
+    /// every later operation, leaving a possibly-torn directory (possibly
+    /// missing files an earlier round's lying sync never made durable).
+    /// A crash is recovered on the spot: power cut, salvage if restore
+    /// fails, then a clean re-commit from the live collector.
+    fn checkpoint(&mut self, collector: &ShardedCollector, spec: &ProtocolSpec, round: usize) {
+        let app_state = format!("chaos round {round}");
+        let storage = Storage::new(
+            Arc::clone(&self.backend) as Arc<dyn StorageBackend>,
+            RetryPolicy::default(),
+            Arc::clone(&self.clock),
+        );
+        let Err(error) = collector.checkpoint_with(spec, &self.dir, Some(&app_state), &storage)
+        else {
+            return;
+        };
+        self.report.checkpoint_failures += 1;
+        // Finish the crash: whatever the backend never durably synced is
+        // gone, exactly as after a real power cut.
+        self.backend.power_cut();
+        self.report.checkpoint_faults_injected += self.backend.injected();
+        self.plan_seed = self.plan_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.backend = Self::backend(self.plan_seed);
+        let t0 = self.clock.now_nanos();
+        if ShardedCollector::restore(&self.dir).is_err() {
+            match salvage_checkpoint(&self.dir, &Storage::os()) {
+                Ok(report) => {
+                    self.report.salvages += 1;
+                    println!(
+                        "round {round:>3}: torn checkpoint salvaged — {} shard(s) \
+                         recovered, {} dropped",
+                        report.recovered.len(),
+                        report.dropped.len()
+                    );
+                }
+                Err(salvage_err) => println!(
+                    "round {round:>3}: nothing salvageable ({salvage_err}); rebuilding \
+                     from the live collector"
+                ),
+            }
         }
+        // The live collector is authoritative: re-commit cleanly.
+        collector
+            .checkpoint(spec, &self.dir, Some(&app_state))
+            .unwrap_or_else(|e2| die(format!("clean re-checkpoint failed: {e2}")));
+        let secs = self.clock.now_nanos().saturating_sub(t0) as f64 / 1e9;
+        self.recoveries.push(secs);
+        println!(
+            "round {round:>3}: checkpoint crashed ({error}); durability recovered in {secs:.4}s"
+        );
     }
 
-    // The zero-loss verdict: live, restored and expected counts agree,
-    // and the on-disk shards equal the live shards bit-for-bit.
-    let restored = ShardedCollector::restore(&dir)
-        .unwrap_or_else(|e| die(format!("final restore from {} failed: {e}", dir.display())));
-    let restored_reports = restored.collector.total_reports();
-    if restored.collector.shards() != collector.shards() {
-        die("chaos run lost data: restored shards diverge from the live collector");
+    /// The zero-loss verdict: live, restored and expected counts agree
+    /// (every generated client counted), and the on-disk shards equal the
+    /// live shards bit-for-bit.  Dies otherwise; removes the scratch
+    /// directory.
+    fn verdict(mut self, collector: &ShardedCollector, final_error: f64) -> ChaosReport {
+        let expected = self.report.clients as u64;
+        let total = collector.total_reports();
+        let dir = self.dir.as_path();
+        let restored = ShardedCollector::restore(dir)
+            .unwrap_or_else(|e| die(format!("final restore from {} failed: {e}", dir.display())));
+        let restored_reports = restored.collector.total_reports();
+        if restored.collector.shards() != collector.shards() {
+            die("chaos run lost data: restored shards diverge from the live collector");
+        }
+        if total != expected || restored_reports != expected {
+            die(format!(
+                "chaos run lost reports: expected {expected}, live {total}, restored \
+                 {restored_reports}"
+            ));
+        }
+        std::fs::remove_dir_all(dir).ok();
+        let report = ChaosReport {
+            checkpoint_faults_injected: self.report.checkpoint_faults_injected
+                + self.backend.injected(),
+            recovery_latency: LatencySummary::of(&mut self.recoveries),
+            expected_reports: expected,
+            final_reports: total,
+            restored_reports,
+            report_loss: expected - restored_reports,
+            final_max_marginal_abs_error: final_error,
+            ..self.report
+        };
+        println!(
+            "chaos soak survived: {} shard panic(s), {} checkpoint crash(es) ({} salvaged), \
+             {} backend fault(s) injected — 0 of {} reports lost; recovery p50 {:.4}s / max {:.4}s",
+            report.shard_panics,
+            report.checkpoint_failures,
+            report.salvages,
+            report.checkpoint_faults_injected,
+            report.expected_reports,
+            report.recovery_latency.p50_secs,
+            report.recovery_latency.max_secs
+        );
+        report
     }
-    let report_loss = expected
-        .saturating_sub(total)
-        .max(expected.saturating_sub(restored_reports));
-    if report_loss != 0 || total != expected || restored_reports != expected {
-        die(format!(
-            "chaos run lost reports: expected {expected}, live {total}, restored \
-             {restored_reports}"
-        ));
-    }
-
-    let mut sorted = recoveries;
-    let report = ChaosReport {
-        protocol: inner.name(),
-        clients: options.clients,
-        shards: options.shards,
-        rounds: options.rounds,
-        shard_panics,
-        checkpoint_faults_injected: faults_injected,
-        checkpoint_failures,
-        salvages,
-        recovery_latency: LatencySummary::from_sorted(&mut sorted),
-        expected_reports: expected,
-        final_reports: total,
-        restored_reports,
-        report_loss,
-        final_max_marginal_abs_error: max_error,
-    };
-    println!("{}", "-".repeat(72));
-    println!(
-        "chaos soak survived: {} shard panic(s), {} checkpoint crash(es) ({} salvaged), \
-         {} backend fault(s) injected — 0 of {} reports lost; recovery p50 {:.4}s / max {:.4}s",
-        report.shard_panics,
-        report.checkpoint_failures,
-        report.salvages,
-        report.checkpoint_faults_injected,
-        report.expected_reports,
-        report.recovery_latency.p50_secs,
-        report.recovery_latency.max_secs
-    );
-    println!(
-        "final max marginal error: {:.5} (chaos snapshot vs generated ground truth)",
-        report.final_max_marginal_abs_error
-    );
-    if let (Some(path), Some(obs)) = (&options.metrics_out, &obs) {
-        write_metrics(path, obs);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-    let cli = mdrr_bench::CliOptions {
-        output: options.output.clone(),
-        ..Default::default()
-    };
-    maybe_write_json(&cli, &report);
 }
 
 fn main() {
-    let mut options = Options::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
-        eprintln!("{message}");
-        eprintln!(
-            "usage: [--clients N] [--shards K] [--rounds R] \
+    let options = Options::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
+        die(format!(
+            "{message}\nusage: [--clients N] [--shards K] [--rounds R] \
              [--protocol independent|joint|clusters] [--spec PATH] [--seed N] [--quick] \
              [--out PATH] [--checkpoint-dir DIR] [--resume DIR] [--kill-after N] \
              [--merge PATH]... [--merged-out PATH] [--metrics-out PATH] [--chaos]"
-        );
-        std::process::exit(2);
+        ))
     });
-    if !options.merge.is_empty() {
+    if options.merge.is_empty() {
+        simulate(options);
+    } else {
         run_merge(&options);
-        return;
     }
-    if options.chaos {
-        run_chaos(&options);
-        return;
-    }
+}
 
-    // The one clock of the whole run: the collector's `--metrics-out`
-    // instrumentation reads wall-clock time through this injected
-    // monotonic source.
+/// Runs a fresh, resumed or `--chaos` simulation: one set-up, then one
+/// generate → ingest → estimate → checkpoint loop over the rounds.
+/// Returns the final collector and, under `--chaos`, the soak's report;
+/// `None` when the run ends early (`--kill-after`, or a resume with
+/// nothing left to do).
+fn simulate(mut options: Options) -> Option<(ShardedCollector, Option<ChaosReport>)> {
+    // The one clock of the whole run: the `--metrics-out`
+    // instrumentation and the chaos recovery latencies read wall-clock
+    // time through this injected monotonic source.
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
 
     // Assemble the run: fresh, or restored from a checkpoint directory.
     // On resume, the run's targets (clients, rounds, seed, protocol)
     // come from the persisted state — the original
     // invocation's contract — not from this invocation's flags.
-    let (spec, protocol, mut collector, obs, mut state): (
-        ProtocolSpec,
-        Arc<dyn Protocol>,
-        ShardedCollector,
-        Option<Arc<StreamObs>>,
-        ResumeState,
-    ) = match options.resume.clone() {
+    let (spec, mut collector, obs, mut state, mut chaos) = match options.resume.clone() {
         Some(dir) => {
-            let (restored, obs) = if options.metrics_out.is_some() {
-                let (restored, obs) = ShardedCollector::restore_observed(&dir, Arc::clone(&clock))
-                    .unwrap_or_else(|e| die(format!("cannot resume from {}: {e}", dir.display())));
-                (restored, Some(obs))
-            } else {
-                let restored = ShardedCollector::restore(&dir)
-                    .unwrap_or_else(|e| die(format!("cannot resume from {}: {e}", dir.display())));
-                (restored, None)
-            };
+            let (restored, obs) = match options.metrics_out {
+                Some(_) => ShardedCollector::restore_observed(&dir, Arc::clone(&clock))
+                    .map(|(restored, obs)| (restored, Some(obs))),
+                None => ShardedCollector::restore(&dir).map(|restored| (restored, None)),
+            }
+            .unwrap_or_else(|e| die(format!("cannot resume from {}: {e}", dir.display())));
             let app = restored.app_state.unwrap_or_else(|| {
                 die(format!(
                     "{} carries no stream_sim resume state (was it written by a library \
@@ -935,14 +771,20 @@ fn main() {
                 state.clients_done,
                 state.clients
             );
-            let protocol = restored.collector.protocol().clone();
-            (restored.spec, protocol, restored.collector, obs, state)
+            (restored.spec, restored.collector, obs, state, None)
         }
         None => {
             let (spec, schema) = build_spec(&options).unwrap_or_else(|e| die(e));
             let protocol = spec.build_arc(&schema).unwrap_or_else(|e| die(e));
+            let chaos = options
+                .chaos
+                .then(|| Chaos::new(Arc::clone(&protocol), &options, Arc::clone(&clock)));
+            let protocol = match &chaos {
+                Some(chaos) => Arc::clone(&chaos.protocol) as Arc<dyn Protocol>,
+                None => protocol,
+            };
             let mut collector =
-                ShardedCollector::new(protocol.clone(), options.shards).unwrap_or_else(|e| die(e));
+                ShardedCollector::new(protocol, options.shards).unwrap_or_else(|e| die(e));
             let obs = options.metrics_out.is_some().then(|| {
                 let obs = StreamObs::new(Arc::clone(&clock), options.shards);
                 collector
@@ -965,7 +807,7 @@ fn main() {
                     .map(|&c| vec![0u64; c])
                     .collect(),
             };
-            (spec, protocol, collector, obs, state)
+            (spec, collector, obs, state, chaos)
         }
     };
     if state.rounds_done >= options.rounds {
@@ -973,23 +815,28 @@ fn main() {
             "checkpoint already covers all {} rounds ({} clients); nothing to resume",
             options.rounds, state.clients_done
         );
-        return;
+        return None;
     }
 
-    let schema = protocol.schema().clone();
+    let protocol = Arc::clone(collector.protocol());
     let synthesizer = AdultSynthesizer::paper_sized();
-    let record_arity = schema.len();
-    let protocol_name = protocol.name();
+    let record_arity = protocol.schema().len();
     let first_round = state.rounds_done + 1;
 
+    let (mode, detail) = match &chaos {
+        Some(_) => (
+            " --chaos",
+            "scripted worker panics + faulted checkpoints".into(),
+        ),
+        None => ("", format!("total ε = {:.3}", protocol.total_epsilon())),
+    };
     println!("{}", "=".repeat(72));
     println!(
-        "stream_sim — {} clients through {} shards ({} rounds, {}, total ε = {:.3})",
+        "stream_sim{mode} — {} clients through {} shards ({} rounds, {}, {detail})",
         options.clients,
         options.shards,
         options.rounds,
-        protocol_name,
-        protocol.total_epsilon()
+        protocol.name()
     );
     println!("{}", "=".repeat(72));
 
@@ -1018,10 +865,16 @@ fn main() {
                 .push_record(&record)
                 .expect("generated records fit the schema arity");
         }
+        let records = columnar.view();
         let seed = options.seed.wrapping_add(round as u64);
-        collector
-            .ingest_view(&columnar.view(), seed)
-            .expect("ingestion failed");
+        match &mut chaos {
+            Some(chaos) => chaos.ingest(&mut collector, &records, seed, round),
+            None => {
+                collector
+                    .ingest_view(&records, seed)
+                    .expect("ingestion failed");
+            }
+        }
 
         let snapshot = collector.snapshot().expect("snapshot failed");
         let total = collector.total_reports();
@@ -1049,7 +902,9 @@ fn main() {
         state.rounds_done = round;
         state.clients_done += clients;
         state.generator_rng = generator_rng.state();
-        if let Some(dir) = &options.checkpoint_dir {
+        if let Some(chaos) = &mut chaos {
+            chaos.checkpoint(&collector, &spec, round);
+        } else if let Some(dir) = &options.checkpoint_dir {
             let app_state = serde_json::to_string(&state)
                 .unwrap_or_else(|e| die(format!("resume state does not serialize: {e}")));
             collector
@@ -1067,38 +922,40 @@ fn main() {
                 if let (Some(path), Some(obs)) = (&options.metrics_out, &obs) {
                     write_metrics(path, obs);
                 }
-                return;
+                return None;
             }
         }
     }
 
-    let result = SimulationResult {
-        protocol: protocol_name,
-        clients: options.clients,
-        shards: options.shards,
-        first_round,
-        shard_reports: collector.shards().iter().map(|s| s.n_reports()).collect(),
-        rounds,
-    };
+    let final_error = rounds.last().map_or(f64::NAN, |r| r.max_marginal_abs_error);
     println!("{}", "-".repeat(72));
+    let chaos = chaos.map(|chaos| chaos.verdict(&collector, final_error));
     println!(
-        "final max marginal error: {:.5} (streamed snapshot vs generated ground truth)",
-        result
-            .rounds
-            .last()
-            .map(|r| r.max_marginal_abs_error)
-            .unwrap_or(f64::NAN)
+        "final max marginal error: {final_error:.5} ({} snapshot vs generated ground truth)",
+        if chaos.is_some() { "chaos" } else { "streamed" }
     );
-
     if let (Some(path), Some(obs)) = (&options.metrics_out, &obs) {
         write_metrics(path, obs);
     }
-
     let cli = mdrr_bench::CliOptions {
         output: options.output.clone(),
         ..Default::default()
     };
-    maybe_write_json(&cli, &result);
+    match &chaos {
+        Some(report) => maybe_write_json(&cli, report),
+        None => maybe_write_json(
+            &cli,
+            &SimulationResult {
+                protocol: protocol.name(),
+                clients: options.clients,
+                shards: options.shards,
+                first_round,
+                shard_reports: collector.shards().iter().map(|s| s.n_reports()).collect(),
+                rounds,
+            },
+        ),
+    }
+    Some((collector, chaos))
 }
 
 /// Writes the full metrics + journal JSON of an instrumented run.
@@ -1168,6 +1025,22 @@ mod tests {
         let err = parse_args(&["--chaos", "--checkpoint-dir", "ckpt"]).unwrap_err();
         assert!(err.contains("--checkpoint-dir"), "{err}");
         assert!(parse_args(&["--chaos", "--quick"]).is_ok());
+    }
+
+    #[test]
+    fn chaos_recovery_equals_the_uninterrupted_run_shard_for_shard() {
+        // Four shards over five rounds: rounds 2 and 5 kill the workers of
+        // shards 2 and 1, so a re-collection under the wrong seed diverges.
+        let args = ["--clients", "4000", "--shards", "4", "--rounds", "5"];
+        let (plain, no_report) = simulate(parse_args(&args).unwrap()).unwrap();
+        assert!(no_report.is_none());
+        let (chaos, report) = simulate(parse_args(&[&args[..], &["--chaos"]].concat()).unwrap())
+            .expect("the soak runs every round");
+        let report = report.expect("a chaos run reports");
+        assert_eq!(report.shard_panics, 2);
+        assert!(report.checkpoint_failures > 0, "no checkpoint crashed");
+        assert_eq!(report.report_loss, 0);
+        assert_eq!(chaos.shards(), plain.shards());
     }
 
     #[test]

@@ -649,11 +649,12 @@ impl RRMatrix {
     /// of [`RRMatrix::randomize`].
     ///
     /// The column is validated in one pass up front (a single range check
-    /// per batch rather than one per value), then the hot loop runs with
-    /// the matrix constants hoisted.  The draws consumed are exactly the
-    /// draws [`RRMatrix::randomize`] would consume on the same values in
-    /// the same order, so the output is bit-identical to the per-value
-    /// path under a shared RNG.
+    /// per batch rather than one per value), then its draws are taken in
+    /// 256-value [`rand::RngCore::fill_u64`] chunks on the stack and fed to
+    /// [`PreparedRandomizer::randomize_strided_into`].  The draws consumed
+    /// are exactly the draws [`RRMatrix::randomize`] would consume on the
+    /// same values in the same order, so the output is bit-identical to
+    /// the per-value path under a shared RNG.
     ///
     /// # Errors
     /// Returns [`CoreError::DimensionMismatch`] if any code is out of range;
@@ -670,19 +671,15 @@ impl RRMatrix {
                 got: bad as usize,
             });
         }
-        Ok(match &self.form {
-            Form::Uniform { diag, .. } => {
-                let (threshold, redraw_scale) = uniform_row_constants(self.r, *diag);
-                column
-                    .iter()
-                    .map(|&v| sample_uniform_raw(threshold, redraw_scale, v, rng.next_u64()))
-                    .collect()
-            }
-            Form::General(m) => column
-                .iter()
-                .map(|&v| sample_general_row(m, self.r, v as usize, rng.gen()))
-                .collect(),
-        })
+        let prepared = self.prepared();
+        let mut draws = [0u64; 256];
+        let mut out = Vec::with_capacity(column.len());
+        for chunk in column.chunks(draws.len()) {
+            let draws = &mut draws[..chunk.len()];
+            rng.fill_u64(draws);
+            prepared.randomize_strided_into(chunk, draws, 0, 1, &mut out);
+        }
+        Ok(out)
     }
 
     /// Propagates a true distribution through the mechanism:

@@ -202,27 +202,11 @@ impl RRClusters {
         Self::from_matrices(schema, clustering, matrices)
     }
 
-    /// Convenience constructor for the paper's experiments: the
-    /// per-attribute budgets are those of the uniform-keep mechanism at keep
-    /// probability `p` (the same `p` used for RR-Independent), then the
-    /// equivalent-risk cluster matrices are derived as in Section 6.3.2.
-    ///
-    /// # Errors
-    /// Same conditions as [`RRClusters::with_equivalent_risk`] plus an
-    /// invalid `p`.
-    pub fn with_equivalent_risk_from_keep_probability(
-        schema: Schema,
-        clustering: Clustering,
-        p: f64,
-    ) -> Result<Self, ProtocolError> {
-        Self::with_level(schema, clustering, &RandomizationLevel::KeepProbability(p))
-    }
-
     /// Configures RR-Clusters at the equivalent risk of RR-Independent with
     /// `level`: the per-attribute budgets the level implies are spent
-    /// jointly per cluster (Section 6.3.2).  Generalises
-    /// [`RRClusters::with_equivalent_risk_from_keep_probability`] to every
-    /// [`RandomizationLevel`] variant.
+    /// jointly per cluster (Section 6.3.2).  The paper's experiments use
+    /// [`RandomizationLevel::KeepProbability`]: the per-attribute budgets
+    /// of the uniform-keep mechanism at the `p` RR-Independent runs at.
     ///
     /// # Errors
     /// Same conditions as [`RRClusters::with_equivalent_risk`] plus an
@@ -469,18 +453,10 @@ mod tests {
         assert!(
             RRClusters::with_equivalent_risk(s.clone(), clustering.clone(), &[1.0, 1.0]).is_err()
         );
-        assert!(RRClusters::with_equivalent_risk_from_keep_probability(
-            s.clone(),
-            clustering.clone(),
-            1.5
-        )
-        .is_err());
-        assert!(RRClusters::with_equivalent_risk_from_keep_probability(
-            s.clone(),
-            clustering.clone(),
-            1.0
-        )
-        .is_err());
+        for p in [1.5, 1.0] {
+            let level = RandomizationLevel::KeepProbability(p);
+            assert!(RRClusters::with_level(s.clone(), clustering.clone(), &level).is_err());
+        }
         assert!(RRClusters::with_keep_probability(s.clone(), clustering.clone(), -0.2).is_err());
         // A clustering over the wrong number of attributes is rejected.
         let short = Clustering::new(vec![vec![0], vec![1]], 2).unwrap();
@@ -543,18 +519,16 @@ mod tests {
     #[test]
     fn cluster_estimates_beat_independence_on_dependent_pairs() {
         let ds = dataset(40_000, 3);
-        let p = 0.7;
+        let level = RandomizationLevel::KeepProbability(0.7);
         let mut rng = StdRng::seed_from_u64(4);
-        let clusters_release =
-            RRClusters::with_equivalent_risk_from_keep_probability(schema(), ab_c_clustering(), p)
-                .unwrap()
-                .run(&ds, &mut rng)
-                .unwrap();
-        let independent_release =
-            RRClusters::independent(schema(), &RandomizationLevel::KeepProbability(p))
-                .unwrap()
-                .run(&ds, &mut rng)
-                .unwrap();
+        let clusters_release = RRClusters::with_level(schema(), ab_c_clustering(), &level)
+            .unwrap()
+            .run(&ds, &mut rng)
+            .unwrap();
+        let independent_release = RRClusters::independent(schema(), &level)
+            .unwrap()
+            .run(&ds, &mut rng)
+            .unwrap();
         let truth = EmpiricalEstimator::new(&ds);
 
         // Total absolute error over the joint cells of the dependent pair.

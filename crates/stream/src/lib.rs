@@ -41,7 +41,10 @@
 //!   imbalance gauge and a bounded event journal, all timed by an
 //!   injected `mdrr_obs` clock) makes the collector record what it does
 //!   without changing what it does — with the default `None` the
-//!   ingestion loops are byte-identical to an uninstrumented build.
+//!   ingestion loops are byte-identical to an uninstrumented build;
+//! * [`fault`] — [`FaultyProtocol`] kills the shard worker a test or a
+//!   soak names, so quarantine and deterministic re-collection can be
+//!   checked against an uninterrupted run.
 //!
 //! ## Example
 //!
@@ -82,6 +85,7 @@ pub mod checkpoint;
 pub mod client;
 pub mod collector;
 pub mod error;
+pub mod fault;
 pub mod instrument;
 pub mod report;
 pub mod wire;
@@ -92,6 +96,7 @@ pub use checkpoint::{CheckpointManifest, RestoredCheckpoint, MANIFEST_FILE};
 pub use client::{ClientConfig, WireClient};
 pub use collector::{offset_base_seed, ShardedCollector, StreamSnapshot, ENCODE_BATCH};
 pub use error::{MdrrError, StreamError};
+pub use fault::FaultyProtocol;
 pub use instrument::{StreamObs, DEFAULT_JOURNAL_CAPACITY};
 pub use report::Report;
 pub use wire::{FrameType, WireError, MAX_WIRE_PAYLOAD, WIRE_MAGIC, WIRE_VERSION};

@@ -29,17 +29,15 @@
 //!    the quarantined shard is rehabilitated by deterministic
 //!    re-collection.
 
-use mdrr_data::{Attribute, RecordsView, Schema};
+use mdrr_data::{Attribute, Dataset, Schema};
 use mdrr_obs::MonotonicClock;
-use mdrr_protocols::{Protocol, ProtocolSpec, RandomizationLevel, Release};
+use mdrr_protocols::{Protocol, ProtocolSpec, RandomizationLevel};
 use mdrr_store::{
     salvage_checkpoint, FaultKind, FaultPlan, FaultyBackend, RetryPolicy, Storage, StorageBackend,
 };
-use mdrr_stream::{offset_base_seed, MdrrError, ShardedCollector, StreamObs};
+use mdrr_stream::{offset_base_seed, FaultyProtocol, MdrrError, ShardedCollector, StreamObs};
 use proptest::prelude::*;
-use rand::RngCore;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 const N_SHARDS: usize = 3;
@@ -441,84 +439,6 @@ fn a_faulted_then_successful_checkpoint_sweeps_its_tmp_debris() {
     );
 }
 
-/// A delegating protocol whose `encode_tally` panics when a countdown
-/// reaches zero — the deterministic stand-in for a shard worker dying
-/// mid-ingest (OOM, corrupted input, a bug in a protocol backend).
-#[derive(Debug)]
-struct PanicAfter {
-    inner: Arc<dyn Protocol>,
-    countdown: AtomicI64,
-}
-
-impl PanicAfter {
-    fn new(inner: Arc<dyn Protocol>, calls_before_panic: i64) -> Self {
-        PanicAfter {
-            inner,
-            countdown: AtomicI64::new(calls_before_panic),
-        }
-    }
-}
-
-impl Protocol for PanicAfter {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-    fn channel_sizes(&self) -> Vec<usize> {
-        self.inner.channel_sizes()
-    }
-    fn encode_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>, MdrrError> {
-        self.inner.encode_record(record, rng)
-    }
-    fn encode_batch(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        out: &mut [Vec<u32>],
-    ) -> Result<(), MdrrError> {
-        self.inner.encode_batch(records, rng, out)
-    }
-    fn encode_tally(
-        &self,
-        records: &RecordsView<'_>,
-        rng: &mut dyn RngCore,
-        tallies: &mut [Vec<u64>],
-    ) -> Result<(), MdrrError> {
-        if self.countdown.fetch_sub(1, Ordering::SeqCst) == 1 {
-            panic!("injected shard worker failure");
-        }
-        self.inner.encode_tally(records, rng, tallies)
-    }
-    fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
-        self.inner.decode_report(codes)
-    }
-    fn release_from_counts(
-        &self,
-        counts: &[Vec<u64>],
-        n_records: usize,
-    ) -> Result<Box<dyn Release>, MdrrError> {
-        self.inner.release_from_counts(counts, n_records)
-    }
-    fn release_from_randomized(
-        &self,
-        randomized: mdrr_data::Dataset,
-    ) -> Result<Box<dyn Release>, MdrrError> {
-        self.inner.release_from_randomized(randomized)
-    }
-    fn run(
-        &self,
-        dataset: &mdrr_data::Dataset,
-        rng: &mut dyn RngCore,
-    ) -> Result<Box<dyn Release>, MdrrError> {
-        self.inner.run(dataset, rng)
-    }
-    fn epsilons(&self) -> Vec<f64> {
-        self.inner.epsilons()
-    }
-}
-
 #[test]
 fn a_panicked_shard_is_quarantined_and_recovered_exactly() {
     let batch1 = records(240, 0);
@@ -530,24 +450,28 @@ fn a_panicked_shard_is_quarantined_and_recovered_exactly() {
     reference.ingest_records(&batch1, SEED_1).unwrap();
     reference.ingest_records(&batch2, SEED_2).unwrap();
 
-    // Victim: same inner protocol behind a wrapper that panics on the
-    // first encode_tally call of batch2 (batch1 spends N_SHARDS calls —
-    // each worker's range fits one ENCODE_BATCH chunk).
+    // Victim: same inner protocol behind the fault wrapper, armed for
+    // batch2 to kill shard 1's worker — a shard other than 0, so a
+    // recovery that drops the shard's seed offset cannot pass.
     let inner = protocol();
-    let chaos: Arc<dyn Protocol> =
-        Arc::new(PanicAfter::new(Arc::clone(&inner), N_SHARDS as i64 + 1));
-    let mut victim = ShardedCollector::new(chaos, N_SHARDS).unwrap();
+    let chaos = Arc::new(FaultyProtocol::new(Arc::clone(&inner)));
+    let mut victim = ShardedCollector::new(chaos.clone(), N_SHARDS).unwrap();
     let obs = StreamObs::new(Arc::new(MonotonicClock::new()), N_SHARDS);
     victim.instrument(Arc::clone(&obs)).unwrap();
     victim.ingest_records(&batch1, SEED_1).unwrap();
 
     // The failure: typed, naming the dead shard; not a process abort.
     let ranges = victim.shard_ranges(batch2.len());
-    let err = victim.ingest_records(&batch2, SEED_2).unwrap_err();
+    let batch2_columns = Dataset::from_records(schema(), &batch2).unwrap();
+    let batch2_view = batch2_columns.view();
+    let (_, target_range) = ranges[1].clone();
+    chaos.arm(batch2_view.slice(target_range).unwrap().column(0).unwrap());
+    let err = victim.ingest_view(&batch2_view, SEED_2).unwrap_err();
     let failed = match &err {
         MdrrError::ShardFailed { shard, .. } => *shard,
         other => panic!("expected ShardFailed, got {other}"),
     };
+    assert_eq!(failed, 1, "the armed shard died");
     assert!(err.to_string().contains("injected shard worker failure"));
     assert_eq!(victim.quarantined_shards(), vec![failed]);
 
@@ -611,9 +535,11 @@ fn a_panicked_shard_is_quarantined_and_recovered_exactly() {
 fn a_fully_quarantined_collector_refuses_ingestion_with_a_typed_error() {
     // One shard, and its worker dies: the collector is fully degraded.
     let inner = protocol();
-    let chaos: Arc<dyn Protocol> = Arc::new(PanicAfter::new(Arc::clone(&inner), 1));
-    let mut victim = ShardedCollector::new(chaos, 1).unwrap();
-    let err = victim.ingest_records(&records(50, 0), SEED_1).unwrap_err();
+    let chaos = Arc::new(FaultyProtocol::new(Arc::clone(&inner)));
+    let mut victim = ShardedCollector::new(chaos.clone(), 1).unwrap();
+    let batch = Dataset::from_records(schema(), &records(50, 0)).unwrap();
+    chaos.arm(batch.view().column(0).unwrap());
+    let err = victim.ingest_view(&batch.view(), SEED_1).unwrap_err();
     assert!(matches!(err, MdrrError::ShardFailed { shard: 0, .. }));
     let err = victim.ingest_records(&records(50, 0), SEED_1).unwrap_err();
     assert!(

@@ -42,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let clustering = Clustering::new(clusters, schema.len())?;
-    let protocol =
-        RRClusters::with_equivalent_risk_from_keep_probability(schema.clone(), clustering, 0.7)?;
+    let level = RandomizationLevel::KeepProbability(0.7);
+    let protocol = RRClusters::with_level(schema.clone(), clustering, &level)?;
     let release = protocol.run(&dataset, &mut rng)?;
 
     // Estimated joint distribution of the cluster (the release's first

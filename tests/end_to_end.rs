@@ -63,9 +63,8 @@ fn full_clustered_pipeline_dependences_clustering_release_adjustment() {
     );
 
     // …RR-Clusters runs at the equivalent risk of RR-Independent…
-    let protocol =
-        RRClusters::with_equivalent_risk_from_keep_probability(schema.clone(), clustering, p)
-            .unwrap();
+    let level = RandomizationLevel::KeepProbability(p);
+    let protocol = RRClusters::with_level(schema.clone(), clustering, &level).unwrap();
     let release = protocol.run(&dataset, &mut rng).unwrap();
     assert_eq!(
         release.randomized().unwrap().n_records(),
@@ -215,11 +214,11 @@ fn synthetic_regeneration_preserves_the_released_distribution() {
     let clustering = Clustering::new(clusters, schema.len()).unwrap();
 
     let mut rng = StdRng::seed_from_u64(12);
-    let release =
-        RRClusters::with_equivalent_risk_from_keep_probability(schema.clone(), clustering, 0.8)
-            .unwrap()
-            .run(&dataset, &mut rng)
-            .unwrap();
+    let level = RandomizationLevel::KeepProbability(0.8);
+    let release = RRClusters::with_level(schema.clone(), clustering, &level)
+        .unwrap()
+        .run(&dataset, &mut rng)
+        .unwrap();
     let estimated = release.adjustment_targets().unwrap().remove(0).distribution;
     let synthetic =
         mdrr::protocols::synthesize_deterministic(&schema, &cluster, &estimated, 15_000).unwrap();
