@@ -16,7 +16,7 @@
 //! | `serve_bytes_written_total` | counter | — | frame bytes written |
 //! | `serve_reports_total` | counter | — | reports ingested and acknowledged |
 //! | `serve_rejects_total` | counter | `reason` | frames/connections rejected, by [`WireError::label`] |
-//! | `serve_decode_nanos` | histogram | — | batch payload decode time |
+//! | `serve_decode_nanos` | histogram | — | batch payload parse-and-validate time |
 //! | `serve_ingest_nanos` | histogram | — | collector ingest time per batch |
 //!
 //! Journal events: `connection_opened`, `connection_closed`,
@@ -167,6 +167,8 @@ impl ServeObs {
         }
     }
 
+    /// Meters an acknowledged batch: `decode_nanos` parsed and validated
+    /// its payload, `ingest_nanos` counted it under the collector lock.
     pub(crate) fn batch_ingested(&self, reports: u64, decode_nanos: u64, ingest_nanos: u64) {
         self.reports_total.add(reports);
         if self.clock.enabled() {

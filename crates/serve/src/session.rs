@@ -14,20 +14,23 @@
 //! * payload buffers are sized only after the declared length passes the
 //!   cap check inside `wire::decode_header` (cap-before-alloc), the read
 //!   buffer grows only with the payload bytes that actually arrive, and
-//!   the session's read buffer and decode batch are reused across frames;
+//!   the session reuses its one read buffer across frames;
 //! * a frame whose first byte arrived must finish within
 //!   `frame_budget_nanos` or the connection is closed with a `timeout`
 //!   error frame — the slowloris defence — while an *idle* connection
 //!   (no partial frame) may wait indefinitely;
-//! * a batch is validated and counted under the collector lock, in one
-//!   all-or-nothing `ShardedCollector::ingest_batch` call, and
+//! * a batch payload is parsed where it lies, into a `BatchView` of the
+//!   CRC-verified read buffer (widths and exact length checked), and its
+//!   codes are range-checked and counted straight from that buffer under
+//!   the collector lock, in one all-or-nothing
+//!   `ShardedCollector::ingest_batch_view` call; the batch is
 //!   acknowledged only after that call returns, so an acked report is by
 //!   construction in the collector that a drain hands back.
 
 use crate::server::Shared;
 use mdrr_store::Snapshot;
 use mdrr_stream::wire::{self, error_code, Hello, HelloAck, StatsReply};
-use mdrr_stream::{FrameType, ReportBatch, WireError};
+use mdrr_stream::{BatchView, FrameType, WireError};
 use serde::Serialize;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -62,8 +65,8 @@ struct Session<'a> {
     /// Reusable frame buffer; grows to the largest frame seen, never
     /// beyond the payload cap plus framing.
     buf: Vec<u8>,
-    /// Reusable decode target shaped for the server's protocol.
-    batch: ReportBatch,
+    /// The server protocol's channel count, which every batch must match.
+    n_channels: usize,
     /// Reports acknowledged over this connection.
     acked: u64,
 }
@@ -89,15 +92,12 @@ impl<'a> Session<'a> {
         stream
             .set_write_timeout(Some(Duration::from_nanos(shared.config.frame_budget_nanos)))
             .map_err(|e| WireError::io("set write timeout", e))?;
-        let batch = {
-            let guard = shared.lock_collector();
-            ReportBatch::for_protocol(guard.protocol().as_ref())
-        };
+        let n_channels = shared.lock_collector().protocol().channel_sizes().len();
         Ok(Session {
             shared,
             stream,
             buf: Vec::new(),
-            batch,
+            n_channels,
             acked: 0,
         })
     }
@@ -244,25 +244,22 @@ impl<'a> Session<'a> {
         let shared = self.shared;
         let clock = &shared.clock;
         let decode_begin = clock.now_nanos();
-        let header =
-            match wire::decode_batch_payload(wire::frame_payload(&self.buf), &mut self.batch) {
-                Ok(header) => header,
-                Err(e) => {
-                    let code = match &e {
-                        WireError::SpecMismatch { .. } => error_code::SPEC_MISMATCH,
-                        _ => error_code::MALFORMED,
-                    };
-                    self.reject(&e);
-                    self.send_error(code, &e.to_string());
-                    return false;
-                }
-            };
+        let view = match BatchView::parse(wire::frame_payload(&self.buf), self.n_channels) {
+            Ok(view) => view,
+            Err(e) => {
+                let code = match &e {
+                    WireError::SpecMismatch { .. } => error_code::SPEC_MISMATCH,
+                    _ => error_code::MALFORMED,
+                };
+                self.reject(&e);
+                self.send_error(code, &e.to_string());
+                return false;
+            }
+        };
+        let header = view.header();
         let ingest_begin = clock.now_nanos();
         let shard = (header.shard as usize) % shared.config.n_shards;
-        let ingested = {
-            let mut guard = shared.lock_collector();
-            guard.ingest_batch(shard, &self.batch)
-        };
+        let ingested = shared.lock_collector().ingest_batch_view(shard, &view);
         let ingest_end = clock.now_nanos();
         match ingested {
             Ok(n) => {

@@ -10,11 +10,17 @@
 //!    single-bit errors) and decodes to a typed error;
 //! 3. a hand-crafted corpus of hostile frames — wrong magic, future
 //!    version, unknown type, reserved bits, lying length fields,
-//!    overflowing batch dimensions — each maps to the *specific* typed
-//!    error, and an oversized declared length is rejected before any
-//!    buffer is sized from it;
-//! 4. a live server answers hostile bytes with typed `error` frames and
-//!    keeps serving well-formed clients afterwards.
+//!    overflowing batch dimensions, code widths outside {1, 2, 4}, a
+//!    width table cut short — each maps to the *specific* typed error,
+//!    and an oversized declared length is rejected before any buffer is
+//!    sized from it;
+//! 4. a live server answers hostile bytes — a version-1 peer included —
+//!    with typed `error` frames and keeps serving well-formed clients
+//!    afterwards.
+//!
+//! The generated frames draw each channel's codes from the `u8`, `u16`
+//! or `u32` range, so claims 1 and 2 cover every code width and the
+//! width table.
 
 mod common;
 
@@ -26,7 +32,8 @@ use mdrr_stream::wire::{
     WIRE_HEADER_LEN,
 };
 use mdrr_stream::{
-    ClientConfig, FrameType, ReportBatch, WireClient, WireError, MAX_WIRE_PAYLOAD, WIRE_MAGIC,
+    BatchView, ClientConfig, FrameType, ReportBatch, WireClient, WireError, MAX_WIRE_PAYLOAD,
+    WIRE_MAGIC,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -34,18 +41,25 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A valid batch frame with proptest-chosen dimensions and codes.
+/// A valid batch frame with proptest-chosen dimensions and codes.  Each
+/// channel draws its codes from the `u8`, `u16` or `u32` range, so its
+/// lane goes at 1, 2 or 4 bytes.
 fn batch_frame_strategy() -> impl Strategy<Value = Vec<u8>> {
     (1usize..4, 0usize..12, any::<u64>(), any::<u32>()).prop_flat_map(
         |(n_channels, n_reports, seq, shard)| {
-            prop::collection::vec(any::<u32>(), n_channels * n_reports).prop_map(move |codes| {
-                let mut batch = ReportBatch::new(n_channels).unwrap();
-                for (c, channel) in batch.channels_mut().iter_mut().enumerate() {
-                    channel.extend((0..n_reports).map(|i| codes[c * n_reports + i]));
-                }
-                let payload = wire::encode_batch_payload(seq, shard, &batch).unwrap();
-                encode_frame(FrameType::Batch, &payload).unwrap()
-            })
+            (
+                prop::collection::vec(0usize..3, n_channels),
+                prop::collection::vec(any::<u32>(), n_channels * n_reports),
+            )
+                .prop_map(move |(ranges, codes)| {
+                    let mut batch = ReportBatch::new(n_channels).unwrap();
+                    for (c, channel) in batch.channels_mut().iter_mut().enumerate() {
+                        let mask = [0xFF, 0xFFFF, u32::MAX][ranges[c]];
+                        channel.extend((0..n_reports).map(|i| codes[c * n_reports + i] & mask));
+                    }
+                    let payload = wire::encode_batch_payload(seq, shard, &batch).unwrap();
+                    encode_frame(FrameType::Batch, &payload).unwrap()
+                })
         },
     )
 }
@@ -87,6 +101,9 @@ proptest! {
                 // hold on arbitrary bytes).
                 let mut out = ReportBatch::new(3).unwrap();
                 let _ = wire::decode_batch_payload(wire::frame_payload(&flipped), &mut out);
+                for n_channels in 1..4 {
+                    let _ = BatchView::parse(wire::frame_payload(&flipped), n_channels);
+                }
                 flipped[byte] ^= 1 << bit; // restore
             }
         }
@@ -197,16 +214,54 @@ fn hostile_corpus_yields_field_specific_errors() {
     assert!(wire::decode_batch_payload(&payload, &mut out).is_err());
 
     // Batch that declares more code bytes than it carries.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&1u64.to_le_bytes());
-    payload.extend_from_slice(&0u32.to_le_bytes());
-    payload.extend_from_slice(&3u32.to_le_bytes());
-    payload.extend_from_slice(&1000u32.to_le_bytes());
-    payload.extend_from_slice(&[0u8; 8]); // far fewer than 3*1000*4 bytes
+    let mut prefix = Vec::new();
+    prefix.extend_from_slice(&1u64.to_le_bytes());
+    prefix.extend_from_slice(&0u32.to_le_bytes());
+    prefix.extend_from_slice(&3u32.to_le_bytes());
+    prefix.extend_from_slice(&1000u32.to_le_bytes());
+    let mut payload = prefix.clone();
+    payload.extend_from_slice(&[4, 2, 1]);
+    payload.extend_from_slice(&[0u8; 8]); // far fewer than 1000*(4+2+1) bytes
     assert!(matches!(
         wire::decode_batch_payload(&payload, &mut out),
         Err(WireError::Malformed { .. })
     ));
+
+    // Code widths other than 1, 2 or 4 bytes, in any channel, with code
+    // bytes that would fit the declared widths.
+    for width in [0u8, 3, 8, 255] {
+        for channel in 0..3 {
+            let mut widths = [1u8; 3];
+            widths[channel] = width;
+            let mut payload = prefix.clone();
+            payload.extend_from_slice(&widths);
+            payload.resize(payload.len() + 1000 * (2 + width as usize), 0);
+            assert!(
+                matches!(
+                    BatchView::parse(&payload, 3),
+                    Err(WireError::Malformed { .. })
+                ),
+                "width {width} in channel {channel}"
+            );
+            assert!(matches!(
+                wire::decode_batch_payload(&payload, &mut out),
+                Err(WireError::Malformed { .. })
+            ));
+        }
+    }
+
+    // A width table cut short: the payload ends inside it.
+    for kept in 0..3 {
+        let mut payload = prefix.clone();
+        payload.extend_from_slice(&[1, 1, 1][..kept]);
+        assert!(
+            matches!(
+                BatchView::parse(&payload, 3),
+                Err(WireError::Truncated { .. })
+            ),
+            "{kept} of 3 width bytes"
+        );
+    }
 
     // Channel-count mismatch against the receiver's protocol shape.
     let mut one_channel = ReportBatch::new(1).unwrap();
@@ -217,9 +272,10 @@ fn hostile_corpus_yields_field_specific_errors() {
         Err(WireError::SpecMismatch { .. })
     ));
 
+    // The prefix, one width byte, one 1-byte code.
     assert_eq!(
         payload.len(),
-        BATCH_PAYLOAD_HEADER_LEN + 4,
+        BATCH_PAYLOAD_HEADER_LEN + 1 + 1,
         "batch payload layout drifted from docs/WIRE.md"
     );
 }
@@ -321,6 +377,70 @@ fn server_survives_garbage_and_keeps_serving() {
 
     let drained = server.drain().unwrap();
     assert_eq!(drained.acked_reports, 20);
+}
+
+/// Claim 4c: a version-1 peer's `Hello` is refused with a typed `error`
+/// frame naming the version, and the connection is closed.
+#[test]
+fn a_version_1_hello_is_refused_typed_and_the_connection_closed() {
+    let schema = common::schema();
+    let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
+    let (server, obs) = common::start_server(&schema, &spec, ServeConfig::default());
+
+    // A well-formed version-1 frame: header, JSON hello, CRC.
+    let hello = wire::encode_json(
+        "hello",
+        &Hello {
+            schema: schema.clone(),
+            spec: spec.clone(),
+        },
+    )
+    .unwrap();
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&WIRE_MAGIC);
+    frame.extend_from_slice(&1u32.to_le_bytes());
+    frame.push(FrameType::Hello.as_byte());
+    frame.extend_from_slice(&[0u8; 3]);
+    frame.extend_from_slice(&(hello.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&hello);
+    let crc = mdrr_store::crc64(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(&frame).unwrap();
+    raw.flush().unwrap();
+    let (frame_type, payload) = read_reply(&mut raw)
+        .unwrap()
+        .expect("server should refuse version 1 with an error frame");
+    assert_eq!(frame_type, FrameType::Error);
+    let (code, message) = wire::decode_error_payload(&payload).unwrap();
+    assert_eq!(code, error_code::MALFORMED, "{message}");
+    assert!(
+        message.contains("unsupported wire version 1"),
+        "unexpected message: {message}"
+    );
+    // The server closed after one header: a clean EOF, or a reset when
+    // the rest of the frame was still unread in its receive buffer.
+    let after = read_reply(&mut raw);
+    assert!(
+        match &after {
+            Ok(None) => true,
+            Err(WireError::Io { source, .. }) => {
+                source.kind() == std::io::ErrorKind::ConnectionReset
+            }
+            _ => false,
+        },
+        "the server should close after refusing: {after:?}"
+    );
+    let refused = obs
+        .registry()
+        .snapshot()
+        .counter_value("serve_rejects_total", &[("reason", "unsupported_version")]);
+    assert_eq!(refused, Some(1));
+
+    drop(raw);
+    let drained = server.drain().unwrap();
+    assert_eq!(drained.acked_reports, 0);
 }
 
 /// Claim 4b: a frame whose *header* declares an oversized payload is cut

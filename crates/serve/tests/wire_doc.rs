@@ -10,11 +10,12 @@ use mdrr_stream::wire::{self, WIRE_HEADER_LEN, WIRE_TRAILER_LEN};
 use mdrr_stream::{FrameType, ReportBatch, WIRE_MAGIC, WIRE_VERSION};
 
 /// The doc's reference frame: a batch with `seq` 7, shard hint 2, two
-/// channels of three reports each.
+/// channels of three reports each, the first at 1 byte per code and the
+/// second (whose largest code is 300) at 2.
 fn reference_frame() -> Vec<u8> {
     let mut batch = ReportBatch::new(2).unwrap();
     batch.channels_mut()[0].extend([1u32, 0, 2]);
-    batch.channels_mut()[1].extend([3u32, 1, 0]);
+    batch.channels_mut()[1].extend([300u32, 1, 0]);
     let payload = wire::encode_batch_payload(7, 2, &batch).unwrap();
     wire::encode_frame(FrameType::Batch, &payload).unwrap()
 }
@@ -48,8 +49,8 @@ fn wire_md_offsets_hand_decode_a_real_frame() {
         "[16,20) payload length frames the rest"
     );
 
-    // WIRE.md §batch payload: 20-byte batch header, then C×R codes
-    // channel-major.
+    // WIRE.md §batch payload: 20-byte batch header, a C-byte width table,
+    // then each channel's R codes at its width, channel-major.
     let payload = &frame[WIRE_HEADER_LEN..WIRE_HEADER_LEN + payload_len];
     let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
     assert_eq!(seq, 7, "payload [0,8) sequence number");
@@ -59,12 +60,24 @@ fn wire_md_offsets_hand_decode_a_real_frame() {
     assert_eq!(n_channels, 2, "payload [12,16) channel count");
     let n_reports = u32::from_le_bytes(payload[16..20].try_into().unwrap());
     assert_eq!(n_reports, 3, "payload [16,20) report count");
-    let codes: Vec<u32> = payload[20..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+    let widths = &payload[20..22];
+    assert_eq!(widths, [1, 2], "payload [20,22) code widths");
+    let channel_0: Vec<u32> = payload[22..25].iter().map(|&b| u32::from(b)).collect();
+    assert_eq!(
+        channel_0,
+        vec![1, 0, 2],
+        "payload [22,25) channel 0, 1 byte each"
+    );
+    let channel_1: Vec<u32> = payload[25..31]
+        .chunks_exact(2)
+        .map(|c| u32::from(u16::from_le_bytes(c.try_into().unwrap())))
         .collect();
-    assert_eq!(codes, vec![1, 0, 2, 3, 1, 0], "codes, channel-major");
-    assert_eq!(payload.len(), 20 + 4 * 2 * 3);
+    assert_eq!(
+        channel_1,
+        vec![300, 1, 0],
+        "payload [25,31) channel 1, 2 bytes each"
+    );
+    assert_eq!(payload.len(), 20 + 2 + 3 * (1 + 2), "20 + C + R·Σw");
 
     // WIRE.md §integrity: trailing CRC-64/XZ over everything before it.
     let body_len = frame.len() - WIRE_TRAILER_LEN;
@@ -77,6 +90,7 @@ fn wire_md_offsets_hand_decode_a_real_frame() {
     let mut out = ReportBatch::new(2).unwrap();
     let header = wire::decode_batch_payload(decoded_payload, &mut out).unwrap();
     assert_eq!((header.seq, header.shard), (7, 2));
+    assert_eq!(out.channels(), [vec![1, 0, 2], vec![300, 1, 0]]);
 }
 
 /// WIRE.md documents every frame-type discriminant; pin them here so a

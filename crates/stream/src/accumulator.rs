@@ -9,9 +9,10 @@
 //! plain sums, so merging is exact, associative and commutative — shards
 //! can be combined in any order.
 
-use crate::batch::ReportBatch;
+use crate::batch::{Code, Lane, ReportBatch};
 use crate::error::MdrrError;
 use crate::report::Report;
+use crate::wire::BatchView;
 use serde::{Deserialize, Serialize};
 
 /// Per-channel count vectors over the randomized codes of the ingested
@@ -120,27 +121,45 @@ impl Accumulator {
     /// bad channel adds nothing, and the clean channels before it are
     /// taken back out).
     pub fn ingest_batch(&mut self, batch: &ReportBatch) -> Result<(), MdrrError> {
-        let channels = batch.channels();
-        if channels.len() != self.counts.len() {
+        self.ingest_lanes(batch.n_reports(), batch.lanes())
+    }
+
+    /// Ingests a wire batch payload where it lies: the same pass and the
+    /// same all-or-nothing contract as [`Accumulator::ingest_batch`], over
+    /// the view's 1-, 2- or 4-byte lanes instead of `u32` buffers.
+    ///
+    /// # Errors
+    /// As [`Accumulator::ingest_batch`].
+    pub fn ingest_batch_view(&mut self, batch: &BatchView<'_>) -> Result<(), MdrrError> {
+        self.ingest_lanes(batch.n_reports(), batch.lanes())
+    }
+
+    /// The one bulk count behind both batch forms: `n` reports, one lane
+    /// per channel.
+    fn ingest_lanes<'a>(
+        &mut self,
+        n: usize,
+        lanes: impl ExactSizeIterator<Item = Lane<'a>> + Clone,
+    ) -> Result<(), MdrrError> {
+        if lanes.len() != self.counts.len() {
             return Err(MdrrError::config(format!(
                 "batch has {} channels but the accumulator has {}",
-                channels.len(),
+                lanes.len(),
                 self.counts.len()
             )));
         }
-        let n = batch.n_reports();
-        if let Some((k, codes)) = channels.iter().enumerate().find(|(_, c)| c.len() != n) {
+        if let Some((k, lane)) = lanes.clone().enumerate().find(|(_, l)| l.len() != n) {
             return Err(MdrrError::config(format!(
                 "batch channel {k} holds {} codes but channel 0 holds {n}",
-                codes.len()
+                lane.len()
             )));
         }
         let total = self.checked_total(n as u64)?;
-        for (k, (codes, channel)) in channels.iter().zip(self.counts.iter_mut()).enumerate() {
-            if let Err(code) = count_channel(codes, channel) {
+        for (k, (lane, channel)) in lanes.clone().zip(self.counts.iter_mut()).enumerate() {
+            if let Err(code) = count_lane(lane, channel) {
                 let len = channel.len();
-                for (codes, channel) in channels.iter().zip(self.counts.iter_mut()).take(k) {
-                    uncount_channel(codes, channel);
+                for (lane, channel) in lanes.zip(self.counts.iter_mut()).take(k) {
+                    uncount_lane(lane, channel);
                 }
                 return Err(MdrrError::config(format!(
                     "code {code} out of range for channel {k} ({len} categories)"
@@ -238,9 +257,29 @@ impl Accumulator {
 /// each, 2 KiB, zero quickly).
 const BANK_WIDTH: usize = 64;
 
+/// [`count_channel`] over a lane of any width.
+fn count_lane(lane: Lane<'_>, channel: &mut [u64]) -> Result<(), u32> {
+    match lane {
+        Lane::Native(codes) => count_channel(codes, channel),
+        Lane::U8(codes) => count_channel(codes, channel),
+        Lane::U16(codes) => count_channel(codes, channel),
+        Lane::U32(codes) => count_channel(codes, channel),
+    }
+}
+
+/// [`uncount_channel`] over a lane of any width.
+fn uncount_lane(lane: Lane<'_>, channel: &mut [u64]) {
+    match lane {
+        Lane::Native(codes) => uncount_channel(codes, channel),
+        Lane::U8(codes) => uncount_channel(codes, channel),
+        Lane::U16(codes) => uncount_channel(codes, channel),
+        Lane::U32(codes) => uncount_channel(codes, channel),
+    }
+}
+
 /// Adds one channel's codes to its count vector, or leaves `channel`
 /// unchanged and returns the first code that is out of its range.
-fn count_channel(codes: &[u32], channel: &mut [u64]) -> Result<(), u32> {
+fn count_channel<C: Code>(codes: &[C], channel: &mut [u64]) -> Result<(), u32> {
     let len = channel.len();
     // lint:region(no_alloc)
     if len <= BANK_WIDTH {
@@ -254,11 +293,11 @@ fn count_channel(codes: &[u32], channel: &mut [u64]) -> Result<(), u32> {
         let (quads, rest) = codes.as_chunks::<4>();
         for quad in quads {
             for (bank, &code) in banks.iter_mut().zip(quad) {
-                bank[(code as usize).min(BANK_WIDTH)] += 1;
+                bank[(code.code() as usize).min(BANK_WIDTH)] += 1;
             }
         }
         for (bank, &code) in banks.iter_mut().zip(rest) {
-            bank[(code as usize).min(BANK_WIDTH)] += 1;
+            bank[(code.code() as usize).min(BANK_WIDTH)] += 1;
         }
         if banks.iter().any(|bank| bank[len..].iter().any(|&c| c != 0)) {
             return Err(first_out_of_range(codes, len));
@@ -269,7 +308,7 @@ fn count_channel(codes: &[u32], channel: &mut [u64]) -> Result<(), u32> {
     } else {
         let mut out_of_range = false;
         for &code in codes {
-            match channel.get_mut(code as usize) {
+            match channel.get_mut(code.code() as usize) {
                 Some(slot) => *slot += 1,
                 None => out_of_range = true,
             }
@@ -284,19 +323,19 @@ fn count_channel(codes: &[u32], channel: &mut [u64]) -> Result<(), u32> {
 }
 
 /// The first code of `codes` at or past `len` (`u32::MAX` if none is).
-fn first_out_of_range(codes: &[u32], len: usize) -> u32 {
+fn first_out_of_range<C: Code>(codes: &[C], len: usize) -> u32 {
     codes
         .iter()
-        .copied()
+        .map(|&c| c.code())
         .find(|&c| c as usize >= len)
         .unwrap_or(u32::MAX)
 }
 
 /// Takes back out of `channel` every in-range code of `codes` — the
 /// error path of [`Accumulator::ingest_batch`].
-fn uncount_channel(codes: &[u32], channel: &mut [u64]) {
+fn uncount_channel<C: Code>(codes: &[C], channel: &mut [u64]) {
     for &code in codes {
-        if let Some(slot) = channel.get_mut(code as usize) {
+        if let Some(slot) = channel.get_mut(code.code() as usize) {
             *slot -= 1;
         }
     }
@@ -381,13 +420,30 @@ mod tests {
     }
 
     /// The channel sizes the batch count is swept over: every banked size,
-    /// the first size past the banks, and two wide joint domains.
+    /// the first size past the banks, and wide domains on both sides of
+    /// each wire width boundary (largest codes 255, 256, 1007, 65535 and
+    /// 65536).
     fn sweep_sizes() -> impl Iterator<Item = usize> {
-        (1..=65).chain([144, 1008])
+        (1..=65).chain([144, 256, 257, 1008, 65_536, 65_537])
+    }
+
+    /// Sizes whose bad-code trials the tier-1 sweep also runs through the
+    /// wire: banked and direct counts, each wire width, and a width-2
+    /// lane that a bad code widens to 4 bytes.
+    const WIRE_TRIAL_SIZES: [usize; 8] = [1, 2, 64, 65, 257, 1008, 65_536, 65_537];
+
+    /// The wire width of a lane whose largest code is `size - 1`.
+    fn width_for(size: usize) -> u8 {
+        match size - 1 {
+            0..=0xFF => 1,
+            0x100..=0xFFFF => 2,
+            _ => 4,
+        }
     }
 
     /// A batch over `sizes` of `len` reports with well-mixed in-range
-    /// codes.
+    /// codes, each channel's largest code `size - 1` at report `len / 2`,
+    /// so a wire payload carries the channel at [`width_for`] its size.
     fn mixed_batch(sizes: &[usize], len: usize) -> ReportBatch {
         let mut batch = ReportBatch::new(sizes.len()).unwrap();
         for (k, (channel, &size)) in batch.channels_mut().iter_mut().zip(sizes).enumerate() {
@@ -395,25 +451,67 @@ mod tests {
                 let x = ((i * sizes.len() + k) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 ((x >> 32) % size as u64) as u32
             }));
+            if let Some(peak) = channel.get_mut(len / 2) {
+                *peak = size as u32 - 1;
+            }
         }
         batch
+    }
+
+    /// `batch` counted through its wire form: encoded, parsed into a
+    /// [`BatchView`] and counted from the payload bytes.
+    fn ingest_through_the_wire(
+        acc: &mut Accumulator,
+        batch: &ReportBatch,
+    ) -> Result<(), MdrrError> {
+        let payload = crate::wire::encode_batch_payload(0, 0, batch).unwrap();
+        let view = BatchView::parse(&payload, batch.n_channels()).unwrap();
+        acc.ingest_batch_view(&view)
+    }
+
+    /// Asserts that `ingest` on a copy of `before` fails with exactly
+    /// `expected` and leaves the copy equal to `before`.
+    fn assert_rejects(
+        before: &Accumulator,
+        expected: &str,
+        context: &str,
+        ingest: impl FnOnce(&mut Accumulator) -> Result<(), MdrrError>,
+    ) {
+        let mut acc = before.clone();
+        let err = ingest(&mut acc).unwrap_err();
+        assert!(
+            matches!(&err, MdrrError::InvalidConfiguration { message } if message == expected),
+            "{context}: {err}"
+        );
+        assert_eq!(&acc, before, "{context}");
     }
 
     /// Runs the batch-count sweep for every size in [`sweep_sizes`] over a
     /// `[size, 2, size]` layout (so a bad code in the last channel must
     /// take two counted channels back out): for each length, the batch
-    /// count must equal per-report ingestion, and an out-of-range code at
-    /// each of `positions(len)` in each channel must give a typed error
-    /// and leave the accumulator as it was.
-    fn sweep_batch_count(lengths: &[usize], positions: impl Fn(usize) -> Vec<usize>) {
+    /// count and the count of its wire view (whose outer lanes are at
+    /// [`width_for`] the size) must equal per-report ingestion, and an
+    /// out-of-range code at each of `positions(len)` in each channel must
+    /// give a typed error and leave the accumulator as it was — for the
+    /// wire view too when `wire_trials(size)`.  The bad codes reach every
+    /// wire width: up to 255 a 1-byte lane, 256 (or 1008 past a
+    /// 1008-category channel) a 2-byte lane, 65537 and `u32::MAX` a
+    /// 4-byte one.
+    fn sweep_batch_count(
+        lengths: &[usize],
+        positions: impl Fn(usize) -> Vec<usize>,
+        wire_trials: impl Fn(usize) -> bool,
+    ) {
         for size in sweep_sizes() {
             let sizes = [size, 2, size];
             let mut before = Accumulator::new(&sizes).unwrap();
             before.ingest(&report(&[size as u32 - 1, 1, 0])).unwrap();
-            let bad_codes: Vec<u32> = [size as u32, 64, 65, u32::MAX]
+            let mut bad_codes: Vec<u32> = [size as u32, 64, 65, 256, u32::MAX]
                 .into_iter()
                 .filter(|&c| c as usize >= size)
                 .collect();
+            bad_codes.sort_unstable();
+            bad_codes.dedup();
             for &len in lengths {
                 let mut batch = mixed_batch(&sizes, len);
                 let mut per_report = before.clone();
@@ -425,26 +523,34 @@ mod tests {
                 let mut batched = before.clone();
                 batched.ingest_batch(&batch).unwrap();
                 assert_eq!(batched, per_report, "size {size}, {len} reports");
+                let payload = crate::wire::encode_batch_payload(0, 0, &batch).unwrap();
+                let view = BatchView::parse(&payload, 3).unwrap();
+                if len > 0 {
+                    assert_eq!(view.widths()[0], width_for(size), "size {size}");
+                }
+                let mut viewed = before.clone();
+                viewed.ingest_batch_view(&view).unwrap();
+                assert_eq!(viewed, per_report, "size {size}, {len} reports, view");
 
                 for position in positions(len) {
                     for (k, &channel_size) in sizes.iter().enumerate() {
                         let good = batch.channels()[k][position];
                         for &bad in bad_codes.iter().filter(|&&c| c as usize >= channel_size) {
                             batch.channels_mut()[k][position] = bad;
-                            let mut acc = before.clone();
-                            let err = acc.ingest_batch(&batch).unwrap_err();
                             let context = format!(
                                 "size {size}, {len} reports, code {bad} at {position} of channel {k}"
                             );
                             let expected = format!(
                                 "code {bad} out of range for channel {k} ({channel_size} categories)"
                             );
-                            assert!(
-                                matches!(&err, MdrrError::InvalidConfiguration { message }
-                                    if *message == expected),
-                                "{context}: {err}"
-                            );
-                            assert_eq!(acc, before, "{context}");
+                            assert_rejects(&before, &expected, &context, |acc| {
+                                acc.ingest_batch(&batch)
+                            });
+                            if wire_trials(size) {
+                                assert_rejects(&before, &expected, &(context + ", view"), |acc| {
+                                    ingest_through_the_wire(acc, &batch)
+                                });
+                            }
                         }
                         batch.channels_mut()[k][position] = good;
                     }
@@ -464,14 +570,14 @@ mod tests {
     #[test]
     fn batch_count_matches_per_report_ingestion_and_rejects_atomically() {
         let lengths: Vec<usize> = (0..=9).chain([4099]).collect();
-        sweep_batch_count(&lengths, ends);
+        sweep_batch_count(&lengths, ends, |size| WIRE_TRIAL_SIZES.contains(&size));
     }
 
     #[test]
-    #[ignore = "exhaustive sweep, ~10 s in release; CI runs it with --ignored"]
+    #[ignore = "exhaustive sweep, ~35 s in release; CI runs it with --ignored"]
     fn batch_count_sweep_exhaustive() {
         let lengths: Vec<usize> = (0..=67).chain(4092..=4100).collect();
-        sweep_batch_count(&lengths, |len| {
+        let positions = |len| {
             if len <= 67 {
                 (0..len).collect()
             } else {
@@ -479,7 +585,8 @@ mod tests {
                 positions.extend((4..len - 7).step_by(61));
                 positions
             }
-        });
+        };
+        sweep_batch_count(&lengths, positions, |_| true);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Columnar report batches: the zero-allocation bulk wire format.
+//! Columnar report batches: the zero-allocation bulk format.
 //!
 //! A [`ReportBatch`] is to [`crate::Report`] what a column is to a cell:
 //! one reusable `Vec<u32>` per protocol channel, holding the randomized
@@ -9,13 +9,85 @@
 //! so after warm-up the per-report cost is pure arithmetic — no `Vec` per
 //! report, no dyn dispatch per report, no per-report validation.  The
 //! codes produced are bit-identical to the per-report path under the same
-//! RNG, which `crates/stream/tests/proptest_stream.rs` enforces.
+//! RNG, which `crates/stream/tests/proptest_stream.rs` enforces.  A
+//! `Lane` borrows one channel's codes at the width they are stored in,
+//! so a batch's `u32` buffers and a wire payload's narrower lanes count
+//! through the same pass.
 
 use crate::error::MdrrError;
 use crate::report::Report;
 use mdrr_data::RecordsView;
 use mdrr_protocols::Protocol;
 use rand::RngCore;
+
+/// One channel's codes, borrowed at the width they are stored in: a
+/// [`ReportBatch`] channel's `u32`s, or a 1-, 2- or 4-byte little-endian
+/// lane of a wire batch payload ([`crate::wire::BatchView`]).
+/// [`crate::Accumulator`] counts every form through one generic pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lane<'a> {
+    /// A [`ReportBatch`] channel: native `u32` codes.
+    Native(&'a [u32]),
+    /// One byte per code.
+    U8(&'a [u8]),
+    /// Two little-endian bytes per code.
+    U16(&'a [[u8; 2]]),
+    /// Four little-endian bytes per code.
+    U32(&'a [[u8; 4]]),
+}
+
+impl Lane<'_> {
+    /// Number of codes in the lane.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Lane::Native(codes) => codes.len(),
+            Lane::U8(codes) => codes.len(),
+            Lane::U16(codes) => codes.len(),
+            Lane::U32(codes) => codes.len(),
+        }
+    }
+
+    /// Appends the lane's codes to `out` as `u32`s.
+    pub(crate) fn widen_into(self, out: &mut Vec<u32>) {
+        match self {
+            Lane::Native(codes) => out.extend_from_slice(codes),
+            Lane::U8(codes) => out.extend(codes.iter().map(|&c| c.code())),
+            Lane::U16(codes) => out.extend(codes.iter().map(|&c| c.code())),
+            Lane::U32(codes) => out.extend(codes.iter().map(|&c| c.code())),
+        }
+    }
+}
+
+/// A code as a [`Lane`] stores it, widened by [`Code::code`] to the `u32`
+/// the protocol defines.
+pub(crate) trait Code: Copy {
+    /// The code's value.
+    fn code(self) -> u32;
+}
+
+impl Code for u32 {
+    fn code(self) -> u32 {
+        self
+    }
+}
+
+impl Code for u8 {
+    fn code(self) -> u32 {
+        u32::from(self)
+    }
+}
+
+impl Code for [u8; 2] {
+    fn code(self) -> u32 {
+        u32::from(u16::from_le_bytes(self))
+    }
+}
+
+impl Code for [u8; 4] {
+    fn code(self) -> u32 {
+        u32::from_le_bytes(self)
+    }
+}
 
 /// A columnar batch of randomized reports: `channels()[k][i]` is report
 /// `i`'s code on channel `k`.  All channel buffers have equal length (one
@@ -75,6 +147,11 @@ impl ReportBatch {
     /// The per-channel code buffers, in channel order.
     pub fn channels(&self) -> &[Vec<u32>] {
         &self.channels
+    }
+
+    /// The channels as [`Lane`]s, in channel order.
+    pub(crate) fn lanes(&self) -> impl ExactSizeIterator<Item = Lane<'_>> + Clone {
+        self.channels.iter().map(|codes| Lane::Native(codes))
     }
 
     /// Mutable access to the per-channel code buffers — the `out`

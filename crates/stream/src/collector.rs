@@ -33,6 +33,7 @@ use crate::batch::ReportBatch;
 use crate::error::MdrrError;
 use crate::instrument::{StreamObs, WorkerObs};
 use crate::report::Report;
+use crate::wire::BatchView;
 use mdrr_data::{RecordsBuffer, RecordsView};
 use mdrr_obs::EventKind;
 use mdrr_protocols::{Protocol, Release};
@@ -310,13 +311,37 @@ impl ShardedCollector {
     /// # Errors
     /// Same contract as [`ShardedCollector::ingest_report`].
     pub fn ingest_batch(&mut self, shard: usize, batch: &ReportBatch) -> Result<u64, MdrrError> {
+        self.ingest_routed(shard, batch.n_reports(), |acc| acc.ingest_batch(batch))
+    }
+
+    /// Ingests a wire batch payload into a specific shard, counting its
+    /// codes where they lie (the daemon's path: the view borrows the
+    /// verified frame).  Returns the number of reports ingested.
+    ///
+    /// # Errors
+    /// Same contract as [`ShardedCollector::ingest_report`].
+    pub fn ingest_batch_view(
+        &mut self,
+        shard: usize,
+        batch: &BatchView<'_>,
+    ) -> Result<u64, MdrrError> {
+        self.ingest_routed(shard, batch.n_reports(), |acc| acc.ingest_batch_view(batch))
+    }
+
+    /// Runs `ingest` on shard `shard`'s accumulator, timed and metered
+    /// as one chunk of `n` reports.
+    fn ingest_routed(
+        &mut self,
+        shard: usize,
+        n: usize,
+        ingest: impl FnOnce(&mut Accumulator) -> Result<(), MdrrError>,
+    ) -> Result<u64, MdrrError> {
         let worker = WorkerObs::for_shard(self.obs.as_deref(), shard);
         let start = worker.chunk_start();
-        routable(&mut self.shards, &self.quarantined, shard)?.ingest_batch(batch)?;
-        let n = batch.n_reports() as u64;
+        ingest(routable(&mut self.shards, &self.quarantined, shard)?)?;
         worker.chunk_done(start);
-        worker.run_done(n);
-        Ok(n)
+        worker.run_done(n as u64);
+        Ok(n as u64)
     }
 
     /// The one bulk fan-out behind every `ingest_*` path over many

@@ -99,4 +99,4 @@ pub use error::{MdrrError, StreamError};
 pub use fault::FaultyProtocol;
 pub use instrument::{StreamObs, DEFAULT_JOURNAL_CAPACITY};
 pub use report::Report;
-pub use wire::{FrameType, WireError, MAX_WIRE_PAYLOAD, WIRE_MAGIC, WIRE_VERSION};
+pub use wire::{BatchView, FrameType, WireError, MAX_WIRE_PAYLOAD, WIRE_MAGIC, WIRE_VERSION};

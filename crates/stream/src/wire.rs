@@ -16,7 +16,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "MDRRWIRE"
-//! 8       4     wire format version (u32 LE, currently 1)
+//! 8       4     wire format version (u32 LE, currently 2)
 //! 12      1     frame type (see FrameType)
 //! 13      3     reserved, must be zero
 //! 16      4     payload length P (u32 LE, ≤ MAX_WIRE_PAYLOAD)
@@ -24,10 +24,13 @@
 //! 20+P    8     CRC-64/XZ over bytes 0..20+P (u64 LE)
 //! ```
 //!
-//! Batch payloads reuse the columnar [`ReportBatch`] layout (channel-major
-//! `u32` codes), so the server counts codes straight out of the receive
-//! buffer; handshake and query payloads are serde JSON, like the snapshot
-//! header.
+//! A batch payload is channel-major like a [`ReportBatch`], but each
+//! channel's codes go at the narrowest of 1, 2 or 4 bytes that holds the
+//! channel's largest code in that batch, named in a width table.  The
+//! server parses a verified payload into a [`BatchView`] that borrows the
+//! receive buffer, and counts the codes from there
+//! ([`crate::Accumulator::ingest_batch_view`]) without copying them.
+//! Handshake and query payloads are serde JSON, like the snapshot header.
 
 // No panic on hostile input: every malformed frame is a typed `WireError`.
 #![deny(
@@ -42,7 +45,7 @@
     clippy::allow_attributes_without_reason
 )]
 
-use crate::batch::ReportBatch;
+use crate::batch::{Lane, ReportBatch};
 use crate::error::MdrrError;
 use mdrr_data::Schema;
 use mdrr_protocols::ProtocolSpec;
@@ -50,6 +53,7 @@ use mdrr_store::crc64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// The 8 bytes every wire frame starts with.
 pub const WIRE_MAGIC: [u8; 8] = *b"MDRRWIRE";
@@ -57,11 +61,14 @@ pub const WIRE_MAGIC: [u8; 8] = *b"MDRRWIRE";
 /// The wire format version this implementation speaks.  Readers must
 /// reject any other version rather than guess (see docs/WIRE.md
 /// §Versioning).
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 /// Fixed frame header length: magic + version + type + reserved + payload
 /// length.
 pub const WIRE_HEADER_LEN: usize = 20;
+
+/// Where the header's payload-length field lies.
+const PAYLOAD_LEN_FIELD: Range<usize> = 16..WIRE_HEADER_LEN;
 
 /// Fixed frame trailer length: the CRC-64/XZ checksum.
 pub const WIRE_TRAILER_LEN: usize = 8;
@@ -72,7 +79,7 @@ pub const WIRE_TRAILER_LEN: usize = 8;
 pub const MAX_WIRE_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 /// Fixed prefix of a batch payload: seq + shard hint + channel count +
-/// report count.
+/// report count.  The width table and the codes follow it.
 pub const BATCH_PAYLOAD_HEADER_LEN: usize = 20;
 
 /// Total frame size for a payload of `payload_len` bytes.
@@ -470,6 +477,12 @@ impl<'a> Cursor<'a> {
     fn take_u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take_array::<8>()?))
     }
+
+    fn rest(&mut self) -> &'a [u8] {
+        let rest = self.bytes.get(self.pos..).unwrap_or(&[]);
+        self.pos = self.bytes.len();
+        rest
+    }
 }
 
 /// Decodes and validates a 20-byte frame header, returning the frame
@@ -662,8 +675,10 @@ pub struct BatchHeader {
 }
 
 /// Encodes a [`ReportBatch`] as a batch payload: `seq` (u64), shard hint
-/// (u32), channel count (u32), report count (u32), then the channel-major
-/// `u32` codes — the columnar layout, byte for byte.
+/// (u32), channel count `C` (u32), report count `R` (u32), a `C`-byte
+/// width table, then the codes channel-major, each channel's at its
+/// width (little-endian).  A channel's width is the narrowest of 1, 2 or
+/// 4 bytes that holds its largest code in this batch.
 ///
 /// # Errors
 /// [`WireError::Malformed`] for ragged channels, [`WireError::Oversized`]
@@ -673,7 +688,7 @@ pub fn encode_batch_payload(
     shard: u32,
     batch: &ReportBatch,
 ) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::with_capacity(batch_payload_len(batch)? as usize);
+    let mut out = Vec::new();
     push_batch_payload(&mut out, seq, shard, batch)?;
     Ok(out)
 }
@@ -691,42 +706,47 @@ pub fn encode_batch_frame_into(
     shard: u32,
     batch: &ReportBatch,
 ) -> Result<(), WireError> {
-    let payload_len = batch_payload_len(batch)?;
     out.clear();
-    out.reserve(frame_len(payload_len as usize));
-    push_header(out, FrameType::Batch, payload_len);
-    push_batch_payload(out, seq, shard, batch)?;
+    // The payload length is known once the width table is; patched below.
+    push_header(out, FrameType::Batch, 0);
+    let payload_len = push_batch_payload(out, seq, shard, batch)?;
+    if let Some(field) = out.get_mut(PAYLOAD_LEN_FIELD) {
+        field.copy_from_slice(&payload_len.to_le_bytes());
+    }
     push_crc(out);
     Ok(())
 }
 
-/// The byte length of `batch`'s payload, checked against
-/// [`MAX_WIRE_PAYLOAD`] before anything is sized from it.
-fn batch_payload_len(batch: &ReportBatch) -> Result<u32, WireError> {
-    let code_bytes = (batch.n_channels() as u64) * (batch.n_reports() as u64) * 4;
-    let total = BATCH_PAYLOAD_HEADER_LEN as u64 + code_bytes;
-    if total > MAX_WIRE_PAYLOAD as u64 {
-        return Err(WireError::Oversized {
-            declared: total,
-            max: MAX_WIRE_PAYLOAD as u64,
-        });
+/// The narrowest wire width, in bytes, that holds every code of `codes`.
+/// An OR has the same highest set bit as the maximum, and folds without
+/// a compare.
+fn code_width(codes: &[u32]) -> u8 {
+    match codes.iter().fold(0, |acc, &code| acc | code) {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        _ => 4,
     }
-    Ok(total as u32)
 }
 
-/// Appends the batch payload of [`encode_batch_payload`] to `out`.
+/// Appends the batch payload of [`encode_batch_payload`] to `out` and
+/// returns its length.  The width table goes first; the codes' bytes are
+/// sized from it in one step (with room for a frame trailer), after the
+/// total passes the [`MAX_WIRE_PAYLOAD`] check.
 fn push_batch_payload(
     out: &mut Vec<u8>,
     seq: u64,
     shard: u32,
     batch: &ReportBatch,
-) -> Result<(), WireError> {
+) -> Result<u32, WireError> {
     let n_channels = batch.n_channels();
     let n_reports = batch.n_reports();
+    let start = out.len();
+    out.reserve(BATCH_PAYLOAD_HEADER_LEN + n_channels);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(&(n_channels as u32).to_le_bytes());
     out.extend_from_slice(&(n_reports as u32).to_le_bytes());
+    let mut width_sum = 0u64;
     for channel in batch.channels() {
         if channel.len() != n_reports {
             return Err(WireError::malformed(format!(
@@ -734,65 +754,171 @@ fn push_batch_payload(
                 channel.len()
             )));
         }
-        let start = out.len();
-        out.resize(start + 4 * n_reports, 0);
-        let (dst, _) = out
-            .get_mut(start..)
-            .ok_or_else(|| WireError::malformed("internal: payload sizing"))?
-            .as_chunks_mut::<4>();
-        // lint:region(no_alloc)
-        for (bytes, &code) in dst.iter_mut().zip(channel) {
-            *bytes = code.to_le_bytes();
-        }
-        // lint:endregion(no_alloc)
+        let width = code_width(channel);
+        out.push(width);
+        width_sum += u64::from(width);
     }
-    Ok(())
+    let code_bytes = width_sum * n_reports as u64;
+    let total = (BATCH_PAYLOAD_HEADER_LEN + n_channels) as u64 + code_bytes;
+    if total > MAX_WIRE_PAYLOAD as u64 {
+        return Err(WireError::Oversized {
+            declared: total,
+            max: MAX_WIRE_PAYLOAD as u64,
+        });
+    }
+    out.reserve(code_bytes as usize + WIRE_TRAILER_LEN);
+    out.resize(start + total as usize, 0);
+    let sizing = || WireError::malformed("internal: payload sizing");
+    let (widths, mut codes) = out
+        .get_mut(start + BATCH_PAYLOAD_HEADER_LEN..)
+        .and_then(|tail| tail.split_at_mut_checked(n_channels))
+        .ok_or_else(sizing)?;
+    for (channel, &width) in batch.channels().iter().zip(widths.iter()) {
+        let (lane, rest) = codes
+            .split_at_mut_checked(usize::from(width) * n_reports)
+            .ok_or_else(sizing)?;
+        put_lane(width, channel, lane);
+        codes = rest;
+    }
+    Ok(total as u32)
+}
+
+/// Writes `codes` into `lane` at `width` bytes each, little-endian.
+fn put_lane(width: u8, codes: &[u32], lane: &mut [u8]) {
+    // lint:region(no_alloc)
+    match width {
+        1 => {
+            for (dst, &code) in lane.iter_mut().zip(codes) {
+                *dst = code as u8;
+            }
+        }
+        2 => {
+            for (dst, &code) in lane.as_chunks_mut::<2>().0.iter_mut().zip(codes) {
+                *dst = (code as u16).to_le_bytes();
+            }
+        }
+        _ => {
+            for (dst, &code) in lane.as_chunks_mut::<4>().0.iter_mut().zip(codes) {
+                *dst = code.to_le_bytes();
+            }
+        }
+    }
+    // lint:endregion(no_alloc)
+}
+
+/// A batch payload parsed where it lies: the prefix, the width table and
+/// the code bytes, borrowed from the (CRC-verified) frame buffer.  Every
+/// width is 1, 2 or 4 and the code bytes are exactly `R·Σw`; the codes'
+/// ranges are the collector's to check
+/// ([`crate::Accumulator::ingest_batch_view`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchView<'a> {
+    header: BatchHeader,
+    n_reports: usize,
+    widths: &'a [u8],
+    codes: &'a [u8],
+}
+
+impl<'a> BatchView<'a> {
+    /// Parses a batch payload for a protocol of `n_channels` channels.
+    /// Nothing is sized from the declared counts: the payload length must
+    /// equal `20 + C + R·Σw` exactly, computed with checked arithmetic.
+    ///
+    /// # Errors
+    /// [`WireError::Truncated`] for a payload that ends inside the prefix
+    /// or the width table, [`WireError::SpecMismatch`] if the declared
+    /// channel count is not `n_channels`, and [`WireError::Malformed`] for
+    /// a width outside {1, 2, 4} or a length that does not add up.
+    pub fn parse(payload: &'a [u8], n_channels: usize) -> Result<Self, WireError> {
+        let mut cur = Cursor::new(payload);
+        let seq = cur.take_u64()?;
+        let shard = cur.take_u32()?;
+        let declared_channels = cur.take_u32()?;
+        let n_reports = cur.take_u32()?;
+        if declared_channels as usize != n_channels {
+            return Err(WireError::spec_mismatch(format!(
+                "batch declares {declared_channels} channels but the protocol has {n_channels}"
+            )));
+        }
+        let widths = cur.take(n_channels)?;
+        if let Some((k, width)) = widths
+            .iter()
+            .enumerate()
+            .find(|(_, w)| !matches!(w, 1 | 2 | 4))
+        {
+            return Err(WireError::malformed(format!(
+                "channel {k} declares code width {width}; widths are 1, 2 or 4 bytes"
+            )));
+        }
+        let width_sum: u64 = widths.iter().map(|&w| u64::from(w)).sum();
+        let code_bytes = width_sum
+            .checked_mul(u64::from(n_reports))
+            .ok_or_else(|| WireError::malformed("batch code count overflows"))?;
+        let codes = cur.rest();
+        if codes.len() as u64 != code_bytes {
+            return Err(WireError::malformed(format!(
+                "batch declares {code_bytes} code bytes but the payload carries {}",
+                codes.len()
+            )));
+        }
+        Ok(BatchView {
+            header: BatchHeader { seq, shard },
+            n_reports: n_reports as usize,
+            widths,
+            codes,
+        })
+    }
+
+    /// The batch's sequence number and shard hint.
+    pub fn header(&self) -> BatchHeader {
+        self.header
+    }
+
+    /// Number of reports in the batch.
+    pub fn n_reports(&self) -> usize {
+        self.n_reports
+    }
+
+    /// Each channel's code width in bytes (1, 2 or 4), in channel order.
+    pub fn widths(&self) -> &'a [u8] {
+        self.widths
+    }
+
+    /// The channels as [`Lane`]s at their widths, in channel order.
+    pub(crate) fn lanes(&self) -> impl ExactSizeIterator<Item = Lane<'a>> + Clone {
+        let n_reports = self.n_reports;
+        let mut codes = self.codes;
+        self.widths.iter().map(move |&width| {
+            // `parse` proved the split fits; an empty lane would fail the
+            // count's length check rather than panic.
+            let (lane, rest) = codes
+                .split_at_checked(usize::from(width) * n_reports)
+                .unwrap_or((&[], &[]));
+            codes = rest;
+            match width {
+                1 => Lane::U8(lane),
+                2 => Lane::U16(lane.as_chunks::<2>().0),
+                _ => Lane::U32(lane.as_chunks::<4>().0),
+            }
+        })
+    }
 }
 
 /// Decodes a batch payload into a reusable [`ReportBatch`] shaped for the
-/// server's protocol.  The declared channel count must match the batch's
-/// and the declared code count must account for *exactly* the bytes
-/// received — both verified before any buffer is grown, so attacker
-/// -controlled counts never size an allocation beyond bytes actually on
-/// the wire.
+/// receiver's protocol: [`BatchView::parse`], then each lane widened to
+/// `u32`.  Every check is the parse's, made before the batch grows, so
+/// attacker-controlled counts never size an allocation beyond bytes
+/// actually on the wire.
 pub fn decode_batch_payload(
     payload: &[u8],
     out: &mut ReportBatch,
 ) -> Result<BatchHeader, WireError> {
-    let mut cur = Cursor::new(payload);
-    let seq = cur.take_u64()?;
-    let shard = cur.take_u32()?;
-    let n_channels = cur.take_u32()?;
-    let n_reports = cur.take_u32()?;
-    if n_channels as usize != out.n_channels() {
-        return Err(WireError::spec_mismatch(format!(
-            "batch declares {n_channels} channels but the protocol has {}",
-            out.n_channels()
-        )));
-    }
-    let code_bytes = (n_channels as u64)
-        .checked_mul(n_reports as u64)
-        .and_then(|codes| codes.checked_mul(4))
-        .ok_or_else(|| WireError::malformed("batch code count overflows".to_string()))?;
-    let available = (payload.len() - BATCH_PAYLOAD_HEADER_LEN.min(payload.len())) as u64;
-    if code_bytes != available {
-        return Err(WireError::malformed(format!(
-            "batch declares {code_bytes} code bytes but the payload carries {available}"
-        )));
-    }
+    let view = BatchView::parse(payload, out.n_channels())?;
     out.clear();
-    let per_channel = (n_reports as usize).saturating_mul(4);
-    for channel in out.channels_mut() {
-        let raw = cur.take(per_channel)?;
-        channel.extend(raw.chunks_exact(4).map(|chunk| {
-            let mut bytes = [0u8; 4];
-            for (dst, src) in bytes.iter_mut().zip(chunk.iter()) {
-                *dst = *src;
-            }
-            u32::from_le_bytes(bytes)
-        }));
+    for (lane, channel) in view.lanes().zip(out.channels_mut()) {
+        lane.widen_into(channel);
     }
-    Ok(BatchHeader { seq, shard })
+    Ok(view.header())
 }
 
 /// Encodes a [`FrameType::BatchAck`] payload: `seq`, then the server's
@@ -1026,7 +1152,8 @@ mod tests {
     fn batch_payload_round_trips() {
         let batch = sample_batch();
         let payload = encode_batch_payload(42, 3, &batch).unwrap();
-        assert_eq!(payload.len(), BATCH_PAYLOAD_HEADER_LEN + 3 * 2 * 4);
+        // Three 1-byte widths, then two 1-byte codes per channel.
+        assert_eq!(payload.len(), BATCH_PAYLOAD_HEADER_LEN + 3 + 3 * 2);
         let mut out = ReportBatch::new(3).unwrap();
         let header = decode_batch_payload(&payload, &mut out).unwrap();
         assert_eq!(header, BatchHeader { seq: 42, shard: 3 });
@@ -1058,16 +1185,62 @@ mod tests {
             decode_batch_payload(&payload, &mut out),
             Err(WireError::Malformed { .. })
         ));
-        // Overflowing count fields error before any allocation.
+        // A huge declared report count errors before any allocation.
         let mut hostile = Vec::new();
         hostile.extend_from_slice(&0u64.to_le_bytes());
         hostile.extend_from_slice(&0u32.to_le_bytes());
         hostile.extend_from_slice(&3u32.to_le_bytes());
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+        hostile.extend_from_slice(&[4, 4, 4]);
         assert!(matches!(
             decode_batch_payload(&hostile, &mut out),
             Err(WireError::Malformed { .. })
         ));
+    }
+
+    /// A batch whose channels peak at `maxima`, `len` reports each, with
+    /// the peak at report `len / 2` and smaller codes around it.
+    fn peaked_batch(maxima: &[u32], len: usize) -> ReportBatch {
+        let mut batch = ReportBatch::new(maxima.len()).unwrap();
+        for (channel, &max) in batch.channels_mut().iter_mut().zip(maxima) {
+            channel.extend((0..len).map(|i| {
+                if i == len / 2 {
+                    max
+                } else {
+                    max / (i as u32 % 7 + 2) + (i as u32 % 3).min(max)
+                }
+            }));
+        }
+        batch
+    }
+
+    #[test]
+    fn channel_maxima_round_trip_at_every_width_boundary() {
+        let maxima = [0, 255, 256, 65_535, 65_536, u32::MAX];
+        let widths = [1, 1, 2, 2, 4, 4];
+        for len in (1..=9).chain([4099]) {
+            let batch = peaked_batch(&maxima, len);
+            let payload = encode_batch_payload(5, 1, &batch).unwrap();
+            let view = BatchView::parse(&payload, maxima.len()).unwrap();
+            assert_eq!(view.widths(), widths, "{len} reports");
+            assert_eq!(
+                payload.len(),
+                BATCH_PAYLOAD_HEADER_LEN + maxima.len() + len * 14,
+                "{len} reports"
+            );
+            let mut decoded = ReportBatch::new(maxima.len()).unwrap();
+            let header = decode_batch_payload(&payload, &mut decoded).unwrap();
+            assert_eq!(header, BatchHeader { seq: 5, shard: 1 });
+            assert_eq!(decoded, batch, "{len} reports");
+            let mut frame = Vec::new();
+            encode_batch_frame_into(&mut frame, 5, 1, &batch).unwrap();
+            assert_eq!(frame, encode_frame(FrameType::Batch, &payload).unwrap());
+        }
+        // An empty batch still carries its width table.
+        let empty = ReportBatch::new(2).unwrap();
+        let payload = encode_batch_payload(0, 0, &empty).unwrap();
+        assert_eq!(payload.len(), BATCH_PAYLOAD_HEADER_LEN + 2);
+        assert_eq!(BatchView::parse(&payload, 2).unwrap().widths(), [1, 1]);
     }
 
     #[test]
