@@ -63,6 +63,10 @@ impl AdultAttribute {
 /// The schema of the 8 categorical Adult attributes used by the paper, with
 /// the original category labels (Education ordered by attainment so its
 /// ordinal kind is meaningful).
+#[expect(
+    clippy::expect_used,
+    reason = "the attribute and schema definitions are static and valid"
+)]
 pub fn adult_schema() -> Schema {
     let work_class = Attribute::new(
         "Work-class",
@@ -228,6 +232,10 @@ impl AdultSynthesizer {
     }
 
     /// Samples the full synthetic data set.
+    #[expect(
+        clippy::expect_used,
+        reason = "generated records always fit the schema"
+    )]
     pub fn generate(&self, rng: &mut impl Rng) -> Dataset {
         let schema = adult_schema();
         let mut columns: Vec<Vec<u32>> = (0..schema.len())

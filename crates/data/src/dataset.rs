@@ -149,6 +149,10 @@ impl Dataset {
 
     /// The whole dataset as a borrowed columnar [`RecordsView`] — the
     /// zero-copy input of the batched protocol encoders.
+    #[expect(
+        clippy::expect_used,
+        reason = "dataset columns are equal-length by construction"
+    )]
     pub fn view(&self) -> RecordsView<'_> {
         let columns: Vec<&[u32]> = self.columns.iter().map(Vec::as_slice).collect();
         RecordsView::new(columns).expect("dataset columns are equal-length by construction")
@@ -161,6 +165,10 @@ impl Dataset {
     ///
     /// # Errors
     /// Returns [`DataError::InvalidParameter`] if `chunk_size == 0`.
+    #[expect(
+        clippy::expect_used,
+        reason = "chunk ranges are in bounds by construction"
+    )]
     pub fn column_chunks(
         &self,
         chunk_size: usize,

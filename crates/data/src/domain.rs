@@ -138,8 +138,11 @@ impl JointDomain {
     /// Intended for small domains (query generation, RR-Joint on clusters);
     /// the full Adult joint domain of 1 814 400 combinations is still fine,
     /// but callers should check [`JointDomain::size`] before materialising.
+    #[expect(
+        clippy::expect_used,
+        reason = "code ranges over 0..size and decode only errors on code >= size, so the expect is unreachable by construction"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = Vec<u32>> + '_ {
-        // lint:allow(panic-reachability, reason = "code ranges over 0..size and decode only errors on code >= size, so the expect is unreachable by construction")
         (0..self.size).map(move |code| self.decode(code).expect("code < size is always decodable"))
     }
 }

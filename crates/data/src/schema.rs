@@ -9,7 +9,7 @@
 
 use crate::error::DataError;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Whether an attribute's categories have a meaningful order.
@@ -50,9 +50,9 @@ impl Attribute {
                 message: "attribute must have at least one category".to_string(),
             });
         }
-        let mut seen = HashMap::with_capacity(categories.len());
+        let mut seen = BTreeMap::new();
         for (i, c) in categories.iter().enumerate() {
-            if let Some(prev) = seen.insert(c.clone(), i) {
+            if let Some(prev) = seen.insert(c.as_str(), i) {
                 return Err(DataError::InvalidCategory {
                     attribute: name,
                     message: format!("duplicate category label `{c}` at positions {prev} and {i}"),
@@ -172,9 +172,9 @@ impl Schema {
                 message: "schema must contain at least one attribute".to_string(),
             });
         }
-        let mut seen = HashMap::with_capacity(attributes.len());
+        let mut seen = BTreeMap::new();
         for (i, a) in attributes.iter().enumerate() {
-            if let Some(prev) = seen.insert(a.name().to_string(), i) {
+            if let Some(prev) = seen.insert(a.name(), i) {
                 return Err(DataError::SchemaMismatch {
                     message: format!(
                         "duplicate attribute name `{}` at positions {prev} and {i}",

@@ -203,7 +203,7 @@ mod tests {
     fn combinations_are_distinct_and_in_range() {
         let mut rng = StdRng::seed_from_u64(2);
         let q = CountQuery::random(&schema(), 0.9, &mut rng).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &(a, b) in &q.combinations {
             assert!(seen.insert((a, b)), "duplicate combination");
             let card_a = schema().attribute(q.attributes.0).unwrap().cardinality() as u32;

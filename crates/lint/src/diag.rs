@@ -195,19 +195,19 @@ mod tests {
 
     #[test]
     fn report_json_is_versioned_timed_and_round_trips_quotes() {
-        let d = finding("determinism", "docs/FORMAT.md", "magic \"drift\"");
+        let d = finding("privacy-taint", "docs/FORMAT.md", "magic \"drift\"");
         let outcome = crate::engine::Outcome {
             diagnostics: vec![d],
             suppressed: 1,
             files_scanned: 3,
-            rule_times: vec![("determinism".into(), 1234)],
+            rule_times: vec![("privacy-taint".into(), 1234)],
             total_nanos: 5678,
         };
         let json = report_json(&outcome);
         assert!(json.contains("\"report_version\": 1"));
         assert!(json.contains("\\\"drift\\\""));
         assert!(json.contains("\"files_scanned\": 3"));
-        assert!(json.contains("{\"rule\": \"determinism\", \"nanos\": 1234}"));
+        assert!(json.contains("{\"rule\": \"privacy-taint\", \"nanos\": 1234}"));
         assert!(json.contains("\"total_nanos\": 5678"));
     }
 

@@ -227,13 +227,13 @@ mod tests {
     #[test]
     fn unknown_rule_in_allow_fires_even_under_a_rule_filter() {
         // Regression: the unknown-rule escalation used to sit behind the
-        // "did this rule run" gate, so `--rule determinism` runs silently
+        // "did this rule run" gate, so `--rule no-float-in-kernel` runs silently
         // skipped allows naming rules that don't exist at all.
         let ws = Workspace::in_memory(vec![(
             "crates/store/src/x.rs",
             "// lint:allow(no-such-rule, reason = \"typo\")\npub fn f() {}\n",
         )]);
-        let out = run_filtered(&ws, &all_rules(), Some(&["determinism".to_string()]));
+        let out = run_filtered(&ws, &all_rules(), Some(&["no-float-in-kernel".to_string()]));
         assert!(
             out.diagnostics
                 .iter()

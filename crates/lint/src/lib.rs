@@ -2,12 +2,13 @@
 //!
 //! `cargo test` proves the code computes the right answers *today*;
 //! nothing in the default toolchain stops tomorrow's patch from quietly
-//! re-introducing a panic into the no-panic snapshot decoder, a float
-//! into the integer randomization kernels, an ambient-entropy draw into
-//! the deterministic-resume path, or raw microdata into a snapshot.
-//! Those are *contracts of this codebase*, not of the language, so the
+//! re-introducing a float into the integer randomization kernels, an
+//! allocation into a hot loop, or raw microdata into a snapshot.  Those
+//! are *contracts of this codebase*, not of the language, so the
 //! compiler and clippy cannot see them — this crate checks them
-//! mechanically and fails CI when they break.
+//! mechanically and fails CI when they break.  (Contracts clippy can
+//! see, such as no panic on the store path and no hash-ordered
+//! collection, are configured in clippy instead.)
 //!
 //! The design is deliberately dependency-free (the workspace builds
 //! offline against vendored shims, so `syn` is not an option): a small
@@ -18,9 +19,9 @@
 //! suppressions (the reason is mandatory, and stale suppressions are
 //! themselves findings); workspace discovery ([`workspace`]); a semantic
 //! layer ([`sem`]) — item parser, symbol table, call graph — feeding the
-//! interprocedural privacy-taint / panic-reachability / determinism
-//! analyses; the rule set ([`rules`]); and the engine ([`engine`]) that
-//! ties them together under rustc-style diagnostics ([`diag`]).
+//! interprocedural privacy-taint analysis; the rule set ([`rules`]); and
+//! the engine ([`engine`]) that ties them together under rustc-style
+//! diagnostics ([`diag`]).
 //!
 //! Run it as CI does:
 //!

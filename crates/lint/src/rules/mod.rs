@@ -10,10 +10,8 @@ use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
-pub mod determinism;
 pub mod no_alloc_in_hot_loop;
 pub mod no_float_in_kernel;
-pub mod panic_reachability;
 pub mod privacy_taint;
 
 /// One static-analysis rule.
@@ -32,8 +30,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(no_float_in_kernel::NoFloatInKernel),
         Box::new(no_alloc_in_hot_loop::NoAllocInHotLoop),
         Box::new(privacy_taint::PrivacyTaint),
-        Box::new(panic_reachability::PanicReachability),
-        Box::new(determinism::Determinism),
     ]
 }
 

@@ -13,8 +13,7 @@
 use super::items::match_paren;
 use super::symbols::{Callee, FnId, SymbolTable};
 use crate::workspace::Workspace;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One resolved call site inside a function body.
 #[derive(Debug, Clone)]
@@ -88,55 +87,6 @@ impl CallGraph {
             .unwrap_or(&[])
             .iter()
             .map(|&s| &self.sites[s])
-    }
-
-    /// BFS over forward edges from `roots`; the map sends every reached
-    /// function to its BFS predecessor (roots map to themselves), which
-    /// [`CallGraph::chain`] unwinds into a root→target call chain.
-    pub fn reach(&self, roots: impl IntoIterator<Item = FnId>) -> BTreeMap<FnId, FnId> {
-        let mut preds = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        for r in roots {
-            if let Entry::Vacant(e) = preds.entry(r) {
-                e.insert(r);
-                queue.push_back(r);
-            }
-        }
-        while let Some(f) = queue.pop_front() {
-            if let Some(nexts) = self.edges.get(&f) {
-                for &n in nexts {
-                    if let Entry::Vacant(e) = preds.entry(n) {
-                        e.insert(f);
-                        queue.push_back(n);
-                    }
-                }
-            }
-        }
-        preds
-    }
-
-    /// Unwinds `reach` predecessors into the root→…→target chain.
-    pub fn chain(&self, preds: &BTreeMap<FnId, FnId>, target: FnId) -> Vec<FnId> {
-        let mut chain = vec![target];
-        let mut cur = target;
-        while let Some(&p) = preds.get(&cur) {
-            if p == cur {
-                break;
-            }
-            chain.push(p);
-            cur = p;
-        }
-        chain.reverse();
-        chain
-    }
-
-    /// Formats a chain as `a → b → c` with qualified names.
-    pub fn chain_text(&self, st: &SymbolTable, chain: &[FnId]) -> String {
-        chain
-            .iter()
-            .map(|&f| st.def(f).qualified())
-            .collect::<Vec<_>>()
-            .join(" -> ")
     }
 }
 
@@ -312,30 +262,5 @@ mod tests {
         )]);
         let f = id(&st, "f");
         assert!(!g.edges.contains_key(&f));
-    }
-
-    #[test]
-    fn reach_reports_predecessor_chains_through_diamonds_and_cycles() {
-        let (st, g) = graph(vec![(
-            "crates/a/src/lib.rs",
-            "pub fn root() { left(); right(); }\n\
-             fn left() { join() }\n\
-             fn right() { join() }\n\
-             fn join() { looper() }\n\
-             fn looper() { looper() }\n",
-        )]);
-        let root = id(&st, "root");
-        let join = id(&st, "join");
-        let looper = id(&st, "looper");
-        let preds = g.reach([root]);
-        assert!(preds.contains_key(&join));
-        assert!(preds.contains_key(&looper), "cycle does not diverge");
-        let chain = g.chain(&preds, looper);
-        assert_eq!(chain.first(), Some(&root));
-        assert_eq!(chain.last(), Some(&looper));
-        assert_eq!(chain.len(), 4, "root -> left|right -> join -> looper");
-        let text = g.chain_text(&st, &chain);
-        assert!(text.starts_with("mdrr_a::root -> "));
-        assert!(text.ends_with(" -> mdrr_a::join -> mdrr_a::looper"));
     }
 }

@@ -2,11 +2,11 @@
 //! interprocedural analysis without a full grammar.
 //!
 //! One linear pass over a file's significant tokens recovers `fn`
-//! signatures (name, visibility, parameters with their type text, body
+//! signatures (name, parameters with their type text, body
 //! token range), the `mod`/`impl`/`trait` nesting that scopes them, the
 //! file's `use` declarations (alias → full path), and `impl Trait for
 //! Type` pairs.  Everything downstream — the symbol table, the call
-//! graph, the taint/panic/determinism analyses — is built from these
+//! graph, the privacy-taint analysis — is built from these
 //! items.  The parser is total: any token soup produces *some* item
 //! list without panicking; unrecognized constructs are simply skipped.
 
@@ -31,8 +31,6 @@ pub struct FnItem {
     pub module: Vec<String>,
     /// The surrounding `impl`/`trait` type name, if any.
     pub self_type: Option<String>,
-    /// Whether the item carries a `pub` (including `pub(crate)` etc.).
-    pub is_pub: bool,
     /// Whether the signature takes `self` in any form.
     pub has_self: bool,
     /// The non-self parameters.
@@ -274,26 +272,6 @@ pub(crate) fn match_paren(file: &SourceFile, open: usize) -> usize {
     n.saturating_sub(1)
 }
 
-/// Whether any sig token in the lookback window before `fn` is `pub`
-/// (stopping at item boundaries).
-fn is_pub_before(file: &SourceFile, fn_idx: usize) -> bool {
-    let mut k = fn_idx;
-    for _ in 0..8 {
-        if k == 0 {
-            return false;
-        }
-        k -= 1;
-        match file.sig_text(k) {
-            "pub" => return true,
-            // Visibility qualifiers and harmless modifiers keep looking.
-            "(" | ")" | "crate" | "super" | "self" | "in" | "const" | "unsafe" | "async"
-            | "extern" | "]" => continue,
-            _ => return false,
-        }
-    }
-    false
-}
-
 /// Parses one `fn` item starting at the `fn` token.  Appends to `fns`
 /// and registers an open body (if any) in `open_fns`.  Returns the index
 /// to resume the main scan from (the body `{`, so the scope stack sees
@@ -354,7 +332,6 @@ fn parse_fn(
         name,
         module,
         self_type,
-        is_pub: is_pub_before(file, i),
         has_self,
         params,
         body,
@@ -591,14 +568,13 @@ mod tests {
         );
         assert_eq!(items.fns.len(), 2);
         let a = &items.fns[0];
-        assert!(a.is_pub && !a.has_self);
+        assert!(!a.has_self);
         assert_eq!(a.name, "alpha");
         assert_eq!(a.params.len(), 2);
         assert_eq!(a.params[0].name, "ds");
         assert_eq!(a.params[0].ty, "&Dataset");
         assert!(a.body.is_some());
         let b = &items.fns[1];
-        assert!(!b.is_pub);
         assert_eq!(b.params[0].ty, "&[u32]");
     }
 

@@ -1,13 +1,12 @@
 //! The semantic analysis layer: item parsing, symbol resolution and the
-//! workspace call graph the interprocedural rules run on.
+//! workspace call graph the interprocedural privacy-taint rule runs on.
 //!
-//! The layer is built once per [`Workspace`]
-//! and cached (see `Workspace::sem`), so the three interprocedural rules
-//! share one parse of the tree.  Everything here stays within the
+//! The layer is built once per [`Workspace`] and cached (see
+//! `Workspace::sem`).  Everything here stays within the
 //! significant-token world of the hand-rolled lexer — no `syn`, no
 //! dependencies — which bounds precision: resolution is name- and
 //! path-based with receiver-type inference for simple cases, and the
-//! rules are written to tolerate the resulting over-approximation
+//! rule is written to tolerate the resulting over-approximation
 //! (method calls on untypeable receivers) without drowning in false
 //! positives (candidates are limited to imported crates, constructors
 //! and std calls resolve to nothing).

@@ -36,8 +36,6 @@ pub struct FnDef {
     pub self_type: Option<String>,
     /// The function's name.
     pub name: String,
-    /// Whether the fn is `pub` (any visibility qualifier counts).
-    pub is_pub: bool,
     /// Whether the signature takes `self`.
     pub has_self: bool,
     /// The non-self parameters.
@@ -181,7 +179,6 @@ impl SymbolTable {
                     module,
                     self_type: f.self_type,
                     name: f.name,
-                    is_pub: f.is_pub,
                     has_self: f.has_self,
                     params: f.params,
                     body: f.body,

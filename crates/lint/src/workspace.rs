@@ -31,7 +31,7 @@ pub struct Workspace {
     /// Every lexed Rust source file of every non-vendor member.
     pub files: Vec<SourceFile>,
     /// Lazily built semantic model (symbol table + call graph), shared
-    /// by the interprocedural rules so the tree is parsed once.
+    /// by the privacy-taint rule so the tree is parsed once.
     sem: OnceCell<SemModel>,
 }
 

@@ -1,9 +1,9 @@
-//! Mutation tests for the interprocedural analyses: every seeded
-//! violating call chain must be detected with an *exact* finding count,
-//! every conforming variant must stay silent, and the privacy-taint
-//! analysis must fire on a raw-record→snapshot chain injected into the
-//! **real** workspace (then vanish when the injection is removed) — so
-//! the analyses are proven live against the tree they actually guard.
+//! Mutation tests for the interprocedural privacy-taint analysis: every
+//! seeded violating call chain must be detected with an *exact* finding
+//! count, every conforming variant must stay silent, and the analysis
+//! must fire on a raw-record→snapshot chain injected into the **real**
+//! workspace (then vanish when the injection is removed) — so it is
+//! proven live against the tree it actually guards.
 
 use mdrr_lint::engine::run_filtered;
 use mdrr_lint::rules::all_rules;
@@ -142,91 +142,6 @@ fn taint_flags_raw_prints_in_binaries_but_not_metadata() {
     assert!(diags[0].message.contains("println"));
 }
 
-#[test]
-fn panic_reachability_crosses_crates_but_skips_the_file_rule_scope() {
-    let violating = vec![
-        (
-            "crates/store/src/api.rs",
-            include_str!("fixtures/interproc/panic_store_api.rs"),
-        ),
-        (
-            "crates/math/src/lib.rs",
-            include_str!("fixtures/interproc/panic_violating.rs"),
-        ),
-    ];
-    let diags = lint("panic-reachability", violating);
-    // Exactly one finding: the helper's unwrap.  The unwrap inside the
-    // store file itself belongs to clippy's `unwrap_used`, which the
-    // store denies at its crate root.
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].file, "crates/math/src/lib.rs");
-    assert!(
-        diags[0].message.contains("mdrr_store::api::load")
-            && diags[0].message.contains("mdrr_math::checked_div"),
-        "chain names root and helper: {}",
-        diags[0].message
-    );
-
-    let conforming = vec![
-        (
-            "crates/store/src/api.rs",
-            include_str!("fixtures/interproc/panic_store_api.rs"),
-        ),
-        (
-            "crates/math/src/lib.rs",
-            include_str!("fixtures/interproc/panic_conforming.rs"),
-        ),
-    ];
-    assert_eq!(lint("panic-reachability", conforming).len(), 0);
-}
-
-#[test]
-fn determinism_follows_the_release_chain() {
-    let violating = vec![
-        (
-            "crates/protocols/src/release.rs",
-            include_str!("fixtures/interproc/det_release_root.rs"),
-        ),
-        (
-            "crates/core/src/norm.rs",
-            include_str!("fixtures/interproc/det_violating.rs"),
-        ),
-    ];
-    let diags = lint("determinism", violating);
-    // Exactly two findings: the HashMap and the thread_rng draw.
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    assert!(diags.iter().any(|d| d.message.contains("HashMap")));
-    assert!(diags.iter().any(|d| d.message.contains("thread_rng")));
-    assert!(diags.iter().all(|d| d
-        .message
-        .contains("mdrr_protocols::release::release_from_counts")));
-
-    let conforming = vec![
-        (
-            "crates/protocols/src/release.rs",
-            include_str!("fixtures/interproc/det_release_root.rs"),
-        ),
-        (
-            "crates/core/src/norm.rs",
-            include_str!("fixtures/interproc/det_conforming.rs"),
-        ),
-    ];
-    assert_eq!(lint("determinism", conforming).len(), 0);
-}
-
-#[test]
-fn unreachable_hashmap_is_not_a_determinism_finding() {
-    // The same HashMap helper with no root calling it: out of scope.
-    let diags = lint(
-        "determinism",
-        vec![(
-            "crates/core/src/norm.rs",
-            include_str!("fixtures/interproc/det_violating.rs"),
-        )],
-    );
-    assert_eq!(diags.len(), 0, "no root, no reach, no finding: {diags:?}");
-}
-
 /// The acceptance-criteria test: the real tree is taint-clean, and a
 /// deliberately injected raw-record→snapshot chain is caught — the
 /// injection lives only inside this test's in-memory copy, so the
@@ -299,57 +214,4 @@ fn real_tree_seeded_leak_through_storage_atomic_write_is_caught() {
         "finding names the sink: {}",
         d.message
     );
-}
-
-/// The other two analyses are also live against the real tree: seeding
-/// a panic chain behind a store pub API and a HashMap behind a release
-/// root both produce findings.
-#[test]
-fn real_tree_seeded_panic_and_hashmap_chains_are_caught() {
-    let rules = all_rules();
-
-    let mut ws = real_workspace();
-    ws.push_file(
-        "crates/math/src/debug_unwrap.rs",
-        "pub fn halve(n: u64) -> u64 { n.checked_div(2).unwrap() }\n",
-    );
-    ws.push_file(
-        "crates/store/src/debug_api.rs",
-        "use mdrr_math::debug_unwrap::halve;\n\
-         pub fn load_half(n: u64) -> u64 { halve(n) }\n",
-    );
-    let only = ["panic-reachability".to_string()];
-    let out = run_filtered(&ws, &rules, Some(&only));
-    assert_eq!(
-        out.diagnostics.len(),
-        1,
-        "seeded unwrap behind a store pub API: {:?}",
-        out.diagnostics
-    );
-    assert_eq!(out.diagnostics[0].file, "crates/math/src/debug_unwrap.rs");
-
-    let mut ws = real_workspace();
-    ws.push_file(
-        "crates/core/src/debug_order.rs",
-        "use std::collections::HashMap;\n\
-         pub fn jumble(counts: &[u64]) -> u64 {\n\
-             let mut m = HashMap::new();\n\
-             for (i, &c) in counts.iter().enumerate() { m.insert(i, c); }\n\
-             m.values().sum()\n\
-         }\n",
-    );
-    ws.push_file(
-        "crates/protocols/src/debug_release.rs",
-        "use mdrr_core::debug_order::jumble;\n\
-         pub fn release_from_counts(counts: &[u64]) -> u64 { jumble(counts) }\n",
-    );
-    let only = ["determinism".to_string()];
-    let out = run_filtered(&ws, &rules, Some(&only));
-    assert_eq!(
-        out.diagnostics.len(),
-        1,
-        "seeded HashMap behind a release root: {:?}",
-        out.diagnostics
-    );
-    assert_eq!(out.diagnostics[0].file, "crates/core/src/debug_order.rs");
 }

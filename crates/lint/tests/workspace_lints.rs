@@ -6,10 +6,13 @@
 //! A crate added without the opt-in would compile `unsafe` code silently;
 //! these tests fail instead.
 //!
-//! The panic-free, seeded-RNG and injected-clock contracts: the root
-//! `clippy.toml` disallows the ambient entropy and clock sources, and each
-//! no-panic root denies the panic vocabulary.  Dropping either would let
-//! CI's clippy step pass on a violation; these tests fail instead.
+//! The panic-free, seeded-RNG, injected-clock and ordered-iteration
+//! contracts: the root `clippy.toml` disallows the ambient entropy and
+//! clock sources and the hash-ordered collections, each no-panic root
+//! denies the panic vocabulary, and each library crate the store and
+//! checkpoint path reaches denies its explicit-panic half.  Dropping any
+//! of them would let CI's clippy step pass on a violation; these tests
+//! fail instead.
 
 use std::path::Path;
 
@@ -98,7 +101,8 @@ fn every_member_and_the_root_package_opt_into_the_workspace_lints() {
 }
 
 // ---------------------------------------------------------------------------
-// Clippy holds the panic-free, seeded-RNG and injected-clock contracts.
+// Clippy holds the panic-free, seeded-RNG, injected-clock and
+// ordered-iteration contracts.
 // ---------------------------------------------------------------------------
 
 const CLIPPY_TOML: &str = include_str!("../../../clippy.toml");
@@ -132,6 +136,35 @@ const NO_PANIC_ROOTS: [(&str, &str); 6] = [
     ),
 ];
 
+/// The library crates the store and checkpoint path reaches, with their
+/// roots' sources.
+const REACHED_LIBRARY_ROOTS: [(&str, &str); 6] = [
+    (
+        "crates/data/src/lib.rs",
+        include_str!("../../data/src/lib.rs"),
+    ),
+    (
+        "crates/math/src/lib.rs",
+        include_str!("../../math/src/lib.rs"),
+    ),
+    (
+        "crates/core/src/lib.rs",
+        include_str!("../../core/src/lib.rs"),
+    ),
+    (
+        "crates/protocols/src/lib.rs",
+        include_str!("../../protocols/src/lib.rs"),
+    ),
+    (
+        "crates/obs/src/lib.rs",
+        include_str!("../../obs/src/lib.rs"),
+    ),
+    (
+        "crates/stream/src/lib.rs",
+        include_str!("../../stream/src/lib.rs"),
+    ),
+];
+
 /// The deny list every no-panic root carries, one lint per line.
 const PANIC_DENY_LIST: [&str; 9] = [
     "clippy::unwrap_used",
@@ -152,6 +185,8 @@ fn clippy_toml_bans_ambient_entropy_and_clocks_and_exempts_only_tests() {
         "rand::SeedableRng::from_entropy",
         "std::time::Instant",
         "std::time::SystemTime",
+        "std::collections::HashMap",
+        "std::collections::HashSet",
     ] {
         assert!(
             CLIPPY_TOML.contains(&format!("{{ path = \"{path}\"")),
@@ -179,20 +214,45 @@ fn every_lint_excuse_must_state_a_reason() {
     );
 }
 
+/// The lints of `text`'s multi-line `#![deny(…)]`, one per line.
+fn deny_list<'a>(rel: &str, text: &'a str) -> Vec<&'a str> {
+    let start = text
+        .find("#![deny(\n")
+        .unwrap_or_else(|| panic!("{rel} carries no multi-line `#![deny(…)]`"));
+    text[start..]
+        .lines()
+        .skip(1)
+        .map(str::trim)
+        .take_while(|l| *l != ")]")
+        .map(|l| l.trim_end_matches(','))
+        .collect()
+}
+
 #[test]
 fn every_no_panic_root_denies_the_panic_vocabulary() {
     for (rel, text) in NO_PANIC_ROOTS {
-        let start = text
-            .find("#![deny(\n")
-            .unwrap_or_else(|| panic!("{rel} carries no multi-line `#![deny(…)]`"));
-        let list: Vec<&str> = text[start..]
-            .lines()
-            .skip(1)
-            .map(str::trim)
-            .take_while(|l| *l != ")]")
-            .map(|l| l.trim_end_matches(','))
-            .collect();
-        assert_eq!(list, PANIC_DENY_LIST, "{rel}: the deny list drifted");
+        assert_eq!(
+            deny_list(rel, text),
+            PANIC_DENY_LIST,
+            "{rel}: the deny list drifted"
+        );
+    }
+}
+
+/// Slice indexing is left out: the validated numeric kernels index by
+/// construction.
+#[test]
+fn every_reached_library_root_denies_explicit_panics() {
+    let explicit: Vec<&str> = PANIC_DENY_LIST
+        .into_iter()
+        .filter(|lint| *lint != "clippy::indexing_slicing")
+        .collect();
+    for (rel, text) in REACHED_LIBRARY_ROOTS {
+        assert_eq!(
+            deny_list(rel, text),
+            explicit,
+            "{rel}: the deny list drifted"
+        );
     }
 }
 
@@ -203,6 +263,8 @@ fn no_directive_names_a_rule_that_moved_to_clippy() {
         "no-panic-paths",
         "seeded-rng-only",
         "no-ambient-clock-in-lib",
+        "panic-reachability",
+        "determinism",
     ]
     .iter()
     .map(|id| format!("lint:allow({id}"))

@@ -25,8 +25,11 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `rows * cols` overflows `usize`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented overflow guard; dimensions reaching this from the release path are validated channel sizes whose square fits a Vec long before rows*cols can overflow usize"
+    )]
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        // lint:allow(panic-reachability, reason = "documented overflow guard; dimensions reaching this from the release path are validated channel sizes whose square fits a Vec long before rows*cols can overflow usize")
         let len = rows.checked_mul(cols).expect("matrix dimensions overflow");
         Matrix {
             rows,
@@ -45,6 +48,13 @@ impl Matrix {
     }
 
     /// Creates a matrix where every entry equals `value`.
+    ///
+    /// # Panics
+    /// Panics if `rows * cols` overflows `usize`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented overflow guard, as in `Matrix::zeros`"
+    )]
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         let len = rows.checked_mul(cols).expect("matrix dimensions overflow");
         Matrix {

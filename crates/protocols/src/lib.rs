@@ -62,6 +62,19 @@
 //! # Ok::<(), mdrr_protocols::MdrrError>(())
 //! ```
 
+// No explicit panic on the store and checkpoint path, which reaches this
+// crate: a malformed snapshot is a typed error, never an abort.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod adjustment;
 pub mod clustering;
 pub mod clusters;

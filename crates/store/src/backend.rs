@@ -30,7 +30,7 @@
 //!   operation index) succeeds unless the plan scripts another fault.
 
 use crate::error::StoreError;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -326,7 +326,7 @@ struct FaultState {
     /// Written-but-not-durably-synced files: path → last synced length.
     /// A crash truncates each to that length (removing files never
     /// synced at all).
-    dirty: HashMap<PathBuf, u64>,
+    dirty: BTreeMap<PathBuf, u64>,
 }
 
 /// A [`StorageBackend`] that executes real filesystem operations through
@@ -468,7 +468,7 @@ impl FaultyBackend {
     /// to its last synced length (files never synced are removed), the
     /// way a real power cut discards unflushed page-cache contents.
     fn lose_unsynced(state: &mut FaultState) {
-        for (path, synced_len) in state.dirty.drain() {
+        for (path, synced_len) in std::mem::take(&mut state.dirty) {
             if synced_len == 0 {
                 let _ = fs::remove_file(&path);
             } else if let Ok(file) = OpenOptions::new().write(true).open(&path) {

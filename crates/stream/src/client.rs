@@ -54,19 +54,15 @@ pub struct ClientConfig {
     /// Socket poll granularity: how long a blocking read waits before
     /// the deadline is re-checked.
     pub poll_interval_nanos: u64,
-    /// Optional client-side cap on the server-advertised window.
-    pub window_cap: Option<u32>,
 }
 
 impl Default for ClientConfig {
-    /// Default-policy dialing, a 5 s reply budget, 10 ms polls, and the
-    /// server's window as advertised.
+    /// Default-policy dialing, a 5 s reply budget and 10 ms polls.
     fn default() -> Self {
         ClientConfig {
             retry: RetryPolicy::default(),
             ack_timeout_nanos: 5_000_000_000,
             poll_interval_nanos: 10_000_000,
-            window_cap: None,
         }
     }
 }
@@ -179,8 +175,7 @@ impl WireClient {
         wire::write_frame(&mut self.stream, FrameType::Hello, &payload)?;
         self.expect_frame("awaiting hello ack", FrameType::HelloAck)?;
         let ack: HelloAck = wire::decode_json("hello ack", wire::frame_payload(&self.buf))?;
-        let cap = self.config.window_cap.unwrap_or(u32::MAX);
-        self.window = ack.window.min(cap).max(1);
+        self.window = ack.window.max(1);
         self.n_shards = ack.n_shards.max(1);
         Ok(())
     }
@@ -199,8 +194,7 @@ impl WireClient {
         self.handshake()
     }
 
-    /// The effective backpressure window (server-advertised, capped by
-    /// [`ClientConfig::window_cap`]).
+    /// The server-advertised backpressure window.
     pub fn window(&self) -> u32 {
         self.window
     }

@@ -95,6 +95,10 @@ impl Protocol for FaultyProtocol {
     ) -> Result<(), MdrrError> {
         self.inner.encode_batch(records, rng, out)
     }
+    #[expect(
+        clippy::panic,
+        reason = "the injected worker death is this wrapper's purpose"
+    )]
     fn encode_tally(
         &self,
         records: &RecordsView<'_>,

@@ -87,15 +87,6 @@ impl StreamObs {
     /// registry, the default journal capacity, and the store instruments
     /// registered alongside the stream ones.
     pub fn new(clock: Arc<dyn Clock>, n_shards: usize) -> Arc<Self> {
-        Self::with_journal_capacity(clock, n_shards, DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// [`StreamObs::new`] with an explicit journal capacity bound.
-    pub fn with_journal_capacity(
-        clock: Arc<dyn Clock>,
-        n_shards: usize,
-        journal_capacity: usize,
-    ) -> Arc<Self> {
         let registry = Arc::new(Registry::new());
         let store = StoreObs::new(Arc::clone(&clock), &registry);
         let shards = (0..n_shards)
@@ -122,7 +113,7 @@ impl StreamObs {
             checkpoint_bytes: registry.counter("store_checkpoint_bytes_total"),
             restores_total: registry.counter("store_restores_total"),
             restore_nanos: registry.histogram("store_restore_nanos"),
-            journal: Arc::new(Journal::new(journal_capacity)),
+            journal: Arc::new(Journal::new(DEFAULT_JOURNAL_CAPACITY)),
             shards,
             store,
             clock,
