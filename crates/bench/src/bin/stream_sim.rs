@@ -48,14 +48,15 @@
 //! exit, so it rejects `--checkpoint-dir`.  `--out chaos_soak.json`
 //! persists the evidence (the CI chaos job asserts `report_loss == 0`).
 //!
-//! Observability: `--metrics-out PATH` attaches the `mdrr-obs`
-//! instrumentation (per-shard report/batch counters, ingest latency
-//! histograms, checkpoint/restore durations and byte counts, an imbalance
-//! gauge and a bounded event journal) and writes the full metrics + event
-//! JSON at exit; each round then also prints ingest latency percentiles.
-//! Without the flag the collector runs uninstrumented.  All wall-clock
-//! reads go through one injected monotonic clock.  Performance numbers
-//! come from `collectbench`, not from this binary.
+//! Observability: the collector always runs instrumented on the run's
+//! one injected monotonic clock (per-shard report/batch counters, ingest
+//! latency histograms, checkpoint/restore durations and byte counts, an
+//! imbalance gauge and a bounded event journal), and merge mode always
+//! observes its snapshot reads and the merge.  `--metrics-out PATH`
+//! decides only whether the full metrics + event JSON is written at exit
+//! and whether each round also prints ingest latency percentiles, so a
+//! plain run's stdout carries no timings.  Performance numbers come from
+//! `collectbench`, not from this binary.
 //!
 //! The snapshot estimates are numerically identical to the batch-path
 //! estimates on the same randomized codes; that equivalence is pinned by
@@ -64,13 +65,13 @@
 
 use mdrr_bench::maybe_write_json;
 use mdrr_data::{adult_schema, AdultSynthesizer, RecordsBuffer, RecordsView, Schema};
-use mdrr_obs::{Clock, HistogramSnapshot, MonotonicClock};
+use mdrr_obs::{Clock, HistogramSnapshot, Journal, MonotonicClock, Registry};
 use mdrr_protocols::{
     Clustering, FrequencyEstimator, MdrrError, Protocol, ProtocolSpec, RandomizationLevel,
 };
 use mdrr_store::{
-    merge_snapshots, read_checkpoint, salvage_checkpoint, FaultPlan, FaultyBackend, RetryPolicy,
-    Snapshot, Storage, StorageBackend,
+    merge_snapshots_observed, read_checkpoint, salvage_checkpoint, FaultPlan, FaultyBackend,
+    RetryPolicy, Snapshot, Storage, StorageBackend, StoreObs,
 };
 use mdrr_stream::{offset_base_seed, FaultyProtocol, ShardedCollector, StreamObs};
 use rand::rngs::StdRng;
@@ -358,27 +359,22 @@ struct MergeReport {
 /// compatibility, sum counts exactly, and estimate from the pooled
 /// sufficient statistics.
 fn run_merge(options: &Options) {
-    // `--metrics-out` in merge mode observes the store paths: snapshot
-    // reads (durations, bytes, CRC time) and the merge itself.
-    let obs = options.metrics_out.as_ref().map(|_| {
-        let registry = mdrr_obs::Registry::new();
-        let store = mdrr_store::StoreObs::new(Arc::new(MonotonicClock::new()), &registry);
-        (registry, store)
-    });
-    let store_obs = obs.as_ref().map(|(_, store)| store);
-    let storage = match store_obs {
-        Some(o) => Storage::os().with_obs(o.clone()),
-        None => Storage::os(),
-    };
+    // Merge mode observes the store paths: snapshot reads (durations,
+    // bytes, CRC time) and the merge itself.
+    let registry = Registry::new();
+    let journal = Arc::new(Journal::new(mdrr_stream::DEFAULT_JOURNAL_CAPACITY));
+    let obs = StoreObs::new(
+        Arc::new(MonotonicClock::new()),
+        &registry,
+        Arc::clone(&journal),
+    );
+    let storage = Storage::os().with_obs(obs.clone());
     let mut snapshots = Vec::new();
     for operand in &options.merge {
         snapshots.extend(merge_operand_snapshots(operand, &storage).unwrap_or_else(|e| die(e)));
     }
-    let merged = match store_obs {
-        Some(o) => mdrr_store::merge_snapshots_observed(&snapshots, o),
-        None => merge_snapshots(&snapshots),
-    }
-    .unwrap_or_else(|e| die(format!("merging {} snapshots: {e}", snapshots.len())));
+    let merged = merge_snapshots_observed(&snapshots, &obs)
+        .unwrap_or_else(|e| die(format!("merging {} snapshots: {e}", snapshots.len())));
     println!("{}", "=".repeat(72));
     println!(
         "stream_sim --merge: pooled {} snapshot files from {} operands",
@@ -438,9 +434,12 @@ fn run_merge(options: &Options) {
         merged_out: options.merged_out.as_ref().map(|p| p.display().to_string()),
         marginals,
     };
-    if let (Some(path), Some((registry, _))) = (&options.metrics_out, &obs) {
-        std::fs::write(path, mdrr_obs::to_json(&registry.snapshot(), &[]))
-            .unwrap_or_else(|e| die(format!("cannot write {}: {e}", path.display())));
+    if let Some(path) = &options.metrics_out {
+        std::fs::write(
+            path,
+            mdrr_obs::to_json(&registry.snapshot(), &journal.events()),
+        )
+        .unwrap_or_else(|e| die(format!("cannot write {}: {e}", path.display())));
         println!("metrics written to {}", path.display());
     }
     let cli = mdrr_bench::CliOptions {
@@ -727,23 +726,19 @@ fn main() {
 /// `None` when the run ends early (`--kill-after`, or a resume with
 /// nothing left to do).
 fn simulate(mut options: Options) -> Option<(ShardedCollector, Option<ChaosReport>)> {
-    // The one clock of the whole run: the `--metrics-out`
-    // instrumentation and the chaos recovery latencies read wall-clock
-    // time through this injected monotonic source.
+    // The one clock of the whole run: the instrumentation and the chaos
+    // recovery latencies read wall-clock time through this injected
+    // monotonic source.
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
 
     // Assemble the run: fresh, or restored from a checkpoint directory.
     // On resume, the run's targets (clients, rounds, seed, protocol)
     // come from the persisted state — the original
     // invocation's contract — not from this invocation's flags.
-    let (spec, mut collector, obs, mut state, mut chaos) = match options.resume.clone() {
+    let (spec, mut collector, mut state, mut chaos) = match options.resume.clone() {
         Some(dir) => {
-            let (restored, obs) = match options.metrics_out {
-                Some(_) => ShardedCollector::restore_observed(&dir, Arc::clone(&clock))
-                    .map(|(restored, obs)| (restored, Some(obs))),
-                None => ShardedCollector::restore(&dir).map(|restored| (restored, None)),
-            }
-            .unwrap_or_else(|e| die(format!("cannot resume from {}: {e}", dir.display())));
+            let restored = ShardedCollector::restore_observed(&dir, Arc::clone(&clock))
+                .unwrap_or_else(|e| die(format!("cannot resume from {}: {e}", dir.display())));
             let app = restored.app_state.unwrap_or_else(|| {
                 die(format!(
                     "{} carries no stream_sim resume state (was it written by a library \
@@ -771,7 +766,7 @@ fn simulate(mut options: Options) -> Option<(ShardedCollector, Option<ChaosRepor
                 state.clients_done,
                 state.clients
             );
-            (restored.spec, restored.collector, obs, state, None)
+            (restored.spec, restored.collector, state, None)
         }
         None => {
             let (spec, schema) = build_spec(&options).unwrap_or_else(|e| die(e));
@@ -785,13 +780,9 @@ fn simulate(mut options: Options) -> Option<(ShardedCollector, Option<ChaosRepor
             };
             let mut collector =
                 ShardedCollector::new(protocol, options.shards).unwrap_or_else(|e| die(e));
-            let obs = options.metrics_out.is_some().then(|| {
-                let obs = StreamObs::new(Arc::clone(&clock), options.shards);
-                collector
-                    .instrument(Arc::clone(&obs))
-                    .unwrap_or_else(|e| die(format!("cannot instrument collector: {e}")));
-                obs
-            });
+            collector
+                .instrument(StreamObs::new(Arc::clone(&clock), options.shards))
+                .unwrap_or_else(|e| die(format!("cannot instrument collector: {e}")));
             let state = ResumeState {
                 seed: options.seed,
                 clients: options.clients,
@@ -807,7 +798,7 @@ fn simulate(mut options: Options) -> Option<(ShardedCollector, Option<ChaosRepor
                     .map(|&c| vec![0u64; c])
                     .collect(),
             };
-            (spec, collector, obs, state, chaos)
+            (spec, collector, state, chaos)
         }
     };
     if state.rounds_done >= options.rounds {
@@ -889,8 +880,8 @@ fn simulate(mut options: Options) -> Option<(ShardedCollector, Option<ChaosRepor
             }
         }
         println!("round {round:>3}: {total:>9} reports total | max marginal error {max_error:.5}");
-        if let Some(obs) = &obs {
-            print_progress(obs);
+        if options.metrics_out.is_some() {
+            print_progress(collector.instrumentation());
         }
         rounds.push(RoundReport {
             round,
@@ -919,8 +910,8 @@ fn simulate(mut options: Options) -> Option<(ShardedCollector, Option<ChaosRepor
                 // The simulated crash happens *after* the checkpoint
                 // committed, so the metrics of the killed process are
                 // still worth inspecting — flush them before dying.
-                if let (Some(path), Some(obs)) = (&options.metrics_out, &obs) {
-                    write_metrics(path, obs);
+                if let Some(path) = &options.metrics_out {
+                    write_metrics(path, collector.instrumentation());
                 }
                 return None;
             }
@@ -934,8 +925,8 @@ fn simulate(mut options: Options) -> Option<(ShardedCollector, Option<ChaosRepor
         "final max marginal error: {final_error:.5} ({} snapshot vs generated ground truth)",
         if chaos.is_some() { "chaos" } else { "streamed" }
     );
-    if let (Some(path), Some(obs)) = (&options.metrics_out, &obs) {
-        write_metrics(path, obs);
+    if let Some(path) = &options.metrics_out {
+        write_metrics(path, collector.instrumentation());
     }
     let cli = mdrr_bench::CliOptions {
         output: options.output.clone(),

@@ -6,9 +6,9 @@
 //! more candidate targets.  Unresolvable sites (std, vendored shims,
 //! constructors) contribute no edges; over-approximation is confined to
 //! method calls on untypeable receivers, where candidates are limited
-//! to crates the calling file imports.  On top of the edge sets the
-//! graph offers predecessor-tracking BFS so analyses can print the full
-//! call chain behind every finding.
+//! to crates the calling file imports.  The graph keeps the call sites
+//! per caller and the reverse edges (callee → callers), which
+//! privacy-taint walks to name the call chain behind a finding.
 
 use super::items::match_paren;
 use super::symbols::{Callee, FnId, SymbolTable};
@@ -32,14 +32,12 @@ pub struct CallSite {
     pub args: (usize, usize),
 }
 
-/// The workspace call graph: every call site, plus forward and reverse
-/// edge sets over resolved targets.
+/// The workspace call graph: every call site, plus the reverse edge
+/// set over resolved targets.
 #[derive(Debug, Default)]
 pub struct CallGraph {
     /// Every call site, in (file, token) order.
     pub sites: Vec<CallSite>,
-    /// caller → resolved callees.
-    pub edges: BTreeMap<FnId, BTreeSet<FnId>>,
     /// callee → callers.
     pub redges: BTreeMap<FnId, BTreeSet<FnId>>,
     /// caller → indices into `sites`.
@@ -68,7 +66,6 @@ impl CallGraph {
                     continue;
                 };
                 for &t in &site.targets {
-                    g.edges.entry(caller).or_default().insert(t);
                     g.redges.entry(t).or_default().insert(caller);
                 }
                 g.sites_by_fn.entry(caller).or_default().push(g.sites.len());
@@ -223,6 +220,15 @@ mod tests {
         st.fns.iter().position(|f| f.name == name).unwrap()
     }
 
+    /// The resolved callees of `caller`, read off the reverse edges.
+    fn callees(g: &CallGraph, caller: FnId) -> BTreeSet<FnId> {
+        g.redges
+            .iter()
+            .filter(|(_, callers)| callers.contains(&caller))
+            .map(|(&callee, _)| callee)
+            .collect()
+    }
+
     #[test]
     fn three_call_shapes_produce_edges() {
         let (st, g) = graph(vec![(
@@ -232,7 +238,7 @@ mod tests {
                  pub fn caller(t: &T) { free(); crate::free(); t.m(); }\n",
         )]);
         let caller = id(&st, "caller");
-        let callees = g.edges.get(&caller).unwrap();
+        let callees = callees(&g, caller);
         assert!(callees.contains(&id(&st, "free")));
         assert!(callees.contains(&id(&st, "m")));
         // `free` is reached by two sites but is one edge.
@@ -249,7 +255,7 @@ mod tests {
              pub fn go(&self) { self.helper(); Self::assoc(); }\n}\n",
         )]);
         let go = id(&st, "go");
-        let callees = g.edges.get(&go).unwrap();
+        let callees = callees(&g, go);
         assert!(callees.contains(&id(&st, "helper")));
         assert!(callees.contains(&id(&st, "assoc")));
     }
@@ -261,6 +267,6 @@ mod tests {
             "pub fn f() -> Option<u32> { Some(std::mem::take(&mut 0)); Vec::new(); None }\n",
         )]);
         let f = id(&st, "f");
-        assert!(!g.edges.contains_key(&f));
+        assert!(callees(&g, f).is_empty());
     }
 }

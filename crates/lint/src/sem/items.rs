@@ -40,10 +40,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Byte offset of the `fn` keyword (for test-range checks).
     pub byte_start: usize,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
 }
 
 /// One leaf of a `use` declaration: `alias` names `segments` locally.
@@ -336,8 +332,6 @@ fn parse_fn(
         params,
         body,
         byte_start: tok.map(|t| t.start).unwrap_or(0),
-        line: tok.map(|t| t.line).unwrap_or(1),
-        col: tok.map(|t| t.col).unwrap_or(1),
     });
     if body.is_some() {
         open_fns.push((fns.len() - 1, scopes.len()));

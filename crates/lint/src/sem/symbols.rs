@@ -44,10 +44,6 @@ pub struct FnDef {
     pub body: Option<(usize, usize)>,
     /// The owning file's kind (lib, bin, …).
     pub kind: FileKind,
-    /// 1-based position of the `fn` keyword.
-    pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
 }
 
 impl FnDef {
@@ -183,8 +179,6 @@ impl SymbolTable {
                     params: f.params,
                     body: f.body,
                     kind: file.kind,
-                    line: f.line,
-                    col: f.col,
                 };
                 st.by_name.entry(def.name.clone()).or_default().push(id);
                 if let Some(t) = &def.self_type {
@@ -212,11 +206,6 @@ impl SymbolTable {
     /// The function at `id`.
     pub fn def(&self, id: FnId) -> &FnDef {
         &self.fns[id]
-    }
-
-    /// Whether `name` is a type that owns methods in the workspace.
-    pub fn is_known_type(&self, name: &str) -> bool {
-        self.known_types.contains(name)
     }
 
     /// The first workspace type name mentioned in a type text

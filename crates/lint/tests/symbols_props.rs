@@ -93,10 +93,11 @@ proptest! {
             .expect("target indexed");
         let caller = st.fns.iter().position(|f| f.name == "caller").expect("caller indexed");
         let callees: Vec<_> = g
-            .edges
-            .get(&caller)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+            .redges
+            .iter()
+            .filter(|(_, callers)| callers.contains(&caller))
+            .map(|(&callee, _)| callee)
+            .collect();
         prop_assert_eq!(callees, vec![target], "path {:?}", path);
     }
 
@@ -132,10 +133,11 @@ proptest! {
         prop_assert_eq!(&st.fns[target].module, &expected, "module path recovered");
         let caller = st.fns.iter().position(|f| f.name == "caller").expect("caller indexed");
         let callees: Vec<_> = g
-            .edges
-            .get(&caller)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+            .redges
+            .iter()
+            .filter(|(_, callers)| callers.contains(&caller))
+            .map(|(&callee, _)| callee)
+            .collect();
         prop_assert_eq!(callees, vec![target], "path {:?}", path);
     }
 }

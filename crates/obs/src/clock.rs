@@ -112,9 +112,10 @@ impl Clock for MonotonicClock {
     }
 }
 
-/// The observability-off clock: always reads 0 and reports itself
-/// disabled, so instrumented library code skips every timing section and
-/// stays byte-identical to uninstrumented output.
+/// The timing-off clock: always reads 0 and reports itself disabled, so
+/// instrumented library code skips every timing section while its
+/// counters and journal keep recording (events stamped 0).  It is the
+/// default clock of every collector and daemon.
 ///
 /// ```
 /// use mdrr_obs::{Clock, NullClock};

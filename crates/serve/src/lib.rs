@@ -20,8 +20,9 @@
 //!   module);
 //! * [`ServeConfig`] — shards, backpressure window, payload cap, poll
 //!   interval, frame budget ([`config`]);
-//! * [`ServeObs`] — opt-in counters, histograms and journal events for
-//!   the wire boundary ([`obs`]);
+//! * [`ServeObs`] — counters, histograms and journal events for the
+//!   wire boundary, always attached and timed only on an enabled clock
+//!   ([`obs`]);
 //! * [`ServeError`] — lifecycle failures ([`error`]).
 //!
 //! The client half — [`mdrr_stream::WireClient`] — lives in

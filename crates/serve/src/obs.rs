@@ -1,8 +1,10 @@
-//! Opt-in daemon observability: counters, histograms and journal events
-//! for the wire boundary.
+//! Daemon observability: counters, histograms and journal events for
+//! the wire boundary.
 //!
-//! Attaching a [`ServeObs`] to a [`crate::CollectorServer`] makes the
-//! daemon meter what it does without changing what it does — the same
+//! Every [`crate::CollectorServer`] meters into a [`ServeObs`]: the one
+//! passed to `bind`, or else a bundle on a disabled clock
+//! ([`mdrr_obs::NullClock`]), which counts and journals but times
+//! nothing.  Metering never changes what the daemon does — the same
 //! contract as the stream layer's `StreamObs`.  Metric catalog (all in
 //! one [`Registry`], exported via `mdrr_obs::to_json` /
 //! `mdrr_obs::to_prometheus`):
@@ -20,8 +22,9 @@
 //! | `serve_ingest_nanos` | histogram | — | collector ingest time per batch |
 //!
 //! Journal events: `connection_opened`, `connection_closed`,
-//! `server_drained` (plus the stream layer's own events if the collector
-//! is separately instrumented).
+//! `server_drained`.  The daemon's collector keeps the stream layer's
+//! own counters and journal (`ShardedCollector::instrumentation` on the
+//! drained collector).
 
 use mdrr_obs::{Clock, Counter, EventKind, Gauge, Histogram, Journal, Registry};
 use mdrr_stream::{FrameType, WireError};

@@ -23,7 +23,7 @@ use crate::error::ServeError;
 use crate::obs::ServeObs;
 use crate::session;
 use mdrr_data::Schema;
-use mdrr_obs::Clock;
+use mdrr_obs::{Clock, NullClock};
 use mdrr_protocols::ProtocolSpec;
 use mdrr_store::Storage;
 use mdrr_stream::{CheckpointManifest, ShardedCollector};
@@ -41,7 +41,7 @@ pub(crate) struct Shared {
     pub(crate) spec: ProtocolSpec,
     pub(crate) config: ServeConfig,
     pub(crate) clock: Arc<dyn Clock>,
-    pub(crate) obs: Option<Arc<ServeObs>>,
+    pub(crate) obs: Arc<ServeObs>,
     pub(crate) shutdown: AtomicBool,
     /// Reports ingested *and therefore owed (or already sent) an ack*.
     pub(crate) acked_reports: AtomicU64,
@@ -127,7 +127,9 @@ impl DrainedCollector {
 
 impl CollectorServer {
     /// Builds the collector for `spec` over `schema`, binds `addr`
-    /// (use port 0 for an ephemeral port) and starts accepting.
+    /// (use port 0 for an ephemeral port) and starts accepting.  The
+    /// daemon meters into `obs`; `None` gives it a bundle on a disabled
+    /// clock, which counts without timing.
     pub fn bind(
         addr: impl ToSocketAddrs,
         schema: &Schema,
@@ -152,7 +154,7 @@ impl CollectorServer {
             spec: spec.clone(),
             config,
             clock,
-            obs,
+            obs: obs.unwrap_or_else(|| ServeObs::new(Arc::new(NullClock))),
             shutdown: AtomicBool::new(false),
             acked_reports: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
@@ -199,9 +201,7 @@ impl CollectorServer {
         }
         let acked_reports = self.shared.acked_reports.load(Ordering::SeqCst);
         let connections = self.shared.connections_total.load(Ordering::SeqCst);
-        if let Some(obs) = &self.shared.obs {
-            obs.drained(connections, acked_reports);
-        }
+        self.shared.obs.drained(connections, acked_reports);
         let spec = self.shared.spec.clone();
         let schema = self.shared.schema.clone();
         // Every session has joined, so this handle is normally the last
@@ -254,9 +254,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     .open_connections
                     .fetch_add(1, Ordering::SeqCst)
                     .saturating_add(1);
-                if let Some(obs) = &shared.obs {
-                    obs.connection_opened(conn, open);
-                }
+                shared.obs.connection_opened(conn, open);
                 let shared_for_session = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
                     .name(format!("mdrr-serve-conn-{conn}"))
@@ -270,9 +268,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                             .open_connections
                             .fetch_sub(1, Ordering::SeqCst)
                             .saturating_sub(1);
-                        if let Some(obs) = &shared.obs {
-                            obs.connection_closed(conn, 0, open);
-                        }
+                        shared.obs.connection_closed(conn, 0, open);
                     }
                 }
                 // Reap sessions that already finished, so a long-lived

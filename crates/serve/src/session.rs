@@ -44,9 +44,7 @@ pub(crate) fn run(shared: Arc<Shared>, stream: TcpStream, conn: u64) {
     let reports = match Session::new(&shared, stream) {
         Ok(mut session) => session.serve(),
         Err(e) => {
-            if let Some(obs) = &shared.obs {
-                obs.reject(&e);
-            }
+            shared.obs.reject(&e);
             0
         }
     };
@@ -54,9 +52,7 @@ pub(crate) fn run(shared: Arc<Shared>, stream: TcpStream, conn: u64) {
         .open_connections
         .fetch_sub(1, Ordering::SeqCst)
         .saturating_sub(1);
-    if let Some(obs) = &shared.obs {
-        obs.connection_closed(conn, reports, open);
-    }
+    shared.obs.connection_closed(conn, reports, open);
 }
 
 struct Session<'a> {
@@ -179,9 +175,7 @@ impl<'a> Session<'a> {
         let max_payload = shared.config.max_payload;
         let got = wire::read_frame_within(&mut self.stream, &mut self.buf, max_payload, &mut wait)?;
         if let Some(frame_type) = got {
-            if let Some(obs) = &shared.obs {
-                obs.frame_read(frame_type, self.buf.len() as u64);
-            }
+            shared.obs.frame_read(frame_type, self.buf.len() as u64);
         }
         Ok(got)
     }
@@ -270,13 +264,11 @@ impl<'a> Session<'a> {
                     .fetch_add(n, Ordering::SeqCst)
                     .saturating_add(n);
                 self.acked = self.acked.saturating_add(n);
-                if let Some(obs) = &shared.obs {
-                    obs.batch_ingested(
-                        n,
-                        ingest_begin.saturating_sub(decode_begin),
-                        ingest_end.saturating_sub(ingest_begin),
-                    );
-                }
+                shared.obs.batch_ingested(
+                    n,
+                    ingest_begin.saturating_sub(decode_begin),
+                    ingest_end.saturating_sub(ingest_begin),
+                );
                 self.send_payload(
                     FrameType::BatchAck,
                     &wire::encode_batch_ack(header.seq, total),
@@ -355,9 +347,7 @@ impl<'a> Session<'a> {
     fn send_payload(&mut self, frame_type: FrameType, payload: &[u8]) -> bool {
         match wire::write_frame(&mut self.stream, frame_type, payload) {
             Ok(bytes) => {
-                if let Some(obs) = &self.shared.obs {
-                    obs.frame_written(bytes as u64);
-                }
+                self.shared.obs.frame_written(bytes as u64);
                 true
             }
             Err(e) => {
@@ -383,15 +373,11 @@ impl<'a> Session<'a> {
     fn send_error(&mut self, code: u16, message: &str) {
         let payload = wire::encode_error_payload(code, message);
         if let Ok(bytes) = wire::write_frame(&mut self.stream, FrameType::Error, &payload) {
-            if let Some(obs) = &self.shared.obs {
-                obs.frame_written(bytes as u64);
-            }
+            self.shared.obs.frame_written(bytes as u64);
         }
     }
 
     fn reject(&self, e: &WireError) {
-        if let Some(obs) = &self.shared.obs {
-            obs.reject(e);
-        }
+        self.shared.obs.reject(e);
     }
 }

@@ -15,14 +15,14 @@
 //! bounded exponential backoff, timed by an injected
 //! [`Clock`] — never ambient time.  [`Storage::os`] is the production
 //! handle; [`Storage::with_obs`] makes its snapshot reads and writes
-//! record metrics.
+//! record metrics and its exhausted retries land in a journal.
 
 use crate::backend::{OsBackend, StorageBackend};
 use crate::error::StoreError;
 use crate::obs::StoreObs;
 use crate::retry::RetryPolicy;
 use crate::snapshot::Snapshot;
-use mdrr_obs::{Clock, EventKind, Journal, NullClock};
+use mdrr_obs::{Clock, EventKind, NullClock};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -44,9 +44,10 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 }
 
 /// A storage handle: a [`StorageBackend`] plus the [`RetryPolicy`] and
-/// injected [`Clock`] that govern transient-failure retries, an
-/// optional [`Journal`] that records `retry_exhausted` events, and
-/// optional [`StoreObs`] instruments for snapshot reads and writes.
+/// injected [`Clock`] that govern transient-failure retries, and
+/// optional [`StoreObs`] instruments for snapshot reads and writes,
+/// whose journal records `retry_exhausted` and `salvage_completed`
+/// events.
 ///
 /// [`Storage::os`] is the production default (real filesystem, default
 /// retry bounds, no waiting clock — transient retries re-execute
@@ -67,7 +68,6 @@ pub struct Storage {
     backend: Arc<dyn StorageBackend>,
     retry: RetryPolicy,
     clock: Arc<dyn Clock>,
-    journal: Option<Arc<Journal>>,
     obs: Option<StoreObs>,
 }
 
@@ -95,29 +95,22 @@ impl Storage {
             backend,
             retry,
             clock,
-            journal: None,
             obs: None,
         }
-    }
-
-    /// Attaches a journal: every exhausted retry loop records a
-    /// `retry_exhausted` event with the attempts spent.
-    pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
-        self.journal = Some(journal);
-        self
     }
 
     /// Attaches store instruments: every [`Storage::write_snapshot`]
     /// then records the write count, serialized byte count and wall
     /// time, and every [`Storage::read_snapshot`] the read count, file
     /// byte count, wall time and, separately, the CRC-64 verification
-    /// time (the checksum is hashed once, inside decoding).  The file
-    /// operations are identical; under a disabled clock only the
-    /// counters move.
+    /// time (the checksum is hashed once, inside decoding).  Every
+    /// exhausted retry loop records a `retry_exhausted` event, with the
+    /// attempts spent, in the instruments' journal.  The file operations
+    /// are identical; under a disabled clock only the counters move.
     ///
     /// ```
     /// use mdrr_data::{Attribute, Schema};
-    /// use mdrr_obs::{MonotonicClock, Registry};
+    /// use mdrr_obs::{Journal, MonotonicClock, Registry};
     /// use mdrr_protocols::{ProtocolSpec, RandomizationLevel};
     /// use mdrr_store::{Snapshot, Storage, StoreObs};
     /// use std::sync::Arc;
@@ -128,7 +121,8 @@ impl Storage {
     /// let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
     /// let snapshot = Snapshot::new(schema, spec, vec![vec![2, 2]], 4)?;
     /// let registry = Registry::new();
-    /// let obs = StoreObs::new(Arc::new(MonotonicClock::new()), &registry);
+    /// let journal = Arc::new(Journal::new(16));
+    /// let obs = StoreObs::new(Arc::new(MonotonicClock::new()), &registry, journal);
     /// let storage = Storage::os().with_obs(obs);
     /// let bytes = storage.write_snapshot(&path, &snapshot)?;
     /// let metrics = registry.snapshot();
@@ -142,10 +136,11 @@ impl Storage {
         self
     }
 
-    /// Records `kind` in the attached journal (a no-op without one).
+    /// Records `kind` in the attached instruments' journal (a no-op
+    /// without instruments).
     pub(crate) fn record_event(&self, kind: EventKind) {
-        if let Some(journal) = &self.journal {
-            journal.record(self.clock.now_nanos(), kind);
+        if let Some(obs) = &self.obs {
+            obs.record_event(kind);
         }
     }
 
@@ -252,7 +247,7 @@ impl Storage {
     ///
     /// ```
     /// use mdrr_data::{Attribute, Schema};
-    /// use mdrr_obs::{MonotonicClock, Registry};
+    /// use mdrr_obs::{Journal, MonotonicClock, Registry};
     /// use mdrr_protocols::{ProtocolSpec, RandomizationLevel};
     /// use mdrr_store::{Snapshot, Storage, StoreObs};
     /// use std::sync::Arc;
@@ -264,7 +259,8 @@ impl Storage {
     /// let snapshot = Snapshot::new(schema, spec, vec![vec![2, 2]], 4)?;
     /// let bytes = Storage::os().write_snapshot(&path, &snapshot)?;
     /// let registry = Registry::new();
-    /// let obs = StoreObs::new(Arc::new(MonotonicClock::new()), &registry);
+    /// let journal = Arc::new(Journal::new(16));
+    /// let obs = StoreObs::new(Arc::new(MonotonicClock::new()), &registry, journal);
     /// let storage = Storage::os().with_obs(obs);
     /// assert_eq!(storage.read_snapshot(&path)?, snapshot);
     /// let metrics = registry.snapshot();

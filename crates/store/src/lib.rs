@@ -17,11 +17,12 @@
 //!   mid-write can never leave a torn snapshot, and any corruption
 //!   (truncation, flipped bytes, foreign files) surfaces as a typed
 //!   [`StoreError`], never a panic.
-//! * [`StoreObs`] — optional instrumentation: attached to a handle with
+//! * [`StoreObs`] — instrumentation: attached to a handle with
 //!   [`Storage::with_obs`] (and passed to [`merge_snapshots_observed`]),
 //!   it records durations, byte counts and CRC verification time into an
-//!   injected `mdrr_obs` registry, timed by an injected clock (never an
-//!   ambient one); a handle without it does no metric work.
+//!   injected `mdrr_obs` registry and exhausted retries and salvages into
+//!   an injected journal, timed by an injected clock (never an ambient
+//!   one); a handle without it does no metric work.
 //! * [`merge_snapshots`] / [`merge_snapshot_files`] — exact pooling of the
 //!   shards of any number of collector processes: spec compatibility is
 //!   verified, counts are summed with overflow checks, and the merged

@@ -136,7 +136,7 @@ pub fn merge_snapshot_files<P: AsRef<Path>>(paths: &[P]) -> Result<Snapshot, Sto
 ///
 /// ```
 /// use mdrr_data::{Attribute, Schema};
-/// use mdrr_obs::{MonotonicClock, Registry};
+/// use mdrr_obs::{Journal, MonotonicClock, Registry};
 /// use mdrr_protocols::{ProtocolSpec, RandomizationLevel};
 /// use mdrr_store::{merge_snapshots, merge_snapshots_observed, Snapshot, StoreObs};
 /// use std::sync::Arc;
@@ -147,7 +147,7 @@ pub fn merge_snapshot_files<P: AsRef<Path>>(paths: &[P]) -> Result<Snapshot, Sto
 /// let b = Snapshot::new(schema, spec, vec![vec![2, 4]], 6)?;
 ///
 /// let registry = Registry::new();
-/// let obs = StoreObs::new(Arc::new(MonotonicClock::new()), &registry);
+/// let obs = StoreObs::new(Arc::new(MonotonicClock::new()), &registry, Arc::new(Journal::new(16)));
 /// let pooled = merge_snapshots_observed([&a, &b], &obs)?;
 /// assert_eq!(pooled, merge_snapshots([&a, &b])?);
 /// assert_eq!(registry.snapshot().counter_value("store_merges_total", &[]), Some(1));

@@ -1,14 +1,18 @@
-//! Optional store instrumentation: durations, byte counts and CRC
-//! verification time for snapshot I/O and merging.
+//! Store instrumentation: durations, byte counts and CRC verification
+//! time for snapshot I/O and merging, and journal events for exhausted
+//! retries and salvage.
 //!
 //! [`StoreObs`] bundles the injected [`Clock`] with the store's
-//! instruments, registered into a caller-supplied
-//! [`Registry`] so one registry can hold the whole
-//! pipeline's metrics.  Snapshot I/O is observed by attaching the
-//! instruments to a storage handle ([`crate::Storage::with_obs`]);
-//! merging by [`crate::merge_snapshots_observed`].  A handle without
-//! instruments does no metric work, and an observed path under a
-//! [`NullClock`](mdrr_obs::NullClock) skips all timing work.
+//! instruments, registered into a caller-supplied [`Registry`], and a
+//! caller-supplied [`Journal`], so one registry and one journal can hold
+//! the whole pipeline's record.  Snapshot I/O is observed by attaching
+//! the instruments to a storage handle ([`crate::Storage::with_obs`]);
+//! merging by [`crate::merge_snapshots_observed`].  The clock decides
+//! whether anything is timed: under a
+//! [`NullClock`](mdrr_obs::NullClock) only the counters move and
+//! journal events carry timestamp 0.  The stream layer's collectors
+//! always carry one (`mdrr_stream::StreamObs`), so their checkpoints and
+//! restores are always counted.
 //!
 //! Metric catalog (all registered on construction, so exports always show
 //! the full set even before the first write):
@@ -25,18 +29,20 @@
 //! | `store_merges_total` | counter | merge operations |
 //! | `store_merge_nanos` | histogram | per-merge wall time |
 
-use mdrr_obs::{Clock, Counter, Histogram, Registry};
+use mdrr_obs::{Clock, Counter, EventKind, Histogram, Journal, Registry};
 use std::sync::Arc;
 
-/// The store's instruments plus the clock that times them.
+/// The store's instruments, the clock that times them and the journal
+/// that records retry and salvage events.
 ///
 /// ```
-/// use mdrr_obs::{MonotonicClock, Registry};
+/// use mdrr_obs::{Journal, MonotonicClock, Registry};
 /// use mdrr_store::StoreObs;
 /// use std::sync::Arc;
 ///
 /// let registry = Registry::new();
-/// let obs = StoreObs::new(Arc::new(MonotonicClock::new()), &registry);
+/// let journal = Arc::new(Journal::new(16));
+/// let obs = StoreObs::new(Arc::new(MonotonicClock::new()), &registry, journal);
 /// assert!(obs.clock().enabled());
 /// // All store metrics exist from construction.
 /// let snapshot = registry.snapshot();
@@ -46,6 +52,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct StoreObs {
     clock: Arc<dyn Clock>,
+    journal: Arc<Journal>,
     pub(crate) writes: Arc<Counter>,
     pub(crate) write_nanos: Arc<Histogram>,
     pub(crate) bytes_written: Arc<Counter>,
@@ -59,10 +66,11 @@ pub struct StoreObs {
 
 impl StoreObs {
     /// Registers the store's instruments in `registry` and binds them to
-    /// `clock`.
-    pub fn new(clock: Arc<dyn Clock>, registry: &Registry) -> Self {
+    /// `clock`; events go to `journal`.
+    pub fn new(clock: Arc<dyn Clock>, registry: &Registry, journal: Arc<Journal>) -> Self {
         StoreObs {
             clock,
+            journal,
             writes: registry.counter("store_snapshot_writes_total"),
             write_nanos: registry.histogram("store_write_nanos"),
             bytes_written: registry.counter("store_bytes_written_total"),
@@ -78,6 +86,12 @@ impl StoreObs {
     /// The clock the observed store paths read.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
+    }
+
+    /// Records `event` in the journal, stamped with the current clock
+    /// reading.
+    pub(crate) fn record_event(&self, event: EventKind) {
+        self.journal.record(self.clock.now_nanos(), event);
     }
 
     /// The start time of a timed operation, or `None` under a disabled

@@ -61,7 +61,7 @@ pub struct SalvageReport {
 /// surviving files.  Committed snapshot files are never modified or
 /// deleted — salvage only removes `*.tmp` debris and rewrites the
 /// manifest.  Records a `salvage_completed` journal event when the
-/// storage handle carries a journal.
+/// storage handle carries [`crate::StoreObs`].
 ///
 /// The directory restores cleanly afterwards (with `n_shards` equal to
 /// the number of survivors); re-collect the `dropped` shard indices and

@@ -9,10 +9,10 @@
 //! syncs) then soak the same invariants via proptest, and salvage is
 //! proven to recover whatever the plan left valid.
 
-use mdrr_obs::{Clock, EventKind, Journal, ManualClock, NullClock};
+use mdrr_obs::{Clock, EventKind, Journal, ManualClock, NullClock, Registry};
 use mdrr_store::{
     salvage_checkpoint, shard_file_name, CheckpointManifest, Fault, FaultKind, FaultPlan,
-    FaultyBackend, RetryPolicy, Snapshot, Storage, MANIFEST_FILE, MANIFEST_VERSION,
+    FaultyBackend, RetryPolicy, Snapshot, Storage, StoreObs, MANIFEST_FILE, MANIFEST_VERSION,
 };
 use proptest::prelude::*;
 use std::fs;
@@ -163,7 +163,8 @@ fn exhausted_retries_surface_and_are_journalled() {
         .collect();
     let journal = Arc::new(Journal::new(16));
     let (storage, backend) = faulty_storage(FaultPlan::new(faults), RetryPolicy::default());
-    let storage = storage.with_journal(journal.clone());
+    let obs = StoreObs::new(Arc::new(NullClock), &Registry::new(), journal.clone());
+    let storage = storage.with_obs(obs);
     let err = storage.atomic_write(&target, NEW).unwrap_err();
     assert!(err.is_transient(), "{err}");
     assert_eq!(backend.injected(), 4);

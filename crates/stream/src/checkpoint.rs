@@ -49,7 +49,7 @@ use crate::accumulator::Accumulator;
 use crate::collector::ShardedCollector;
 use crate::error::MdrrError;
 use crate::instrument::StreamObs;
-use mdrr_obs::{Clock, EventKind};
+use mdrr_obs::{Clock, EventKind, NullClock};
 use mdrr_protocols::{Protocol, ProtocolSpec};
 use mdrr_store::{
     next_generation, parse_shard_file_name, read_checkpoint, read_manifest, shard_file_name,
@@ -165,19 +165,14 @@ impl ShardedCollector {
                 self.protocol().channel_sizes()
             )));
         }
-        let obs = self.instrumentation().map(Arc::as_ref);
-        // An instrumented collector records its shard writes through its
-        // own copy of the handle.
-        let observed = obs.map(|o| storage.clone().with_obs(o.store().clone()));
-        let storage = observed.as_ref().unwrap_or(storage);
-        let start = obs
-            .filter(|o| o.clock().enabled())
-            .map(|o| o.clock().now_nanos());
-        if let Some(o) = obs {
-            o.record_event(EventKind::CheckpointBegin {
-                shards: self.n_shards() as u64,
-            });
-        }
+        let obs = self.instrumentation();
+        // The collector records its shard writes through its own copy of
+        // the handle.
+        let storage = &storage.clone().with_obs(obs.store().clone());
+        let start = obs.start();
+        obs.record_event(EventKind::CheckpointBegin {
+            shards: self.n_shards() as u64,
+        });
         storage.create_dir_all(dir)?;
         storage.sweep_tmp(dir);
         // The files before this checkpoint: their highest generation
@@ -249,23 +244,16 @@ impl ShardedCollector {
                 let _ = storage.remove_file(&dir.join(name));
             }
         }
-        if let Some(o) = obs {
-            bytes_written = bytes_written.saturating_add(json.len() as u64);
-            let nanos = start
-                .map(|s| o.clock().now_nanos().saturating_sub(s))
-                .unwrap_or(0);
-            o.checkpoints_total.inc();
-            o.checkpoint_bytes.add(bytes_written);
-            if start.is_some() {
-                o.checkpoint_nanos.record(nanos);
-            }
-            o.record_event(EventKind::CheckpointCommit {
-                shards: manifest.n_shards as u64,
-                total_reports: manifest.total_reports,
-                bytes: bytes_written,
-                nanos,
-            });
-        }
+        bytes_written = bytes_written.saturating_add(json.len() as u64);
+        let nanos = obs.elapsed(&obs.checkpoint_nanos, start);
+        obs.checkpoints_total.inc();
+        obs.checkpoint_bytes.add(bytes_written);
+        obs.record_event(EventKind::CheckpointCommit {
+            shards: manifest.n_shards as u64,
+            total_reports: manifest.total_reports,
+            bytes: bytes_written,
+            nanos,
+        });
         Ok(manifest)
     }
 
@@ -274,7 +262,10 @@ impl ShardedCollector {
     /// validates every shard snapshot (checksums, spec compatibility
     /// across shards, counts-vs-spec channel topology), rebuilds the
     /// protocol from the embedded spec and schema, and restores every
-    /// shard accumulator exactly.
+    /// shard accumulator exactly.  It is
+    /// [`ShardedCollector::restore_observed`] on a disabled clock: the
+    /// restored collector's instruments have counted the restore and its
+    /// shard reads, untimed.
     ///
     /// ```
     /// use mdrr_data::{Attribute, Schema};
@@ -304,16 +295,17 @@ impl ShardedCollector {
     /// and wrapped [`mdrr_store::StoreError`]s for unreadable or corrupt
     /// shard files.
     pub fn restore(dir: &Path) -> Result<RestoredCheckpoint, MdrrError> {
-        Self::restore_with(dir, &Storage::os())
+        Self::restore_observed(dir, Arc::new(NullClock))
     }
 
-    /// [`ShardedCollector::restore`], instrumented: builds a
-    /// [`StreamObs`] sized for the checkpoint's shard count on `clock`,
-    /// reads every shard file through a storage handle carrying its
-    /// store instruments (so read durations, byte counts and CRC time
-    /// are recorded), attaches the instrumentation to the restored
-    /// collector, and journals a `Restore` event with the total restore
-    /// wall time.
+    /// [`ShardedCollector::restore`] on `clock`: builds a [`StreamObs`]
+    /// sized for the checkpoint's shard count on `clock`, reads every
+    /// shard file through a storage handle carrying its store
+    /// instruments (so reads and bytes are counted and, under an enabled
+    /// clock, read durations and CRC time are recorded), attaches the
+    /// instrumentation to the restored collector, and journals a
+    /// `Restore` event with the total restore wall time (0 under a
+    /// disabled clock).
     ///
     /// ```
     /// use mdrr_data::{Attribute, Schema};
@@ -329,10 +321,9 @@ impl ShardedCollector {
     /// collector.ingest_records(&[vec![0], vec![1]], 9)?;
     /// collector.checkpoint(&spec, &dir, None)?;
     ///
-    /// let (restored, obs) =
-    ///     ShardedCollector::restore_observed(&dir, Arc::new(MonotonicClock::new()))?;
+    /// let restored = ShardedCollector::restore_observed(&dir, Arc::new(MonotonicClock::new()))?;
     /// assert_eq!(restored.collector.total_reports(), 2);
-    /// let snapshot = obs.registry().snapshot();
+    /// let snapshot = restored.collector.instrumentation().registry().snapshot();
     /// assert_eq!(snapshot.counter_value("store_restores_total", &[]), Some(1));
     /// assert_eq!(snapshot.counter_value("store_snapshot_reads_total", &[]), Some(2));
     /// # std::fs::remove_dir_all(&dir).ok();
@@ -344,36 +335,14 @@ impl ShardedCollector {
     pub fn restore_observed(
         dir: &Path,
         clock: Arc<dyn Clock>,
-    ) -> Result<(RestoredCheckpoint, Arc<StreamObs>), MdrrError> {
+    ) -> Result<RestoredCheckpoint, MdrrError> {
         let start = clock.enabled().then(|| clock.now_nanos());
         // The manifest sizes the instruments, which then observe the
         // checkpoint's own read.
         let n_shards = read_manifest(dir, &Storage::os())?.n_shards;
         let obs = StreamObs::new(Arc::clone(&clock), n_shards);
         let storage = Storage::os().with_obs(obs.store().clone());
-        let mut restored = Self::restore_with(dir, &storage)?;
-        restored.collector.instrument(Arc::clone(&obs))?;
-        let nanos = start
-            .map(|s| clock.now_nanos().saturating_sub(s))
-            .unwrap_or(0);
-        obs.restores_total.inc();
-        if start.is_some() {
-            obs.restore_nanos.record(nanos);
-        }
-        obs.record_event(EventKind::Restore {
-            shards: restored.collector.n_shards() as u64,
-            total_reports: restored.collector.total_reports(),
-            nanos,
-        });
-        Ok((restored, obs))
-    }
-
-    /// The shared body of [`ShardedCollector::restore`] and
-    /// [`ShardedCollector::restore_observed`]: reads and validates the
-    /// checkpoint through `storage` ([`read_checkpoint`]) and reassembles
-    /// the collector.
-    fn restore_with(dir: &Path, storage: &Storage) -> Result<RestoredCheckpoint, MdrrError> {
-        let (manifest, snapshots) = read_checkpoint(dir, storage)?;
+        let (manifest, snapshots) = read_checkpoint(dir, &storage)?;
         let first = snapshots.first().ok_or_else(|| {
             MdrrError::config("manifest lists no shard files; the checkpoint is empty")
         })?;
@@ -388,8 +357,17 @@ impl ShardedCollector {
                 Accumulator::from_counts(s.counts().to_vec(), n)
             })
             .collect::<Result<Vec<_>, _>>()?;
+        let mut collector = ShardedCollector::from_parts(protocol, shards);
+        collector.instrument(Arc::clone(&obs))?;
+        let nanos = obs.elapsed(&obs.restore_nanos, start);
+        obs.restores_total.inc();
+        obs.record_event(EventKind::Restore {
+            shards: collector.n_shards() as u64,
+            total_reports: collector.total_reports(),
+            nanos,
+        });
         Ok(RestoredCheckpoint {
-            collector: ShardedCollector::from_parts(protocol, shards),
+            collector,
             spec,
             app_state: manifest.app_state,
         })

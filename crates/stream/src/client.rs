@@ -33,7 +33,7 @@
 use crate::batch::ReportBatch;
 use crate::wire::{self, FrameType, Hello, HelloAck, StatsReply, WireError};
 use mdrr_data::Schema;
-use mdrr_obs::{Clock, Histogram};
+use mdrr_obs::Clock;
 use mdrr_protocols::ProtocolSpec;
 use mdrr_store::{RetryPolicy, StoreError};
 use std::collections::VecDeque;
@@ -72,7 +72,6 @@ impl Default for ClientConfig {
 struct InFlight {
     seq: u64,
     reports: u64,
-    sent_at_nanos: u64,
 }
 
 /// A connection to a collector daemon (see [`crate::wire`] for the frame
@@ -90,7 +89,6 @@ pub struct WireClient {
     inflight: VecDeque<InFlight>,
     acked_reports: u64,
     server_total: u64,
-    ack_latency: Option<Arc<Histogram>>,
     buf: Vec<u8>,
     /// The outgoing batch frame, reused for every send.
     frame: Vec<u8>,
@@ -162,7 +160,6 @@ impl WireClient {
             inflight: VecDeque::new(),
             acked_reports: 0,
             server_total: 0,
-            ack_latency: None,
             buf: Vec::new(),
             frame: Vec::new(),
         };
@@ -220,12 +217,6 @@ impl WireClient {
         self.inflight.len()
     }
 
-    /// Installs a histogram that records per-batch ack latency (send →
-    /// ack, in injected-clock nanoseconds).
-    pub fn set_ack_latency(&mut self, histogram: Arc<Histogram>) {
-        self.ack_latency = Some(histogram);
-    }
-
     /// Reads one server reply within the ack budget, surfacing a peer
     /// [`FrameType::Error`] frame as [`WireError::Remote`] and anything
     /// other than `want` as [`WireError::UnexpectedFrame`].
@@ -278,11 +269,7 @@ impl WireClient {
 
     fn note_sent(&mut self, reports: u64) -> Result<u64, WireError> {
         let seq = self.next_seq;
-        self.inflight.push_back(InFlight {
-            seq,
-            reports,
-            sent_at_nanos: self.clock.now_nanos(),
-        });
+        self.inflight.push_back(InFlight { seq, reports });
         self.next_seq = self.next_seq.wrapping_add(1);
         Ok(seq)
     }
@@ -302,9 +289,6 @@ impl WireClient {
                 "ack for seq {seq}, expected {}",
                 head.seq
             )));
-        }
-        if let Some(histogram) = &self.ack_latency {
-            histogram.record(self.clock.now_nanos().saturating_sub(head.sent_at_nanos));
         }
         self.acked_reports = self.acked_reports.saturating_add(head.reports);
         self.server_total = total;

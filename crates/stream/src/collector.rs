@@ -35,7 +35,7 @@ use crate::instrument::{StreamObs, WorkerObs};
 use crate::report::Report;
 use crate::wire::BatchView;
 use mdrr_data::{RecordsBuffer, RecordsView};
-use mdrr_obs::EventKind;
+use mdrr_obs::{EventKind, NullClock};
 use mdrr_protocols::{Protocol, Release};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,10 +61,11 @@ pub type StreamSnapshot = Box<dyn Release>;
 /// A collector ingesting randomized reports through `N` sharded
 /// accumulators, for any `dyn Protocol`.
 ///
-/// Instrumentation is opt-in via [`ShardedCollector::instrument`]; an
-/// uninstrumented collector pays a single pointer check per bulk call.
-/// Clones share the attached instrumentation (it is a view onto the same
-/// registry), so cloning never forks metric state.
+/// Every collector carries its instrumentation ([`StreamObs`]): a new or
+/// restored one counts on a disabled clock, and
+/// [`ShardedCollector::instrument`] swaps in a bundle whose clock times
+/// the same paths.  Clones share the instrumentation (it is a view onto
+/// the same registry), so cloning never forks metric state.
 #[derive(Debug, Clone)]
 pub struct ShardedCollector {
     protocol: Arc<dyn Protocol>,
@@ -77,7 +78,7 @@ pub struct ShardedCollector {
     /// healthy shards, and [`ShardedCollector::rehabilitate`] brings the
     /// shard back once its lost range has been re-collected.
     quarantined: Vec<bool>,
-    obs: Option<Arc<StreamObs>>,
+    obs: Arc<StreamObs>,
 }
 
 impl ShardedCollector {
@@ -95,7 +96,7 @@ impl ShardedCollector {
             protocol,
             shards: vec![shard; n_shards],
             quarantined: vec![false; n_shards],
-            obs: None,
+            obs: StreamObs::new(Arc::new(NullClock), n_shards),
         })
     }
 
@@ -117,19 +118,22 @@ impl ShardedCollector {
     pub(crate) fn from_parts(protocol: Arc<dyn Protocol>, shards: Vec<Accumulator>) -> Self {
         debug_assert!(!shards.is_empty());
         let quarantined = vec![false; shards.len()];
+        let obs = StreamObs::new(Arc::new(NullClock), shards.len());
         ShardedCollector {
             protocol,
             shards,
             quarantined,
-            obs: None,
+            obs,
         }
     }
 
-    /// Attaches instrumentation: from here on, every ingest path bumps
-    /// per-shard counters, the bulk paths record per-chunk latency
-    /// histograms (when `obs`'s clock is enabled), and snapshots and
-    /// checkpoints land in the journal.  Attaching never changes ingest
-    /// output — the RNG schedule, shard layout and counts are untouched.
+    /// Swaps in `obs` as the collector's instrumentation: from here on
+    /// every ingest path bumps its per-shard counters, the bulk paths
+    /// record per-chunk latency histograms (when `obs`'s clock is
+    /// enabled), and snapshots and checkpoints land in its journal.  The
+    /// counts of the bundle it replaces stay with that bundle.  Swapping
+    /// never changes ingest output — the RNG schedule, shard layout and
+    /// counts are untouched.
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] when `obs` was laid
@@ -142,13 +146,13 @@ impl ShardedCollector {
                 self.shards.len()
             )));
         }
-        self.obs = Some(obs);
+        self.obs = obs;
         Ok(())
     }
 
-    /// The attached instrumentation, if any.
-    pub fn instrumentation(&self) -> Option<&Arc<StreamObs>> {
-        self.obs.as_ref()
+    /// The collector's instrumentation.
+    pub fn instrumentation(&self) -> &Arc<StreamObs> {
+        &self.obs
     }
 
     /// The protocol the collector ingests reports for.
@@ -252,9 +256,7 @@ impl ShardedCollector {
         if let Some(flag) = self.quarantined.get_mut(shard) {
             *flag = false;
         }
-        if let Some(obs) = self.obs.as_deref() {
-            obs.set_shard_health(shard, true);
-        }
+        self.obs.set_shard_health(shard, true);
         Ok(())
     }
 
@@ -270,11 +272,10 @@ impl ShardedCollector {
             if let Some(flag) = self.quarantined.get_mut(k) {
                 *flag = true;
             }
-            if let Some(obs) = self.obs.as_deref() {
-                obs.shard_failures_total.inc();
-                obs.set_shard_health(k, false);
-                obs.record_event(EventKind::ShardFailed { shard: k as u64 });
-            }
+            self.obs.shard_failures_total.inc();
+            self.obs.set_shard_health(k, false);
+            self.obs
+                .record_event(EventKind::ShardFailed { shard: k as u64 });
             if first.is_none() {
                 first = Some((k, text));
             }
@@ -295,10 +296,8 @@ impl ShardedCollector {
     /// [`MdrrError::ShardFailed`] for a quarantined shard.
     pub fn ingest_report(&mut self, shard: usize, report: &Report) -> Result<(), MdrrError> {
         routable(&mut self.shards, &self.quarantined, shard)?.ingest(report)?;
-        if let Some(obs) = self.obs.as_ref() {
-            if let Some(shard_obs) = obs.shards.get(shard) {
-                shard_obs.reports.inc();
-            }
+        if let Some(shard_obs) = self.obs.shards.get(shard) {
+            shard_obs.reports.inc();
         }
         Ok(())
     }
@@ -336,7 +335,7 @@ impl ShardedCollector {
         n: usize,
         ingest: impl FnOnce(&mut Accumulator) -> Result<(), MdrrError>,
     ) -> Result<u64, MdrrError> {
-        let worker = WorkerObs::for_shard(self.obs.as_deref(), shard);
+        let worker = WorkerObs::for_shard(&self.obs, shard);
         let start = worker.chunk_start();
         ingest(routable(&mut self.shards, &self.quarantined, shard)?)?;
         worker.chunk_done(start);
@@ -375,7 +374,7 @@ impl ShardedCollector {
             ));
         }
         let protocol: &dyn Protocol = &*self.protocol;
-        let obs = self.obs.as_deref();
+        let obs = &*self.obs;
         let body = &body;
         let (results, panicked) = std::thread::scope(|scope| {
             let handles: Vec<_> = self
@@ -404,7 +403,7 @@ impl ShardedCollector {
         for result in results {
             result?;
         }
-        self.update_imbalance();
+        self.obs.update_imbalance(&self.shards);
         Ok(n as u64)
     }
 
@@ -534,11 +533,7 @@ impl ShardedCollector {
     /// Returns [`MdrrError::InvalidConfiguration`] when no report has
     /// been ingested yet.
     pub fn snapshot(&self) -> Result<StreamSnapshot, MdrrError> {
-        let timing = self
-            .obs
-            .as_deref()
-            .filter(|o| o.clock().enabled())
-            .map(|o| (o, o.clock().now_nanos()));
+        let start = self.obs.start();
         let merged = self.merged()?;
         if merged.is_empty() {
             return Err(MdrrError::config(
@@ -548,26 +543,14 @@ impl ShardedCollector {
         let release = self
             .protocol
             .release_from_counts(merged.counts(), merged.n_reports() as usize)?;
-        if let Some((obs, start)) = timing {
-            obs.snapshot_nanos
-                .record(obs.clock().now_nanos().saturating_sub(start));
-        }
-        if let Some(obs) = self.obs.as_deref() {
-            obs.snapshots_total.inc();
-            obs.update_imbalance(&self.shards);
-            obs.record_event(EventKind::ShardSnapshot {
-                shards: self.shards.len() as u64,
-                total_reports: merged.n_reports(),
-            });
-        }
+        self.obs.elapsed(&self.obs.snapshot_nanos, start);
+        self.obs.snapshots_total.inc();
+        self.obs.update_imbalance(&self.shards);
+        self.obs.record_event(EventKind::ShardSnapshot {
+            shards: self.shards.len() as u64,
+            total_reports: merged.n_reports(),
+        });
         Ok(release)
-    }
-
-    /// Refreshes the shard-imbalance gauge, when instrumented.
-    fn update_imbalance(&self) {
-        if let Some(obs) = self.obs.as_deref() {
-            obs.update_imbalance(&self.shards);
-        }
     }
 }
 

@@ -1,13 +1,16 @@
-//! Optional collector instrumentation.
+//! Collector instrumentation, always attached.
 //!
 //! A [`StreamObs`] bundles everything the streaming layer measures: the
 //! injected [`Clock`], a metric [`Registry`] shared with the store layer
 //! (and any other layer the caller wires in), a bounded event
-//! [`Journal`], and per-shard instruments.  A collector runs completely
-//! uninstrumented unless
+//! [`Journal`], and per-shard instruments.  Every collector carries one:
+//! [`ShardedCollector::new`](crate::ShardedCollector::new) and restore
+//! attach one on a disabled clock ([`mdrr_obs::NullClock`]), which skips
+//! all timing reads and leaves relaxed counter bumps once per chunk and
+//! one journal event per worker run or routed batch.
 //! [`ShardedCollector::instrument`](crate::ShardedCollector::instrument)
-//! attaches one — and even then, a disabled clock ([`mdrr_obs::NullClock`]) skips all
-//! timing reads, leaving only relaxed counter bumps once per batch.
+//! swaps in a bundle on a real clock to time the same paths.  The clock
+//! is the only switch: what is counted never depends on it.
 //!
 //! Metric catalog (in addition to the `store_*` metrics of
 //! [`mdrr_store::StoreObs`], which share the registry):
@@ -85,10 +88,11 @@ pub struct StreamObs {
 impl StreamObs {
     /// Instrumentation for an `n_shards`-shard collector, with a fresh
     /// registry, the default journal capacity, and the store instruments
-    /// registered alongside the stream ones.
+    /// registered alongside the stream ones and sharing the journal.
     pub fn new(clock: Arc<dyn Clock>, n_shards: usize) -> Arc<Self> {
         let registry = Arc::new(Registry::new());
-        let store = StoreObs::new(Arc::clone(&clock), &registry);
+        let journal = Arc::new(Journal::new(DEFAULT_JOURNAL_CAPACITY));
+        let store = StoreObs::new(Arc::clone(&clock), &registry, Arc::clone(&journal));
         let shards = (0..n_shards)
             .map(|k| {
                 let shard = k.to_string();
@@ -113,7 +117,7 @@ impl StreamObs {
             checkpoint_bytes: registry.counter("store_checkpoint_bytes_total"),
             restores_total: registry.counter("store_restores_total"),
             restore_nanos: registry.histogram("store_restore_nanos"),
-            journal: Arc::new(Journal::new(DEFAULT_JOURNAL_CAPACITY)),
+            journal,
             shards,
             store,
             clock,
@@ -133,7 +137,8 @@ impl StreamObs {
     }
 
     /// The bounded event journal (checkpoint begin/commit, restore,
-    /// snapshot, merge, batch events).
+    /// snapshot, batch and shard-failure events, and the store's
+    /// exhausted retries).
     pub fn journal(&self) -> &Arc<Journal> {
         &self.journal
     }
@@ -153,6 +158,23 @@ impl StreamObs {
     /// reading.
     pub fn record_event(&self, event: EventKind) {
         self.journal.record(self.clock.now_nanos(), event);
+    }
+
+    /// The start time of a timed operation, or `None` under a disabled
+    /// clock.
+    pub(crate) fn start(&self) -> Option<u64> {
+        self.clock.enabled().then(|| self.clock.now_nanos())
+    }
+
+    /// Records the wall time since `start` in `histogram` and returns it;
+    /// without a start time it records nothing and returns 0.
+    pub(crate) fn elapsed(&self, histogram: &Histogram, start: Option<u64>) -> u64 {
+        let Some(start) = start else {
+            return 0;
+        };
+        let nanos = self.clock.now_nanos().saturating_sub(start);
+        histogram.record(nanos);
+        nanos
     }
 
     /// Recomputes the shard-imbalance gauge from per-shard report counts:
@@ -182,24 +204,26 @@ impl StreamObs {
 }
 
 /// One ingest worker's view of the instrumentation, resolved once per
-/// worker run: the per-chunk hot path is a single `Option` check when
-/// uninstrumented, two clock reads plus relaxed bumps when on, and
-/// counter bumps only (no clock reads) under a disabled clock.
+/// worker run: the per-chunk hot path is two clock reads plus relaxed
+/// bumps under an enabled clock, and counter bumps only (no clock reads)
+/// under a disabled one.
 #[derive(Clone, Copy)]
 pub(crate) struct WorkerObs<'a> {
-    obs: Option<&'a StreamObs>,
+    obs: &'a StreamObs,
+    /// Shard `k`'s instruments (`None` only for an out-of-range `k`).
     shard: Option<&'a ShardObs>,
+    /// The clock, when it is enabled.
     clock: Option<&'a dyn Clock>,
     k: usize,
 }
 
 impl<'a> WorkerObs<'a> {
-    /// The worker observer of shard `k` (inert when `obs` is `None`).
-    pub(crate) fn for_shard(obs: Option<&'a StreamObs>, k: usize) -> Self {
+    /// The worker observer of shard `k`.
+    pub(crate) fn for_shard(obs: &'a StreamObs, k: usize) -> Self {
         WorkerObs {
             obs,
-            shard: obs.and_then(|o| o.shards.get(k)),
-            clock: obs.and_then(|o| o.clock.enabled().then_some(o.clock.as_ref())),
+            shard: obs.shards.get(k),
+            clock: obs.clock.enabled().then_some(obs.clock.as_ref()),
             k,
         }
     }
@@ -228,12 +252,10 @@ impl<'a> WorkerObs<'a> {
         if let Some(shard) = self.shard {
             shard.reports.add(reports);
         }
-        if let Some(obs) = self.obs {
-            obs.record_event(EventKind::BatchIngested {
-                shard: self.k as u64,
-                reports,
-            });
-        }
+        self.obs.record_event(EventKind::BatchIngested {
+            shard: self.k as u64,
+            reports,
+        });
     }
 }
 
@@ -268,7 +290,7 @@ mod tests {
     #[test]
     fn worker_obs_counts_without_timing_under_a_null_clock() {
         let null_obs = StreamObs::new(Arc::new(NullClock), 1);
-        let worker = WorkerObs::for_shard(Some(&null_obs), 0);
+        let worker = WorkerObs::for_shard(&null_obs, 0);
         assert_eq!(worker.chunk_start(), 0);
         worker.chunk_done(0); // bumps the batch counter, records no time
         worker.run_done(10);
@@ -281,13 +303,12 @@ mod tests {
             snap.counter_value("stream_shard_reports_total", &[("shard", "0")]),
             Some(10)
         );
-        // Out-of-range shard and absent obs are inert, not panics.
-        WorkerObs::for_shard(Some(&null_obs), 9).chunk_done(0);
-        WorkerObs::for_shard(None, 0).run_done(5);
+        // An out-of-range shard is inert, not a panic.
+        WorkerObs::for_shard(&null_obs, 9).chunk_done(0);
 
         let clock = Arc::new(ManualClock::new());
         let obs = StreamObs::new(clock.clone(), 1);
-        let worker = WorkerObs::for_shard(Some(&obs), 0);
+        let worker = WorkerObs::for_shard(&obs, 0);
         let start = worker.chunk_start();
         clock.advance(500);
         worker.chunk_done(start);

@@ -36,12 +36,12 @@
 //!   typed-error-never-panic discipline as the snapshot format) and the
 //!   [`WireClient`] SDK that dials an `mdrr-serve` daemon with retrying
 //!   backoff and pipelines batches under a backpressure window;
-//! * [`instrument`] — opt-in observability: attaching a [`StreamObs`]
-//!   (per-shard report/batch counters, ingest latency histograms, an
-//!   imbalance gauge and a bounded event journal, all timed by an
-//!   injected `mdrr_obs` clock) makes the collector record what it does
-//!   without changing what it does — with the default `None` the
-//!   ingestion loops are byte-identical to an uninstrumented build;
+//! * [`instrument`] — always-on observability: every collector carries a
+//!   [`StreamObs`] (per-shard report/batch counters, ingest latency
+//!   histograms, an imbalance gauge and a bounded event journal, timed
+//!   by an injected `mdrr_obs` clock) and records what it does without
+//!   changing what it does; the default disabled clock counts without
+//!   timing, and `ShardedCollector::instrument` swaps in a timed bundle;
 //! * [`fault`] — [`FaultyProtocol`] kills the shard worker a test or a
 //!   soak names, so quarantine and deterministic re-collection can be
 //!   checked against an uninterrupted run.

@@ -8,7 +8,7 @@
 //! (in fact exactly); (3) a restored collector is a full citizen — it
 //! keeps ingesting deterministically, as if the process had never died.
 
-use mdrr_data::{Attribute, AttributeKind, Schema};
+use mdrr_data::{Attribute, AttributeKind, Dataset, Schema};
 use mdrr_protocols::{AdjustmentConfig, Clustering, ProtocolSpec, RandomizationLevel};
 use mdrr_store::merge_snapshot_files;
 use mdrr_stream::ShardedCollector;
@@ -177,4 +177,43 @@ proptest! {
 
         prop_assert_eq!(resumed.shards(), uninterrupted.shards());
     }
+}
+
+/// A collector that `instrument` is never called on still counts: its
+/// own instruments (on a disabled clock) hold the per-shard report
+/// totals, and a restored collector has counted its restore and every
+/// shard file it read.
+#[test]
+fn a_collector_counts_without_instrument() {
+    let schema = Schema::new(vec![
+        Attribute::indexed("A", 3).unwrap(),
+        Attribute::indexed("B", 2).unwrap(),
+    ])
+    .unwrap();
+    let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
+    let n_shards = 3;
+    let mut collector = ShardedCollector::new(spec.build_arc(&schema).unwrap(), n_shards).unwrap();
+    let dataset = Dataset::from_records(schema.clone(), &records(&schema, 1_001, 5)).unwrap();
+    collector.ingest_view(&dataset.view(), 17).unwrap();
+
+    let metrics = collector.instrumentation().registry().snapshot();
+    for (k, shard) in collector.shards().iter().enumerate() {
+        assert!(shard.n_reports() > 0, "shard {k} holds no reports");
+        assert_eq!(
+            metrics.counter_value("stream_shard_reports_total", &[("shard", &k.to_string())]),
+            Some(shard.n_reports()),
+            "shard {k}"
+        );
+    }
+
+    let dir = scratch_dir("uninstrumented", 0);
+    collector.checkpoint(&spec, &dir, None).unwrap();
+    let restored = ShardedCollector::restore(&dir).unwrap().collector;
+    std::fs::remove_dir_all(&dir).ok();
+    let metrics = restored.instrumentation().registry().snapshot();
+    assert_eq!(metrics.counter_value("store_restores_total", &[]), Some(1));
+    assert_eq!(
+        metrics.counter_value("store_snapshot_reads_total", &[]),
+        Some(n_shards as u64)
+    );
 }
