@@ -239,8 +239,8 @@ struct SimulationResult {
 /// draw stream — a killed-and-resumed run is byte-identical to an
 /// uninterrupted one.  Older checkpoints also carry a `path` key naming
 /// the ingestion path; deserialization ignores it, and every run resumes
-/// on the batch path, whose shard counts equal the per-record path's for
-/// the same seed.
+/// on the batch path, whose shard counts equal encoding each record with
+/// `encode_record` under the same seed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ResumeState {
     seed: u64,
@@ -630,7 +630,8 @@ impl Chaos {
         self.backend = Self::backend(self.plan_seed);
         let t0 = self.clock.now_nanos();
         if ShardedCollector::restore(&self.dir).is_err() {
-            match salvage_checkpoint(&self.dir, &Storage::os()) {
+            let storage = Storage::os().with_obs(collector.instrumentation().store().clone());
+            match salvage_checkpoint(&self.dir, &storage) {
                 Ok(report) => {
                     self.report.salvages += 1;
                     println!(
@@ -1032,6 +1033,15 @@ mod tests {
         assert!(report.checkpoint_failures > 0, "no checkpoint crashed");
         assert_eq!(report.report_loss, 0);
         assert_eq!(chaos.shards(), plain.shards());
+        // Round 1's torn checkpoint is salvaged, and the salvage reaches
+        // the collector's journal.  (A second chaos test would share this
+        // process's scratch directory.)
+        assert!(report.salvages > 0, "no checkpoint was salvaged");
+        let events = chaos.instrumentation().journal().events();
+        let salvaged = events
+            .iter()
+            .filter(|e| e.kind.name() == "salvage_completed");
+        assert_eq!(salvaged.count(), report.salvages);
     }
 
     #[test]

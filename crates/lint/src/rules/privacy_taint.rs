@@ -272,7 +272,7 @@ impl Rule for PrivacyTaint {
             }
         }
 
-        // Report once per leaking function whose flagged call reaches a
+        // One finding per leaking function whose flagged call reaches a
         // *sink target directly* — forwarding functions appear in the
         // chain, not as separate findings.
         for &f in leaks.keys() {

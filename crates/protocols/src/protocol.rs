@@ -307,7 +307,10 @@ pub trait Release: FrequencyEstimator + fmt::Debug + Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Clustering, ProtocolSpec};
     use mdrr_data::Attribute;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -315,6 +318,58 @@ mod tests {
             Attribute::indexed("B", 2).unwrap(),
         ])
         .unwrap()
+    }
+
+    fn specs() -> Vec<ProtocolSpec> {
+        let level = RandomizationLevel::KeepProbability(0.7);
+        vec![
+            ProtocolSpec::independent(level.clone()),
+            ProtocolSpec::joint(level.clone()),
+            ProtocolSpec::clusters(level, Clustering::new(vec![vec![0], vec![1]], 2).unwrap()),
+        ]
+    }
+
+    #[test]
+    fn encoded_reports_have_one_code_per_channel() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for spec in specs() {
+            let p = spec.build(&schema()).unwrap();
+            let codes = p.encode_record(&[2, 1], &mut rng).unwrap();
+            assert_eq!(codes.len(), p.channel_sizes().len());
+            assert!(!codes.is_empty());
+            for (&code, size) in codes.iter().zip(p.channel_sizes()) {
+                assert!((code as usize) < size);
+            }
+            assert!(p.encode_record(&[3, 0], &mut rng).is_err());
+            assert!(p.encode_record(&[0], &mut rng).is_err());
+        }
+    }
+
+    #[test]
+    fn decode_inverts_the_channel_encoding() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for spec in specs() {
+            let p = spec.build(&schema()).unwrap();
+            for record in [[0u32, 0], [2, 1], [1, 0]] {
+                // The decoded record is always schema-valid…
+                let codes = p.encode_record(&record, &mut rng).unwrap();
+                let decoded = p.decode_report(&codes).unwrap();
+                assert!(p.schema().validate_record(&decoded).is_ok());
+            }
+            assert!(p.decode_report(&[]).is_err());
+            assert!(p.decode_report(&[99, 99]).is_err());
+        }
+
+        // …and with identity randomization decode(encode(x)) == x exactly.
+        let p = ProtocolSpec::Joint {
+            level: RandomizationLevel::KeepProbability(1.0),
+            max_domain: None,
+            equivalent_risk: false,
+        }
+        .build(&schema())
+        .unwrap();
+        let codes = p.encode_record(&[2, 1], &mut rng).unwrap();
+        assert_eq!(p.decode_report(&codes).unwrap(), vec![2, 1]);
     }
 
     #[test]

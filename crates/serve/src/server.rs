@@ -40,6 +40,7 @@ pub(crate) struct Shared {
     pub(crate) schema: Schema,
     pub(crate) spec: ProtocolSpec,
     pub(crate) config: ServeConfig,
+    /// Deadlines and sleeps; the metrics are timed on `obs`'s clock.
     pub(crate) clock: Arc<dyn Clock>,
     pub(crate) obs: Arc<ServeObs>,
     pub(crate) shutdown: AtomicBool,

@@ -236,7 +236,7 @@ impl<'a> Session<'a> {
 
     fn handle_batch(&mut self) -> bool {
         let shared = self.shared;
-        let clock = &shared.clock;
+        let clock = shared.obs.clock();
         let decode_begin = clock.now_nanos();
         let view = match BatchView::parse(wire::frame_payload(&self.buf), self.n_channels) {
             Ok(view) => view,
@@ -379,5 +379,53 @@ impl<'a> Session<'a> {
 
     fn reject(&self, e: &WireError) {
         self.shared.obs.reject(e);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{CollectorServer, ServeConfig, ServeObs};
+    use mdrr_data::{Attribute, Schema};
+    use mdrr_obs::{ManualClock, MonotonicClock};
+    use mdrr_protocols::{ProtocolSpec, RandomizationLevel};
+    use mdrr_stream::{ClientConfig, ReportBatch, WireClient};
+    use std::sync::Arc;
+
+    #[test]
+    fn batches_are_timed_on_the_metrics_clock() {
+        // The daemon keeps deadlines on a real clock while its metrics
+        // run on a manual one that never moves: a batch timed on the
+        // metrics' clock records exactly 0 in both histograms.
+        let schema = Schema::new(vec![Attribute::indexed("A", 3).unwrap()]).unwrap();
+        let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
+        let obs = ServeObs::new(Arc::new(ManualClock::new()));
+        let server = CollectorServer::bind(
+            "127.0.0.1:0",
+            &schema,
+            &spec,
+            ServeConfig::default(),
+            Arc::new(MonotonicClock::new()),
+            Some(Arc::clone(&obs)),
+        )
+        .unwrap();
+        let mut client = WireClient::connect(
+            server.local_addr(),
+            schema,
+            spec,
+            ClientConfig::default(),
+            Arc::new(MonotonicClock::new()),
+        )
+        .unwrap();
+        let mut batch = ReportBatch::new(1).unwrap();
+        batch.push(&[2]).unwrap();
+        client.send_batch(0, &batch).unwrap();
+        client.flush().unwrap();
+        client.close().unwrap();
+        assert_eq!(server.drain().unwrap().acked_reports, 1);
+        let metrics = obs.registry().snapshot();
+        for name in ["serve_decode_nanos", "serve_ingest_nanos"] {
+            let timed = metrics.histogram_snapshot(name, &[]).unwrap();
+            assert_eq!((timed.count, timed.sum), (1, 0), "{name}");
+        }
     }
 }

@@ -5,7 +5,7 @@ use mdrr_data::{Attribute, Schema};
 use mdrr_obs::MonotonicClock;
 use mdrr_protocols::{AdjustmentConfig, Clustering, ProtocolSpec, RandomizationLevel};
 use mdrr_serve::{CollectorServer, ServeConfig, ServeObs};
-use mdrr_stream::{Report, ReportBatch};
+use mdrr_stream::ReportBatch;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -50,7 +50,7 @@ pub fn deterministic_batch(channel_sizes: &[usize], seed: u64, n_reports: usize)
                 (mix % size as u64) as u32
             })
             .collect();
-        batch.push(&Report::new(codes)).unwrap();
+        batch.push(&codes).unwrap();
     }
     batch
 }

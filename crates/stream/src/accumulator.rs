@@ -11,7 +11,6 @@
 
 use crate::batch::{Code, Lane, ReportBatch};
 use crate::error::MdrrError;
-use crate::report::Report;
 use crate::wire::BatchView;
 use serde::{Deserialize, Serialize};
 
@@ -72,46 +71,13 @@ impl Accumulator {
         Ok(acc)
     }
 
-    /// Ingests one report: bumps one count per channel.
-    ///
-    /// # Errors
-    /// Returns [`MdrrError::InvalidConfiguration`] if the report's arity
-    /// differs from the number of channels, a code is out of its
-    /// channel's range or the report count would overflow a `u64`; the
-    /// accumulator is unchanged on error.
-    pub fn ingest(&mut self, report: &Report) -> Result<(), MdrrError> {
-        let codes = report.codes();
-        if codes.len() != self.counts.len() {
-            return Err(MdrrError::config(format!(
-                "report has {} codes but the accumulator has {} channels",
-                codes.len(),
-                self.counts.len()
-            )));
-        }
-        for (k, (&code, channel)) in codes.iter().zip(self.counts.iter()).enumerate() {
-            if code as usize >= channel.len() {
-                return Err(MdrrError::config(format!(
-                    "code {code} out of range for channel {k} ({} categories)",
-                    channel.len()
-                )));
-            }
-        }
-        self.n_reports = self.checked_total(1)?;
-        for (&code, channel) in codes.iter().zip(self.counts.iter_mut()) {
-            channel[code as usize] += 1;
-        }
-        Ok(())
-    }
-
     /// Ingests a whole columnar [`ReportBatch`]: one pass per channel that
     /// validates and counts together, with one arity check and one length
     /// check per batch instead of one per report.  A channel of at most 64
     /// categories tallies into four interleaved stack banks whose index is
     /// clamped to an overflow slot, and the slots past the channel's size
     /// are checked once the pass is done; a wider channel counts straight
-    /// into its count vector.  Counting `n` reports this way is equivalent
-    /// to `n` [`Accumulator::ingest`] calls on the same codes, at a
-    /// fraction of the cost.
+    /// into its count vector.
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] if the batch's channel
@@ -345,8 +311,27 @@ fn uncount_channel<C: Code>(codes: &[C], channel: &mut [u64]) {
 mod tests {
     use super::*;
 
-    fn report(codes: &[u32]) -> Report {
-        Report::new(codes.to_vec())
+    /// A batch of `reports`, pushed one report at a time.
+    fn batch_of(n_channels: usize, reports: &[&[u32]]) -> ReportBatch {
+        let mut batch = ReportBatch::new(n_channels).unwrap();
+        for codes in reports {
+            batch.push(codes).unwrap();
+        }
+        batch
+    }
+
+    /// The reference count of `batch` on top of `before`: each code of
+    /// each report bumps its own cell, one at a time, with no banks.
+    fn counted_one_by_one(before: &Accumulator, batch: &ReportBatch) -> Accumulator {
+        let mut counts = before.counts().to_vec();
+        let mut codes = Vec::new();
+        for i in 0..batch.n_reports() {
+            batch.read_report(i, &mut codes).unwrap();
+            for (channel, &code) in counts.iter_mut().zip(&codes) {
+                channel[code as usize] += 1;
+            }
+        }
+        Accumulator::from_counts(counts, before.n_reports() + batch.n_reports() as u64).unwrap()
     }
 
     #[test]
@@ -361,37 +346,34 @@ mod tests {
     #[test]
     fn ingestion_counts_per_channel() {
         let mut acc = Accumulator::new(&[3, 2]).unwrap();
-        acc.ingest(&report(&[0, 1])).unwrap();
-        acc.ingest(&report(&[2, 1])).unwrap();
-        acc.ingest(&report(&[0, 0])).unwrap();
+        acc.ingest_batch(&batch_of(2, &[&[0, 1], &[2, 1], &[0, 0]]))
+            .unwrap();
         assert_eq!(acc.n_reports(), 3);
         assert_eq!(acc.counts(), &[vec![2, 0, 1], vec![1, 2]]);
     }
 
     #[test]
     fn ingestion_rejects_malformed_reports_atomically() {
-        let mut acc = Accumulator::new(&[3, 2]).unwrap();
-        assert!(acc.ingest(&report(&[0])).is_err());
-        assert!(acc.ingest(&report(&[0, 1, 0])).is_err());
+        // A report of the wrong arity never enters a batch.
+        let mut batch = ReportBatch::new(2).unwrap();
+        assert!(batch.push(&[0]).is_err());
+        assert!(batch.push(&[0, 1, 0]).is_err());
+        assert!(batch.is_empty());
         // Second channel out of range: the first channel must NOT have been
         // counted.
-        assert!(acc.ingest(&report(&[0, 5])).is_err());
+        let mut acc = Accumulator::new(&[3, 2]).unwrap();
+        assert!(acc.ingest_batch(&batch_of(2, &[&[0, 5]])).is_err());
         assert!(acc.is_empty());
         assert_eq!(acc.counts(), &[vec![0, 0, 0], vec![0, 0]]);
     }
 
     #[test]
     fn batch_ingestion_matches_per_report_ingestion() {
-        let reports = [[0u32, 1], [2, 1], [0, 0], [1, 1]];
-        let mut per_report = Accumulator::new(&[3, 2]).unwrap();
-        let mut batch = ReportBatch::new(2).unwrap();
-        for codes in &reports {
-            per_report.ingest(&report(codes)).unwrap();
-            batch.push(&report(codes)).unwrap();
-        }
-        let mut batched = Accumulator::new(&[3, 2]).unwrap();
+        let mut batch = batch_of(2, &[&[0, 1], &[2, 1], &[0, 0], &[1, 1]]);
+        let empty = Accumulator::new(&[3, 2]).unwrap();
+        let mut batched = empty.clone();
         batched.ingest_batch(&batch).unwrap();
-        assert_eq!(batched, per_report);
+        assert_eq!(batched, counted_one_by_one(&empty, &batch));
         assert_eq!(batched.n_reports(), 4);
         // An empty batch is a no-op.
         batch.clear();
@@ -403,17 +385,13 @@ mod tests {
     fn batch_ingestion_rejects_malformed_batches_atomically() {
         let mut acc = Accumulator::new(&[3, 2]).unwrap();
         // Wrong channel count.
-        let mut wrong_arity = ReportBatch::new(1).unwrap();
-        wrong_arity.push(&Report::new(vec![0])).unwrap();
-        assert!(acc.ingest_batch(&wrong_arity).is_err());
+        assert!(acc.ingest_batch(&batch_of(1, &[&[0]])).is_err());
         // Ragged channels.
         let mut ragged = ReportBatch::new(2).unwrap();
         ragged.channels_mut()[0].push(0);
         assert!(acc.ingest_batch(&ragged).is_err());
         // Out-of-range code in the second channel: nothing is counted.
-        let mut bad_code = ReportBatch::new(2).unwrap();
-        bad_code.push(&Report::new(vec![0, 1])).unwrap();
-        bad_code.push(&Report::new(vec![1, 5])).unwrap();
+        let bad_code = batch_of(2, &[&[0, 1], &[1, 5]]);
         assert!(acc.ingest_batch(&bad_code).is_err());
         assert!(acc.is_empty());
         assert_eq!(acc.counts(), &[vec![0, 0, 0], vec![0, 0]]);
@@ -490,11 +468,11 @@ mod tests {
     /// `[size, 2, size]` layout (so a bad code in the last channel must
     /// take two counted channels back out): for each length, the batch
     /// count and the count of its wire view (whose outer lanes are at
-    /// [`width_for`] the size) must equal per-report ingestion, and an
-    /// out-of-range code at each of `positions(len)` in each channel must
-    /// give a typed error and leave the accumulator as it was — for the
-    /// wire view too when `wire_trials(size)`.  The bad codes reach every
-    /// wire width: up to 255 a 1-byte lane, 256 (or 1008 past a
+    /// [`width_for`] the size) must equal counting its reports one by one
+    /// ([`counted_one_by_one`]), and an out-of-range code at each of
+    /// `positions(len)` in each channel must give a typed error and leave
+    /// the accumulator as it was — for the wire view too when
+    /// `wire_trials(size)`.  The bad codes reach every wire width: up to 255 a 1-byte lane, 256 (or 1008 past a
     /// 1008-category channel) a 2-byte lane, 65537 and `u32::MAX` a
     /// 4-byte one.
     fn sweep_batch_count(
@@ -504,8 +482,8 @@ mod tests {
     ) {
         for size in sweep_sizes() {
             let sizes = [size, 2, size];
-            let mut before = Accumulator::new(&sizes).unwrap();
-            before.ingest(&report(&[size as u32 - 1, 1, 0])).unwrap();
+            let empty = Accumulator::new(&sizes).unwrap();
+            let before = counted_one_by_one(&empty, &batch_of(3, &[&[size as u32 - 1, 1, 0]]));
             let mut bad_codes: Vec<u32> = [size as u32, 64, 65, 256, u32::MAX]
                 .into_iter()
                 .filter(|&c| c as usize >= size)
@@ -514,12 +492,7 @@ mod tests {
             bad_codes.dedup();
             for &len in lengths {
                 let mut batch = mixed_batch(&sizes, len);
-                let mut per_report = before.clone();
-                let mut codes = Vec::new();
-                for i in 0..len {
-                    batch.read_report(i, &mut codes).unwrap();
-                    per_report.ingest(&report(&codes)).unwrap();
-                }
+                let per_report = counted_one_by_one(&before, &batch);
                 let mut batched = before.clone();
                 batched.ingest_batch(&batch).unwrap();
                 assert_eq!(batched, per_report, "size {size}, {len} reports");
@@ -591,16 +564,9 @@ mod tests {
 
     #[test]
     fn merge_is_exact_and_order_independent() {
-        let mut a = Accumulator::new(&[3]).unwrap();
-        let mut b = Accumulator::new(&[3]).unwrap();
-        let mut c = Accumulator::new(&[3]).unwrap();
-        for &x in &[0u32, 1, 1] {
-            a.ingest(&report(&[x])).unwrap();
-        }
-        for &x in &[2u32, 2] {
-            b.ingest(&report(&[x])).unwrap();
-        }
-        c.ingest(&report(&[0])).unwrap();
+        let a = Accumulator::from_counts(vec![vec![1, 2, 0]], 3).unwrap();
+        let b = Accumulator::from_counts(vec![vec![0, 0, 2]], 2).unwrap();
+        let c = Accumulator::from_counts(vec![vec![1, 0, 0]], 1).unwrap();
 
         let mut abc = a.clone();
         abc.merge(&b).unwrap();
@@ -641,12 +607,10 @@ mod tests {
     fn report_count_overflow_is_typed_and_changes_nothing() {
         let full = Accumulator::from_counts(vec![vec![u64::MAX, 0]], u64::MAX).unwrap();
         let one = Accumulator::from_counts(vec![vec![1, 0]], 1).unwrap();
-        let mut batch = ReportBatch::new(1).unwrap();
-        batch.push(&report(&[1])).unwrap();
+        let batch = batch_of(1, &[&[1]]);
         let mut acc = full.clone();
         for err in [
             acc.merge(&one).unwrap_err(),
-            acc.ingest(&report(&[1])).unwrap_err(),
             acc.ingest_batch(&batch).unwrap_err(),
         ] {
             assert!(

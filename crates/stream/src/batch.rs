@@ -1,21 +1,21 @@
 //! Columnar report batches: the zero-allocation bulk format.
 //!
-//! A [`ReportBatch`] is to [`crate::Report`] what a column is to a cell:
-//! one reusable `Vec<u32>` per protocol channel, holding the randomized
-//! codes of many reports in record order.  The bulk pipeline encodes whole
+//! A client's randomized report is one code per protocol channel, as
+//! [`mdrr_protocols::Protocol::encode_record`] returns it.  A
+//! [`ReportBatch`] holds many reports column by column: one reusable
+//! `Vec<u32>` per channel, in record order.  The bulk pipeline encodes whole
 //! record chunks straight into a batch
 //! ([`mdrr_protocols::Protocol::encode_batch`]) and counts whole batches
 //! straight into an accumulator ([`crate::Accumulator::ingest_batch`]),
 //! so after warm-up the per-report cost is pure arithmetic — no `Vec` per
 //! report, no dyn dispatch per report, no per-report validation.  The
-//! codes produced are bit-identical to the per-report path under the same
+//! codes produced are bit-identical to `encode_record` under the same
 //! RNG, which `crates/stream/tests/proptest_stream.rs` enforces.  A
 //! `Lane` borrows one channel's codes at the width they are stored in,
 //! so a batch's `u32` buffers and a wire payload's narrower lanes count
 //! through the same pass.
 
 use crate::error::MdrrError;
-use crate::report::Report;
 use mdrr_data::RecordsView;
 use mdrr_protocols::Protocol;
 use rand::RngCore;
@@ -162,13 +162,13 @@ impl ReportBatch {
         &mut self.channels
     }
 
-    /// Appends one already-encoded report.
+    /// Appends one already-encoded report: its code on each channel, in
+    /// channel order.
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] for an arity mismatch;
     /// the batch is unchanged on error.
-    pub fn push(&mut self, report: &Report) -> Result<(), MdrrError> {
-        let codes = report.codes();
+    pub fn push(&mut self, codes: &[u32]) -> Result<(), MdrrError> {
         if codes.len() != self.channels.len() {
             return Err(MdrrError::config(format!(
                 "report has {} codes but the batch has {} channels",
@@ -248,8 +248,8 @@ mod tests {
         let mut batch = ReportBatch::new(2).unwrap();
         assert_eq!(batch.n_channels(), 2);
         assert!(batch.is_empty());
-        batch.push(&Report::new(vec![1, 0])).unwrap();
-        assert!(batch.push(&Report::new(vec![1])).is_err());
+        batch.push(&[1, 0]).unwrap();
+        assert!(batch.push(&[1]).is_err());
         assert_eq!(batch.n_reports(), 1);
         let mut codes = Vec::new();
         batch.read_report(0, &mut codes).unwrap();
@@ -280,9 +280,9 @@ mod tests {
         let mut record = Vec::new();
         for i in 0..ds.n_records() {
             view.read_record(i, &mut record).unwrap();
-            let report = Report::encode(&*protocol, &record, &mut rng).unwrap();
+            let expected = protocol.encode_record(&record, &mut rng).unwrap();
             batch.read_report(i, &mut codes).unwrap();
-            assert_eq!(codes, report.codes());
+            assert_eq!(codes, expected);
         }
     }
 
@@ -292,7 +292,7 @@ mod tests {
             .build(&schema())
             .unwrap();
         let mut batch = ReportBatch::for_protocol(&*protocol);
-        batch.push(&Report::new(vec![0, 0])).unwrap();
+        batch.push(&[0, 0]).unwrap();
         let bad = Dataset::from_records(schema(), &[vec![0, 1]]).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         // Wrong arity view (project to one attribute).

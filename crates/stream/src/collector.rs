@@ -32,7 +32,6 @@ use crate::accumulator::Accumulator;
 use crate::batch::ReportBatch;
 use crate::error::MdrrError;
 use crate::instrument::{StreamObs, WorkerObs};
-use crate::report::Report;
 use crate::wire::BatchView;
 use mdrr_data::{RecordsBuffer, RecordsView};
 use mdrr_obs::{EventKind, NullClock};
@@ -286,29 +285,15 @@ impl ShardedCollector {
         }
     }
 
-    /// Ingests one already-encoded report into a specific shard (the
-    /// network path: reports arrive pre-randomized from the clients and are
-    /// routed to a shard by any load-balancing rule).
+    /// Ingests a whole columnar [`ReportBatch`] into a specific shard (the
+    /// network path: reports arrive pre-randomized from the clients, in
+    /// batches, and are routed to a shard by any load-balancing rule).
+    /// Returns the number of reports ingested.
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] for a bad shard index
-    /// or a report that does not match the protocol's channels, and
+    /// or a batch that does not match the protocol's channels, and
     /// [`MdrrError::ShardFailed`] for a quarantined shard.
-    pub fn ingest_report(&mut self, shard: usize, report: &Report) -> Result<(), MdrrError> {
-        routable(&mut self.shards, &self.quarantined, shard)?.ingest(report)?;
-        if let Some(shard_obs) = self.obs.shards.get(shard) {
-            shard_obs.reports.inc();
-        }
-        Ok(())
-    }
-
-    /// Ingests a whole columnar [`ReportBatch`] into a specific shard (the
-    /// bulk network path: pre-encoded reports arriving in batches and
-    /// routed to a shard by any load-balancing rule).  Returns the number
-    /// of reports ingested.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedCollector::ingest_report`].
     pub fn ingest_batch(&mut self, shard: usize, batch: &ReportBatch) -> Result<u64, MdrrError> {
         self.ingest_routed(shard, batch.n_reports(), |acc| acc.ingest_batch(batch))
     }
@@ -318,7 +303,7 @@ impl ShardedCollector {
     /// verified frame).  Returns the number of reports ingested.
     ///
     /// # Errors
-    /// Same contract as [`ShardedCollector::ingest_report`].
+    /// Same contract as [`ShardedCollector::ingest_batch`].
     pub fn ingest_batch_view(
         &mut self,
         shard: usize,
@@ -417,9 +402,9 @@ impl ShardedCollector {
     ///
     /// The result is fully deterministic for a given
     /// `(records, base_seed, n_shards)` triple and bit-identical to
-    /// encoding and ingesting shard `k`'s records one at a time with the
-    /// same RNG ([`ShardedCollector::ingest_records_per_record`]), which
-    /// the stream proptests enforce.
+    /// encoding shard `k`'s records one at a time with
+    /// [`mdrr_protocols::Protocol::encode_record`] under the same RNG and
+    /// counting the codes, which the stream proptests enforce.
     ///
     /// Returns the number of reports ingested.
     ///
@@ -479,37 +464,6 @@ impl ShardedCollector {
         self.ingest_view(&buffer.view(), base_seed)
     }
 
-    /// The scalar reference sibling of [`ShardedCollector::ingest_view`]:
-    /// identical partition and RNG schedule, but every record is encoded
-    /// into its own [`Report`] and ingested one at a time — two heap
-    /// allocations, a dyn-dispatched encode and a full validation per
-    /// record.  Kept public as the ground truth the batch path is
-    /// proptest-pinned against.
-    ///
-    /// Returns the number of reports ingested.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedCollector::ingest_view`].
-    pub fn ingest_records_per_record(
-        &mut self,
-        records: &[Vec<u32>],
-        base_seed: u64,
-    ) -> Result<u64, MdrrError> {
-        let n = records.len();
-        self.fan_out(n, base_seed, |protocol, range, rng, shard, worker| {
-            // Timed per worker run (one "chunk"), not per report —
-            // per-report clock reads would distort the baseline this path
-            // exists to provide.
-            let t0 = worker.chunk_start();
-            for record in records.iter().take(range.end).skip(range.start) {
-                let report = Report::encode(protocol, record, rng)?;
-                shard.ingest(&report)?;
-            }
-            worker.chunk_done(t0);
-            Ok(())
-        })
-    }
-
     /// The k-way merge of all shards (exact: counts are sums).
     ///
     /// # Errors
@@ -554,8 +508,8 @@ impl ShardedCollector {
     }
 }
 
-/// Shard `shard`'s accumulator, if a routed report or batch may land in
-/// it: the index must be in range and the shard must not be quarantined.
+/// Shard `shard`'s accumulator, if a routed batch may land in it: the
+/// index must be in range and the shard must not be quarantined.
 fn routable<'a>(
     shards: &'a mut [Accumulator],
     quarantined: &[bool],
@@ -613,7 +567,7 @@ fn panic_text(payload: Box<dyn Any + Send>) -> String {
 
 /// The deterministic RNG of shard `k` for a given base seed.
 fn shard_rng(base_seed: u64, k: usize) -> StdRng {
-    StdRng::seed_from_u64(base_seed.wrapping_add((k as u64).wrapping_mul(SHARD_SEED_STRIDE)))
+    StdRng::seed_from_u64(offset_base_seed(base_seed, k))
 }
 
 /// The base seed under which a collector's *local* shard `k` draws the
@@ -668,6 +622,27 @@ mod tests {
         (0..n)
             .map(|i| vec![(i % 3) as u32, (i % 2) as u32])
             .collect()
+    }
+
+    /// The per-record reference of the bulk paths: shard `k` of
+    /// `c.shard_ranges` encodes its records one at a time with
+    /// `encode_record` under `offset_base_seed(seed, k)`, and each code
+    /// bumps its own cell.
+    fn per_record_shards(c: &ShardedCollector, rs: &[Vec<u32>], seed: u64) -> Vec<Accumulator> {
+        let sizes = c.protocol().channel_sizes();
+        let mut shards = vec![Accumulator::new(&sizes).unwrap(); c.n_shards()];
+        for (k, range) in c.shard_ranges(rs.len()) {
+            let mut rng = StdRng::seed_from_u64(offset_base_seed(seed, k));
+            let mut counts: Vec<Vec<u64>> = sizes.iter().map(|&s| vec![0; s]).collect();
+            for record in &rs[range.clone()] {
+                let codes = c.protocol().encode_record(record, &mut rng).unwrap();
+                for (channel, &code) in counts.iter_mut().zip(&codes) {
+                    channel[code as usize] += 1;
+                }
+            }
+            shards[k] = Accumulator::from_counts(counts, range.len() as u64).unwrap();
+        }
+        shards
     }
 
     #[test]
@@ -736,34 +711,46 @@ mod tests {
 
     #[test]
     fn batch_ingestion_is_bit_identical_to_the_per_record_path() {
-        // Same records, same base seed: the columnar batch pipeline and
-        // the scalar reference pipeline must produce byte-identical shard
-        // accumulators, for shard counts around and beyond the chunking
-        // boundaries.
+        // Same records, same base seed: the row-major and columnar bulk
+        // paths must produce byte-identical shard accumulators to the
+        // per-record reference, for shard counts around and beyond the
+        // chunking boundaries.
         let rs = records(3_007);
         for n_shards in [1usize, 3, 8] {
             let mut batched = ShardedCollector::new(protocol(), n_shards).unwrap();
-            let mut scalar = ShardedCollector::new(protocol(), n_shards).unwrap();
             let mut columnar = ShardedCollector::new(protocol(), n_shards).unwrap();
+            let reference = per_record_shards(&batched, &rs, 77);
             assert_eq!(batched.ingest_records(&rs, 77).unwrap(), 3_007);
-            assert_eq!(scalar.ingest_records_per_record(&rs, 77).unwrap(), 3_007);
             let ds = mdrr_data::Dataset::from_records(schema(), &rs).unwrap();
             assert_eq!(columnar.ingest_view(&ds.view(), 77).unwrap(), 3_007);
-            assert_eq!(batched.shards(), scalar.shards(), "{n_shards} shards");
-            assert_eq!(batched.shards(), columnar.shards(), "{n_shards} shards");
+            assert_eq!(batched.shards(), &reference[..], "{n_shards} shards");
+            assert_eq!(columnar.shards(), &reference[..], "{n_shards} shards");
         }
     }
 
     #[test]
     fn routed_batches_land_in_their_shard() {
         let mut c = ShardedCollector::new(protocol(), 2).unwrap();
-        let mut batch = crate::batch::ReportBatch::new(2).unwrap();
-        batch.push(&Report::new(vec![1, 0])).unwrap();
-        batch.push(&Report::new(vec![2, 1])).unwrap();
+        let mut batch = ReportBatch::new(2).unwrap();
+        batch.push(&[1, 0]).unwrap();
+        batch.push(&[2, 1]).unwrap();
         assert_eq!(c.ingest_batch(1, &batch).unwrap(), 2);
         assert!(c.ingest_batch(5, &batch).is_err());
         assert_eq!(c.shards()[0].n_reports(), 0);
-        assert_eq!(c.shards()[1].n_reports(), 2);
+        assert_eq!(c.shards()[1].counts(), &[vec![0, 1, 1], vec![1, 1]]);
+    }
+
+    #[test]
+    fn routed_reports_land_in_their_shard() {
+        // A single report is routed as a one-report batch.
+        let mut c = ShardedCollector::new(protocol(), 2).unwrap();
+        let mut batch = ReportBatch::new(2).unwrap();
+        batch.push(&[1, 0]).unwrap();
+        assert_eq!(c.ingest_batch(1, &batch).unwrap(), 1);
+        assert!(c.ingest_batch(5, &batch).is_err());
+        assert_eq!(c.shards()[0].n_reports(), 0);
+        assert_eq!(c.shards()[1].n_reports(), 1);
+        assert_eq!(c.shards()[1].counts(), &[vec![0, 1, 0], vec![1, 0]]);
     }
 
     #[test]
@@ -801,15 +788,5 @@ mod tests {
         let f = snapshot.frequency(&[(0, 1)]).unwrap();
         assert_eq!(f, direct.frequency(&[(0, 1)]).unwrap());
         assert!((f - 1.0 / 3.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn routed_reports_land_in_their_shard() {
-        let mut c = ShardedCollector::new(protocol(), 2).unwrap();
-        let report = Report::new(vec![1, 0]);
-        c.ingest_report(1, &report).unwrap();
-        assert!(c.ingest_report(5, &report).is_err());
-        assert_eq!(c.shards()[0].n_reports(), 0);
-        assert_eq!(c.shards()[1].n_reports(), 1);
     }
 }

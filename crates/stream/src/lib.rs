@@ -4,15 +4,14 @@
 //! protocols — the paper's actual deployment shape at million-client
 //! scale:
 //!
-//! * [`report`] — each client locally randomizes one record into a compact
-//!   [`Report`] (one code per *channel*: per attribute for RR-Independent,
-//!   one joint code for RR-Joint, per cluster for RR-Clusters), via the
-//!   object-safe [`mdrr_protocols::Protocol`] encoder;
-//! * [`batch`] — bulk work flows through columnar [`ReportBatch`]es:
-//!   whole record chunks are encoded by the protocols' batched encoders
-//!   and counted in tight per-channel loops, with zero allocations per
-//!   report and output bit-identical to the per-report path under the
-//!   same seed (proptest-pinned);
+//! * [`batch`] — a client's randomized report is one code per *channel*
+//!   (per attribute for RR-Independent, one joint code for RR-Joint, per
+//!   cluster for RR-Clusters), as [`mdrr_protocols::Protocol::encode_record`]
+//!   returns it; reports travel in columnar [`ReportBatch`]es: whole
+//!   record chunks are encoded by the protocols' batched encoders and
+//!   counted in tight per-channel loops, with zero allocations per report
+//!   and output bit-identical to `encode_record` under the same seed
+//!   (proptest-pinned);
 //! * [`accumulator`] — the collector keeps only per-channel count vectors
 //!   ([`Accumulator`]): the sufficient statistics of Equation (2), exact
 //!   and mergeable in any order;
@@ -100,7 +99,6 @@ pub mod collector;
 pub mod error;
 pub mod fault;
 pub mod instrument;
-pub mod report;
 pub mod wire;
 
 pub use accumulator::Accumulator;
@@ -111,5 +109,4 @@ pub use collector::{offset_base_seed, ShardedCollector, StreamSnapshot, ENCODE_B
 pub use error::{MdrrError, StreamError};
 pub use fault::FaultyProtocol;
 pub use instrument::{StreamObs, DEFAULT_JOURNAL_CAPACITY};
-pub use report::Report;
 pub use wire::{BatchView, FrameType, WireError, MAX_WIRE_PAYLOAD, WIRE_MAGIC, WIRE_VERSION};

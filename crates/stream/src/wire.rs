@@ -1096,14 +1096,13 @@ fn fill<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Report;
     use mdrr_data::Attribute;
     use mdrr_protocols::RandomizationLevel;
 
     fn sample_batch() -> ReportBatch {
         let mut batch = ReportBatch::new(3).unwrap();
-        batch.push(&Report::new(vec![1, 0, 2])).unwrap();
-        batch.push(&Report::new(vec![0, 1, 3])).unwrap();
+        batch.push(&[1, 0, 2]).unwrap();
+        batch.push(&[0, 1, 3]).unwrap();
         batch
     }
 
@@ -1127,7 +1126,7 @@ mod tests {
         let mut frame = vec![0xAA; 7];
         let mut big = ReportBatch::new(3).unwrap();
         for i in 0..50 {
-            big.push(&Report::new(vec![i % 2, i % 3, i % 4])).unwrap();
+            big.push(&[i % 2, i % 3, i % 4]).unwrap();
         }
         // Reusing one buffer for batches of different sizes leaves no
         // stale bytes behind.

@@ -14,7 +14,7 @@ use mdrr_protocols::{
     AdjustmentConfig, Clustering, FrequencyEstimator, Protocol, ProtocolSpec, RandomizationLevel,
     Release,
 };
-use mdrr_stream::{Accumulator, Report, ReportBatch, ShardedCollector};
+use mdrr_stream::{offset_base_seed, Accumulator, ReportBatch, ShardedCollector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,12 +111,36 @@ fn all_four_protocols(schema: &Schema) -> Vec<Arc<dyn Protocol>> {
     all
 }
 
+/// The per-record reference: encodes `records` one at a time with
+/// `Protocol::encode_record` under `rng` and bumps one cell per code.
+/// Returns each report's codes and their counts.
+fn encode_per_record(
+    protocol: &dyn Protocol,
+    records: &[Vec<u32>],
+    rng: &mut StdRng,
+) -> (Vec<Vec<u32>>, Accumulator) {
+    let sizes = protocol.channel_sizes();
+    let mut counts: Vec<Vec<u64>> = sizes.iter().map(|&s| vec![0u64; s]).collect();
+    let reports = records
+        .iter()
+        .map(|record| {
+            let codes = protocol.encode_record(record, rng).unwrap();
+            for (channel, &code) in counts.iter_mut().zip(&codes) {
+                channel[code as usize] += 1;
+            }
+            codes
+        })
+        .collect();
+    let counted = Accumulator::from_counts(counts, records.len() as u64).unwrap();
+    (reports, counted)
+}
+
 /// The batch release computed from the same randomized codes: decode every
 /// report into the pooled randomized data set and estimate from it.
-fn batch_release(protocol: &dyn Protocol, reports: &[Report]) -> Box<dyn Release> {
+fn batch_release(protocol: &dyn Protocol, reports: &[Vec<u32>]) -> Box<dyn Release> {
     let mut randomized = Dataset::empty(protocol.schema().clone());
-    for report in reports {
-        let record = protocol.decode_report(report.codes()).unwrap();
+    for codes in reports {
+        let record = protocol.decode_report(codes).unwrap();
         randomized.push_record(&record).unwrap();
     }
     protocol.release_from_randomized(randomized).unwrap()
@@ -156,16 +180,17 @@ proptest! {
             // Client side: one report per record, one shared RNG so the
             // randomized codes are fixed once and reused on both paths.
             let mut rng = StdRng::seed_from_u64(seed);
-            let reports: Vec<Report> = all_records(&ds)
-                .iter()
-                .map(|r| Report::encode(&*protocol, r, &mut rng).unwrap())
-                .collect();
+            let (reports, _) = encode_per_record(&*protocol, &all_records(&ds), &mut rng);
 
-            // Streaming side: route reports to arbitrary shards…
+            // Streaming side: route reports to arbitrary shards, each as
+            // a one-report batch…
             let mut collector = ShardedCollector::new(Arc::clone(&protocol), n_shards).unwrap();
-            for (i, report) in reports.iter().enumerate() {
+            let mut batch = ReportBatch::for_protocol(&*protocol);
+            for (i, codes) in reports.iter().enumerate() {
                 let shard = ((i as u64).wrapping_mul(route_mult) % n_shards as u64) as usize;
-                collector.ingest_report(shard, report).unwrap();
+                batch.clear();
+                batch.push(codes).unwrap();
+                collector.ingest_batch(shard, &batch).unwrap();
             }
             prop_assert_eq!(collector.total_reports(), reports.len() as u64);
             let snapshot = collector.snapshot().unwrap();
@@ -219,7 +244,7 @@ proptest! {
     /// splits, `encode_batch` + `ingest_batch` and the fused
     /// `encode_tally` produce byte-identical accumulator counts (and
     /// byte-identical codes) to encoding every record one at a time with
-    /// `Report::encode` and ingesting report by report.
+    /// `encode_record` and counting code by code.
     #[test]
     fn batch_paths_are_bit_identical_to_the_per_record_path(ds in dataset_strategy(),
                                                             chunk_size in 1usize..64,
@@ -229,13 +254,7 @@ proptest! {
 
             // Scalar reference: one report at a time, one shared RNG.
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut reference = Accumulator::new(&sizes).unwrap();
-            let mut reports = Vec::with_capacity(ds.n_records());
-            for record in all_records(&ds) {
-                let report = Report::encode(&*protocol, &record, &mut rng).unwrap();
-                reference.ingest(&report).unwrap();
-                reports.push(report);
-            }
+            let (reports, reference) = encode_per_record(&*protocol, &all_records(&ds), &mut rng);
 
             // Batch path: the same records through arbitrary columnar
             // chunk splits over a fresh RNG with the same seed.
@@ -250,7 +269,7 @@ proptest! {
                 // Chunk boundaries must not affect the codes themselves.
                 for k in 0..batch.n_reports() {
                     batch.read_report(k, &mut codes).unwrap();
-                    prop_assert_eq!(&codes[..], reports[i].codes(),
+                    prop_assert_eq!(&codes, &reports[i],
                                     "record {} differs on {}", i, protocol.name());
                     i += 1;
                 }
@@ -268,44 +287,32 @@ proptest! {
         }
     }
 
-    /// The sharded bulk paths — scalar reference, row-major and columnar
-    /// view — are byte-identical to each other for any shard count and
-    /// seed (same chunk → shard assignment, same shard → RNG mapping, same
-    /// draws), and every one of them fills exactly the partition
-    /// `shard_ranges` announced before the call.
+    /// The sharded bulk paths — row-major and columnar view — are
+    /// byte-identical to the per-record reference for any shard count and
+    /// seed: shard `k` encodes the range `shard_ranges` announced before
+    /// the call one record at a time under `offset_base_seed(seed, k)`,
+    /// and a shard with no range stays empty.  Equal shards therefore
+    /// also pin the partition.
     #[test]
     fn sharded_batch_ingestion_is_bit_identical(ds in dataset_strategy(),
                                                 n_shards in 1usize..6,
                                                 seed in any::<u64>()) {
         let records: Vec<Vec<u32>> = all_records(&ds);
         for protocol in all_four_protocols(ds.schema()) {
-            let mut scalar = ShardedCollector::new(Arc::clone(&protocol), n_shards).unwrap();
-            let ranges = scalar.shard_ranges(records.len());
-            let expected: Vec<u64> = (0..n_shards)
-                .map(|k| {
-                    ranges
-                        .iter()
-                        .find(|(owner, _)| *owner == k)
-                        .map_or(0, |(_, range)| range.len() as u64)
-                })
-                .collect();
-            let per_shard =
-                |c: &ShardedCollector| c.shards().iter().map(|s| s.n_reports()).collect::<Vec<_>>();
-            scalar.ingest_records_per_record(&records, seed).unwrap();
-            prop_assert_eq!(per_shard(&scalar), expected.clone(),
-                            "scalar partition on {}", protocol.name());
-
             let mut rows = ShardedCollector::new(Arc::clone(&protocol), n_shards).unwrap();
+            let empty = Accumulator::new(&protocol.channel_sizes()).unwrap();
+            let mut reference = vec![empty; n_shards];
+            for (k, range) in rows.shard_ranges(records.len()) {
+                let mut rng = StdRng::seed_from_u64(offset_base_seed(seed, k));
+                reference[k] = encode_per_record(&*protocol, &records[range], &mut rng).1;
+            }
+
             rows.ingest_records(&records, seed).unwrap();
-            prop_assert_eq!(per_shard(&rows), expected.clone(),
-                            "rows partition on {}", protocol.name());
-            prop_assert_eq!(rows.shards(), scalar.shards(), "rows path on {}", protocol.name());
+            prop_assert_eq!(rows.shards(), &reference[..], "rows path on {}", protocol.name());
 
             let mut view = ShardedCollector::new(Arc::clone(&protocol), n_shards).unwrap();
             view.ingest_view(&ds.view(), seed).unwrap();
-            prop_assert_eq!(per_shard(&view), expected,
-                            "view partition on {}", protocol.name());
-            prop_assert_eq!(view.shards(), scalar.shards(), "view path on {}", protocol.name());
+            prop_assert_eq!(view.shards(), &reference[..], "view path on {}", protocol.name());
         }
     }
 }

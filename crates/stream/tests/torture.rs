@@ -501,7 +501,7 @@ fn a_panicked_shard_is_quarantined_and_recovered_exactly() {
     assert_eq!(victim.total_reports(), before + batch3.len() as u64);
     // …while the quarantined shard rejects routed traffic.
     assert!(victim
-        .ingest_report(failed, &mdrr_stream::Report::new(vec![0, 0]))
+        .ingest_batch(failed, &mdrr_stream::ReportBatch::for_protocol(&*inner))
         .is_err());
 
     // Recovery: re-run exactly the lost range under the shard's original

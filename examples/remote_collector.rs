@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 for i in 0..RECORDS_PER_CLIENT {
                     let record = synthesizer.sample_record(&mut rng);
                     let codes = protocol.encode_record(&record, &mut rng)?;
-                    batch.push(&Report::new(codes))?;
+                    batch.push(&codes)?;
                     if batch.n_reports() == BATCH_REPORTS || i == RECORDS_PER_CLIENT - 1 {
                         client.send_batch(c as u32, &batch)?;
                         batch.clear();

@@ -95,7 +95,7 @@ pub mod prelude {
     pub use mdrr_serve::{CollectorServer, DrainedCollector, ServeConfig};
     pub use mdrr_store::{merge_snapshot_files, merge_snapshots, Snapshot, Storage, StoreError};
     pub use mdrr_stream::{
-        Accumulator, CheckpointManifest, ClientConfig, Report, ReportBatch, RestoredCheckpoint,
+        Accumulator, CheckpointManifest, ClientConfig, ReportBatch, RestoredCheckpoint,
         ShardedCollector, StreamSnapshot, WireClient, WireError,
     };
 }
