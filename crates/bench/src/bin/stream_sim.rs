@@ -78,6 +78,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Keep probability used for every protocol variant.
@@ -513,8 +514,9 @@ struct Chaos {
     /// The protocol the collector runs: the simulated one behind the
     /// fault wrapper.
     protocol: Arc<FaultyProtocol>,
-    /// The soak's durability target: a per-process scratch directory, so
-    /// clearing it at start can never erase a real checkpoint.
+    /// The soak's durability target: a temporary directory of its own (see
+    /// [`Chaos::soak_dir`]), so clearing it at start can never erase a
+    /// real checkpoint or another soak's.
     dir: PathBuf,
     clock: Arc<dyn Clock>,
     /// One faulty backend per "disk epoch": it persists across rounds (a
@@ -532,7 +534,7 @@ struct Chaos {
 
 impl Chaos {
     fn new(inner: Arc<dyn Protocol>, options: &Options, clock: Arc<dyn Clock>) -> Self {
-        let dir = std::env::temp_dir().join(format!("mdrr-chaos-{}", std::process::id()));
+        let dir = Self::soak_dir();
         std::fs::remove_dir_all(&dir).ok();
         Chaos {
             report: ChaosReport {
@@ -549,6 +551,15 @@ impl Chaos {
             plan_seed: options.seed,
             recoveries: Vec::new(),
         }
+    }
+
+    /// A temporary directory no other soak uses: the process id tells
+    /// processes apart, and a process-wide counter the soaks of one
+    /// process.
+    fn soak_dir() -> PathBuf {
+        static SOAKS: AtomicU64 = AtomicU64::new(0);
+        let soak = SOAKS.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("mdrr-chaos-{}-{soak}", std::process::id()))
     }
 
     fn backend(plan_seed: u64) -> Arc<FaultyBackend> {
@@ -1034,14 +1045,36 @@ mod tests {
         assert_eq!(report.report_loss, 0);
         assert_eq!(chaos.shards(), plain.shards());
         // Round 1's torn checkpoint is salvaged, and the salvage reaches
-        // the collector's journal.  (A second chaos test would share this
-        // process's scratch directory.)
+        // the collector's journal.
         assert!(report.salvages > 0, "no checkpoint was salvaged");
         let events = chaos.instrumentation().journal().events();
         let salvaged = events
             .iter()
             .filter(|e| e.kind.name() == "salvage_completed");
         assert_eq!(salvaged.count(), report.salvages);
+    }
+
+    #[test]
+    fn chaos_soaks_in_one_process_keep_their_own_directories() {
+        let options = parse_args(&["--chaos", "--quick"]).unwrap();
+        let schema = adult_schema().project(&JOINT_ATTRIBUTES).unwrap();
+        let protocol = preset_spec("independent")
+            .unwrap()
+            .build_arc(&schema)
+            .unwrap();
+        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
+        let first = Chaos::new(Arc::clone(&protocol), &options, Arc::clone(&clock));
+        std::fs::create_dir_all(&first.dir).unwrap();
+        let marker = first.dir.join("marker");
+        std::fs::write(&marker, b"first soak").unwrap();
+        let second = Chaos::new(protocol, &options, clock);
+        assert_ne!(first.dir, second.dir);
+        assert!(
+            marker.exists(),
+            "the second soak cleared the first one's directory"
+        );
+        std::fs::remove_dir_all(&first.dir).ok();
+        std::fs::remove_dir_all(&second.dir).ok();
     }
 
     #[test]

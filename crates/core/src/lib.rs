@@ -69,6 +69,6 @@ pub use estimate::{
     distribution_from_counts, empirical_distribution, estimate_from_reports, estimate_proper,
     estimate_proper_from_counts, estimate_raw, iterative_bayesian_update,
 };
-pub use matrix::{PreparedRandomizer, RRMatrix};
+pub use matrix::{ChannelTally, PreparedRandomizer, RRMatrix};
 pub use privacy::{epsilon_for_keep_probability, split_budget, Composition, PrivacyAccountant};
 pub use randomize::{randomize_attribute, randomize_dataset_independent, randomize_joint};

@@ -52,10 +52,21 @@ const TOL: f64 = 1e-9;
 /// reduced to its top 53 bits, exactly the bits `rng.gen::<f64>()` keeps.
 const DRAW_BITS: u32 = 53;
 
-/// Largest channel domain counted through interleaved stack banks in
-/// [`PreparedRandomizer::randomize_strided_tally`] (4 banks of this width
-/// fit comfortably on the stack and zero quickly).
-const TALLY_BANK_WIDTH: usize = 64;
+/// Largest channel domain [`PreparedRandomizer::randomize_strided_tally`]
+/// counts through four interleaved banks ([`ChannelTally`]).  Above it a
+/// count goes straight into the tally.
+///
+/// The banks break the store-forwarding chains of a low-cardinality
+/// channel, where consecutive values keep incrementing the same one or two
+/// counters.  They cost `4·r` counters, zeroed once per [`ChannelTally`]
+/// and folded into the count vector once.  Counting 4096 randomized
+/// Zipf-distributed codes per call, banks and fold included, measured
+/// 0.6–0.9 ns/value banked against 0.8–1.6 direct for every domain up to
+/// 512 cells, and lost from 1008 cells on (1.15 against 1.08 at 1008, 1.17
+/// against 0.78 at 2048; 2-vCPU Xeon).  At 512 cells the banks fill
+/// 16 KiB, so they and the encoders' 8 KiB draw block share a 32 KiB L1
+/// data cache.
+pub const TALLY_BANK_CAP: usize = 512;
 
 /// The integer keep/redraw constants of a uniform-perturbation row,
 /// precomputed once per matrix (or per call on the scalar path — the same
@@ -114,43 +125,128 @@ fn uniform_redraw_scale(r: usize, threshold: u64) -> u128 {
 // sneaks back in.
 // lint:region(no_float, no_alloc)
 
+/// A fixed-point redraw scale: `u128` in general, `u64` when the scale is
+/// below `2⁶⁴` (every matrix whose redraw span exceeds `r − 1`), where the
+/// product is one 64×64→128-bit multiply instead of three.
+trait RedrawScale: Copy {
+    /// The top 64 bits of `diff · self`, truncated to `u32`, wrapping for
+    /// the discarded products of kept draws.
+    fn scaled(self, diff: u64) -> u32;
+}
+
+impl RedrawScale for u64 {
+    #[inline]
+    fn scaled(self, diff: u64) -> u32 {
+        // Both factors are below 2⁶⁴, so the product never wraps.
+        ((u128::from(diff) * u128::from(self)) >> 64) as u32
+    }
+}
+
+impl RedrawScale for u128 {
+    #[inline]
+    fn scaled(self, diff: u64) -> u32 {
+        (u128::from(diff).wrapping_mul(self) >> 64) as u32
+    }
+}
+
 /// The redraw half of the kernel: maps the leftover mass `hi − threshold`
 /// onto one of the `r − 1` categories other than `true_value`.  Shared by
 /// the batched kernel and the scalar path so their arithmetic can never
 /// diverge.
 ///
-/// The arithmetic wraps because [`sample_uniform_raw`] also evaluates it
+/// The arithmetic wraps because [`UniformKernel::sample`] also evaluates it
 /// for draws it then keeps (`hi < threshold`) and discards the result;
 /// near `diag = 1` the product can then exceed `u128`.  For a redraw
 /// `diff = hi − threshold < span`, so the product is below
 /// `(r − 1) · 2⁶⁴`, `idx < r − 1` and nothing wraps: the redrawn category
-/// is the exact one.
+/// is the exact one, whichever width holds the scale.
 #[inline]
-fn uniform_redraw(threshold: u64, redraw_scale: u128, true_value: u32, hi: u64) -> u32 {
-    let idx = (u128::from(hi.wrapping_sub(threshold)).wrapping_mul(redraw_scale) >> 64) as u32;
+fn uniform_redraw<S: RedrawScale>(
+    threshold: u64,
+    redraw_scale: S,
+    true_value: u32,
+    hi: u64,
+) -> u32 {
+    let idx = redraw_scale.scaled(hi.wrapping_sub(threshold));
     idx.wrapping_add(u32::from(idx >= true_value))
 }
 
-/// The fused keep/redraw kernel of the uniform-perturbation form: maps one
-/// raw 64-bit draw to the randomized category.
-///
-/// The row of `true_value` is `diag` at the true value and constant
-/// elsewhere, so a single draw decides both questions at once: the top 53
-/// bits below `threshold` keep the value, and otherwise the *leftover*
-/// uniform mass selects one of the `r − 1` other categories through the
-/// fixed-point `redraw_scale` (see [`uniform_row_constants`]).  One RNG
-/// draw per value, no data-dependent extra draws; this is the draw
-/// discipline both the per-record and the batched encoders share, which is
-/// what makes them bit-identical under a common seed.
-///
-/// The redraw is always computed and the keep is a select, not a branch:
-/// the keep decision is a coin flip (about 30% redraws at the benchmark's
-/// keep probability), so a branch would be mispredicted that often.
-#[inline]
-fn sample_uniform_raw(threshold: u64, redraw_scale: u128, true_value: u32, raw: u64) -> u32 {
-    let hi = raw >> (64 - DRAW_BITS);
-    let redrawn = uniform_redraw(threshold, redraw_scale, true_value, hi);
-    std::hint::select_unpredictable(hi < threshold, true_value, redrawn)
+/// The fused keep/redraw kernel of the uniform-perturbation form, with its
+/// constants (see [`uniform_row_constants`]) and the redraw scale at the
+/// width [`RRMatrix::prepared`] chose.  One generic body, instantiated for
+/// a `u64` and a `u128` scale.
+#[derive(Debug, Clone, Copy)]
+struct UniformKernel<S> {
+    threshold: u64,
+    redraw_scale: S,
+}
+
+impl<S: RedrawScale> UniformKernel<S> {
+    /// Maps one raw 64-bit draw to the randomized category.
+    ///
+    /// The row of `true_value` is `diag` at the true value and constant
+    /// elsewhere, so a single draw decides both questions at once: the top
+    /// 53 bits below `threshold` keep the value, and otherwise the
+    /// *leftover* uniform mass selects one of the `r − 1` other categories
+    /// through the fixed-point `redraw_scale`.  One RNG draw per value, no
+    /// data-dependent extra draws; this is the draw discipline both the
+    /// per-record and the batched encoders share, which is what makes them
+    /// bit-identical under a common seed.
+    ///
+    /// The redraw is always computed and the keep is a select, not a
+    /// branch: the keep decision is a coin flip (about 30% redraws at the
+    /// benchmark's keep probability), so a branch would be mispredicted
+    /// that often.
+    #[inline]
+    fn sample(self, true_value: u32, raw: u64) -> u32 {
+        let hi = raw >> (64 - DRAW_BITS);
+        let redrawn = uniform_redraw(self.threshold, self.redraw_scale, true_value, hi);
+        std::hint::select_unpredictable(hi < self.threshold, true_value, redrawn)
+    }
+
+    /// Appends the randomized `column`, value `i` drawing `raws`' item `i`.
+    #[inline]
+    fn extend<'d>(self, column: &[u32], raws: impl Iterator<Item = &'d u64>, out: &mut Vec<u32>) {
+        out.extend(
+            column
+                .iter()
+                .zip(raws)
+                .map(|(&v, &raw)| self.sample(v, raw)),
+        );
+    }
+
+    /// Counts the randomized `column` into `tally`, value `i` drawing
+    /// `raws`' item `i`.
+    #[inline]
+    fn tally<'d>(
+        self,
+        column: &[u32],
+        mut raws: impl Iterator<Item = &'d u64>,
+        tally: &mut ChannelTally,
+    ) {
+        let r = tally.r;
+        if r <= TALLY_BANK_CAP {
+            // Value `i` counts into bank `i mod 4`, so consecutive values
+            // never increment the same counter.
+            let (low, high) = tally.counts.split_at_mut(2 * r);
+            let (b0, b1) = low.split_at_mut(r);
+            let (b2, b3) = high.split_at_mut(r);
+            let mut banks = [b0, b1, b2, b3];
+            let (quads, rest) = column.as_chunks::<4>();
+            for quad in quads {
+                for (bank, (&v, &raw)) in banks.iter_mut().zip(quad.iter().zip(&mut raws)) {
+                    bank[self.sample(v, raw) as usize] += 1;
+                }
+            }
+            for (bank, (&v, &raw)) in banks.iter_mut().zip(rest.iter().zip(&mut raws)) {
+                bank[self.sample(v, raw) as usize] += 1;
+            }
+        } else {
+            for (&v, &raw) in column.iter().zip(raws) {
+                tally.counts[self.sample(v, raw) as usize] += 1;
+            }
+        }
+    }
 }
 
 // lint:endregion(no_float, no_alloc)
@@ -187,8 +283,52 @@ pub struct PreparedRandomizer<'a> {
 
 #[derive(Debug, Clone, Copy)]
 enum PreparedKind<'a> {
-    Uniform { threshold: u64, redraw_scale: u128 },
+    /// A uniform-perturbation matrix whose redraw scale fits 64 bits.
+    Uniform(UniformKernel<u64>),
+    /// A uniform-perturbation matrix with a keep probability within
+    /// `(r − 1) · 2⁻⁵³` of 1, whose redraw scale needs 128 bits.
+    UniformWide(UniformKernel<u128>),
     General(&'a Matrix),
+}
+
+/// One channel's count vector while a batch is counted into it: four
+/// interleaved banks of `r` counters for a domain of at most
+/// [`TALLY_BANK_CAP`] cells, one plain vector above.
+///
+/// Create one per channel and call, count every chunk of the call into it
+/// with [`PreparedRandomizer::randomize_strided_tally`], then add it to the
+/// channel's counts with [`ChannelTally::add_to`]: the banks are zeroed
+/// and folded once per call, not per chunk.
+#[derive(Debug, Clone)]
+pub struct ChannelTally {
+    r: usize,
+    /// `4·r` counters (bank `b` is `counts[b·r..(b+1)·r]`) when `r` is at
+    /// most [`TALLY_BANK_CAP`], else `r`.
+    counts: Vec<u64>,
+}
+
+impl ChannelTally {
+    /// An all-zero tally over a domain of `r` cells.
+    pub fn new(r: usize) -> Self {
+        let banks = if r <= TALLY_BANK_CAP { 4 } else { 1 };
+        ChannelTally {
+            r,
+            counts: vec![0; banks * r],
+        }
+    }
+
+    /// Adds the counts to `tally`, cell by cell.
+    ///
+    /// # Panics
+    /// Panics if `tally.len()` differs from the domain size.
+    pub fn add_to(&self, tally: &mut [u64]) {
+        assert_eq!(tally.len(), self.r, "tally length must match the domain");
+        for bank in self.counts.chunks_exact(self.r.max(1)) {
+            for (slot, &count) in tally.iter_mut().zip(bank) {
+                *slot += count;
+            }
+        }
+    }
 }
 
 impl PreparedRandomizer<'_> {
@@ -201,8 +341,9 @@ impl PreparedRandomizer<'_> {
     /// (value `i` of channel `j` out of `m` always consumes draw
     /// `i · m + j` of the batch, no matter in which order the channels are
     /// processed) — column-major processing speed, per-record bit-identity.
-    /// The form `match` is resolved once per call, the loop body is pure
-    /// arithmetic, and `out` grows through one exact-size `extend`.
+    /// The form `match` is resolved once per call, the draws are read
+    /// through a strided slice iterator (no bounds check per value), and
+    /// `out` grows through one `extend`.
     ///
     /// # Panics
     /// Panics if `draws` is shorter than the strided indexing requires or
@@ -216,27 +357,14 @@ impl PreparedRandomizer<'_> {
         stride: usize,
         out: &mut Vec<u32>,
     ) {
-        assert!(stride > 0, "draw stride must be positive");
-        assert!(
-            column.is_empty() || offset + (column.len() - 1) * stride < draws.len(),
-            "draw buffer too short for the strided column"
-        );
+        let raws = strided(column, draws, offset, stride);
         match self.kind {
-            PreparedKind::Uniform {
-                threshold,
-                redraw_scale,
-            } => {
-                // lint:region(no_float, no_alloc)
-                out.extend(column.iter().enumerate().map(|(i, &v)| {
-                    sample_uniform_raw(threshold, redraw_scale, v, draws[offset + i * stride])
-                }));
-                // lint:endregion(no_float, no_alloc)
-            }
+            PreparedKind::Uniform(kernel) => kernel.extend(column, raws, out),
+            PreparedKind::UniformWide(kernel) => kernel.extend(column, raws, out),
             PreparedKind::General(m) => {
                 let r = self.r;
-                out.extend(column.iter().enumerate().map(|(i, &v)| {
-                    let u = rand::unit_f64_from_u64(draws[offset + i * stride]);
-                    sample_general_row(m, r, v as usize, u)
+                out.extend(column.iter().zip(raws).map(|(&v, &raw)| {
+                    sample_general_row(m, r, v as usize, rand::unit_f64_from_u64(raw))
                 }));
             }
         }
@@ -245,14 +373,15 @@ impl PreparedRandomizer<'_> {
     /// The counting sibling of
     /// [`PreparedRandomizer::randomize_strided_into`]: identical draws,
     /// identical randomized codes, but instead of materializing the codes
-    /// it bumps `tally[code]` — the per-category sufficient statistics —
-    /// in the same pass.  This is the hot loop of bulk ingestion, where
-    /// the collector only ever needs the count vectors: fusing the count
-    /// into the randomization avoids storing and re-reading every code.
+    /// it bumps the count of each code in `tally` — the per-category
+    /// sufficient statistics — in the same pass.  This is the hot loop of
+    /// bulk ingestion, where the collector only ever needs the count
+    /// vectors: fusing the count into the randomization avoids storing and
+    /// re-reading every code.
     ///
     /// # Panics
-    /// Panics if `tally.len() != r`, `draws` is shorter than the strided
-    /// indexing requires, or `stride` is zero.
+    /// Panics if `tally` is over another domain size, `draws` is shorter
+    /// than the strided indexing requires, or `stride` is zero.
     #[inline]
     pub fn randomize_strided_tally(
         &self,
@@ -260,64 +389,43 @@ impl PreparedRandomizer<'_> {
         draws: &[u64],
         offset: usize,
         stride: usize,
-        tally: &mut [u64],
+        tally: &mut ChannelTally,
     ) {
-        assert!(stride > 0, "draw stride must be positive");
-        assert!(
-            column.is_empty() || offset + (column.len() - 1) * stride < draws.len(),
-            "draw buffer too short for the strided column"
-        );
-        assert_eq!(tally.len(), self.r, "tally length must match the domain");
+        let raws = strided(column, draws, offset, stride);
+        assert_eq!(tally.r, self.r, "tally must be over the matrix's domain");
         match self.kind {
-            PreparedKind::Uniform {
-                threshold,
-                redraw_scale,
-            } => {
-                // lint:region(no_float, no_alloc)
-                if self.r <= TALLY_BANK_WIDTH {
-                    // Four interleaved stack banks: consecutive values
-                    // never increment the same counter slot, so the
-                    // store-forwarding chains that serialize counting on
-                    // low-cardinality channels (where most codes hit the
-                    // same one or two categories) are broken.
-                    let mut banks = [0u64; 4 * TALLY_BANK_WIDTH];
-                    for (i, &v) in column.iter().enumerate() {
-                        let code = sample_uniform_raw(
-                            threshold,
-                            redraw_scale,
-                            v,
-                            draws[offset + i * stride],
-                        );
-                        banks[(i & 3) * TALLY_BANK_WIDTH + code as usize] += 1;
-                    }
-                    for (code, slot) in tally.iter_mut().enumerate() {
-                        *slot += banks[code]
-                            + banks[TALLY_BANK_WIDTH + code]
-                            + banks[2 * TALLY_BANK_WIDTH + code]
-                            + banks[3 * TALLY_BANK_WIDTH + code];
-                    }
-                } else {
-                    for (i, &v) in column.iter().enumerate() {
-                        let code = sample_uniform_raw(
-                            threshold,
-                            redraw_scale,
-                            v,
-                            draws[offset + i * stride],
-                        );
-                        tally[code as usize] += 1;
-                    }
-                }
-                // lint:endregion(no_float, no_alloc)
-            }
+            PreparedKind::Uniform(kernel) => kernel.tally(column, raws, tally),
+            PreparedKind::UniformWide(kernel) => kernel.tally(column, raws, tally),
             PreparedKind::General(m) => {
-                for (i, &v) in column.iter().enumerate() {
-                    let u = rand::unit_f64_from_u64(draws[offset + i * stride]);
-                    let code = sample_general_row(m, self.r, v as usize, u);
-                    tally[code as usize] += 1;
+                // Bank 0 (or the plain vector) holds the first `r` counters.
+                for (&v, &raw) in column.iter().zip(raws) {
+                    let u = rand::unit_f64_from_u64(raw);
+                    tally.counts[sample_general_row(m, self.r, v as usize, u) as usize] += 1;
                 }
             }
         }
     }
+}
+
+/// The draws of `column`'s values, `draws[offset + i · stride]` for value
+/// `i`, as a slice iterator.
+///
+/// # Panics
+/// Panics if `draws` is shorter than the strided indexing requires or
+/// `stride` is zero.
+#[inline]
+fn strided<'d>(
+    column: &[u32],
+    draws: &'d [u64],
+    offset: usize,
+    stride: usize,
+) -> std::iter::StepBy<std::slice::Iter<'d, u64>> {
+    assert!(stride > 0, "draw stride must be positive");
+    assert!(
+        column.is_empty() || offset + (column.len() - 1) * stride < draws.len(),
+        "draw buffer too short for the strided column"
+    );
+    draws[offset.min(draws.len())..].iter().step_by(stride)
 }
 
 impl RRMatrix {
@@ -628,16 +736,25 @@ impl RRMatrix {
     }
 
     /// The matrix's randomization kernel with form dispatch and constants
-    /// hoisted — see [`PreparedRandomizer`].
+    /// hoisted — see [`PreparedRandomizer`].  The redraw scale is held at
+    /// 64 bits whenever it fits, which is every matrix whose redraw span
+    /// exceeds `r − 1`; the exact product is then one 64×64→128-bit
+    /// multiply.
     pub fn prepared(&self) -> PreparedRandomizer<'_> {
         PreparedRandomizer {
             r: self.r,
             kind: match &self.form {
                 Form::Uniform { diag, .. } => {
                     let (threshold, redraw_scale) = uniform_row_constants(self.r, *diag);
-                    PreparedKind::Uniform {
-                        threshold,
-                        redraw_scale,
+                    match u64::try_from(redraw_scale) {
+                        Ok(redraw_scale) => PreparedKind::Uniform(UniformKernel {
+                            threshold,
+                            redraw_scale,
+                        }),
+                        Err(_) => PreparedKind::UniformWide(UniformKernel {
+                            threshold,
+                            redraw_scale,
+                        }),
                     }
                 }
                 Form::General(m) => PreparedKind::General(m),
@@ -737,6 +854,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn assert_close(actual: f64, expected: f64, tol: f64) {
         assert!(
@@ -981,8 +1099,10 @@ mod tests {
         prepared.randomize_strided_into(column, &draws, OFFSET, STRIDE, &mut out);
         assert_eq!(out, expected, "randomize_strided_into, {context}");
 
+        let mut banks = ChannelTally::new(r);
+        prepared.randomize_strided_tally(column, &draws, OFFSET, STRIDE, &mut banks);
         let mut tally = vec![0u64; r];
-        prepared.randomize_strided_tally(column, &draws, OFFSET, STRIDE, &mut tally);
+        banks.add_to(&mut tally);
         let mut expected_tally = vec![0u64; r];
         for &code in &expected {
             expected_tally[code as usize] += 1;
@@ -1011,16 +1131,36 @@ mod tests {
     /// `threshold + 1` and `2⁵³ − 1`, for every true value.  In a debug
     /// build this also checks that the redraw, computed for kept draws
     /// too, wraps instead of overflowing when the span is a few units.
+    /// The domains put the banked count's 4-value tail at every length,
+    /// and reach the last banked domain and the first direct one; the
+    /// spans of a few units take the 128-bit redraw scale, the others the
+    /// 64-bit one.
     #[test]
     fn select_kernel_matches_scalar_at_the_keep_boundary() {
         let full = 1u64 << DRAW_BITS;
         let mut wrapped = false;
-        for r in [2usize, 3, 64, 65, 144, 1008] {
+        let mut scale_widths = BTreeSet::new();
+        let widths = [
+            2usize,
+            3,
+            64,
+            65,
+            144,
+            TALLY_BANK_CAP,
+            TALLY_BANK_CAP + 1,
+            1008,
+        ];
+        for r in widths {
             let column: Vec<u32> = (0..r as u32).collect();
             let mut spans = Vec::new();
             for m in kernel_test_matrices(r) {
                 let (threshold, redraw_scale) = uniform_row_constants(r, m.prob(0, 0));
                 spans.push(full - threshold);
+                scale_widths.insert(match m.prepared().kind {
+                    PreparedKind::Uniform(_) => 64,
+                    PreparedKind::UniformWide(_) => 128,
+                    PreparedKind::General(_) => 0,
+                });
                 let his = [0, full - 1]
                     .into_iter()
                     .chain(threshold.checked_sub(1))
@@ -1046,17 +1186,19 @@ mod tests {
             );
         }
         assert!(wrapped, "no kept draw reached the wrapping product");
+        assert_eq!(scale_widths, BTreeSet::from([64, 128]));
     }
 
     /// Heavy sweep (`cargo test --release -p mdrr-core -- --ignored`): every
-    /// domain up to the banked tally's width plus two wide ones, the kernel
-    /// test matrices, and 2²⁰ random values and draws each.
+    /// domain up to 64, the wider domains of the boundary test (up to the
+    /// first one counted without banks), the kernel test matrices, and 2²⁰
+    /// random values and draws each.
     #[test]
     #[ignore = "heavy: under a minute in release"]
     fn select_kernel_matches_scalar_on_random_draws() {
         let mut rng = StdRng::seed_from_u64(0x5e1ec7);
         let n = 1 << 20;
-        for r in (1..=TALLY_BANK_WIDTH).chain([144, 1008]) {
+        for r in (1..=64).chain([65, 144, TALLY_BANK_CAP, TALLY_BANK_CAP + 1, 1008]) {
             for m in kernel_test_matrices(r) {
                 let column: Vec<u32> = (0..n).map(|_| rng.gen_range(0..r) as u32).collect();
                 let mut raws = vec![0u64; n];

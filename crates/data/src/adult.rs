@@ -256,9 +256,48 @@ impl AdultSynthesizer {
     /// simulator can draw one client at a time without materializing the
     /// whole data set.  It draws exactly the same stream as `generate`:
     /// `n` calls from a given RNG state yield the records `generate`
-    /// would, in order, and leave the RNG in the same state.
-    pub fn sample_record(&self, rng: &mut impl Rng) -> Vec<u32> {
-        tables().sample_record(rng).to_vec()
+    /// would, in order, and leave the RNG in the same state.  The record
+    /// is inline, so sampling one allocates nothing.
+    pub fn sample_record(&self, rng: &mut impl Rng) -> AdultRecord {
+        AdultRecord {
+            codes: tables().sample_record(rng),
+            len: ADULT_ATTRIBUTES,
+        }
+    }
+}
+
+/// Number of attributes in [`adult_schema`].
+const ADULT_ATTRIBUTES: usize = 8;
+
+/// One synthetic Adult record, held inline: its codes in schema order,
+/// read as a `&[u32]` through `Deref`.  [`AdultRecord::truncate`] keeps a
+/// prefix of the attributes, for schemas projected onto the first few.
+#[derive(Clone, Copy)]
+pub struct AdultRecord {
+    codes: [u32; ADULT_ATTRIBUTES],
+    /// The number of codes in use, at most [`ADULT_ATTRIBUTES`].
+    len: usize,
+}
+
+impl AdultRecord {
+    /// Keeps the first `len` codes; a `len` at or past the record's length
+    /// changes nothing.
+    pub fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+}
+
+impl std::ops::Deref for AdultRecord {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.codes[..self.len]
+    }
+}
+
+impl std::fmt::Debug for AdultRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -665,9 +704,35 @@ mod tests {
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
         let ds = synth.generate(&mut a);
-        let streamed: Vec<Vec<u32>> = (0..10).map(|_| synth.sample_record(&mut b)).collect();
+        let streamed: Vec<Vec<u32>> = (0..10)
+            .map(|_| synth.sample_record(&mut b).to_vec())
+            .collect();
         let direct: Vec<Vec<u32>> = (0..ds.n_records()).map(|i| ds.record(i).unwrap()).collect();
         assert_eq!(streamed, direct);
+    }
+
+    #[test]
+    fn adult_record_truncates_to_a_prefix_and_never_grows() {
+        let synth = AdultSynthesizer::paper_sized();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut twin = StdRng::seed_from_u64(4);
+        for _ in 0..20 {
+            let record = synth.sample_record(&mut rng);
+            let codes = tables().sample_record(&mut twin);
+            assert_eq!(&*record, &codes[..]);
+            for k in 0..=ADULT_ATTRIBUTES + 1 {
+                let mut prefix = record;
+                prefix.truncate(k);
+                assert_eq!(&*prefix, &codes[..k.min(ADULT_ATTRIBUTES)], "k {k}");
+                // A longer truncate leaves the prefix as it is.
+                prefix.truncate(k + 1);
+                assert_eq!(prefix.len(), k.min(ADULT_ATTRIBUTES), "k {k}");
+                assert_eq!(
+                    format!("{prefix:?}"),
+                    format!("{:?}", &codes[..prefix.len()])
+                );
+            }
+        }
     }
 
     #[test]
@@ -1139,7 +1204,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for _ in 0..n {
-            for v in synth.sample_record(&mut rng) {
+            for &v in synth.sample_record(&mut rng).iter() {
                 h ^= u64::from(v);
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }

@@ -17,7 +17,8 @@
 //! * [`adult`] — the synthetic Adult generator used by the experiment
 //!   harness (same schema and dependence structure as the paper's data set;
 //!   see `DESIGN.md` §4 at the repository root for the substitution
-//!   argument).
+//!   argument).  It samples one record at a time as an inline
+//!   [`AdultRecord`], so streaming generation allocates nothing per record.
 //!
 //! ## Example
 //!
@@ -65,7 +66,7 @@ pub mod error;
 pub mod schema;
 pub mod view;
 
-pub use adult::{adult_schema, AdultAttribute, AdultSynthesizer, ADULT_RECORD_COUNT};
+pub use adult::{adult_schema, AdultAttribute, AdultRecord, AdultSynthesizer, ADULT_RECORD_COUNT};
 pub use dataset::Dataset;
 pub use domain::JointDomain;
 pub use error::DataError;

@@ -14,19 +14,22 @@ use crate::clustering::Clustering;
 use crate::error::MdrrError;
 use crate::protocol::{Protocol, Release};
 use mdrr_core::{
-    estimate_proper_from_counts, randomize_joint, PreparedRandomizer, PrivacyAccountant, RRMatrix,
+    estimate_proper_from_counts, randomize_joint, ChannelTally, PreparedRandomizer,
+    PrivacyAccountant, RRMatrix,
 };
 use mdrr_data::{Dataset, JointDomain, RecordsView, Schema};
 use rand::RngCore;
+use std::ops::Range;
 
 /// Channel codes travel as `u32`, so a channel's joint domain holds at most
 /// 2³² combinations.
 const MAX_CHANNEL_DOMAIN: u64 = 1 << 32;
 
-/// Raw u64 draws pre-filled per refill of the batch driver: large enough
-/// to amortise the one virtual `fill_u64` call per refill, small enough to
-/// stay cache-resident.
-const DRAW_BUFFER: usize = 8 * 1024;
+/// Raw u64 draws pre-filled per refill in `drive` (8 KiB): each channel
+/// sweeps the block once, reading every `m`-th draw, so the block is sized
+/// to stay in L1 across all `m` sweeps.  One virtual `fill_u64` call per
+/// block is still negligible.
+const DRAW_BUFFER: usize = 1024;
 
 impl RRClusters {
     /// The joint domain of each cluster of `clustering` over `schema`, in
@@ -119,13 +122,13 @@ impl RRClusters {
     /// The batch is validated once (per-column range scans) and each
     /// channel's matrix kernel is prepared once.  The randomness is
     /// bulk-pre-drawn: one virtual [`RngCore::fill_u64`] call fills the
-    /// draws of a whole chunk of records.  Every channel consumes exactly
-    /// one draw per record, and channel `j` of record `i` consumes draw
-    /// `i·m + j` of its chunk, so the draws replay the `next_u64` stream of
+    /// draws of a block of records.  Every channel consumes exactly one
+    /// draw per record, and channel `j` of record `i` consumes draw
+    /// `i·m + j` of its block, so the draws replay the `next_u64` stream of
     /// the record-major per-record path even though channels run one at a
     /// time.  A channel over one attribute randomizes the column slice
-    /// itself; a wider channel first gathers its mixed-radix joint codes
-    /// (validated above, and below 2³² by construction).
+    /// itself; a wider channel first gathers its mixed-radix joint codes a
+    /// column at a time (validated above, and below 2³² by construction).
     fn drive<T>(
         &self,
         records: &RecordsView<'_>,
@@ -134,37 +137,27 @@ impl RRClusters {
         kernel: impl Fn(&PreparedRandomizer<'_>, &[u32], &[u64], usize, usize, &mut T),
     ) -> Result<(), MdrrError> {
         validate_records_view(records, &self.schema)?;
-        let all_columns = records.columns();
+        let columns = records.columns();
         let channels: Vec<_> = self
             .channels()
-            .map(|(cluster, domain, matrix)| {
-                let columns: Vec<&[u32]> = cluster.iter().map(|&a| all_columns[a]).collect();
-                (columns, domain.strides(), matrix.prepared())
-            })
+            .map(|(cluster, domain, matrix)| (cluster, domain.strides(), matrix.prepared()))
             .collect();
         let (n, m) = (records.n_records(), channels.len());
         let records_per_fill = (DRAW_BUFFER / m).max(1);
         let mut draw_buffer = vec![0u64; records_per_fill.min(n) * m];
-        // Scratch for one channel's gathered joint codes over one chunk.
+        // One channel's gathered joint codes over one block.
         let mut joint = Vec::new();
         for start in (0..n).step_by(records_per_fill) {
             let range = start..(start + records_per_fill).min(n);
             let draws = &mut draw_buffer[..range.len() * m];
             rng.fill_u64(draws);
-            for (j, ((columns, strides, sampler), out)) in
+            for (j, ((cluster, strides, sampler), out)) in
                 channels.iter().zip(outs.iter_mut()).enumerate()
             {
-                let codes = match columns.as_slice() {
-                    [column] => &column[range.clone()],
+                let codes = match cluster {
+                    [attribute] => &columns[*attribute][range.clone()],
                     _ => {
-                        joint.clear();
-                        for i in range.clone() {
-                            let mut code = 0usize;
-                            for (column, &stride) in columns.iter().zip(*strides) {
-                                code += column[i] as usize * stride;
-                            }
-                            joint.push(code as u32);
-                        }
+                        gather_joint(columns, cluster, strides, range.clone(), &mut joint);
                         joint.as_slice()
                     }
                 };
@@ -351,14 +344,23 @@ impl Protocol for RRClusters {
         tallies: &mut [Vec<u64>],
     ) -> Result<(), MdrrError> {
         self.check_count_shape(tallies)?;
+        let mut banks: Vec<ChannelTally> = self
+            .domains
+            .iter()
+            .map(|domain| ChannelTally::new(domain.size()))
+            .collect();
         self.drive(
             records,
             rng,
-            tallies,
-            |sampler, codes, draws, j, m, tally| {
-                sampler.randomize_strided_tally(codes, draws, j, m, tally);
+            &mut banks,
+            |sampler, codes, draws, j, m, banks| {
+                sampler.randomize_strided_tally(codes, draws, j, m, banks);
             },
-        )
+        )?;
+        for (banks, tally) in banks.iter().zip(tallies) {
+            banks.add_to(tally);
+        }
+        Ok(())
     }
 
     fn decode_report(&self, codes: &[u32]) -> Result<Vec<u32>, MdrrError> {
@@ -455,6 +457,28 @@ impl Protocol for RRClusters {
     }
 }
 
+/// Gathers the mixed-radix joint codes of `cluster` over `range` into
+/// `joint`, a column at a time: `joint[i] += column[i] · stride`.  Every
+/// term is at most the joint code, which fits a `u32`.
+fn gather_joint(
+    columns: &[&[u32]],
+    cluster: &[usize],
+    strides: &[usize],
+    range: Range<usize>,
+    joint: &mut Vec<u32>,
+) {
+    joint.clear();
+    joint.resize(range.len(), 0);
+    for (&attribute, &stride) in cluster.iter().zip(strides) {
+        let column = &columns[attribute][range.clone()];
+        // lint:region(no_float, no_alloc)
+        for (code, &v) in joint.iter_mut().zip(column) {
+            *code += (v as usize * stride) as u32;
+        }
+        // lint:endregion(no_float, no_alloc)
+    }
+}
+
 /// Validates a columnar record batch against a schema in one pass per
 /// column: the arity must match and every code must lie within its
 /// attribute's domain — the once-per-batch replacement for per-record
@@ -469,6 +493,11 @@ fn validate_records_view(records: &RecordsView<'_>, schema: &Schema) -> Result<(
     }
     for (col, attribute) in records.columns().iter().zip(schema.attributes()) {
         let cardinality = attribute.cardinality() as u32;
+        // A branch-free max first (it vectorizes); only a failing column
+        // is searched for its first bad code.
+        if col.iter().fold(0, |max, &v| max.max(v)) < cardinality {
+            continue;
+        }
         if let Some(&bad) = col.iter().find(|&&v| v >= cardinality) {
             return Err(MdrrError::config(format!(
                 "code {bad} out of range for attribute `{}` ({cardinality} categories)",
@@ -477,4 +506,95 @@ fn validate_records_view(records: &RecordsView<'_>, schema: &Schema) -> Result<(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Clustering, ProtocolSpec, RandomizationLevel};
+    use mdrr_data::{adult_schema, AdultSynthesizer, RecordsBuffer};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `encode_batch` and `encode_tally` equal `encode_record` with a
+    /// local tally, on the attribute pairs (144, 105, 30 and 4 cells, four
+    /// channels to a draw block) and on RR-Joint over attributes 0–2 (1008
+    /// cells, one channel).  The record counts end the draw blocks and the
+    /// 4-value count lanes at every offset.
+    #[test]
+    fn batch_and_tally_equal_the_per_record_encoder() {
+        let schema = adult_schema();
+        let m = schema.len();
+        let level = RandomizationLevel::KeepProbability(0.7);
+        let pairs =
+            Clustering::new((0..m / 2).map(|k| vec![2 * k, 2 * k + 1]).collect(), m).unwrap();
+        let joint_schema = schema.project(&[0, 1, 2]).unwrap();
+        let protocols = [
+            ProtocolSpec::Clusters {
+                level: level.clone(),
+                clustering: pairs,
+                equivalent_risk: false,
+            }
+            .build(&schema)
+            .unwrap(),
+            ProtocolSpec::Joint {
+                level,
+                max_domain: None,
+                equivalent_risk: false,
+            }
+            .build(&joint_schema)
+            .unwrap(),
+        ];
+        assert_eq!(protocols[0].channel_sizes(), vec![144, 105, 30, 4]);
+        assert_eq!(protocols[1].channel_sizes(), vec![1008]);
+        let synthesizer = AdultSynthesizer::paper_sized();
+        for protocol in &protocols {
+            let arity = protocol.schema().len();
+            for n in [1usize, 255, 257, 1023, 1025, 4097] {
+                let mut generator = StdRng::seed_from_u64(n as u64);
+                let mut buffer = RecordsBuffer::new(arity).unwrap();
+                for _ in 0..n {
+                    let mut record = synthesizer.sample_record(&mut generator);
+                    record.truncate(arity);
+                    buffer.push_record(&record).unwrap();
+                }
+                let records = buffer.view();
+                let label = format!("{} n {n}", protocol.name());
+
+                let mut rng = StdRng::seed_from_u64(7);
+                let mut expected: Vec<Vec<u32>> = vec![Vec::new(); protocol.channel_sizes().len()];
+                let mut counts: Vec<Vec<u64>> = protocol
+                    .channel_sizes()
+                    .iter()
+                    .map(|&s| vec![1; s])
+                    .collect();
+                let mut row = Vec::new();
+                for i in 0..n {
+                    records.read_record(i, &mut row).unwrap();
+                    let codes = protocol.encode_record(&row, &mut rng).unwrap();
+                    for ((channel, tally), code) in expected.iter_mut().zip(&mut counts).zip(codes)
+                    {
+                        channel.push(code);
+                        tally[code as usize] += 1;
+                    }
+                }
+
+                let mut batch: Vec<Vec<u32>> = vec![Vec::new(); expected.len()];
+                protocol
+                    .encode_batch(&records, &mut StdRng::seed_from_u64(7), &mut batch)
+                    .unwrap();
+                assert_eq!(batch, expected, "encode_batch, {label}");
+
+                // The tallies start at one per cell: `encode_tally` adds.
+                let mut tallies: Vec<Vec<u64>> = protocol
+                    .channel_sizes()
+                    .iter()
+                    .map(|&s| vec![1; s])
+                    .collect();
+                protocol
+                    .encode_tally(&records, &mut StdRng::seed_from_u64(7), &mut tallies)
+                    .unwrap();
+                assert_eq!(tallies, counts, "encode_tally, {label}");
+            }
+        }
+    }
 }

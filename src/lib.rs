@@ -83,8 +83,8 @@ pub mod prelude {
         Composition, CoreError, PrivacyAccountant, RRMatrix,
     };
     pub use mdrr_data::{
-        adult_schema, AdultSynthesizer, Attribute, AttributeKind, DataError, Dataset, JointDomain,
-        RecordsBuffer, RecordsView, Schema,
+        adult_schema, AdultRecord, AdultSynthesizer, Attribute, AttributeKind, DataError, Dataset,
+        JointDomain, RecordsBuffer, RecordsView, Schema,
     };
     pub use mdrr_eval::{CountQuery, ExperimentConfig};
     pub use mdrr_protocols::{
