@@ -11,12 +11,6 @@ pub enum CoreError {
     Math(MathError),
     /// A dataset operation failed (bad attribute index, schema mismatch, …).
     Data(DataError),
-    /// A randomization matrix was requested or supplied with invalid
-    /// parameters (probability outside `[0, 1]`, non-stochastic rows, …).
-    InvalidMatrix {
-        /// Description of the violated constraint.
-        message: String,
-    },
     /// A value or distribution did not match the matrix dimension.
     DimensionMismatch {
         /// Description of the operation.
@@ -44,9 +38,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Math(e) => write!(f, "numerical error: {e}"),
             CoreError::Data(e) => write!(f, "data error: {e}"),
-            CoreError::InvalidMatrix { message } => {
-                write!(f, "invalid randomization matrix: {message}")
-            }
             CoreError::DimensionMismatch {
                 context,
                 expected,
@@ -94,13 +85,6 @@ impl CoreError {
             message: message.into(),
         }
     }
-
-    /// Convenience constructor for [`CoreError::InvalidMatrix`].
-    pub fn invalid_matrix(message: impl Into<String>) -> Self {
-        CoreError::InvalidMatrix {
-            message: message.into(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -113,9 +97,6 @@ mod tests {
         assert!(math.to_string().contains("numerical error"));
         let data: CoreError = DataError::UnknownAttribute { name: "X".into() }.into();
         assert!(data.to_string().contains("data error"));
-        assert!(CoreError::invalid_matrix("rows do not sum to 1")
-            .to_string()
-            .contains("rows"));
         assert!(CoreError::invalid("p", "out of range")
             .to_string()
             .contains("`p`"));

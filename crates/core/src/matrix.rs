@@ -3,9 +3,10 @@
 //! A randomization matrix `P` (Expression (1) of the paper) is an `r × r`
 //! row-stochastic matrix where `p_uv = Pr(Y = v | X = u)`: the probability
 //! of reporting category `v` when the true category is `u`.  The paper's
-//! optimal matrices (Sections 2.3 and 6.3) all have the *uniform
-//! perturbation* shape — a constant diagonal `p_u` and a constant
-//! off-diagonal `p_d ≤ p_u` — which this module exploits:
+//! optimal matrices (Sections 2.3 and 6.3), and every mechanism this
+//! workspace runs, have the *uniform perturbation* shape `aI + bJ` — a
+//! constant diagonal `p_u` and a constant off-diagonal `p_d` — and
+//! [`RRMatrix`] holds exactly that form:
 //!
 //! * randomizing a value costs O(1) instead of O(r);
 //! * the unbiased estimator `π̂ = (Pᵀ)⁻¹ λ̂` of Equation (2) costs O(r) via
@@ -13,40 +14,24 @@
 //! * the differential-privacy level of Expression (4) is `ln(p_u / p_d)` in
 //!   closed form.
 //!
-//! Arbitrary row-stochastic matrices are also supported (constructor
-//! [`RRMatrix::from_matrix`]) and fall back to general linear algebra.
+//! [`RRMatrix::to_matrix`] materialises the dense matrix for callers (and
+//! tests) that want the general linear algebra of `mdrr_math`.
 
 use crate::error::CoreError;
-use mdrr_math::linsolve::{
-    invert, solve, solve_uniform_perturbation, uniform_perturbation_condition,
-};
+use mdrr_math::linsolve::{solve_uniform_perturbation, uniform_perturbation_condition};
 use mdrr_math::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-/// Internal representation of a randomization matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Form {
-    /// Constant diagonal / constant off-diagonal matrix (`p_u`, `p_d`).
-    Uniform {
-        /// Diagonal entry `p_u = Pr(Y = u | X = u)`.
-        diag: f64,
-        /// Off-diagonal entry `p_d = Pr(Y = v | X = u)` for `v ≠ u`.
-        off: f64,
-    },
-    /// Arbitrary row-stochastic matrix.
-    General(Matrix),
-}
-
-/// A validated `r × r` randomization matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A validated `r × r` uniform-perturbation randomization matrix: `diag`
+/// on the diagonal, `off` everywhere else.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RRMatrix {
     r: usize,
-    form: Form,
+    /// Diagonal entry `p_u = Pr(Y = u | X = u)`.
+    diag: f64,
+    /// Off-diagonal entry `p_d = Pr(Y = v | X = u)` for `v ≠ u`.
+    off: f64,
 }
-
-/// Probability tolerance used when validating stochasticity.
-const TOL: f64 = 1e-9;
 
 /// The number of uniform bits behind one draw: a raw `next_u64` output is
 /// reduced to its top 53 bits, exactly the bits `rng.gen::<f64>()` keeps.
@@ -251,44 +236,31 @@ impl<S: RedrawScale> UniformKernel<S> {
 
 // lint:endregion(no_float, no_alloc)
 
-/// One-draw inverse-CDF sampling along row `u` of a general row-stochastic
-/// matrix: walk the row subtracting probabilities until the draw is spent.
-#[inline]
-fn sample_general_row(m: &Matrix, r: usize, u: usize, mut draw: f64) -> u32 {
-    for (v, &p) in m.row(u).iter().enumerate() {
-        draw -= p;
-        if draw <= 0.0 {
-            return v as u32;
-        }
-    }
-    (r - 1) as u32
-}
-
-/// A matrix's randomization kernel with the form dispatch and constants
-/// hoisted out — the per-value engine of the batched encoders.
+/// A matrix's randomization kernel with its constants hoisted out — the
+/// per-value engine of the batched encoders.
 ///
-/// Borrowing a [`PreparedRandomizer`] once per batch turns the per-value
-/// work into pure integer arithmetic over *pre-drawn* raw u64s: no form
-/// `match` re-resolution, no `Result`, no RNG virtual call in the loop.
+/// Preparing a [`PreparedRandomizer`] once per batch turns the per-value
+/// work into pure integer arithmetic over *pre-drawn* raw u64s: no
+/// constant re-derivation, no `Result`, no RNG virtual call in the loop.
 /// The mapping from a raw draw to a randomized category is exactly the one
 /// [`RRMatrix::randomize`] applies to one `next_u64` output (the same
 /// integer threshold/fixed-point kernel), so a caller that feeds draws from
 /// [`rand::RngCore::fill_u64`] in value order is bit-identical to
 /// per-value `randomize` calls on the same RNG.
 #[derive(Debug, Clone, Copy)]
-pub struct PreparedRandomizer<'a> {
+pub struct PreparedRandomizer {
     r: usize,
-    kind: PreparedKind<'a>,
+    kind: PreparedKind,
 }
 
+/// The kernel at the redraw-scale width [`RRMatrix::prepared`] chose.
 #[derive(Debug, Clone, Copy)]
-enum PreparedKind<'a> {
+enum PreparedKind {
     /// A uniform-perturbation matrix whose redraw scale fits 64 bits.
     Uniform(UniformKernel<u64>),
     /// A uniform-perturbation matrix with a keep probability within
     /// `(r − 1) · 2⁻⁵³` of 1, whose redraw scale needs 128 bits.
     UniformWide(UniformKernel<u128>),
-    General(&'a Matrix),
 }
 
 /// One channel's count vector while a batch is counted into it: four
@@ -331,7 +303,7 @@ impl ChannelTally {
     }
 }
 
-impl PreparedRandomizer<'_> {
+impl PreparedRandomizer {
     /// Randomizes a whole column of (pre-validated) category codes with
     /// pre-drawn randomness, appending to `out`: value `i` uses
     /// `draws[offset + i · stride]`.
@@ -341,7 +313,7 @@ impl PreparedRandomizer<'_> {
     /// (value `i` of channel `j` out of `m` always consumes draw
     /// `i · m + j` of the batch, no matter in which order the channels are
     /// processed) — column-major processing speed, per-record bit-identity.
-    /// The form `match` is resolved once per call, the draws are read
+    /// The kernel width is resolved once per call, the draws are read
     /// through a strided slice iterator (no bounds check per value), and
     /// `out` grows through one `extend`.
     ///
@@ -361,12 +333,6 @@ impl PreparedRandomizer<'_> {
         match self.kind {
             PreparedKind::Uniform(kernel) => kernel.extend(column, raws, out),
             PreparedKind::UniformWide(kernel) => kernel.extend(column, raws, out),
-            PreparedKind::General(m) => {
-                let r = self.r;
-                out.extend(column.iter().zip(raws).map(|(&v, &raw)| {
-                    sample_general_row(m, r, v as usize, rand::unit_f64_from_u64(raw))
-                }));
-            }
         }
     }
 
@@ -396,13 +362,6 @@ impl PreparedRandomizer<'_> {
         match self.kind {
             PreparedKind::Uniform(kernel) => kernel.tally(column, raws, tally),
             PreparedKind::UniformWide(kernel) => kernel.tally(column, raws, tally),
-            PreparedKind::General(m) => {
-                // Bank 0 (or the plain vector) holds the first `r` counters.
-                for (&v, &raw) in column.iter().zip(raws) {
-                    let u = rand::unit_f64_from_u64(raw);
-                    tally.counts[sample_general_row(m, self.r, v as usize, u) as usize] += 1;
-                }
-            }
         }
     }
 }
@@ -439,10 +398,8 @@ impl RRMatrix {
         }
         Ok(RRMatrix {
             r,
-            form: Form::Uniform {
-                diag: 1.0,
-                off: 0.0,
-            },
+            diag: 1.0,
+            off: 0.0,
         })
     }
 
@@ -466,7 +423,8 @@ impl RRMatrix {
         let off = (1.0 - p) / r as f64;
         Ok(RRMatrix {
             r,
-            form: Form::Uniform { diag: p + off, off },
+            diag: p + off,
+            off,
         })
     }
 
@@ -491,10 +449,7 @@ impl RRMatrix {
             return RRMatrix::identity(1);
         }
         let off = (1.0 - p) / (r - 1) as f64;
-        Ok(RRMatrix {
-            r,
-            form: Form::Uniform { diag: p, off },
-        })
+        Ok(RRMatrix { r, diag: p, off })
     }
 
     /// The ε-differentially-private optimal matrix (Section 6.3): diagonal
@@ -525,10 +480,7 @@ impl RRMatrix {
         let e = epsilon.exp();
         let off = 1.0 / (e + r as f64 - 1.0);
         let diag = e * off;
-        Ok(RRMatrix {
-            r,
-            form: Form::Uniform { diag, off },
-        })
+        Ok(RRMatrix { r, diag, off })
     }
 
     /// The cluster matrix of Section 6.3.2: given the per-attribute budgets
@@ -555,36 +507,6 @@ impl RRMatrix {
         RRMatrix::from_epsilon(epsilons.iter().sum(), domain_size)
     }
 
-    /// Wraps an arbitrary row-stochastic matrix.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::InvalidMatrix`] if the matrix is not square or
-    /// not row-stochastic (within `1e-9`).
-    pub fn from_matrix(matrix: Matrix) -> Result<Self, CoreError> {
-        if !matrix.is_square() {
-            return Err(CoreError::invalid_matrix(format!(
-                "randomization matrix must be square, got {}x{}",
-                matrix.rows(),
-                matrix.cols()
-            )));
-        }
-        if matrix.rows() == 0 {
-            return Err(CoreError::invalid_matrix(
-                "randomization matrix must be non-empty",
-            ));
-        }
-        if !matrix.is_row_stochastic(TOL) {
-            return Err(CoreError::invalid_matrix(
-                "every row must be a probability distribution (entries in [0,1] summing to 1)",
-            ));
-        }
-        let r = matrix.rows();
-        Ok(RRMatrix {
-            r,
-            form: Form::General(matrix),
-        })
-    }
-
     /// Number of categories `r`.
     pub fn size(&self) -> usize {
         self.r
@@ -596,109 +518,61 @@ impl RRMatrix {
     /// Panics if `u` or `v` is out of range.
     pub fn prob(&self, u: usize, v: usize) -> f64 {
         assert!(u < self.r && v < self.r, "category index out of range");
-        match &self.form {
-            Form::Uniform { diag, off } => {
-                if u == v {
-                    *diag
-                } else {
-                    *off
-                }
-            }
-            Form::General(m) => m.get(u, v),
+        if u == v {
+            self.diag
+        } else {
+            self.off
         }
     }
 
     /// The diagonal entry, i.e. the probability of reporting the true value.
-    /// For general matrices this is the minimum diagonal entry (the
-    /// worst-case truthful-report probability).
     pub fn keep_probability(&self) -> f64 {
-        match &self.form {
-            Form::Uniform { diag, .. } => *diag,
-            Form::General(m) => m.diagonal().into_iter().fold(f64::INFINITY, f64::min),
-        }
-    }
-
-    /// Whether the matrix has the structured constant-diagonal /
-    /// constant-off-diagonal shape (and therefore O(r) estimation).
-    pub fn is_uniform_perturbation(&self) -> bool {
-        matches!(self.form, Form::Uniform { .. })
+        self.diag
     }
 
     /// Materialises the matrix as a dense [`Matrix`] (row-major, rows are
     /// conditional distributions).
     pub fn to_matrix(&self) -> Matrix {
-        match &self.form {
-            Form::Uniform { diag, off } => {
-                Matrix::from_fn(self.r, self.r, |i, j| if i == j { *diag } else { *off })
-            }
-            Form::General(m) => m.clone(),
-        }
+        Matrix::from_fn(self.r, self.r, |i, j| self.prob(i, j))
     }
 
     /// The ε-differential-privacy level of the matrix per Expression (4):
-    /// `ε = ln( max_v max_u p_uv / min_u p_uv )`.
+    /// `ε = ln( max_v max_u p_uv / min_u p_uv )`, which for this shape is
+    /// `ln(max(p_u / p_d, p_d / p_u))`.
     ///
-    /// Returns `f64::INFINITY` when some column contains a zero probability
-    /// together with a positive one (e.g. the identity matrix), which is the
-    /// correct degenerate value: such a mechanism offers no differential
-    /// privacy.
+    /// Returns `f64::INFINITY` when a column holds a zero beside a positive
+    /// entry (e.g. the identity matrix), which is the correct degenerate
+    /// value: such a mechanism offers no differential privacy.
     pub fn epsilon(&self) -> f64 {
-        match &self.form {
-            Form::Uniform { diag, off } => {
-                if self.r == 1 {
-                    0.0
-                } else if *off <= 0.0 {
-                    if *diag <= 0.0 {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    (diag / off).max(off / diag).ln()
-                }
-            }
-            Form::General(m) => {
-                let mut worst: f64 = 1.0;
-                for v in 0..self.r {
-                    let col = m.column(v);
-                    let max = col.iter().cloned().fold(f64::MIN, f64::max);
-                    let min = col.iter().cloned().fold(f64::MAX, f64::min);
-                    if max <= 0.0 {
-                        continue;
-                    }
-                    if min <= 0.0 {
-                        return f64::INFINITY;
-                    }
-                    worst = worst.max(max / min);
-                }
-                worst.ln()
-            }
+        if self.r == 1 {
+            0.0
+        } else if self.off <= 0.0 {
+            // The rows sum to 1, so the diagonal is 1 here.
+            f64::INFINITY
+        } else {
+            (self.diag / self.off).max(self.off / self.diag).ln()
         }
     }
 
     /// Error-propagation diagnostic: ratio of the extreme eigenvalues of
     /// `Pᵀ` (the `P_max / P_min` lower bound of Section 2.3, following
-    /// Agrawal & Haritsa).  For general matrices this falls back to a
-    /// singular-value-free proxy based on the inverse's norm and is intended
-    /// for diagnostics only.
+    /// Agrawal & Haritsa).
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Math`] if the matrix is singular.
     pub fn condition_number(&self) -> Result<f64, CoreError> {
-        match &self.form {
-            Form::Uniform { diag, off } => {
-                Ok(uniform_perturbation_condition(diag - off, *off, self.r)?)
-            }
-            Form::General(m) => {
-                let inv = invert(&m.transpose())?;
-                Ok(m.frobenius_norm() * inv.frobenius_norm() / self.r as f64)
-            }
-        }
+        Ok(uniform_perturbation_condition(
+            self.diag - self.off,
+            self.off,
+            self.r,
+        )?)
     }
 
     /// Randomizes one category code according to row `true_value` of the
     /// matrix.
     ///
-    /// Consumes exactly one RNG draw per value for the uniform-perturbation
-    /// form (the fused keep/redraw kernel) and one per value for general
-    /// matrices, so randomizing `n` values always advances the RNG by `n`
+    /// Consumes exactly one RNG draw per value (the fused keep/redraw
+    /// kernel), so randomizing `n` values always advances the RNG by `n`
     /// draws regardless of the outcomes — the invariant the batched
     /// encoders rely on to be bit-identical to this per-value path.
     ///
@@ -713,51 +587,40 @@ impl RRMatrix {
                 got: u,
             });
         }
-        match &self.form {
-            Form::Uniform { diag, .. } => {
-                // Same arithmetic as the batched kernel, but the u128
-                // division behind the redraw scale only runs when the
-                // redraw branch is actually taken.
-                let threshold = uniform_threshold(self.r, *diag);
-                let hi = rng.next_u64() >> (64 - DRAW_BITS);
-                Ok(if hi < threshold {
-                    true_value
-                } else {
-                    uniform_redraw(
-                        threshold,
-                        uniform_redraw_scale(self.r, threshold),
-                        true_value,
-                        hi,
-                    )
-                })
-            }
-            Form::General(m) => Ok(sample_general_row(m, self.r, u, rng.gen())),
-        }
+        // Same arithmetic as the batched kernel, but the u128 division
+        // behind the redraw scale only runs when the redraw branch is
+        // actually taken.
+        let threshold = uniform_threshold(self.r, self.diag);
+        let hi = rng.next_u64() >> (64 - DRAW_BITS);
+        Ok(if hi < threshold {
+            true_value
+        } else {
+            uniform_redraw(
+                threshold,
+                uniform_redraw_scale(self.r, threshold),
+                true_value,
+                hi,
+            )
+        })
     }
 
-    /// The matrix's randomization kernel with form dispatch and constants
-    /// hoisted — see [`PreparedRandomizer`].  The redraw scale is held at
-    /// 64 bits whenever it fits, which is every matrix whose redraw span
-    /// exceeds `r − 1`; the exact product is then one 64×64→128-bit
-    /// multiply.
-    pub fn prepared(&self) -> PreparedRandomizer<'_> {
+    /// The matrix's randomization kernel with its constants hoisted — see
+    /// [`PreparedRandomizer`].  The redraw scale is held at 64 bits
+    /// whenever it fits, which is every matrix whose redraw span exceeds
+    /// `r − 1`; the exact product is then one 64×64→128-bit multiply.
+    pub fn prepared(&self) -> PreparedRandomizer {
+        let (threshold, redraw_scale) = uniform_row_constants(self.r, self.diag);
         PreparedRandomizer {
             r: self.r,
-            kind: match &self.form {
-                Form::Uniform { diag, .. } => {
-                    let (threshold, redraw_scale) = uniform_row_constants(self.r, *diag);
-                    match u64::try_from(redraw_scale) {
-                        Ok(redraw_scale) => PreparedKind::Uniform(UniformKernel {
-                            threshold,
-                            redraw_scale,
-                        }),
-                        Err(_) => PreparedKind::UniformWide(UniformKernel {
-                            threshold,
-                            redraw_scale,
-                        }),
-                    }
-                }
-                Form::General(m) => PreparedKind::General(m),
+            kind: match u64::try_from(redraw_scale) {
+                Ok(redraw_scale) => PreparedKind::Uniform(UniformKernel {
+                    threshold,
+                    redraw_scale,
+                }),
+                Err(_) => PreparedKind::UniformWide(UniformKernel {
+                    threshold,
+                    redraw_scale,
+                }),
             },
         }
     }
@@ -812,14 +675,12 @@ impl RRMatrix {
                 got: pi.len(),
             });
         }
-        match &self.form {
-            Form::Uniform { diag, off } => {
-                // λ_v = off · Σ_u π_u + (diag − off) π_v
-                let total: f64 = pi.iter().sum();
-                Ok(pi.iter().map(|&p| off * total + (diag - off) * p).collect())
-            }
-            Form::General(m) => Ok(m.vecmat(pi)?),
-        }
+        // λ_v = off · Σ_u π_u + (diag − off) π_v
+        let total: f64 = pi.iter().sum();
+        Ok(pi
+            .iter()
+            .map(|&p| self.off * total + (self.diag - self.off) * p)
+            .collect())
     }
 
     /// Applies the unbiased estimator of Equation (2) to an empirical
@@ -838,20 +699,20 @@ impl RRMatrix {
                 got: lambda_hat.len(),
             });
         }
-        match &self.form {
-            Form::Uniform { diag, off } => {
-                // Pᵀ = P for the uniform-perturbation shape (it is symmetric),
-                // so the O(r) Sherman–Morrison solve applies directly.
-                Ok(solve_uniform_perturbation(diag - off, *off, lambda_hat)?)
-            }
-            Form::General(m) => Ok(solve(&m.transpose(), lambda_hat)?),
-        }
+        // Pᵀ = P for the uniform-perturbation shape (it is symmetric), so
+        // the O(r) Sherman–Morrison solve applies directly.
+        Ok(solve_uniform_perturbation(
+            self.diag - self.off,
+            self.off,
+            lambda_hat,
+        )?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrr_math::linsolve::solve;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
     use std::collections::BTreeSet;
@@ -897,7 +758,6 @@ mod tests {
         let m = RRMatrix::uniform_keep(p, r).unwrap();
         assert_close(m.prob(2, 2), p + (1.0 - p) / r as f64, 1e-12);
         assert_close(m.prob(2, 3), (1.0 - p) / r as f64, 1e-12);
-        assert!(m.is_uniform_perturbation());
     }
 
     #[test]
@@ -944,21 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn general_matrix_validation_and_epsilon() {
-        let m = Matrix::from_rows(&[vec![0.8, 0.2], vec![0.4, 0.6]]).unwrap();
-        let rr = RRMatrix::from_matrix(m).unwrap();
-        assert!(!rr.is_uniform_perturbation());
-        // Column ratios: max(0.8/0.4, 0.6/0.2) = 3.
-        assert_close(rr.epsilon(), 3.0f64.ln(), 1e-12);
-        assert_close(rr.keep_probability(), 0.6, 1e-12);
-
-        let bad = Matrix::from_rows(&[vec![0.5, 0.4], vec![0.4, 0.6]]).unwrap();
-        assert!(RRMatrix::from_matrix(bad).is_err());
-        let non_square = Matrix::zeros(2, 3);
-        assert!(RRMatrix::from_matrix(non_square).is_err());
-    }
-
-    #[test]
     fn randomize_identity_is_noop_and_validates_range() {
         let m = RRMatrix::identity(4).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
@@ -985,22 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn randomize_general_matrix_matches_row() {
-        let m =
-            RRMatrix::from_matrix(Matrix::from_rows(&[vec![0.1, 0.9], vec![0.5, 0.5]]).unwrap())
-                .unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 100_000;
-        let mut ones = 0usize;
-        for _ in 0..n {
-            if m.randomize(0, &mut rng).unwrap() == 1 {
-                ones += 1;
-            }
-        }
-        assert_close(ones as f64 / n as f64, 0.9, 0.01);
-    }
-
-    #[test]
     fn estimation_roundtrips_expected_distribution() {
         // λ = Pᵀ π, then π̂ = (Pᵀ)⁻¹ λ must recover π exactly.
         let pi = vec![0.5, 0.3, 0.15, 0.05];
@@ -1018,15 +847,33 @@ mod tests {
         }
     }
 
+    /// The O(r) closed forms against the general dense path on the
+    /// materialised matrix: `λ = Pᵀ π` by a vector–matrix product, and the
+    /// estimator by a Gauss–Jordan solve of `Pᵀ π̂ = λ̂`.  The input sums
+    /// to `(r + 1) / 2r`, not 1, so the closed forms' `Σ` terms count.
     #[test]
     fn estimation_matches_general_path() {
-        let m = RRMatrix::direct(0.5, 5).unwrap();
-        let general = RRMatrix::from_matrix(m.to_matrix()).unwrap();
-        let lambda = vec![0.3, 0.25, 0.2, 0.15, 0.1];
-        let fast = m.estimate_true_distribution(&lambda).unwrap();
-        let slow = general.estimate_true_distribution(&lambda).unwrap();
-        for (a, b) in fast.iter().zip(slow.iter()) {
-            assert_close(*a, *b, 1e-9);
+        for m in [
+            RRMatrix::direct(0.5, 5).unwrap(),
+            RRMatrix::direct(0.1, 5).unwrap(),
+            RRMatrix::uniform_keep(0.3, 7).unwrap(),
+            RRMatrix::from_epsilon(1.5, 2).unwrap(),
+            RRMatrix::cluster_from_epsilons(&[0.4, 0.9], 12).unwrap(),
+        ] {
+            let (r, dense) = (m.size(), m.to_matrix());
+            let v: Vec<f64> = (0..r).map(|i| (i + 1) as f64 / (r * r) as f64).collect();
+            let checks = [
+                (m.expected_reported_distribution(&v), dense.vecmat(&v)),
+                (
+                    m.estimate_true_distribution(&v),
+                    solve(&dense.transpose(), &v),
+                ),
+            ];
+            for (fast, slow) in checks {
+                for (a, b) in fast.unwrap().iter().zip(&slow.unwrap()) {
+                    assert_close(*a, *b, 1e-9);
+                }
+            }
         }
     }
 
@@ -1159,7 +1006,6 @@ mod tests {
                 scale_widths.insert(match m.prepared().kind {
                     PreparedKind::Uniform(_) => 64,
                     PreparedKind::UniformWide(_) => 128,
-                    PreparedKind::General(_) => 0,
                 });
                 let his = [0, full - 1]
                     .into_iter()

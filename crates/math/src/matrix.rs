@@ -173,12 +173,6 @@ impl Matrix {
         (0..self.rows).map(|i| self.get(i, col)).collect()
     }
 
-    /// Returns the diagonal entries of a square matrix.
-    pub fn diagonal(&self) -> Vec<f64> {
-        let n = self.rows.min(self.cols);
-        (0..n).map(|i| self.get(i, i)).collect()
-    }
-
     /// Immutable view of the backing storage (row-major).
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -365,11 +359,6 @@ impl Matrix {
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 impl fmt::Display for Matrix {
@@ -490,12 +479,6 @@ mod tests {
     fn column_extraction() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(m.column(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -198,7 +198,9 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// A bounded ring buffer of [`Event`]s.
+/// A bounded ring buffer of [`Event`]s.  Its storage grows with the
+/// events actually recorded, up to `capacity`; nothing is reserved up
+/// front.
 ///
 /// ```
 /// use mdrr_obs::{EventKind, Journal};
@@ -233,7 +235,7 @@ impl Journal {
         Journal {
             capacity,
             inner: Mutex::new(Inner {
-                events: VecDeque::with_capacity(capacity),
+                events: VecDeque::new(),
                 dropped: 0,
             }),
         }
@@ -303,6 +305,26 @@ mod tests {
         assert_eq!(journal.capacity(), 1);
         journal.record(1, EventKind::CheckpointBegin { shards: 1 });
         assert_eq!(journal.len(), 1);
+    }
+
+    /// The capacity is a bound, not a reservation: even `usize::MAX`
+    /// (whose up-front reservation would overflow) records and returns
+    /// events.
+    #[test]
+    fn capacity_reserves_nothing_up_front() {
+        let journal = Journal::new(usize::MAX);
+        assert_eq!(journal.capacity(), usize::MAX);
+        journal.record(1, EventKind::CheckpointBegin { shards: 2 });
+        journal.record(
+            2,
+            EventKind::Merge {
+                snapshots: 2,
+                total_reports: 10,
+            },
+        );
+        let at: Vec<u64> = journal.events().iter().map(|e| e.at_nanos).collect();
+        assert_eq!(at, vec![1, 2]);
+        assert_eq!(journal.dropped(), 0);
     }
 
     #[test]

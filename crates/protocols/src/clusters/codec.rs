@@ -134,7 +134,7 @@ impl RRClusters {
         records: &RecordsView<'_>,
         rng: &mut dyn RngCore,
         outs: &mut [T],
-        kernel: impl Fn(&PreparedRandomizer<'_>, &[u32], &[u64], usize, usize, &mut T),
+        kernel: impl Fn(&PreparedRandomizer, &[u32], &[u64], usize, usize, &mut T),
     ) -> Result<(), MdrrError> {
         validate_records_view(records, &self.schema)?;
         let columns = records.columns();

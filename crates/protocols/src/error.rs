@@ -6,10 +6,9 @@
 //! ([`CoreError`], [`DataError`], [`MathError`]) are wrapped via `From`, so
 //! `?` composes across every layer without ad-hoc conversion shims.
 //!
-//! The former per-layer names `ProtocolError` (this crate) and
-//! `StreamError` (`mdrr-stream`) survive as plain type aliases of
-//! [`MdrrError`] so existing call sites and signatures keep compiling; new
-//! code should name [`MdrrError`] directly.
+//! The former per-layer name `ProtocolError` survives as a plain type alias
+//! of [`MdrrError`] so existing call sites and signatures keep compiling;
+//! new code should name [`MdrrError`] directly.
 
 use mdrr_core::CoreError;
 use mdrr_data::DataError;

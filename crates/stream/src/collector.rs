@@ -46,10 +46,12 @@ use std::sync::Arc;
 /// seed (the SplitMix64 golden-ratio increment).
 const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Records per [`mdrr_protocols::Protocol::encode_batch`] call on the bulk
-/// ingestion paths: large enough to amortise the once-per-batch validation
-/// and buffer bookkeeping to nothing, small enough that a chunk's columnar
-/// codes stay cache-resident between encoding and counting.
+/// Records per chunk on the bulk ingestion paths: each chunk is one fused
+/// randomize-and-count [`mdrr_protocols::Protocol::encode_tally`] call, so
+/// it is the unit of the `stream_shard_batches_total` counter and the
+/// `stream_shard_ingest_nanos` histogram, and of that call's once-per-call
+/// work (validation, kernel preparation, its `ChannelTally` allocation).
+/// Large enough to amortise that work to nothing per report.
 pub const ENCODE_BATCH: usize = 8 * 1024;
 
 /// A point-in-time estimate taken from the accumulated sufficient
@@ -395,10 +397,12 @@ impl ShardedCollector {
     /// Simulates `records.n_records()` clients from a zero-copy columnar
     /// view — the fastest bulk path.  Worker `k` of the
     /// [`ShardedCollector::shard_ranges`] partition encodes its contiguous
-    /// range in [`ENCODE_BATCH`]-sized chunks through the protocol's
-    /// batched encoder with its own deterministic RNG (derived from
-    /// `base_seed` and `k`) and bulk-counts each chunk into shard `k` —
-    /// no locks, no cross-shard traffic, zero allocations per record.
+    /// range in [`ENCODE_BATCH`]-sized chunks with its own deterministic RNG
+    /// (derived from `base_seed` and `k`): each chunk is one fused
+    /// randomize-and-count [`mdrr_protocols::Protocol::encode_tally`] call
+    /// into the worker's count vectors, which shard `k` absorbs once at the
+    /// end of the run — no locks, no cross-shard traffic, no codes
+    /// materialised, zero allocations per record.
     ///
     /// The result is fully deterministic for a given
     /// `(records, base_seed, n_shards)` triple and bit-identical to

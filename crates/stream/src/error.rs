@@ -4,13 +4,9 @@
 //! it sits on — shape violations (zero shards, a report that does not match
 //! the protocol's channels, mismatched accumulator layouts) surface as
 //! [`MdrrError::InvalidConfiguration`], and protocol errors propagate
-//! unchanged through `?` with no wrapping.  The historical `StreamError`
-//! name survives as a plain alias.
+//! unchanged through `?` with no wrapping.
 
 pub use mdrr_protocols::MdrrError;
-
-/// Compatibility alias: the streaming layer's historical error name.
-pub type StreamError = MdrrError;
 
 #[cfg(test)]
 mod tests {
@@ -18,13 +14,12 @@ mod tests {
 
     #[test]
     fn stream_errors_are_mdrr_errors() {
-        // One error type across the layers: protocol errors flow into
-        // streaming signatures without conversion, and the alias is
-        // interchangeable with the canonical name.
-        let e: StreamError = MdrrError::config("zero shards");
+        // One error type across the layers: the streaming layer's error is
+        // the protocol layer's, so protocol errors flow into streaming
+        // signatures without conversion.
+        let e: MdrrError = mdrr_protocols::MdrrError::config("zero shards");
         assert!(e.to_string().contains("zero shards"));
         let p: MdrrError = mdrr_protocols::ProtocolError::config("bad");
-        let s: StreamError = p;
-        assert!(s.to_string().contains("bad"));
+        assert!(p.to_string().contains("bad"));
     }
 }

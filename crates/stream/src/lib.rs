@@ -106,7 +106,7 @@ pub use batch::ReportBatch;
 pub use checkpoint::{CheckpointManifest, RestoredCheckpoint, MANIFEST_FILE};
 pub use client::{ClientConfig, WireClient};
 pub use collector::{offset_base_seed, ShardedCollector, StreamSnapshot, ENCODE_BATCH};
-pub use error::{MdrrError, StreamError};
+pub use error::MdrrError;
 pub use fault::FaultyProtocol;
 pub use instrument::{StreamObs, DEFAULT_JOURNAL_CAPACITY};
 pub use wire::{BatchView, FrameType, WireError, MAX_WIRE_PAYLOAD, WIRE_MAGIC, WIRE_VERSION};
